@@ -10,7 +10,7 @@ island amplitude |a| (about 0.95 for the Hadamard-type coin on K4).
 
 import numpy as np
 
-from surfwalk.covering_blowup import attach_hedgehog, blow_up, double_cover
+from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.graph_core import complete_graph
 from surfwalk.walk_dynamics import Coin, WaveState, step
@@ -40,7 +40,7 @@ def main():
     coin = Coin.hadamard_type()
     print(f"coin |a| = {abs(coin.a):.6f}")
     for cls in enumerate_embeddings(complete_graph(4)):
-        bg = attach_hedgehog(blow_up(double_cover(cls.representative)))
+        bg = hedgehog(cls.representative)
         radius = np.abs(np.linalg.eigvals(internal_matrix(bg, coin))).max()
 
         inflow = np.zeros(bg.size, dtype=complex)

@@ -19,7 +19,14 @@ from .comfortability import (
     positive_coin_average,
     self_intersections,
 )
-from .covering_blowup import BlowUpGraph, DoubleCover, attach_hedgehog, blow_up, double_cover
+from .covering_blowup import (
+    BlowUpGraph,
+    DoubleCover,
+    attach_hedgehog,
+    blow_up,
+    double_cover,
+    hedgehog,
+)
 from .enumeration import (
     EmbeddingClass,
     enumerate_embeddings,

@@ -23,7 +23,7 @@ from .comfortability import (
     limit_comfortability,
     positive_coin_average,
 )
-from .covering_blowup import attach_hedgehog, base_face_map, blow_up, double_cover
+from .covering_blowup import base_face_map, double_cover, hedgehog
 from .enumeration import enumerate_embeddings, rank_by_comfortability
 from .errors import (
     AssumptionError,
@@ -123,9 +123,9 @@ def _tail_legend(bg) -> list[dict]:
 def _faces_payload(rs) -> dict:
     fd = trace_faces(rs)
     g = rs.graph
+    edges = g.edges()
     faces = []
     for i, face in enumerate(fd.faces):
-        edges = g.edges()
         faces.append(
             {
                 "length": len(face),
@@ -138,7 +138,7 @@ def _faces_payload(rs) -> dict:
         )
     return {
         "vertices": g.vertex_count,
-        "edges": [[u, v, rs.twist[k]] for k, (u, v) in enumerate(g.edges())],
+        "edges": [[u, v, rs.twist[k]] for k, (u, v) in enumerate(edges)],
         "orientable": fd.orientable,
         "genus": fd.genus,
         "face_lengths": list(fd.face_lengths),
@@ -202,7 +202,7 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     """Per-face scattering blocks of the hedgehog system."""
     rs = _load_system(file)
     coin = _coin_from_options(a_, b_, c_, d_)
-    bg = attach_hedgehog(blow_up(double_cover(rs)))
+    bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
     labels = base_face_map(bg, trace_faces(rs))
     if fmt == "json":
@@ -266,9 +266,9 @@ def cmd_comfort(file, a_, b_, c_, d_, inflow, want_limit, out):
         if abs(a.imag) < 1e-12 and a.real > 0 and abs(coin.omega - 1) < 1e-12:
             payload["positive_coin_form"] = positive_coin_average(fd, a.real)
     else:
-        bg = attach_hedgehog(blow_up(double_cover(rs)))
+        bg = hedgehog(rs)
         vec = _parse_inflow(bg, inflow)
-        report = comfortability(fd, coin, vec)
+        report = comfortability(fd, coin, vec, scattering=scattering_matrix(bg, coin))
         payload.update(
             {"energy": report.energy, "island": report.island, "bridge": report.bridge}
         )
@@ -288,7 +288,7 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
     """Run the walk to its stationary state and compare with closed forms."""
     rs = _load_system(file)
     coin = _coin_from_options(a_, b_, c_, d_)
-    bg = attach_hedgehog(blow_up(double_cover(rs)))
+    bg = hedgehog(rs)
     vec = _parse_inflow(bg, inflow)
     state = run_to_stationary(bg, coin, vec, tol=tol, max_steps=max_steps)
     payload = {

@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covering_blowup import attach_hedgehog, blow_up, double_cover
-from .errors import AssumptionError, GraphError
+from .covering_blowup import hedgehog
+from .errors import AssumptionError, BudgetError, GraphError
 from .rotation_system import FacialDecomposition
 from .scattering import ScatteringMatrix, scattering_matrix
 from .walk_dynamics import Coin
@@ -57,8 +57,7 @@ def _require_closed_form(coin: Coin):
 
 def hedgehog_scattering(fd: FacialDecomposition, coin: Coin) -> ScatteringMatrix:
     """The scattering matrix of the hedgehog system over ``fd``'s rotation system."""
-    bg = attach_hedgehog(blow_up(double_cover(fd.rs)))
-    return scattering_matrix(bg, coin)
+    return scattering_matrix(hedgehog(fd.rs), coin)
 
 
 def _sigma_matrix(bg) -> np.ndarray:
@@ -248,13 +247,12 @@ def island_energy(partition, a: float) -> float:
 
 def _split_moves(parts: tuple[int, ...]):
     """Partitions reachable by one energy-increasing move: split one part, or
-    spread two parts further apart at constant sum."""
-    out = set()
+    spread two parts further apart at constant sum (with repeats)."""
     n = len(parts)
     for i, p in enumerate(parts):
         rest = parts[:i] + parts[i + 1 :]
         for l in range(1, p // 2 + 1):
-            out.add(tuple(sorted(rest + (l, p - l), reverse=True)))
+            yield tuple(sorted(rest + (l, p - l), reverse=True))
     for i in range(n):
         for j in range(i + 1, n):
             l, m = parts[i], parts[j]
@@ -263,18 +261,31 @@ def _split_moves(parts: tuple[int, ...]):
             for l2 in range(total // 2, 0, -1):
                 m2 = total - l2
                 if abs(l2 - m2) > gap:
-                    out.add(tuple(sorted(rest + (l2, m2), reverse=True)))
-    return out
+                    yield tuple(sorted(rest + (l2, m2), reverse=True))
 
 
-@lru_cache(maxsize=None)
+# Candidate partitions one order search may examine, repeats included: the
+# number a search from (30,) examines, which reaches every partition of 30,
+# so every total up to 30 (the face-length sum of K6) is decided.  Searches
+# grow about fourfold per six more of the total, and a partition with many
+# parts costs many candidates, so distinct partitions alone bound no work.
+MAX_PARTITION_MOVES = 220_875
+
+
+@lru_cache(maxsize=16)
 def _reachable_upward(frm: tuple[int, ...]) -> frozenset:
     """All partitions provably of larger island energy than ``frm``."""
     seen = set()
     queue = deque([frm])
+    moves = 0
     while queue:
-        cur = queue.popleft()
-        for nxt in _split_moves(cur):
+        for nxt in _split_moves(queue.popleft()):
+            moves += 1
+            if moves > MAX_PARTITION_MOVES:
+                raise BudgetError(
+                    f"ordering partitions of {sum(frm)} examines more than "
+                    f"{MAX_PARTITION_MOVES} candidates"
+                )
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -286,7 +297,9 @@ def compare_partitions(first, second) -> str:
 
     Returns 'equal', 'greater', 'less' or 'incomparable'; the last means no
     chain of moves decides the pair (their numeric energies may still
-    differ, e.g. [9, 3] vs [4, 4, 4]).
+    differ, e.g. [9, 3] vs [4, 4, 4]).  Raises :class:`BudgetError` when
+    the search would examine more than ``MAX_PARTITION_MOVES`` candidate
+    partitions, which no total up to 30 does.
     """
     p1 = tuple(sorted(first, reverse=True))
     p2 = tuple(sorted(second, reverse=True))

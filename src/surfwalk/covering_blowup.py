@@ -9,17 +9,17 @@ incidence maps are array lookups.
 
 Hedgehog tails cut every island arc at a boundary vertex; a tail is
 identified by the island arc it sits on, and the bijection with bridges is
-``phi(bridge g) = tail on island g-bar``.
+``phi(bridge g) = tail on island g-bar``.  :func:`hedgehog` is the one path
+from a rotation system to that tailed blow-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GraphError
-from .graph_core import SymmetricDigraph, arc_edge, arc_reverse
+from .graph_core import SymmetricDigraph, arc_edge, permutation_cycles
 from .rotation_system import RotationSystem
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "double_cover",
     "blow_up",
     "attach_hedgehog",
+    "hedgehog",
 ]
 
 
@@ -52,10 +53,6 @@ class DoubleCover:
     @property
     def arc_count(self) -> int:
         return self.graph.arc_count
-
-    def state_to_arc(self, state: int) -> int:
-        """Cover arc of a face-tracing state ``2*arc + parity``."""
-        return self.lift[state]
 
     def arc_to_state(self, c: int) -> int:
         return 2 * self.proj[c] + self.sheet[c]
@@ -142,7 +139,6 @@ class BlowUpGraph:
     bridge_sign: np.ndarray
     island_of: np.ndarray
     faces: tuple[tuple[int, ...], ...]
-    face_of_island: np.ndarray
     boundary: np.ndarray
 
     @property
@@ -198,23 +194,7 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
 
     # Extended facial walks: successor of island g is bar(rot(g)); the
     # bridge crossed between them is bar(successor).
-    succ = bar[rot]
-    seen = np.zeros(n, dtype=bool)
-    faces = []
-    face_of = np.zeros((n, 2), dtype=np.int64)
-    for start in range(n):
-        if seen[start]:
-            continue
-        walk = []
-        g = start
-        while not seen[g]:
-            seen[g] = True
-            face_of[g] = (len(faces), len(walk))
-            walk.append(int(g))
-            g = int(succ[g])
-        if g != start:
-            raise GraphError("extended facial walk failed to close up")
-        faces.append(tuple(walk))
+    faces, _, _ = permutation_cycles(bar[rot].tolist())
 
     if boundary is None:
         bmask = np.zeros(n, dtype=bool)
@@ -230,8 +210,7 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
         bridge_twist=twist,
         bridge_sign=sign,
         island_of=island_of,
-        faces=tuple(faces),
-        face_of_island=face_of,
+        faces=tuple(map(tuple, faces)),
         boundary=bmask,
     )
 
@@ -249,15 +228,10 @@ def base_face_map(bg: BlowUpGraph, fd) -> list[tuple[int, bool]]:
 
 def attach_hedgehog(bg: BlowUpGraph) -> BlowUpGraph:
     """Tail every island arc (the boundary assignment of all closed forms)."""
-    return BlowUpGraph(
-        cover=bg.cover,
-        rot=bg.rot,
-        rot_inv=bg.rot_inv,
-        bar=bg.bar,
-        bridge_twist=bg.bridge_twist,
-        bridge_sign=bg.bridge_sign,
-        island_of=bg.island_of,
-        faces=bg.faces,
-        face_of_island=bg.face_of_island,
-        boundary=np.ones(bg.size, dtype=bool),
-    )
+    return replace(bg, boundary=np.ones(bg.size, dtype=bool))
+
+
+def hedgehog(rs: RotationSystem) -> BlowUpGraph:
+    """The hedgehog system of ``rs``: its double cover, blown up, with a
+    tail on every island arc."""
+    return attach_hedgehog(blow_up(double_cover(rs)))

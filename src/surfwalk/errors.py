@@ -24,7 +24,8 @@ class ConvergenceError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed the configured raw-system budget."""
+    """A search would exceed its budget: the raw systems of an enumeration
+    or the candidates of a partition-order search."""
 
 
 class ParseError(ValueError):

@@ -57,12 +57,17 @@ def parse_rotation_system(text: str) -> RotationSystem:
         raise ParseError("missing vertices line")
     if not edges:
         raise ParseError("no edges")
+    # Every vertex of a rotation system has degree >= 2, so |V| <= |E|.
+    if vertices > len(edges):
+        raise ParseError(
+            f"{vertices} vertices need at least as many edges, got {len(edges)}"
+        )
     missing = [x for x in range(vertices) if x not in rotations]
     if missing:
-        raise ParseError(f"missing rotation line for vertices {missing}")
+        raise ParseError(f"missing rotation line for vertices {_id_list(missing)}")
     extra = [x for x in rotations if not 0 <= x < vertices]
     if extra:
-        raise ParseError(f"rotation lines for unknown vertices {extra}")
+        raise ParseError(f"rotation lines for unknown vertices {_id_list(extra)}")
 
     try:
         graph = SymmetricDigraph.from_edges(vertices, edges)
@@ -70,6 +75,13 @@ def parse_rotation_system(text: str) -> RotationSystem:
         return RotationSystem.from_neighbor_orders(graph, orders, twists)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _id_list(ids: list[int]) -> str:
+    """The first ten ids, and how many more there are."""
+    if len(ids) <= 10:
+        return str(ids)
+    return f"{ids[:10]} and {len(ids) - 10} more"
 
 
 def _int(fields, i, lineno, expect=None):

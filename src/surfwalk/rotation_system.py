@@ -10,12 +10,17 @@ pair is one face of the embedding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import GraphError
-from .graph_core import SymmetricDigraph, arc_edge, arc_reverse, is_connected
+from .graph_core import (
+    SymmetricDigraph,
+    arc_edge,
+    arc_reverse,
+    is_connected,
+    permutation_cycles,
+)
 
 __all__ = [
     "RotationSystem",
@@ -173,12 +178,13 @@ def _chi(rs: RotationSystem, state: int) -> int:
 class FacialDecomposition:
     """All facial walks of a rotation system.
 
-    ``cover_faces`` are the traced orbits on (arc, parity) states, in pairs
-    ``chiral_partner[i]`` of mutually reversed walks; ``representative``
-    flags one orbit per pair.  ``faces`` are the representatives projected
-    to base arcs: the facial walks of (G, rho, tau), each face reported once.
-    Self-intersections are the edges a face crosses in both directions,
-    stored with the two distances between the crossings along the walk.
+    ``cover_faces`` are the traced orbits on (arc, parity) states, each
+    starting at its smallest state, in pairs ``chiral_partner[i]`` of
+    mutually reversed walks; ``representative`` flags one orbit per pair.
+    ``faces`` are the representatives projected to base arcs: the facial
+    walks of (G, rho, tau), each face reported once.  Self-intersections are
+    the edges a face crosses in both directions, stored with the two
+    distances between the crossings along the walk.
     """
 
     rs: RotationSystem
@@ -190,6 +196,7 @@ class FacialDecomposition:
     orientable: bool
     genus: int
     state_face: tuple[tuple[int, int], ...] = field(repr=False, compare=False, default=())
+    cover_base: tuple[tuple[int, bool], ...] = field(repr=False, compare=False, default=())
 
     @property
     def face_lengths(self) -> tuple[int, ...]:
@@ -201,38 +208,15 @@ class FacialDecomposition:
 
     def base_face_of(self, cover_index: int) -> tuple[int, bool]:
         """(base face index, is_chiral_copy) of a cover face."""
-        for base, rep in enumerate(self.representative):
-            if rep == cover_index:
-                return base, False
-            if self.chiral_partner[rep] == cover_index:
-                return base, True
-        raise GraphError(f"no cover face {cover_index}")
-
-    def face_vertices(self, i: int) -> list[int]:
-        """The vertex sequence visited by base face ``i`` (o(e) of each arc)."""
-        return [self.rs.graph.origin[e] for e in self.faces[i]]
+        if not 0 <= cover_index < len(self.cover_base):
+            raise GraphError(f"no cover face {cover_index}")
+        return self.cover_base[cover_index]
 
 
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     """Trace every facial walk and derive genus and orientability."""
     g = rs.graph
-    succ = _successor_table(rs)
-    n_states = 2 * g.arc_count
-
-    orbit_of = [-1] * n_states
-    orbits: list[list[int]] = []
-    for start in range(n_states):
-        if orbit_of[start] >= 0:
-            continue
-        orbit = []
-        s = start
-        while orbit_of[s] < 0:
-            orbit_of[s] = len(orbits)
-            orbit.append(s)
-            s = succ[s]
-        if s != start:
-            raise GraphError("face tracing failed to close up (successor not a permutation)")
-        orbits.append(orbit)
+    orbits, orbit_of, position = permutation_cycles(_successor_table(rs))
 
     # Pair each orbit with its chiral partner; a self-paired orbit would
     # break the face count and is rejected loudly.
@@ -243,39 +227,28 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
             raise GraphError("facial walk equals its own chiral reverse")
         partner[i] = j
 
-    # Canonical form: rotate each orbit so its smallest state leads; the
-    # representative of a pair is the orbit whose projected arc sequence is
-    # lexicographically smaller.
-    canon: list[tuple[int, ...]] = []
-    for orbit in orbits:
-        k = orbit.index(min(orbit))
-        canon.append(tuple(orbit[k:] + orbit[:k]))
+    # Each orbit starts at its smallest state; the representative of a pair
+    # is the orbit whose projected arc sequence is lexicographically smaller.
+    arcs = [tuple(s >> 1 for s in orbit) for orbit in orbits]
+    reps = [i if arcs[i] <= arcs[j] else j for i, j in enumerate(partner) if i < j]
+    reps.sort(key=lambda i: arcs[i])
 
-    reps = []
-    for i in range(len(orbits)):
-        j = partner[i]
-        if i < j:
-            a = tuple(s >> 1 for s in canon[i])
-            b = tuple(s >> 1 for s in canon[j])
-            reps.append(i if a <= b else j)
-    reps.sort(key=lambda i: tuple(s >> 1 for s in canon[i]))
-
-    faces = tuple(tuple(s >> 1 for s in canon[i]) for i in reps)
+    cover_base: list[tuple[int, bool]] = [(-1, False)] * len(orbits)
+    for base, i in enumerate(reps):
+        cover_base[i] = (base, False)
+        cover_base[partner[i]] = (base, True)
 
     # Self-intersections: state (e, s) meets its reverse (e-bar, s ^ tau(e))
     # on the same orbit; record per edge the forward/backward distances.
     self_int: list[dict[int, tuple[int, int]]] = []
     for i in reps:
-        orbit = canon[i]
-        pos = {s: p for p, s in enumerate(orbit)}
-        r = len(orbit)
+        r = len(orbits[i])
         hits: dict[int, tuple[int, int]] = {}
-        for p, s in enumerate(orbit):
+        for p, s in enumerate(orbits[i]):
             e = s >> 1
             rev = 2 * arc_reverse(e) + ((s & 1) ^ rs.twist[arc_edge(e)])
-            q = pos.get(rev)
-            if q is not None:
-                d1 = (q - p) % r
+            if orbit_of[rev] == i:
+                d1 = (position[rev] - p) % r
                 hits[arc_edge(e)] = (min(d1, r - d1), max(d1, r - d1))
         self_int.append(hits)
 
@@ -291,14 +264,15 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
 
     return FacialDecomposition(
         rs=rs,
-        cover_faces=tuple(canon),
+        cover_faces=tuple(map(tuple, orbits)),
         chiral_partner=tuple(partner),
         representative=tuple(reps),
-        faces=faces,
+        faces=tuple(arcs[i] for i in reps),
         self_intersections=tuple(self_int),
         orientable=orientable,
         genus=genus,
-        state_face=tuple((orbit_of[s], canon[orbit_of[s]].index(s)) for s in range(n_states)),
+        state_face=tuple(zip(orbit_of, position)),
+        cover_base=tuple(cover_base),
     )
 
 

@@ -52,19 +52,22 @@ def _face_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
     return tails, dist, parity
 
 
+def _weighted_shift(dist, parity, omega: complex) -> np.ndarray:
+    q = len(dist)
+    p = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        p[j, (j - 1) % q] = (-1.0) ** parity[j] * omega ** dist[j]
+    return p
+
+
 def face_permutation(bg: BlowUpGraph, face_index: int, omega: complex) -> np.ndarray:
     """P_f(omega): the weighted cyclic shift over the tails of one face.
 
     Entry (j, j-1) is (-1)^(twist parity) * omega^(island hops) between
     consecutive tails; with the hedgehog this is omega times a sign.
     """
-    face = bg.faces[face_index]
-    tails, dist, parity = _face_boundary(bg, face)
-    q = len(tails)
-    p = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        p[j, (j - 1) % q] = (-1.0) ** parity[j] * omega ** dist[j]
-    return p
+    _, dist, parity = _face_boundary(bg, bg.faces[face_index])
+    return _weighted_shift(dist, parity, omega)
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,6 @@ class ScatteringMatrix:
                 s[np.ix_(idx, idx)] = block
         return s
 
-    def matrix_bridge_indexed(self) -> np.ndarray:
-        """The same operator labelled by bridges through phi (hedgehog only)."""
-        if not self.bg.hedgehog:
-            raise AssumptionError("bridge labelling of tails needs the hedgehog")
-        bar = self.bg.bar
-        return self.matrix()[np.ix_(bar, bar)]
-
     def q_matrix(self) -> np.ndarray:
         """Q = S - dI on the tail sites (island indexed)."""
         s = self.matrix()
@@ -113,9 +109,6 @@ class ScatteringMatrix:
             worst = max(worst, np.abs(block.conj().T @ block - eye).max())
         return worst
 
-    def apply(self, inflow: np.ndarray) -> np.ndarray:
-        return self.matrix() @ inflow
-
 
 def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     """S = sum of face blocks bc P_f(omega) (I - a P_f(omega))^-1 + d I."""
@@ -127,8 +120,8 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
 
     omega = coin.omega
     blocks = []
-    for i, face in enumerate(bg.faces):
-        tails, _, _ = _face_boundary(bg, face)
+    for face in bg.faces:
+        tails, dist, parity = _face_boundary(bg, face)
         q = len(tails)
         if q == 0:
             blocks.append(((), np.zeros((0, 0), dtype=complex)))
@@ -136,7 +129,7 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
         if degenerate:
             blocks.append((tuple(tails), d * np.eye(q, dtype=complex)))
             continue
-        p = face_permutation(bg, i, omega)
+        p = _weighted_shift(dist, parity, omega)
         eye = np.eye(q, dtype=complex)
         block = b * c * (p @ np.linalg.inv(eye - a * p)) + d * eye
         blocks.append((tuple(tails), block))
@@ -170,12 +163,13 @@ def stationary_closed_form(
     island_in = q / c
     island_plus = sign_after * q[bar[rot]] / (c * omega)
     bridge = (q[bar] + bg.bridge_sign * d * q) / (coin.b * coin.c)
+    # Every island carries a tail on the hedgehog, so S inflow = q + d inflow.
     return WaveState(
         island_in=island_in,
         island_plus=island_plus,
         bridge=bridge,
         inflow=inflow,
-        outflow=s.matrix() @ inflow,
+        outflow=q + d * inflow,
         steps=0,
         residual=0.0,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covering_blowup import BlowUpGraph, attach_hedgehog, blow_up, double_cover
+from .covering_blowup import BlowUpGraph, DoubleCover, double_cover, hedgehog
 from .errors import AssumptionError, ConvergenceError
 from .rotation_system import RotationSystem, flip_vertex
 
@@ -221,15 +221,17 @@ def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.
     """The flipped system at ``x`` and the island/bridge relabelling that
     identifies the two blow-ups (sheets of the flipped vertex swap)."""
     flipped = flip_vertex(rs, x)
-    dc1 = double_cover(rs)
-    dc2 = double_cover(flipped)
+    return flipped, _flip_relabelling(double_cover(rs), double_cover(flipped), x)
+
+
+def _flip_relabelling(dc1: DoubleCover, dc2: DoubleCover, x: int) -> np.ndarray:
     n = dc1.arc_count
     phi = np.zeros(n, dtype=np.int64)
     for c in range(n):
         e, s = dc1.proj[c], dc1.sheet[c]
-        s2 = s ^ (rs.graph.terminus[e] == x)
+        s2 = s ^ (dc1.base.graph.terminus[e] == x)
         phi[c] = dc2.lift[2 * e + s2]
-    return flipped, phi
+    return phi
 
 
 @dataclass(frozen=True)
@@ -258,9 +260,9 @@ def check_unitary_equivalence(
     moduli match entrywise within ``check_tol``."""
     if np.count_nonzero(inflow) != 1:
         raise AssumptionError("unitary-equivalence check expects a single-tail inflow")
-    bg1 = attach_hedgehog(blow_up(double_cover(rs)))
-    flipped, phi = flip_correspondence(rs, x)
-    bg2 = attach_hedgehog(blow_up(double_cover(flipped)))
+    bg1 = hedgehog(rs)
+    bg2 = hedgehog(flip_vertex(rs, x))
+    phi = _flip_relabelling(bg1.cover, bg2.cover, x)
 
     inflow2 = np.zeros_like(inflow)
     inflow2[phi] = inflow

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from surfwalk.covering_blowup import attach_hedgehog, blow_up, double_cover
 from surfwalk.graph_core import SymmetricDigraph, complete_graph
 from surfwalk.rotation_system import RotationSystem
 from surfwalk.walk_dynamics import Coin
@@ -20,10 +19,6 @@ def planar_k4(twists=None):
 
 def projective_k4():
     return planar_k4([1, 0, 0, 0, 0, 0])
-
-
-def hedgehog_system(rs):
-    return attach_hedgehog(blow_up(double_cover(rs)))
 
 
 def random_simple_graph(rng, max_vertices=6):

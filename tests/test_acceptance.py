@@ -11,7 +11,6 @@ import pytest
 
 from conftest import (
     projective_k4,
-    hedgehog_system,
     random_d_real_coin,
     random_rotation_system,
 )
@@ -26,7 +25,7 @@ from surfwalk.comfortability import (
     self_intersections,
     positive_coin_average,
 )
-from surfwalk.covering_blowup import double_cover
+from surfwalk.covering_blowup import double_cover, hedgehog
 from surfwalk.enumeration import min_max_genus, rank_by_comfortability
 from surfwalk.rotation_system import detect_orientability, trace_faces
 from surfwalk.scattering import (
@@ -80,7 +79,7 @@ def test_criterion_03_scattering_unitarity(k4_classes, rng):
     worst = 0.0
     coins = [random_d_real_coin(rng, max_a=0.95) for _ in range(10)]
     for cls in k4_classes:
-        bg = hedgehog_system(cls.representative)
+        bg = hedgehog(cls.representative)
         for coin in coins:
             worst = max(worst, scattering_matrix(bg, coin).unitarity_defect())
     assert worst < TOL_UNITARY
@@ -93,7 +92,7 @@ def test_criterion_04_oracle_equivalence(k4_classes):
     for cls in k4_classes:
         rs = cls.representative
         fd = cls.decomposition
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         s = scattering_matrix(bg, coin)
         dense = s.matrix()
         for tail in range(bg.size):
@@ -185,7 +184,7 @@ def test_criterion_08_orientability_three_way(k4_classes, rng):
     for rs in systems:
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         by_signs = orientability_from_scattering(scattering_matrix(bg, coin), bg)
         assert by_tree == by_cover == by_signs
     _report(8, "spanning tree = double cover = scattering signs on 11 + 100 systems")

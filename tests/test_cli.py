@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from surfwalk.cli import main
-from test_fileformat import PROJECTIVE_K4_FILE
+from test_fileformat import HUGE_VERTEX_COUNT_FILE, PROJECTIVE_K4_FILE
 
 C4_PLANAR = """\
 vertices 4
@@ -176,3 +176,10 @@ def test_cli_round_trip_outputs(projective_file, tmp_path, capsys):
     assert main(["faces", projective_file, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["genus"] == 1
+
+
+def test_huge_vertex_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_VERTEX_COUNT_FILE)
+    assert main(["faces", str(path)]) == 2
+    assert len(capsys.readouterr().err) < 200

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import projective_k4, hedgehog_system, planar_k4, random_d_real_coin
+from conftest import projective_k4, planar_k4, random_d_real_coin
 from surfwalk.comfortability import (
     average_by_enumeration,
     average_comfortability,
@@ -20,7 +20,8 @@ from surfwalk.comfortability import (
     positive_coin_average,
     _sigma_matrix,
 )
-from surfwalk.errors import AssumptionError, GraphError
+from surfwalk.covering_blowup import hedgehog
+from surfwalk.errors import AssumptionError, BudgetError, GraphError
 from surfwalk.graph_core import SymmetricDigraph, cycle_graph
 from surfwalk.rotation_system import RotationSystem, flip_vertex, trace_faces
 from surfwalk.walk_dynamics import Coin, internal_energy, run_to_stationary
@@ -41,7 +42,7 @@ def test_zero_inflow_zero_energy():
 def test_energy_matches_simulator_per_inflow(rng):
     for rs in (planar_k4(), projective_k4()):
         fd = trace_faces(rs)
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         coin = Coin.hadamard_type()
         s = hedgehog_scattering(fd, coin)
         for tail in rng.choice(bg.size, size=5, replace=False):
@@ -55,7 +56,7 @@ def test_energy_matches_simulator_per_inflow(rng):
 def test_island_split_matches_simulator():
     rs = projective_k4()
     fd = trace_faces(rs)
-    bg = hedgehog_system(rs)
+    bg = hedgehog(rs)
     coin = Coin.hadamard_type()
     inflow = unit_inflow(bg.size, 2)
     closed = comfortability(fd, coin, inflow)
@@ -282,6 +283,13 @@ def test_compare_partitions_incomparable_pair():
 def test_compare_partitions_rejects_mismatched_totals():
     with pytest.raises(GraphError):
         compare_partitions([3, 3], [4, 4])
+
+
+def test_compare_partitions_decides_total_30_and_stops_beyond():
+    # (30,) reaches every partition of 30: the largest search the budget admits.
+    assert compare_partitions([30], [3] * 10) == "less"
+    with pytest.raises(BudgetError):
+        compare_partitions([3] * 40, [120])
 
 
 # ---------------------------------------------------------------------------

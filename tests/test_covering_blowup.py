@@ -6,6 +6,7 @@ from surfwalk.covering_blowup import (
     base_face_map,
     blow_up,
     double_cover,
+    hedgehog,
 )
 from surfwalk.graph_core import arc_edge
 from surfwalk.rotation_system import detect_orientability, trace_faces
@@ -103,7 +104,7 @@ def test_extended_walks_cover_everything_once(rng):
 
 
 def test_hedgehog_tail_count_and_phi_bijection():
-    bg = attach_hedgehog(blow_up(double_cover(projective_k4())))
+    bg = hedgehog(projective_k4())
     tails = bg.boundary_islands()
     assert len(tails) == 24  # one per island arc = 2|A|
     images = {bg.tail_of_bridge(g) for g in range(bg.size)}
@@ -113,7 +114,7 @@ def test_hedgehog_tail_count_and_phi_bijection():
 
 
 def test_quay_sits_on_one_face():
-    bg = attach_hedgehog(blow_up(double_cover(projective_k4())))
+    bg = hedgehog(projective_k4())
     owner = {}
     for i, face in enumerate(bg.faces):
         for g in face:
@@ -128,6 +129,16 @@ def test_blow_up_faces_match_base_decomposition(rng):
         fd = trace_faces(rs)
         bg = blow_up(double_cover(rs))
         assert sorted(len(f) for f in bg.faces) == sorted(len(f) for f in fd.cover_faces)
+        for s in range(2 * rs.graph.arc_count):
+            i, p = fd.face_of(s)
+            assert fd.cover_faces[i][p] == s
+        # Each extended walk is the lift of one traced orbit, step by step.
+        dc = bg.cover
+        for face in bg.faces:
+            i, p = fd.face_of(dc.arc_to_state(face[0]))
+            orbit = fd.cover_faces[i]
+            assert len(face) == len(orbit)
+            assert list(face) == [dc.lift[orbit[(p + k) % len(orbit)]] for k in range(len(face))]
         labels = base_face_map(bg, fd)
         # Each base face owns exactly two extended walks, one per chirality.
         by_base = {}

@@ -55,3 +55,23 @@ def test_parse_rejects_malformed_rotation_line():
     broken = PROJECTIVE_K4_FILE.replace("rotation 0: 1 2 3", "rotation 0 1 2 3")
     with pytest.raises(ParseError):
         parse_rotation_system(broken)
+
+
+# 66 bytes that declare a million vertices: rejected before any per-vertex
+# work, with a short message.
+HUGE_VERTEX_COUNT_FILE = "vertices 1000000\nedge 0 1 0\nedge 1 2 0\nedge 2 0 0\nrotation 0: 1 2\n"
+
+
+def test_vertex_count_above_edge_count_fails_fast():
+    with pytest.raises(ParseError) as err:
+        parse_rotation_system(HUGE_VERTEX_COUNT_FILE)
+    assert len(str(err.value)) < 100
+
+
+def test_missing_rotation_lines_are_listed_briefly():
+    lines = ["vertices 30"]
+    lines += [f"edge {x} {(x + 1) % 30} 0" for x in range(30)]
+    lines.append("rotation 0: 1 29")
+    with pytest.raises(ParseError) as err:
+        parse_rotation_system("\n".join(lines))
+    assert "and 19 more" in str(err.value)

@@ -3,12 +3,11 @@ import pytest
 
 from conftest import (
     projective_k4,
-    hedgehog_system,
     planar_k4,
     random_d_real_coin,
     random_rotation_system,
 )
-from surfwalk.covering_blowup import attach_hedgehog, base_face_map, blow_up, double_cover
+from surfwalk.covering_blowup import base_face_map, blow_up, double_cover, hedgehog
 from surfwalk.errors import AssumptionError
 from surfwalk.rotation_system import detect_orientability, flip_vertex, trace_faces
 from surfwalk.scattering import (
@@ -26,14 +25,14 @@ from surfwalk.walk_dynamics import (
 
 
 def test_unitarity_random_coins(rng):
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     for _ in range(10):
         s = scattering_matrix(bg, random_d_real_coin(rng, max_a=0.97))
         assert s.unitarity_defect() < 1e-10
 
 
 def test_block_structure_covers_all_tails():
-    bg = hedgehog_system(planar_k4())
+    bg = hedgehog(planar_k4())
     s = scattering_matrix(bg, Coin.hadamard_type())
     tails = [t for block_tails, _ in s.blocks for t in block_tails]
     assert sorted(tails) == list(range(24))
@@ -43,13 +42,13 @@ def test_block_structure_covers_all_tails():
 
 
 def test_degenerate_coin_gives_reflection_only():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     s = scattering_matrix(bg, Coin(1.0, 0.0, 0.0, -1.0))
     assert np.abs(s.matrix() + np.eye(bg.size)).max() < 1e-14
 
 
 def test_rejects_non_real_d():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     coin = Coin.from_params(0.5, 0.3, 0.7)
     # rotating the second row keeps the coin unitary but makes d complex
     skewed = Coin(coin.a, coin.b, coin.c * np.exp(0.4j), coin.d * np.exp(0.4j))
@@ -59,7 +58,7 @@ def test_rejects_non_real_d():
 
 def test_matches_simulated_outflow_map(rng):
     for rs in (planar_k4(), projective_k4()):
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         for coin in (Coin.hadamard_type(), random_d_real_coin(rng, max_a=0.7)):
             s = scattering_matrix(bg, coin).matrix()
             sim = outflow_map(bg, coin, tol=1e-12)
@@ -67,7 +66,7 @@ def test_matches_simulated_outflow_map(rng):
 
 
 def test_geometric_series_identity(rng):
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     for _ in range(5):
         coin = random_d_real_coin(rng)
         a, b, c, d = coin.a, coin.b, coin.c, coin.d
@@ -92,7 +91,7 @@ def test_geometric_series_identity(rng):
 
 
 def test_entrywise_formula_hedgehog(rng):
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     coin = random_d_real_coin(rng)
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
     omega = coin.omega
@@ -122,7 +121,7 @@ def test_entrywise_formula_hedgehog(rng):
 def test_face_permutation_closes_to_identity(rng):
     for _ in range(8):
         rs = random_rotation_system(rng)
-        bg = attach_hedgehog(blow_up(double_cover(rs)))
+        bg = hedgehog(rs)
         coin = random_d_real_coin(rng)
         for i, face in enumerate(bg.faces):
             p = face_permutation(bg, i, coin.omega)
@@ -137,7 +136,7 @@ def test_hexagon_block_has_two_sign_flips():
     # the triangles.
     rs = projective_k4()
     fd = trace_faces(rs)
-    bg = hedgehog_system(rs)
+    bg = hedgehog(rs)
     labels = base_face_map(bg, fd)
     hexagons = [i for i, f in enumerate(bg.faces) if len(f) == 6]
     assert len(hexagons) == 2  # both chiral copies
@@ -153,7 +152,7 @@ def test_hexagon_block_has_two_sign_flips():
 
 def test_stationary_closed_form_matches_simulator(rng):
     for rs in (planar_k4(), projective_k4()):
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         coin = Coin.hadamard_type()
         s = scattering_matrix(bg, coin)
         for tail in rng.choice(bg.size, size=4, replace=False):
@@ -168,14 +167,14 @@ def test_stationary_closed_form_matches_simulator(rng):
 
 
 def test_closed_form_refuses_degenerate_coin():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     inflow = np.zeros(bg.size, dtype=complex)
     with pytest.raises(AssumptionError):
         stationary_closed_form(bg, Coin(1.0, 0.0, 0.0, 1.0), inflow)
 
 
 def test_zero_inflow_zero_state():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     closed = stationary_closed_form(bg, Coin.hadamard_type(), np.zeros(bg.size, dtype=complex))
     assert np.abs(closed.island_in).max() == 0.0
     assert np.abs(closed.bridge).max() == 0.0
@@ -183,7 +182,7 @@ def test_zero_inflow_zero_state():
 
 def test_transfer_relation_exact_on_closed_form():
     rs = projective_k4()
-    bg = hedgehog_system(rs)
+    bg = hedgehog(rs)
     coin = Coin.hadamard_type()
     inflow = np.zeros(bg.size, dtype=complex)
     inflow[11] = 1.0
@@ -198,9 +197,9 @@ def test_transfer_relation_exact_on_closed_form():
 
 def test_orientability_detection_sphere_and_projective():
     coin = Coin.hadamard_type()
-    bg0 = hedgehog_system(planar_k4())
+    bg0 = hedgehog(planar_k4())
     assert orientability_from_scattering(scattering_matrix(bg0, coin), bg0)
-    bg1 = hedgehog_system(projective_k4())
+    bg1 = hedgehog(projective_k4())
     assert not orientability_from_scattering(scattering_matrix(bg1, coin), bg1)
 
 
@@ -208,7 +207,7 @@ def test_orientability_three_way_agreement(rng):
     coin = Coin.hadamard_type()
     for _ in range(30):
         rs = random_rotation_system(rng)
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
         by_signs = orientability_from_scattering(scattering_matrix(bg, coin), bg)
@@ -216,7 +215,7 @@ def test_orientability_three_way_agreement(rng):
 
 
 def test_detection_requires_positive_a():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     coin = Coin.real_symmetric(-0.5)
     s = scattering_matrix(bg, coin)
     with pytest.raises(AssumptionError):
@@ -256,7 +255,7 @@ def test_empty_face_block_without_tails():
 def test_outflow_map_three_random_coins(k4_classes, rng):
     coins = [random_d_real_coin(rng, max_a=0.7) for _ in range(3)]
     for cls in (k4_classes[0], k4_classes[5], k4_classes[10]):
-        bg = hedgehog_system(cls.representative)
+        bg = hedgehog(cls.representative)
         for coin in coins:
             s = scattering_matrix(bg, coin).matrix()
             sim = outflow_map(bg, coin, tol=1e-11)
@@ -269,7 +268,7 @@ def test_three_way_agreement_on_k5(rng):
     coin = Coin.hadamard_type()
     for _ in range(5):
         rs = random_rotation_system(rng, graph=complete_graph(5))
-        bg = hedgehog_system(rs)
+        bg = hedgehog(rs)
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
         by_signs = orientability_from_scattering(scattering_matrix(bg, coin), bg)
@@ -281,8 +280,8 @@ def test_flip_conjugation_preserves_moduli_and_spectra(rng):
     coin = Coin.hadamard_type()
     for x in range(4):
         flipped, phi = flip_correspondence(rs, x)
-        s1 = scattering_matrix(hedgehog_system(rs), coin)
-        bg2 = hedgehog_system(flipped)
+        s1 = scattering_matrix(hedgehog(rs), coin)
+        bg2 = hedgehog(flipped)
         s2 = scattering_matrix(bg2, coin).matrix()
         m1 = s1.matrix()
         assert np.abs(np.abs(s2[np.ix_(phi, phi)]) - np.abs(m1)).max() < 1e-12

@@ -3,11 +3,11 @@ import pytest
 
 from conftest import (
     projective_k4,
-    hedgehog_system,
     planar_k4,
     random_d_real_coin,
     random_rotation_system,
 )
+from surfwalk.covering_blowup import hedgehog
 from surfwalk.errors import AssumptionError, ConvergenceError
 from surfwalk.walk_dynamics import (
     Coin,
@@ -42,7 +42,7 @@ def test_coin_parametrization(rng):
 
 
 def test_one_step_norm_balance(rng):
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     for _ in range(5):
         coin = random_d_real_coin(rng)
         inflow = rng.normal(size=bg.size) + 1j * rng.normal(size=bg.size)
@@ -56,7 +56,7 @@ def test_one_step_norm_balance(rng):
 
 
 def test_zero_inflow_stays_zero():
-    bg = hedgehog_system(planar_k4())
+    bg = hedgehog(planar_k4())
     state = WaveState.zero(bg, np.zeros(bg.size, dtype=complex))
     for _ in range(5):
         state = step(state, bg, Coin.hadamard_type())
@@ -66,7 +66,7 @@ def test_zero_inflow_stays_zero():
 def test_degenerate_coin_transmits_only():
     # b = c = 0 decouples islands from bridges; with zero initial state the
     # interior stays dark and the outflow is d * inflow immediately.
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     coin = Coin(1.0, 0.0, 0.0, -1.0)
     inflow = unit_inflow(bg, 3)
     state = run_to_stationary(bg, coin, inflow, tol=1e-12, max_steps=bg.size)
@@ -77,7 +77,7 @@ def test_degenerate_coin_transmits_only():
 def test_degenerate_coin_one_step_law(rng):
     # With b = c = 0 and no twists, one step swaps bridge amplitudes with
     # weight d and rotates island amplitude forward with weight a.
-    bg = hedgehog_system(planar_k4())
+    bg = hedgehog(planar_k4())
     coin = Coin(1j, 0.0, 0.0, 1.0)
     state = WaveState.zero(bg, np.zeros(bg.size, dtype=complex))
     bridge = rng.normal(size=bg.size) + 1j * rng.normal(size=bg.size)
@@ -94,7 +94,7 @@ def test_degenerate_coin_one_step_law(rng):
 
 
 def test_stationarity_is_a_fixed_point():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     coin = Coin.hadamard_type()
     state = run_to_stationary(bg, coin, unit_inflow(bg, 0), tol=1e-12)
     again = step(state, bg, coin)
@@ -103,7 +103,7 @@ def test_stationarity_is_a_fixed_point():
 
 
 def test_nonconvergence_raises_with_residual():
-    bg = hedgehog_system(projective_k4())
+    bg = hedgehog(projective_k4())
     with pytest.raises(ConvergenceError) as err:
         run_to_stationary(bg, Coin.hadamard_type(), unit_inflow(bg, 0), tol=1e-12, max_steps=1)
     assert err.value.residual > 0
@@ -114,7 +114,7 @@ def test_face_transfer_relation_on_oracle():
     # Along every face, quay values obey value(next minus-quay) =
     # sign * omega * value(plus-quay); checked on the simulated state.
     rs = projective_k4()
-    bg = hedgehog_system(rs)
+    bg = hedgehog(rs)
     coin = Coin.hadamard_type()
     state = run_to_stationary(bg, coin, unit_inflow(bg, 7), tol=1e-12)
     omega = coin.omega
@@ -128,7 +128,7 @@ def test_face_transfer_relation_on_oracle():
 
 def test_flip_vertex_preserves_single_inflow_energy(rng):
     rs = projective_k4()
-    bg = hedgehog_system(rs)
+    bg = hedgehog(rs)
     for x in range(4):
         inflow = unit_inflow(bg, int(rng.integers(bg.size)))
         report = check_unitary_equivalence(rs, x, Coin.hadamard_type(), inflow, tol=1e-12)
