@@ -209,6 +209,7 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
         payload = {
             "tails": _tail_legend(bg),
             "unitarity_defect": s.unitarity_defect(),
+            "min_face_gap": s.min_gap,
             "blocks": [
                 {
                     "face": labels[i][0],
@@ -309,7 +310,8 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
         fd = trace_faces(rs)
         report = comfortability(fd, coin, vec, scattering=s)
         payload["comparison"] = {
-            "outflow_vs_scattering": float(np.abs(state.outflow - s.matrix() @ vec).max()),
+            # closed.outflow is S vec = Q vec + d vec, from the matrix-free product.
+            "outflow_vs_scattering": float(np.abs(state.outflow - closed.outflow).max()),
             "state_vs_closed_form": float(
                 max(
                     np.abs(state.island_in - closed.island_in).max(),

@@ -60,13 +60,17 @@ def hedgehog_scattering(fd: FacialDecomposition, coin: Coin) -> ScatteringMatrix
     return scattering_matrix(hedgehog(fd.rs), coin)
 
 
-def _sigma_matrix(bg) -> np.ndarray:
-    """Twist-signed flip-flop on the tail space: entry (i, i-bar) = (-1)^tau."""
-    n = bg.size
-    sigma = np.zeros((n, n))
-    idx = np.arange(n)
-    sigma[idx, bg.bar] = bg.bridge_sign
-    return sigma
+def _energy_parts(q: np.ndarray, q_bar: np.ndarray, sign: np.ndarray, coin: Coin):
+    """Island and bridge energy of the stationary state with Q inflow = q.
+
+    ``q_bar`` holds q at the partner tail of each entry and ``sign`` the
+    bridge sign there, so sign * q_bar is the twist-signed flip-flop sigma q.
+    Columns of a 2-D ``q`` are separate inflows.
+    """
+    island = (q.conj() * q).real.sum(axis=0) / abs(coin.c) ** 2
+    flipped = sign * q_bar + coin.d * q
+    bridge = (flipped.conj() * flipped).real.sum(axis=0) / (2.0 * abs(coin.b * coin.c) ** 2)
+    return island, bridge
 
 
 @dataclass(frozen=True)
@@ -95,20 +99,14 @@ def comfortability(
     bg = s.bg
     if not bg.hedgehog:
         raise AssumptionError("comfortability is defined for the hedgehog boundary")
-    inflow = np.asarray(inflow, dtype=complex)
-    q = s.q_matrix() @ inflow
+    q = s.apply_q(inflow)
+    island, bridge = map(float, _energy_parts(q, q[bg.bar], bg.bridge_sign, coin))
 
     c2 = abs(coin.c) ** 2
-    bc2 = abs(coin.b * coin.c) ** 2
-    island = float(np.vdot(q, q).real) / c2
-    flipped = _sigma_matrix(bg) @ q + coin.d * q
-    bridge = float(np.vdot(flipped, flipped).real) / (2.0 * bc2)
-
-    per_face = []
-    for tails, _ in s.blocks:
-        idx = np.array(tails, dtype=np.int64)
-        qf = q[idx]
-        per_face.append(float(np.vdot(qf, qf).real) / c2)
+    per_face = [
+        float(np.vdot(q[tails], q[tails]).real) / c2
+        for tails in s.face_tails()
+    ]
     return ComfortReport(
         energy=island + bridge,
         island=island,
@@ -177,23 +175,45 @@ def average_by_enumeration(
 ) -> float:
     """Sum of single-tail energies over every tail, divided by |A|.
 
-    ``method='closed_form'`` evaluates each energy from S; ``'simulator'``
-    runs the walk to stationarity per tail (slow; used as the oracle).
+    ``method='closed_form'`` evaluates the energies from the explicit face
+    blocks of S, a face at a time; ``'simulator'`` runs the walk to
+    stationarity per tail (slow; used as the oracle).
     """
     from .walk_dynamics import internal_energy, run_to_stationary
 
+    if method not in ("closed_form", "simulator"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed_form":
+        _require_closed_form(coin)
     s = hedgehog_scattering(fd, coin)
     bg = s.bg
     total = 0.0
-    for j in range(bg.size):
-        inflow = np.zeros(bg.size, dtype=complex)
-        inflow[j] = 1.0
-        if method == "closed_form":
-            total += comfortability(fd, coin, inflow, scattering=s).energy
-        elif method == "simulator":
+    if method == "closed_form":
+        # A single-tail inflow excites one face: its Q inflow is a column of
+        # that face's explicit block, so each face yields all its energies
+        # at once, on its tails and their bridge partners.
+        faces = s.face_tails()
+        face_of = np.empty(bg.size, dtype=np.int64)
+        for i, tails in enumerate(faces):
+            face_of[tails] = i
+        local = np.empty(bg.size, dtype=np.int64)
+        for i, tails in enumerate(faces):
+            if not len(tails):
+                continue
+            partners = bg.bar[tails]
+            rows = np.concatenate((tails, partners[face_of[partners] != i]))
+            local[rows] = np.arange(len(rows))
+            q = np.zeros((len(rows), len(tails)), dtype=complex)
+            q[: len(tails)] = s.face_q_block(i)
+            island, bridge = _energy_parts(
+                q, q[local[bg.bar[rows]]], bg.bridge_sign[rows, None], coin
+            )
+            total += float(island.sum() + bridge.sum())
+    else:
+        for j in range(bg.size):
+            inflow = np.zeros(bg.size, dtype=complex)
+            inflow[j] = 1.0
             total += internal_energy(run_to_stationary(bg, coin, inflow, tol=tol))
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return total / fd.rs.graph.arc_count
 
 

@@ -252,7 +252,7 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
                 hits[arc_edge(e)] = (min(d1, r - d1), max(d1, r - d1))
         self_int.append(hits)
 
-    orientable, _ = detect_orientability(rs)
+    orientable, _ = _tree_flips(rs)
     n_faces = len(reps)
     chi_euler = g.vertex_count - g.edge_count + n_faces
     if orientable:
@@ -304,19 +304,36 @@ def _bfs_tree(g: SymmetricDigraph) -> list[tuple[int, int]]:
     return tree
 
 
+def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
+    """Twist normalisation along a BFS spanning tree, from the twist bits.
+
+    Walking the tree in discovery order, a child is flipped iff its tree
+    edge, after the flip of its parent, is still twisted.  An edge then ends
+    up twisted iff its own twist and the flips of its two ends disagree; the
+    surface is non-orientable iff such an edge survives (only non-tree edges
+    can).  Returns (orientable, flip bit per vertex).
+    """
+    g = rs.graph
+    flip = [0] * g.vertex_count
+    for parent, child in _bfs_tree(g):
+        flip[child] = flip[parent] ^ rs.twist[arc_edge(g.arc_between(parent, child))]
+    orientable = all(
+        rs.twist[k] == flip[u] ^ flip[v] for k, (u, v) in enumerate(g.edges())
+    )
+    return orientable, flip
+
+
 def detect_orientability(rs: RotationSystem) -> tuple[bool, RotationSystem]:
     """Normalize twists along a spanning tree by vertex flips; the surface is
-    non-orientable iff a twisted edge survives outside the tree."""
+    non-orientable iff a twisted edge survives outside the tree.  The
+    normalized system is built once: every flipped vertex has its rotation
+    inverted and the twist of each edge is toggled once per flipped end."""
+    orientable, flip = _tree_flips(rs)
     g = rs.graph
-    tree = _bfs_tree(g)
-    out = rs
-    tree_edges = set()
-    for parent, child in tree:
-        e = g.arc_between(parent, child)
-        tree_edges.add(arc_edge(e))
-        if out.twist[arc_edge(e)]:
-            out = flip_vertex(out, child)
-    orientable = all(
-        out.twist[k] == 0 for k in range(g.edge_count) if k not in tree_edges
-    )
-    return orientable, out
+    rot = list(rs.rot)
+    for x in range(g.vertex_count):
+        if flip[x]:
+            for e in g.incoming_arcs(x):
+                rot[rs.rot[e]] = e
+    twist = tuple(t ^ flip[u] ^ flip[v] for t, (u, v) in zip(rs.twist, g.edges()))
+    return orientable, RotationSystem(g, tuple(rot), twist)

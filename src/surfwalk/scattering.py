@@ -1,18 +1,34 @@
 """Closed-form scattering matrix, stationary state and orientability test.
 
-The scattering matrix is block diagonal over the extended facial walks: the
-block of a face is built from the weighted cyclic permutation that moves
-amplitude from one tail on the face to the next, picking up omega per
-island hop and a sign per twisted bridge.  Everything here is indexed by
-tail site (= island arc id); the bridge-labelled view used by the
-comfortability formulas is a relabelling by the arc involution.
+The scattering matrix is block diagonal over the extended facial walks.
+On a face with q tails, P_f(omega) is the weighted cyclic shift that moves
+amplitude from one tail to the next, picking up omega per island hop and a
+sign per twisted bridge: its weights w_j have unit modulus and P_f^q is Pi_f
+times the identity, Pi_f being the product of the weights.  Hence
+
+    (I - a P_f)^-1 = sum_{k<q} a^k P_f^k / (1 - a^q Pi_f),
+
+and every entry of S_f = bc P_f (I - a P_f)^-1 + d I is explicit: the entry
+from a tail to the tail k steps further round the face is
+bc a^(k-1) W / (1 - a^q Pi_f) (plus d on the diagonal), with W the product
+of the k weights in between.  :class:`ScatteringMatrix` keeps per face only
+the tails, their hop counts and twist parities and the closing factor
+1 / (1 - a^q Pi_f); ``apply_q`` multiplies by Q = S - dI in O(q) per face,
+and the dense ``blocks``, ``matrix()`` and ``q_matrix()`` are export views
+built from the same entries.  No block is ever inverted.
+
+Everything here is indexed by tail site (= island arc id); the
+bridge-labelled view used by the comfortability formulas is a relabelling
+by the arc involution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .covering_blowup import BlowUpGraph
 from .errors import AssumptionError
@@ -32,14 +48,23 @@ _AMPLITUDE_EPS = 1e-12
 def _face_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
     """Boundary positions of a face and the inter-tail weights.
 
-    Returns (tails, dist, parity): the island ids carrying a tail in walk
-    order, the number of island hops from each tail to the next, and the
-    twist parity collected on the way.
+    Returns (tails, dist, parity) as arrays: the island ids carrying a tail
+    in walk order, the number of island hops from the previous tail to each
+    one, and the twist parity collected on the way.
     """
+    islands = np.asarray(face, dtype=np.int64)
+    if bg.boundary[islands].all():
+        # Every island carries a tail (the hedgehog): one hop between tails,
+        # across the bridge into the next island.
+        return islands, np.ones(len(islands), dtype=np.int64), bg.bridge_twist[islands]
+    return _partial_boundary(bg, face)
+
+
+def _partial_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
+    """:func:`_face_boundary` for a face whose islands need not all carry a tail."""
     r = len(face)
     positions = [j for j in range(r) if bg.boundary[face[j]]]
     q = len(positions)
-    tails = [face[j] for j in positions]
     dist, parity = [], []
     for idx in range(q):
         j_prev, j = positions[idx - 1], positions[idx]
@@ -49,15 +74,13 @@ def _face_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
             p ^= int(bg.bridge_twist[face[(j_prev + k) % r]])
         dist.append(d)
         parity.append(p)
-    return tails, dist, parity
+    tails = np.array([face[j] for j in positions], dtype=np.int64)
+    return tails, np.array(dist, dtype=np.int64), np.array(parity, dtype=np.int64)
 
 
-def _weighted_shift(dist, parity, omega: complex) -> np.ndarray:
-    q = len(dist)
-    p = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        p[j, (j - 1) % q] = (-1.0) ** parity[j] * omega ** dist[j]
-    return p
+def _weights(dist, parity, omega: complex) -> np.ndarray:
+    """w_j = (-1)^parity_j omega^dist_j: entry (j, j-1) of P_f(omega)."""
+    return (1 - 2 * (np.asarray(parity) & 1)) * np.power(complex(omega), dist)
 
 
 def face_permutation(bg: BlowUpGraph, face_index: int, omega: complex) -> np.ndarray:
@@ -67,12 +90,22 @@ def face_permutation(bg: BlowUpGraph, face_index: int, omega: complex) -> np.nda
     consecutive tails; with the hedgehog this is omega times a sign.
     """
     _, dist, parity = _face_boundary(bg, bg.faces[face_index])
-    return _weighted_shift(dist, parity, omega)
+    q = len(dist)
+    p = np.zeros((q, q), dtype=complex)
+    p[np.arange(q), np.roll(np.arange(q), 1)] = _weights(dist, parity, omega)
+    return p
 
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """Block-diagonal unitary mapping constant inflow to stationary outflow.
+
+    Face ``i`` owns ``tails[offsets[i]:offsets[i + 1]]`` in walk order;
+    ``hops`` and ``parity`` give, per tail, the island hops and the twist
+    parity from the previous tail of its face.  ``closing[i]`` is
+    1 / (1 - a^q Pi_f) (zero for a degenerate coin, whose Q vanishes) and
+    ``gaps[i]`` is |1 - a^q Pi_f|, the conditioning of the face as |a| -> 1
+    (infinite on faces without tails).
 
     ``blocks[i]`` pairs the ordered tail ids of face ``i`` with its q x q
     block; faces without tails contribute empty blocks.
@@ -80,10 +113,101 @@ class ScatteringMatrix:
 
     bg: BlowUpGraph
     coin: Coin
-    blocks: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    tails: np.ndarray
+    offsets: np.ndarray
+    hops: np.ndarray
+    parity: np.ndarray
+    closing: np.ndarray
+    gaps: np.ndarray
+
+    @property
+    def min_gap(self) -> float:
+        """The smallest |1 - a^q Pi_f| over faces with tails."""
+        return float(self.gaps.min(initial=np.inf))
+
+    def _columns(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """Explicit columns of Q on face ``i``: rows are the face's tails in
+        walk order, one column per tail position in ``cols``.
+
+        With phi_j the product of the weights up to tail j, the weights
+        from tail m round to tail j multiply to phi_j / phi_m, times Pi_f
+        when the walk passes the face's start (j <= m).  So entry (j, m) is
+        bc / (1 - a^q Pi_f) * t[j - m] * phi_j * conj(phi_m), where the
+        Toeplitz sequence t holds a^(k-1) for the k = j - m > 0 steps ahead
+        and Pi_f a^(k-1) for the k = q + j - m steps round the start.
+        """
+        o, e = self.offsets[i], self.offsets[i + 1]
+        q = e - o
+        coin = self.coin
+        phase = (1 - 2 * (np.cumsum(self.parity[o:e]) & 1)) * np.power(
+            complex(coin.omega), np.cumsum(self.hops[o:e])
+        )
+        a_pow = np.power(complex(coin.a), np.arange(q))
+        # t[d + q - 1] for d = j - m in (-q, q); window m, read backwards, is column m.
+        t = np.concatenate((phase[-1:] * a_pow, a_pow[:-1]))
+        toeplitz = sliding_window_view(t, q)[q - 1 - cols].T
+        scale = coin.b * coin.c * self.closing[i]
+        return (scale * phase)[:, None] * toeplitz * phase[cols].conj()
+
+    def _solve(self, i: int, v: np.ndarray) -> np.ndarray:
+        """Q v on face ``i`` for a general inflow ``v`` (face order): solve
+        the cyclic recurrence x_j = v_j + a w_j x_{j-1}, then Q v = bc P x."""
+        o, e = self.offsets[i], self.offsets[i + 1]
+        coin = self.coin
+        w = _weights(self.hops[o:e], self.parity[o:e], coin.omega)
+        aw = (coin.a * w).tolist()
+        vs = v.tolist()
+        # x_{-1} = x_{q-1}: one pass from zero gives (1 - a^q Pi) x_{q-1}.
+        x = 0j
+        for vj, awj in zip(vs, aw):
+            x = vj + awj * x
+        x *= self.closing[i]
+        px = []
+        for vj, awj in zip(vs, aw):
+            px.append(x)
+            x = vj + awj * x
+        return coin.b * coin.c * w * np.array(px)
+
+    def apply_q(self, v: np.ndarray) -> np.ndarray:
+        """Q v, matrix-free: O(q) per face that ``v`` touches.
+
+        ``v`` is indexed by island arc id; entries off the tails are
+        ignored.  S v = Q v + d v on the tails.
+        """
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (self.bg.size,):
+            raise AssumptionError(f"inflow must have one entry per island arc ({self.bg.size})")
+        out = np.zeros(self.bg.size, dtype=complex)
+        live = np.flatnonzero(v[self.tails])
+        faces = np.searchsorted(self.offsets, live, side="right") - 1
+        for i in dict.fromkeys(faces.tolist()):
+            o, e = self.offsets[i], self.offsets[i + 1]
+            hit = live[faces == i]
+            if len(hit) == 1:
+                column = self._columns(i, hit - o)[:, 0]
+                out[self.tails[o:e]] = v[self.tails[hit[0]]] * column
+            else:
+                out[self.tails[o:e]] = self._solve(i, v[self.tails[o:e]])
+        return out
+
+    def face_tails(self) -> list[np.ndarray]:
+        """The tail ids of each face, in walk order."""
+        return np.split(self.tails, self.offsets[1:-1])
+
+    def face_q_block(self, i: int) -> np.ndarray:
+        """Q restricted to face ``i`` (q x q, tails in walk order)."""
+        q = self.offsets[i + 1] - self.offsets[i]
+        return self._columns(i, np.arange(q))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        return tuple(
+            (tuple(map(int, tails)), self.face_q_block(i) + self.coin.d * np.eye(len(tails)))
+            for i, tails in enumerate(self.face_tails())
+        )
 
     def matrix(self) -> np.ndarray:
-        """Dense matrix indexed by island arc id on both axes."""
+        """Dense matrix indexed by island arc id on both axes (export view)."""
         n = self.bg.size
         s = np.zeros((n, n), dtype=complex)
         for tails, block in self.blocks:
@@ -93,7 +217,7 @@ class ScatteringMatrix:
         return s
 
     def q_matrix(self) -> np.ndarray:
-        """Q = S - dI on the tail sites (island indexed)."""
+        """Q = S - dI on the tail sites (island indexed; export view)."""
         s = self.matrix()
         d = self.coin.d
         idx = self.bg.boundary_islands()
@@ -111,29 +235,44 @@ class ScatteringMatrix:
 
 
 def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
-    """S = sum of face blocks bc P_f(omega) (I - a P_f(omega))^-1 + d I."""
+    """S = sum of face blocks bc P_f(omega) (I - a P_f(omega))^-1 + d I,
+    kept as explicit per-face data (O(total tails), no inverse)."""
     coin.require_d_real()
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    a, b, c = coin.a, coin.b, coin.c
     degenerate = abs(b) < _AMPLITUDE_EPS or abs(c) < _AMPLITUDE_EPS
-    if not degenerate and abs(a) >= 1.0 - 1e-14:
-        raise AssumptionError("face blocks need |a| < 1 to be invertible")
 
-    omega = coin.omega
-    blocks = []
-    for face in bg.faces:
-        tails, dist, parity = _face_boundary(bg, face)
-        q = len(tails)
-        if q == 0:
-            blocks.append(((), np.zeros((0, 0), dtype=complex)))
-            continue
-        if degenerate:
-            blocks.append((tuple(tails), d * np.eye(q, dtype=complex)))
-            continue
-        p = _weighted_shift(dist, parity, omega)
-        eye = np.eye(q, dtype=complex)
-        block = b * c * (p @ np.linalg.inv(eye - a * p)) + d * eye
-        blocks.append((tuple(tails), block))
-    return ScatteringMatrix(bg=bg, coin=coin, blocks=tuple(blocks))
+    tails, hops, parity = zip(*(_face_boundary(bg, face) for face in bg.faces))
+    counts = np.array([len(t) for t in tails], dtype=np.int64)
+
+    # a^q Pi_f: the hops round a face with tails add up to its length.
+    twists = np.array([p.sum() for p in parity], dtype=np.int64)
+    lengths = np.array([len(face) for face in bg.faces], dtype=np.int64)
+    turn = (
+        np.power(complex(a), counts)
+        * (1 - 2 * (twists & 1))
+        * np.power(complex(coin.omega), lengths)
+    )
+    live = counts > 0
+    gaps = np.where(live, np.abs(1.0 - turn), np.inf)
+    if not degenerate and abs(a) >= 1.0 - 1e-14:
+        worst = int(np.argmin(gaps))
+        raise AssumptionError(
+            "face blocks need |a| < 1 to be invertible; the smallest gap "
+            f"|1 - a^q Pi| is {gaps[worst]:.3e} (face {worst})"
+        )
+    closing = np.zeros(len(counts), dtype=complex)
+    if not degenerate:
+        closing[live] = 1.0 / (1.0 - turn[live])
+    return ScatteringMatrix(
+        bg=bg,
+        coin=coin,
+        tails=np.concatenate(tails),
+        offsets=np.concatenate(([0], np.cumsum(counts))),
+        hops=np.concatenate(hops),
+        parity=np.concatenate(parity),
+        closing=closing,
+        gaps=gaps,
+    )
 
 
 def stationary_closed_form(
@@ -154,7 +293,7 @@ def stationary_closed_form(
         )
     s = scattering if scattering is not None else scattering_matrix(bg, coin)
     inflow = np.asarray(inflow, dtype=complex)
-    q = s.q_matrix() @ inflow
+    q = s.apply_q(inflow)
 
     bar, rot = bg.bar, bg.rot
     sign_after = bg.bridge_sign[rot]
@@ -185,8 +324,9 @@ def orientability_from_scattering(s: ScatteringMatrix, bg: BlowUpGraph) -> bool:
     disagree, so some pair sees both signs.  (Between single cover islands
     the parity is always path independent, because every cycle of the
     double cover has even twist parity; grouping the antipodal islands is
-    what makes the test discriminating.)  All-zero submatrices (vertex
-    pairs not sharing a face) are vacuously consistent.
+    what makes the test discriminating.)  Vertex pairs not sharing a face
+    have no entries and are vacuously consistent.  Entries are read block
+    by block; the pair of base vertices indexes the running sign range.
     """
     coin = s.coin
     if abs(complex(coin.a).imag) > _AMPLITUDE_EPS or complex(coin.a).real <= 0:
@@ -195,19 +335,18 @@ def orientability_from_scattering(s: ScatteringMatrix, bg: BlowUpGraph) -> bool:
     if not bg.hedgehog:
         raise AssumptionError("orientability detection is stated for the hedgehog")
 
-    dense = s.matrix()
-    if np.abs(dense.imag).max() > 1e-8:
-        raise AssumptionError("scattering entries are not real; check the coin")
-    dense = dense.real
-
+    nv = bg.cover.base.graph.vertex_count
+    low = np.full(nv * nv, np.inf)
+    high = np.full(nv * nv, -np.inf)
     base_of_tail = bg.island_of >> 1
-    groups = [np.flatnonzero(base_of_tail == u) for u in range(bg.cover.base.graph.vertex_count)]
-    for ui, rows in enumerate(groups):
-        for vi, cols in enumerate(groups):
-            if ui == vi:
-                continue
-            sub = dense[np.ix_(rows, cols)]
-            nz = sub[np.abs(sub) > _AMPLITUDE_EPS]
-            if nz.size and nz.min() < 0 < nz.max():
-                return False
-    return True
+    for tails, block in s.blocks:
+        if not tails:
+            continue
+        if np.abs(block.imag).max() > 1e-8:
+            raise AssumptionError("scattering entries are not real; check the coin")
+        vertex = base_of_tail[np.array(tails)]
+        pair = vertex[:, None] * nv + vertex[None, :]
+        keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > _AMPLITUDE_EPS)
+        np.minimum.at(low, pair[keep], block.real[keep])
+        np.maximum.at(high, pair[keep], block.real[keep])
+    return not np.any((low < 0) & (high > 0))

@@ -74,6 +74,15 @@ def test_scatter_blocks(projective_file, capsys):
     assert len(payload["tails"]) == 24
 
 
+def test_scatter_reports_min_face_gap(projective_file, capsys):
+    # Hadamard coin: a = 2^-1/2 and omega = 1.  Every face of the projective
+    # K4 closes with Pi = +1 (the hexagons cross the twisted edge twice), so
+    # the triangles give the smallest |1 - a^q Pi| = 1 - 2^-3/2.
+    code, payload = run_json(capsys, "scatter", projective_file)
+    assert code == 0
+    assert abs(payload["min_face_gap"] - (1 - 2**-1.5)) < 1e-12
+
+
 def test_scatter_rejects_complex_d(projective_file, capsys):
     code = main(["scatter", projective_file, "--a", "0.5", "--b", f"0,{ROOT2}",
                  "--c", f"0,{ROOT2}", "--d", "-0.3,0.4"])

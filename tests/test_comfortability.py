@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from conftest import projective_k4, planar_k4, random_d_real_coin
 from surfwalk.comfortability import (
     average_by_enumeration,
@@ -18,7 +19,6 @@ from surfwalk.comfortability import (
     limit_comfortability,
     self_intersections,
     positive_coin_average,
-    _sigma_matrix,
 )
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.errors import AssumptionError, BudgetError, GraphError
@@ -79,9 +79,9 @@ def test_average_routes_agree(rng):
         by_enum = average_by_enumeration(fd, coin, "closed_form")
         assert abs(by_faces - by_enum) < 1e-10
         # matrix-trace route
-        s = hedgehog_scattering(fd, coin)
-        q = s.q_matrix()
-        sigma = _sigma_matrix(s.bg)
+        bg = hedgehog(rs)
+        q = dense_oracle.q_matrix(bg, coin)
+        sigma = dense_oracle.sigma_matrix(bg)
         b2 = abs(coin.b) ** 2
         bc2 = abs(coin.b * coin.c) ** 2
         tr1 = np.trace(q @ q.conj().T).real

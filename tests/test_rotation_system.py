@@ -171,6 +171,45 @@ def test_detect_orientability_projective_k4():
     assert fd1.genus == fd2.genus
 
 
+def _flip_by_flip(rs):
+    """Tree normalization one validated vertex flip at a time (the oracle)."""
+    g = rs.graph
+    seen, queue, out, tree_edges = {0}, [0], rs, set()
+    while queue:
+        x = queue.pop(0)
+        for e in g.incoming_arcs(x):
+            y = g.origin[e]
+            if y in seen:
+                continue
+            seen.add(y)
+            queue.append(y)
+            k = g.arc_between(x, y) >> 1
+            tree_edges.add(k)
+            if out.twist[k]:
+                out = flip_vertex(out, y)
+    orientable = all(out.twist[k] == 0 for k in range(g.edge_count) if k not in tree_edges)
+    return orientable, out
+
+
+def test_detect_orientability_matches_flip_by_flip(rng):
+    from surfwalk.covering_blowup import double_cover
+
+    for n in (4, 5, 6, 8, 12):
+        for _ in range(6):
+            rs = random_rotation_system(rng, graph=complete_graph(n))
+            # An orientable system in disguise: untwisted, then flipped at
+            # random vertices, so the normalization has tree edges to undo.
+            disguised = RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count)
+            for x in rng.choice(n, size=n // 2, replace=False):
+                disguised = flip_vertex(disguised, int(x))
+            for system in (rs, disguised):
+                orientable, normalized = detect_orientability(system)
+                assert (orientable, normalized) == _flip_by_flip(system)
+                assert orientable == trace_faces(system).orientable
+                assert orientable == (double_cover(system).components == 2)
+            assert detect_orientability(disguised)[0]
+
+
 def test_euler_genus_values():
     assert euler_genus(planar_k4()) == (True, 0)
     assert euler_genus(projective_k4()) == (False, 1)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle
 from conftest import (
     projective_k4,
     planar_k4,
@@ -10,7 +13,14 @@ from conftest import (
 from surfwalk.covering_blowup import base_face_map, blow_up, double_cover, hedgehog
 from surfwalk.errors import AssumptionError
 from surfwalk.rotation_system import detect_orientability, flip_vertex, trace_faces
+from surfwalk.comfortability import average_by_enumeration, comfortability
+from surfwalk.graph_core import complete_graph, cycle_graph
+from surfwalk.rotation_system import RotationSystem
 from surfwalk.scattering import (
+    ScatteringMatrix,
+    _face_boundary,
+    _partial_boundary,
+    _weights,
     face_permutation,
     orientability_from_scattering,
     scattering_matrix,
@@ -173,6 +183,14 @@ def test_closed_form_refuses_degenerate_coin():
         stationary_closed_form(bg, Coin(1.0, 0.0, 0.0, 1.0), inflow)
 
 
+def test_apply_q_rejects_wrong_length_inflow():
+    bg = hedgehog(projective_k4())
+    s = scattering_matrix(bg, Coin.hadamard_type())
+    for n in (bg.size - 1, bg.size + 1):
+        with pytest.raises(AssumptionError):
+            s.apply_q(np.ones(n, dtype=complex))
+
+
 def test_zero_inflow_zero_state():
     bg = hedgehog(projective_k4())
     closed = stationary_closed_form(bg, Coin.hadamard_type(), np.zeros(bg.size, dtype=complex))
@@ -295,3 +313,150 @@ def test_flip_conjugation_preserves_moduli_and_spectra(rng):
                 j = int(np.argmin([abs(v - w) for w in ev2]))
                 assert abs(v - ev2[j]) < 1e-9
                 ev2.pop(j)
+
+
+def test_hedgehog_fast_path_matches_partial_boundary_walk(rng):
+    for _ in range(10):
+        bg = hedgehog(random_rotation_system(rng))
+        omega = random_d_real_coin(rng).omega
+        for face in bg.faces:
+            fast = _face_boundary(bg, face)
+            walked = _partial_boundary(bg, face)
+            for x, y in zip(fast, walked):
+                assert np.array_equal(x, y)
+            assert np.allclose(_weights(*fast[1:], omega), _weights(*walked[1:], omega), atol=1e-15)
+
+
+def _closing_turn(bg, face, coin):
+    """a^q Pi_f from the oracle's shift: P_f^q = Pi_f I."""
+    tails, shift = dense_oracle.face_shift(bg, face)
+    p = shift(coin.omega)
+    return coin.a ** len(tails) * np.linalg.matrix_power(p, len(tails))[0, 0]
+
+
+def test_conditioning_gaps(rng):
+    bg = hedgehog(projective_k4())
+    coin = random_d_real_coin(rng)
+    s = scattering_matrix(bg, coin)
+    expect = [abs(1 - _closing_turn(bg, face, coin)) for face in bg.faces]
+    assert np.allclose(s.gaps, expect, atol=1e-12)
+    assert s.min_gap == min(s.gaps)
+    # Faces without tails need no closing and report an infinite gap.
+    dc = double_cover(projective_k4())
+    partial = blow_up(dc, boundary=list(bg.faces[0]))
+    s = scattering_matrix(partial, coin)
+    assert np.isinf(s.gaps[1:]).all() and np.isfinite(s.gaps[0])
+
+
+def test_near_unit_a_error_names_smallest_gap():
+    bg = hedgehog(projective_k4())
+    coin = Coin.real_symmetric(1.0 - 5e-15)
+    assert abs(coin.b) > 1e-12  # not the degenerate coin
+    gaps = [abs(1 - _closing_turn(bg, face, coin)) for face in bg.faces]
+    with pytest.raises(AssumptionError, match=f"gap .* is {min(gaps):.3e}"):
+        scattering_matrix(bg, coin)
+
+
+def _twisted_cycle(n):
+    """C_n with one twisted edge: two chiral faces of 2n tails each."""
+    g = cycle_graph(n)
+    rot = [0] * g.arc_count
+    for x in range(n):
+        e0, e1 = g.incoming_arcs(x)
+        rot[e0], rot[e1] = e1, e0
+    return RotationSystem(g, tuple(rot), (1,) + (0,) * (n - 1))
+
+
+def _assert_matches_oracle(bg, coin, rng, tol=1e-10):
+    s = scattering_matrix(bg, coin)
+    oracle = dense_oracle.blocks(bg, coin)
+    for (tails, block), (o_tails, o_block) in zip(s.blocks, oracle):
+        assert list(tails) == list(o_tails)
+        if tails:
+            assert np.abs(block - o_block).max() < tol
+    tails = np.flatnonzero(bg.boundary)
+    single = np.zeros(bg.size, dtype=complex)
+    single[rng.choice(tails)] = 0.3 - 0.8j
+    spread = np.zeros(bg.size, dtype=complex)
+    spread[tails] = rng.normal(size=len(tails)) + 1j * rng.normal(size=len(tails))
+    spread[rng.choice(tails, size=len(tails) // 3, replace=False)] = 0.0
+    for v in (single, spread):
+        assert np.abs(s.apply_q(v) - dense_oracle.apply_q(bg, coin, v)).max() < tol
+    return s
+
+
+def _coin_of_kind(kind, rng):
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    if kind == "degenerate":
+        return Coin(phase, 0.0, 0.0, float(rng.choice([-1.0, 1.0])))
+    if kind == "zero_a":
+        return Coin(0.0, 1.0, 1.0, 0.0)
+    if kind == "near_one":
+        s = 0.999 * rng.choice([-1.0, 1.0])
+        return Coin.from_params(s, rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+    return random_d_real_coin(rng, max_a=0.95)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=4, max_value=8),
+    kind=st.sampled_from(["random", "degenerate", "zero_a", "near_one"]),
+    partial=st.booleans(),
+)
+def test_explicit_scattering_matches_dense_oracle(seed, n, kind, partial):
+    rng = np.random.default_rng(seed)
+    rs = random_rotation_system(rng, graph=complete_graph(n))
+    coin = _coin_of_kind(kind, rng)
+    bg = hedgehog(rs)
+    if partial:
+        keep = np.flatnonzero(rng.random(bg.size) < 0.4)
+        bg = blow_up(bg.cover, boundary=keep.tolist())
+    s = _assert_matches_oracle(bg, coin, rng)
+    if partial or kind == "degenerate":
+        return
+    fd = trace_faces(rs)
+    inflow = np.zeros(bg.size, dtype=complex)
+    inflow[rng.choice(bg.size, size=3, replace=False)] = [1.0, -0.5j, 0.25]
+    report = comfortability(fd, coin, inflow, scattering=s)
+    island, bridge = dense_oracle.energies(bg, coin, inflow)
+    assert abs(report.island - island) < 1e-10
+    assert abs(report.bridge - bridge) < 1e-10
+    island, bridge = dense_oracle.energies(bg, coin, np.eye(bg.size))
+    total = (island + bridge) / rs.graph.arc_count
+    assert abs(average_by_enumeration(fd, coin) - total) < 1e-10 * max(1.0, total)
+
+
+@pytest.mark.parametrize("magnitude", [0.05, 0.999])
+def test_long_face_matches_dense_oracle(magnitude, rng):
+    # 520 tails per face: 0.05^520 underflows to zero, 0.999^520 does not.
+    bg = hedgehog(_twisted_cycle(260))
+    assert [len(f) for f in bg.faces] == [520, 520]
+    coin = Coin.from_params(magnitude, 0.4, 1.3)
+    s = _assert_matches_oracle(bg, coin, rng)
+    if magnitude < 0.5:
+        assert s.min_gap == 1.0
+
+
+def test_closed_form_pipeline_never_goes_dense(monkeypatch, rng):
+    rs = random_rotation_system(rng, graph=complete_graph(16))
+    fd = trace_faces(rs)
+    bg = hedgehog(rs)
+    coin = random_d_real_coin(rng, max_a=0.8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense or inverse path ran")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(ScatteringMatrix, "matrix", refuse)
+    monkeypatch.setattr(ScatteringMatrix, "q_matrix", refuse)
+    s = scattering_matrix(bg, coin)
+    inflow = np.zeros(bg.size, dtype=complex)
+    inflow[int(rng.integers(bg.size))] = 1.0
+    state = stationary_closed_form(bg, coin, inflow, scattering=s)
+    report = comfortability(fd, coin, inflow, scattering=s)
+    average = average_by_enumeration(fd, coin, "closed_form")
+    assert np.isfinite([report.energy, average]).all()
+    assert np.abs(state.outflow).max() > 0
+    # Nothing on the path needed the dense per-face export either.
+    assert "blocks" not in vars(s)
