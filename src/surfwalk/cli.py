@@ -10,7 +10,9 @@ strings and CSV uses two columns per complex entry.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import re
 import sys
 
@@ -24,7 +26,7 @@ from .comfortability import (
     positive_coin_average,
 )
 from .covering_blowup import base_face_map, double_cover, hedgehog
-from .enumeration import enumerate_embeddings, rank_by_comfortability
+from .enumeration import check_budget, enumerate_embeddings, rank_by_comfortability
 from .errors import (
     AssumptionError,
     BudgetError,
@@ -89,7 +91,13 @@ def _load_system(path: str):
 def _load_graph_or_kn(spec: str):
     m = re.fullmatch(r"[Kk](\d+)", spec)
     if m:
-        return complete_graph(int(m.group(1)))
+        # The budget is checked from n alone, before any edge is built; an n
+        # of more than 18 digits is past every budget.
+        n = int(m.group(1)) if len(m.group(1)) <= 18 else 10**18
+        check_budget(n * (n - 1) // 2, itertools.repeat(n - 1, n))
+        return complete_graph(n)
+    if not os.path.isfile(spec):
+        raise click.BadParameter(f"{spec!r} is neither K<n> nor a rotation-system file", param_hint="GRAPH")
     return _load_system(spec).graph
 
 

@@ -1,10 +1,24 @@
 """Exhaustive enumeration of the embeddings of a small graph.
 
-Rotation systems are generated vertex by vertex (cyclic orders of incoming
-arcs) and crossed with all twist assignments, then reduced modulo the
-equivalence moves: vertex flips, the global mirror and graph automorphisms.
-Classes are keyed by their canonical (lexicographically minimal) member, so
-deduplication is exact.
+A raw system is an integer index.  At vertex x the cyclic orders of the
+incoming arcs ``ax`` are ``ax[0]`` followed by each permutation of the
+others (``itertools.permutations`` order), numbered in that order.  The
+rotation index is the mixed radix of these numbers over the vertices, the
+last vertex fastest, and the raw index is ``rotation * 2^|E| + word``, where
+bit k of the twist word is the twist of edge k.
+
+Each equivalence move is a permutation of the raw indices, held factored as
+an index map of the rotation indices and one of the twist words.  A vertex
+flip sends the local order at x to its inverse and XORs the word with x's
+edge mask; a graph automorphism conjugates every local order (a table per
+vertex) and permutes the twist bits.  The global mirror (invert every
+rotation, keep the twists) is the flip of every vertex, so it adds no
+generator.  Orbits under the flips and a generating set of the automorphisms
+are found by min-label propagation over integer arrays.  Classes are listed
+in the order of their smallest raw index and represented by their
+lexicographically minimal (rot, twist), so deduplication is exact.  One
+RotationSystem and one face trace are built per class, none per raw system;
+time and memory are linear in the raw count, which the budget bounds.
 """
 
 from __future__ import annotations
@@ -13,16 +27,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .errors import BudgetError, GraphError
-from .graph_core import SymmetricDigraph, arc_edge
-from .rotation_system import (
-    FacialDecomposition,
-    RotationSystem,
-    flip_vertex,
-    mirror,
-    trace_faces,
-)
+from .graph_core import SymmetricDigraph, arc_edge, is_connected
+from .rotation_system import FacialDecomposition, RotationSystem, trace_faces
 
 __all__ = [
     "EmbeddingClass",
@@ -32,10 +43,13 @@ __all__ = [
     "min_max_genus",
     "graph_automorphisms",
     "default_budget",
+    "check_budget",
 ]
 
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV = "EW_BUDGET"
+# Raw counts above this are reported as "more than 10^20", not spelled out.
+SHOWN_COUNT_LIMIT = 10**20
 
 
 def default_budget() -> int:
@@ -48,58 +62,171 @@ def default_budget() -> int:
     return DEFAULT_BUDGET
 
 
-def raw_system_count(g: SymmetricDigraph) -> int:
-    count = 2 ** g.edge_count
-    for x in range(g.vertex_count):
-        count *= math.factorial(g.degree(x) - 1)
-    return count
+def check_budget(edge_count: int, degrees: Iterable[int], budget: int | None = None) -> int:
+    """The raw count Prod (deg-1)! * 2^|E|, or :class:`BudgetError` if it
+    exceeds the budget (default: the EW_BUDGET environment variable).
+
+    The factors (a 2 per edge, then 2 .. deg-1 per vertex) are multiplied one
+    by one and the product is given up as soon as it passes
+    max(budget, 10^20), so a huge graph costs a few dozen multiplications,
+    not its exact count.
+    """
+    budget = default_budget() if budget is None else budget
+    cap = max(budget, SHOWN_COUNT_LIMIT)
+    factors = itertools.chain(
+        itertools.repeat(2, min(edge_count, cap.bit_length())),
+        itertools.chain.from_iterable(range(2, d) for d in degrees),
+    )
+    count = 1
+    for f in factors:
+        count *= f
+        if count > cap:
+            break
+    if count <= budget:
+        return count
+    shown = str(count) if count <= SHOWN_COUNT_LIMIT else "more than 10^20"
+    raise BudgetError(
+        f"{shown} raw rotation systems exceed the budget {budget}; "
+        "try a smaller graph or raise EW_BUDGET"
+    )
 
 
 def graph_automorphisms(g: SymmetricDigraph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex permutations (brute force; desk scale)."""
-    adj = {frozenset(e) for e in g.edges()}
-    degs = [g.degree(x) for x in range(g.vertex_count)]
-    autos = []
-    for perm in itertools.permutations(range(g.vertex_count)):
-        if any(degs[x] != degs[perm[x]] for x in range(g.vertex_count)):
-            continue
-        if all(frozenset((perm[u], perm[v])) in adj for u, v in g.edges()):
-            autos.append(perm)
+    """All adjacency-preserving vertex permutations, in lexicographic order.
+
+    Backtracking: vertex x is mapped after 0 .. x-1, to each unused vertex of
+    its degree, in increasing order, whose adjacency to the images of
+    0 .. x-1 matches that of x.
+    """
+    n = g.vertex_count
+    adj = [set() for _ in range(n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    perm: list[int] = []
+    used = [False] * n
+    autos: list[tuple[int, ...]] = []
+
+    def extend(x: int):
+        if x == n:
+            autos.append(tuple(perm))
+            return
+        for y in range(n):
+            if used[y] or len(adj[y]) != len(adj[x]):
+                continue
+            if any((u in adj[x]) != (perm[u] in adj[y]) for u in range(x)):
+                continue
+            used[y] = True
+            perm.append(y)
+            extend(x + 1)
+            perm.pop()
+            used[y] = False
+
+    extend(0)
     return autos
 
 
-_Key = tuple[tuple[int, ...], tuple[int, ...]]
+def _generating_set(autos: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of the group ``autos``, chosen greedily: each member that
+    the generators so far do not reach joins them."""
+    identity = tuple(range(len(autos[0])))
+    group, gens = {identity}, []
+    for p in autos:
+        if p in group:
+            continue
+        gens.append(p)
+        group, stack = {identity}, [identity]
+        while stack:
+            q = stack.pop()
+            for s in gens:
+                r = tuple(s[i] for i in q)
+                if r not in group:
+                    group.add(r)
+                    stack.append(r)
+    return gens
 
 
-def _apply_automorphism(g: SymmetricDigraph, key: _Key, perm) -> _Key:
-    rot, twist = key
-    amap = [g.arc_between(perm[g.origin[e]], perm[g.terminus[e]]) for e in range(g.arc_count)]
-    rot2 = [0] * g.arc_count
-    for e in range(g.arc_count):
-        rot2[amap[e]] = amap[rot[e]]
-    twist2 = [0] * g.edge_count
-    for e in range(0, g.arc_count, 2):
-        twist2[arc_edge(amap[e])] = twist[arc_edge(e)]
-    return tuple(rot2), tuple(twist2)
+class _RawIndex:
+    """The raw systems of a graph as integers ``rotation * 2^|E| + word``
+    (see the module docstring), and the equivalence moves as index maps."""
+
+    def __init__(self, g: SymmetricDigraph):
+        self.g = g
+        self.orders = []
+        for x in range(g.vertex_count):
+            ax = g.incoming_arcs(x)
+            self.orders.append([(ax[0],) + p for p in itertools.permutations(ax[1:])])
+        self.number = [{o: j for j, o in enumerate(orders)} for orders in self.orders]
+        radix = [len(orders) for orders in self.orders]
+        self.stride = [math.prod(radix[x + 1 :]) for x in range(len(radix))]
+        self.rotations = math.prod(radix)
+        self.words = 2**g.edge_count
+        r = np.arange(self.rotations)
+        self.digits = [(r // s) % k for s, k in zip(self.stride, radix)]
+        self.word = np.arange(self.words)
+
+    def flip(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rotation map, word map) of the flip of vertex ``x``."""
+        inverse = np.array([self.number[x][(o[0],) + o[:0:-1]] for o in self.orders[x]])
+        digit = self.digits[x]
+        rot_map = np.arange(self.rotations) + (inverse[digit] - digit) * self.stride[x]
+        mask = sum(1 << arc_edge(e) for e in self.g.incoming_arcs(x))
+        return rot_map, self.word ^ mask
+
+    def automorphism(self, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(rotation map, word map) of the graph automorphism ``perm``."""
+        g = self.g
+        amap = [g.arc_between(perm[g.origin[e]], perm[g.terminus[e]]) for e in range(g.arc_count)]
+        rot_map = np.zeros(self.rotations, dtype=np.int64)
+        for x, orders in enumerate(self.orders):
+            y = perm[x]
+            first = g.incoming_arcs(y)[0]
+            table = []
+            for o in orders:
+                image = [amap[e] for e in o]
+                k = image.index(first)
+                table.append(self.number[y][tuple(image[k:] + image[:k])])
+            rot_map += np.array(table)[self.digits[x]] * self.stride[y]
+        return rot_map, self.move_bits([arc_edge(amap[2 * k]) for k in range(g.edge_count)])
+
+    def rotation_rows(self) -> np.ndarray:
+        """``rows[r]`` is the ``rot`` tuple of rotation index ``r``."""
+        rows = np.zeros((self.rotations, self.g.arc_count), dtype=np.int64)
+        for x, orders in enumerate(self.orders):
+            ax = self.g.incoming_arcs(x)
+            succ = np.array([[o[(o.index(e) + 1) % len(o)] for e in ax] for o in orders])
+            rows[:, ax] = succ[self.digits[x]]
+        return rows
+
+    def move_bits(self, targets: list[int]) -> np.ndarray:
+        """The word map that moves bit k of every word to bit ``targets[k]``."""
+        moved = np.zeros_like(self.word)
+        for k, target in enumerate(targets):
+            moved |= ((self.word >> k) & 1) << target
+        return moved
 
 
-def _all_keys(g: SymmetricDigraph):
-    per_vertex = []
-    for x in range(g.vertex_count):
-        ax = g.incoming_arcs(x)
-        cycles = []
-        for perm in itertools.permutations(ax[1:]):
-            order = (ax[0],) + perm
-            cycles.append(tuple((order[i], order[(i + 1) % len(order)]) for i in range(len(order))))
-        per_vertex.append(cycles)
-    for combo in itertools.product(*per_vertex):
-        rot = [0] * g.arc_count
-        for cyc in combo:
-            for e, f in cyc:
-                rot[e] = f
-        rot = tuple(rot)
-        for bits in range(2 ** g.edge_count):
-            yield rot, tuple((bits >> k) & 1 for k in range(g.edge_count))
+def _orbit_labels(index: _RawIndex, moves) -> np.ndarray:
+    """Per raw index, the smallest raw index of its orbit under ``moves``.
+
+    Min-label propagation: each label takes the minimum with the label of
+    each move's image, then jumps to its own label's label, until no move
+    lowers any label.  Labels stay orbit members and only fall, and at the
+    fixed point every label is constant on its orbit, hence the minimum.
+    """
+    n = index.rotations * index.words
+    label = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    grid = label.reshape(index.rotations, index.words)
+    while True:
+        changed = False
+        for rot_map, word_map in moves:
+            moved = grid[rot_map[:, None], word_map]
+            if (moved < grid).any():
+                np.minimum(grid, moved, out=grid)
+                changed = True
+        if not changed:
+            return label
+        label[:] = label[label]
 
 
 @dataclass(frozen=True)
@@ -148,38 +275,51 @@ def enumerate_embeddings(
     Raises :class:`BudgetError` when the raw count Prod (deg-1)! * 2^|E|
     exceeds the budget (override with the EW_BUDGET environment variable).
     """
-    budget = default_budget() if budget is None else budget
-    raw = raw_system_count(g)
-    if raw > budget:
-        raise BudgetError(
-            f"{raw} raw rotation systems exceed the budget {budget}; "
-            "try a smaller graph or raise EW_BUDGET"
-        )
-    autos = graph_automorphisms(g)
+    degrees = [g.degree(x) for x in range(g.vertex_count)]
+    for x, d in enumerate(degrees):
+        if d < 2:
+            raise GraphError(
+                f"vertex {x} has degree {d}; a fixed-point-free "
+                "cyclic rotation needs degree >= 2"
+            )
+    if not is_connected(g):
+        raise GraphError("enumeration needs a connected graph")
+    check_budget(g.edge_count, degrees, budget)
+    index = _RawIndex(g)
+    moves = [index.flip(x) for x in range(g.vertex_count)]
+    moves += [index.automorphism(p) for p in _generating_set(graph_automorphisms(g))]
+    label = _orbit_labels(index, moves)
 
-    seen: set[_Key] = set()
-    classes: list[EmbeddingClass] = []
-    for key in _all_keys(g):
-        if key in seen:
-            continue
-        orbit = {key}
-        stack = [key]
-        while stack:
-            cur = stack.pop()
-            rs = RotationSystem(g, *cur)
-            neighbors = [
-                ((f := flip_vertex(rs, x)).rot, f.twist) for x in range(g.vertex_count)
-            ]
-            m = mirror(rs)
-            neighbors.append((m.rot, m.twist))
-            neighbors.extend(_apply_automorphism(g, cur, perm) for perm in autos)
-            for nxt in neighbors:
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    stack.append(nxt)
-        seen |= orbit
-        rep = RotationSystem(g, *min(orbit))
-        classes.append(_class_of(rep, len(orbit)))
+    # Number the orbits in discovery order (by their smallest raw index).
+    n = label.size
+    roots = np.flatnonzero(label == np.arange(n, dtype=label.dtype))
+    class_of = np.zeros(n, dtype=label.dtype)
+    class_of[roots] = np.arange(len(roots))
+    class_of = class_of[label]
+    del label
+    sizes = np.bincount(class_of, minlength=len(roots))
+
+    # Each class's representative is its member of smallest rank, where rank
+    # orders the (rot, twist) tuples: rotation rows by one lexsort, twist
+    # tuples as their words with the bits reversed (edge 0 most significant).
+    rows = index.rotation_rows()
+    rot_order = np.lexsort(rows.T[::-1])
+    reverse = index.move_bits(list(range(g.edge_count - 1, -1, -1)))
+    by_rank = class_of.reshape(index.rotations, index.words)[rot_order[:, None], reverse].reshape(-1)
+    del class_of
+    first = np.full(len(roots), n, dtype=by_rank.dtype)
+    np.minimum.at(first, by_rank, np.arange(n, dtype=by_rank.dtype))
+
+    classes = []
+    for rank, size in zip(first.tolist(), sizes.tolist()):
+        r, word = divmod(rank, index.words)
+        word = int(reverse[word])
+        rep = RotationSystem(
+            g,
+            tuple(rows[rot_order[r]].tolist()),
+            tuple((word >> k) & 1 for k in range(g.edge_count)),
+        )
+        classes.append(_class_of(rep, size))
 
     classes.sort(key=lambda c: (not c.orientable, c.genus, c.face_lengths, c.self_intersection_profile))
     return classes

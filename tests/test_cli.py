@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,30 @@ def test_rank_k4_endpoints(capsys):
 
 def test_enumerate_budget_exit():
     assert main(["enumerate", "K6"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "K60"], ["rank", "K300"], ["enumerate", "K100000"], ["enumerate", "K" + "9" * 5000]]
+)
+def test_huge_complete_graph_exits_5_fast(argv, capsys):
+    # The budget is checked from n before K_n is built, without its exact
+    # raw count (which has more than 4300 digits from K56 on).
+    start = time.perf_counter()
+    assert main(argv) == 5
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "more than 10^20 raw rotation systems exceed the budget" in err
+
+
+def test_k6_budget_message_shows_exact_count(capsys):
+    assert main(["enumerate", "K6"]) == 5
+    assert "6262062317568 raw rotation systems exceed the budget 10000000" in capsys.readouterr().err
+
+
+def test_enumerate_missing_file_exits_2(tmp_path, capsys):
+    assert main(["enumerate", str(tmp_path / "absent.txt")]) == 2
+    assert "neither K<n> nor a rotation-system file" in capsys.readouterr().err
 
 
 def test_budget_env_override(monkeypatch):

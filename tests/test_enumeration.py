@@ -1,18 +1,22 @@
+import collections
+import time
+
 import numpy as np
 import pytest
 
+import enum_oracle
 from conftest import random_rotation_system
 from surfwalk.comfortability import comfortability, hedgehog_scattering
 from surfwalk.enumeration import (
+    check_budget,
     enumerate_embeddings,
     graph_automorphisms,
     min_max_genus,
     rank_by_comfortability,
-    raw_system_count,
 )
-from surfwalk.errors import BudgetError
-from surfwalk.graph_core import complete_graph, cycle_graph
-from surfwalk.rotation_system import flip_vertex, mirror, trace_faces
+from surfwalk.errors import BudgetError, GraphError
+from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph
+from surfwalk.rotation_system import RotationSystem, flip_vertex, mirror, trace_faces
 from surfwalk.walk_dynamics import Coin
 
 
@@ -45,11 +49,23 @@ def test_k4_automorphism_count():
 
 
 def test_raw_count_and_budget():
-    assert raw_system_count(complete_graph(4)) == 1024
+    assert check_budget(6, [3] * 4) == 1024
     with pytest.raises(BudgetError):
         enumerate_embeddings(complete_graph(6))
     with pytest.raises(BudgetError):
         enumerate_embeddings(complete_graph(4), budget=100)
+
+
+def test_rejects_disconnected_and_degree_one_graphs():
+    # Five disjoint triangles: within budget, but with 933,120 automorphisms
+    # the search would run long before faces could be traced.
+    triangles = SymmetricDigraph.from_edges(
+        15, [(3 * k + i, 3 * k + (i + 1) % 3) for k in range(5) for i in range(3)]
+    )
+    with pytest.raises(GraphError, match="connected"):
+        enumerate_embeddings(triangles)
+    with pytest.raises(GraphError, match="degree 1"):
+        enumerate_embeddings(SymmetricDigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
 
 
 def test_equivalence_moves_preserve_invariants(rng):
@@ -123,3 +139,99 @@ def test_min_max_genus_against_formulas(k4_classes):
     assert summary.nonorientable_min == 1
     assert facts.nonorientable_min == 0
     assert facts.formula_caveat
+
+
+K4_MINUS_EDGE = SymmetricDigraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+K23 = SymmetricDigraph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+# Two six-vertex, seven-edge graphs: C6 with a long chord, and two triangles
+# joined by an edge.
+THETA6 = SymmetricDigraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+DUMBBELL = SymmetricDigraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+PETERSEN = SymmetricDigraph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(n) for n in (3, 4, 5, 6)] + [complete_graph(4), K4_MINUS_EDGE, K23, THETA6, DUMBBELL],
+    ids=["C3", "C4", "C5", "C6", "K4", "K4-e", "K23", "theta6", "dumbbell"],
+)
+def test_census_matches_bfs_oracle(g):
+    got = [
+        (
+            c.representative,
+            c.orbit_size,
+            c.orientable,
+            c.genus,
+            c.face_lengths,
+            c.self_intersection_profile,
+        )
+        for c in enumerate_embeddings(g)
+    ]
+    assert got == enum_oracle.census(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(4), K23, THETA6, DUMBBELL] + [cycle_graph(n) for n in range(3, 8)],
+)
+def test_automorphisms_match_brute_force(g):
+    assert graph_automorphisms(g) == enum_oracle.brute_force_automorphisms(g)
+
+
+def test_automorphism_counts():
+    for n in range(3, 13):
+        assert len(graph_automorphisms(cycle_graph(n))) == 2 * n
+    assert len(graph_automorphisms(PETERSEN)) == 120
+
+
+def test_c12_census_is_fast():
+    start = time.perf_counter()
+    classes = enumerate_embeddings(cycle_graph(12))
+    assert time.perf_counter() - start < 1.0
+    assert len(classes) == 2
+    assert sum(c.orbit_size for c in classes) == 4096
+
+
+def test_one_rotation_system_per_class(monkeypatch):
+    g = complete_graph(4)
+    calls = []
+    original = RotationSystem.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(RotationSystem, "__post_init__", counted)
+    classes = enumerate_embeddings(g)
+    assert len(classes) == 11
+    assert len(calls) <= 11 + 2
+
+
+def _orientable_genus_distribution(g):
+    """Orientable embeddings per genus: sum of orbit sizes over orientable
+    classes, divided by the 2^(V-1) twist assignments that flips reach."""
+    classes = enumerate_embeddings(g)
+    dist = collections.Counter()
+    for c in classes:
+        if c.orientable:
+            dist[c.genus] += c.orbit_size
+    scale = 2 ** (g.vertex_count - 1)
+    assert all(v % scale == 0 for v in dist.values())
+    return {genus: v // scale for genus, v in sorted(dist.items())}, classes
+
+
+def test_k4_genus_distribution():
+    dist, _ = _orientable_genus_distribution(complete_graph(4))
+    assert dist == {0: 2, 1: 14}
+
+
+def test_k5_genus_distribution():
+    # Gross-Furst: K5 has 462 / 4974 / 2340 orientable embeddings of genus 1 / 2 / 3.
+    dist, classes = _orientable_genus_distribution(complete_graph(5))
+    assert dist == {1: 462, 2: 4974, 3: 2340}
+    assert sum(c.orbit_size for c in classes) == check_budget(10, [4] * 5, budget=10**7) == 7_962_624

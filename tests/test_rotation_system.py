@@ -254,3 +254,15 @@ def test_face_partition_property(seed):
     g = rs.graph
     chi = g.vertex_count - g.edge_count + len(fd.faces)
     assert chi == 2 - (2 * fd.genus if fd.orientable else fd.genus)
+
+
+def test_mirror_is_flip_of_every_vertex(rng):
+    # Why the enumerator needs no mirror generator: flipping every vertex
+    # inverts every rotation and toggles each edge's twist twice.
+    for n in (4, 5, 6, 7, 8):
+        for _ in range(5):
+            rs = random_rotation_system(rng, complete_graph(n))
+            flipped = rs
+            for x in range(n):
+                flipped = flip_vertex(flipped, x)
+            assert mirror(rs) == flipped
