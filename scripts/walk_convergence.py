@@ -13,27 +13,7 @@ import numpy as np
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.graph_core import complete_graph
-from surfwalk.walk_dynamics import Coin, WaveState, step
-
-
-def internal_matrix(bg, coin):
-    n = bg.size
-    dim = 3 * n
-    zero = np.zeros(n, dtype=complex)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        state = WaveState(
-            island_in=v[:n].copy(),
-            island_plus=v[n : 2 * n].copy(),
-            bridge=v[2 * n :].copy(),
-            inflow=zero,
-            outflow=zero,
-        )
-        out = step(state, bg, coin)
-        mat[:, j] = np.concatenate([out.island_in, out.island_plus, out.bridge])
-    return mat
+from surfwalk.walk_dynamics import Coin, WaveState, step, step_matrix, step_residual
 
 
 def main():
@@ -41,7 +21,7 @@ def main():
     print(f"coin |a| = {abs(coin.a):.6f}")
     for cls in enumerate_embeddings(complete_graph(4)):
         bg = hedgehog(cls.representative)
-        radius = np.abs(np.linalg.eigvals(internal_matrix(bg, coin))).max()
+        radius = np.abs(np.linalg.eigvals(step_matrix(bg, coin))).max()
 
         inflow = np.zeros(bg.size, dtype=complex)
         inflow[0] = 1.0
@@ -50,11 +30,7 @@ def main():
         ratios = []
         for t in range(1, 360):
             new = step(state, bg, coin)
-            res = max(
-                np.abs(new.island_in - state.island_in).max(),
-                np.abs(new.island_plus - state.island_plus).max(),
-                np.abs(new.bridge - state.bridge).max(),
-            )
+            res = step_residual(new, state)
             if prev and res > 0 and t > 100:
                 ratios.append(res / prev)
             prev = res

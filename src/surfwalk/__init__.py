@@ -73,6 +73,7 @@ from .walk_dynamics import (
     outflow_map,
     run_to_stationary,
     step,
+    step_matrix,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .covering_blowup import hedgehog
 from .errors import AssumptionError, BudgetError, GraphError
 from .rotation_system import FacialDecomposition
 from .scattering import ScatteringMatrix, scattering_matrix
-from .walk_dynamics import Coin
+from .walk_dynamics import Coin, internal_energy, run_to_stationary
 
 __all__ = [
     "ComfortReport",
@@ -177,43 +177,39 @@ def average_by_enumeration(
 
     ``method='closed_form'`` evaluates the energies from the explicit face
     blocks of S, a face at a time; ``'simulator'`` runs the walk to
-    stationarity per tail (slow; used as the oracle).
+    stationarity for every tail at once, one inflow column per tail (the
+    oracle: it never builds S).
     """
-    from .walk_dynamics import internal_energy, run_to_stationary
-
     if method not in ("closed_form", "simulator"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form":
-        _require_closed_form(coin)
+    if method == "simulator":
+        bg = hedgehog(fd.rs)  # every island carries a tail
+        state = run_to_stationary(bg, coin, np.eye(bg.size), tol=tol)
+        return float(internal_energy(state).sum()) / fd.rs.graph.arc_count
+    _require_closed_form(coin)
     s = hedgehog_scattering(fd, coin)
     bg = s.bg
+    # A single-tail inflow excites one face: its Q inflow is a column of
+    # that face's explicit block, so each face yields all its energies at
+    # once, on its tails and their bridge partners.
+    faces = s.face_tails()
+    face_of = np.empty(bg.size, dtype=np.int64)
+    for i, tails in enumerate(faces):
+        face_of[tails] = i
+    local = np.empty(bg.size, dtype=np.int64)
     total = 0.0
-    if method == "closed_form":
-        # A single-tail inflow excites one face: its Q inflow is a column of
-        # that face's explicit block, so each face yields all its energies
-        # at once, on its tails and their bridge partners.
-        faces = s.face_tails()
-        face_of = np.empty(bg.size, dtype=np.int64)
-        for i, tails in enumerate(faces):
-            face_of[tails] = i
-        local = np.empty(bg.size, dtype=np.int64)
-        for i, tails in enumerate(faces):
-            if not len(tails):
-                continue
-            partners = bg.bar[tails]
-            rows = np.concatenate((tails, partners[face_of[partners] != i]))
-            local[rows] = np.arange(len(rows))
-            q = np.zeros((len(rows), len(tails)), dtype=complex)
-            q[: len(tails)] = s.face_q_block(i)
-            island, bridge = _energy_parts(
-                q, q[local[bg.bar[rows]]], bg.bridge_sign[rows, None], coin
-            )
-            total += float(island.sum() + bridge.sum())
-    else:
-        for j in range(bg.size):
-            inflow = np.zeros(bg.size, dtype=complex)
-            inflow[j] = 1.0
-            total += internal_energy(run_to_stationary(bg, coin, inflow, tol=tol))
+    for i, tails in enumerate(faces):
+        if not len(tails):
+            continue
+        partners = bg.bar[tails]
+        rows = np.concatenate((tails, partners[face_of[partners] != i]))
+        local[rows] = np.arange(len(rows))
+        q = np.zeros((len(rows), len(tails)), dtype=complex)
+        q[: len(tails)] = s.face_q_block(i)
+        island, bridge = _energy_parts(
+            q, q[local[bg.bar[rows]]], bg.bridge_sign[rows, None], coin
+        )
+        total += float(island.sum() + bridge.sum())
     return total / fd.rs.graph.arc_count
 
 

@@ -13,6 +13,9 @@ State layout (arrays indexed by island/bridge id ``g``):
   or the whole island arc if ``g`` carries no tail;
 * ``island_plus[g]`` - the quay arc after the tail (boundary islands only);
 * ``bridge[g]``     - the bridge arc (g, g-bar).
+
+Every array has the inflow's shape: ``(n,)``, or ``(n, k)`` for k inflows
+run at once, column j evolving exactly as a run with inflow column j alone.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "Coin",
     "WaveState",
     "step",
+    "step_residual",
+    "step_matrix",
     "run_to_stationary",
     "internal_energy",
     "outflow_map",
@@ -109,8 +114,8 @@ class Coin:
 class WaveState:
     """Internal amplitudes plus the constant inflow and the latest outflow.
 
-    ``inflow`` and ``outflow`` are indexed by tail site (= island arc id);
-    non-boundary entries are zero.
+    ``inflow`` and ``outflow`` are indexed by tail site (= island arc id)
+    along their first axis; non-boundary rows are zero.
     """
 
     island_in: np.ndarray
@@ -125,30 +130,32 @@ class WaveState:
     def zero(cls, bg: BlowUpGraph, inflow: np.ndarray) -> "WaveState":
         n = bg.size
         inflow = np.asarray(inflow, dtype=complex)
-        if inflow.shape != (n,):
-            raise AssumptionError(f"inflow must have one entry per island arc ({n})")
+        if inflow.ndim not in (1, 2) or inflow.shape[0] != n:
+            raise AssumptionError(f"inflow must have shape ({n},) or ({n}, k), got {inflow.shape}")
         if np.any(inflow[~bg.boundary] != 0):
             raise AssumptionError("inflow is only admitted at boundary island arcs")
         return cls(
-            island_in=np.zeros(n, dtype=complex),
-            island_plus=np.zeros(n, dtype=complex),
-            bridge=np.zeros(n, dtype=complex),
+            island_in=np.zeros_like(inflow),
+            island_plus=np.zeros_like(inflow),
+            bridge=np.zeros_like(inflow),
             inflow=inflow,
-            outflow=np.zeros(n, dtype=complex),
+            outflow=np.zeros_like(inflow),
         )
 
 
 def step(state: WaveState, bg: BlowUpGraph, coin: Coin) -> WaveState:
     """One application of the walk operator with the tail boundary condition."""
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    bdry = bg.boundary
+    # Per-arc flags broadcast over any trailing inflow axis.
+    per_arc = (-1,) + (1,) * (state.inflow.ndim - 1)
+    bdry, sign = bg.boundary.reshape(per_arc), bg.bridge_sign.reshape(per_arc)
     out = np.where(bdry, state.island_plus, state.island_in)
 
     feed_island = out[bg.rot_inv]
     feed_bridge = state.bridge[bg.bar]
 
     island_in = a * feed_island + b * feed_bridge
-    bridge = bg.bridge_sign * (c * feed_island + d * feed_bridge)
+    bridge = sign * (c * feed_island + d * feed_bridge)
     island_plus = np.where(bdry, a * state.island_in + b * state.inflow, 0.0)
     outflow = np.where(bdry, c * state.island_in + d * state.inflow, 0.0)
 
@@ -162,17 +169,29 @@ def step(state: WaveState, bg: BlowUpGraph, coin: Coin) -> WaveState:
     )
 
 
-def internal_energy(state: WaveState) -> float:
-    """Half the squared norm of the state on the internal graph (tails excluded)."""
+def step_matrix(bg: BlowUpGraph, coin: Coin) -> np.ndarray:
+    """One step with zero inflow as a 3n x 3n matrix on ``[island_in;
+    island_plus; bridge]``; its spectral radius is the simulator's rate."""
+    n = bg.size
+    basis, zero = np.eye(3 * n, dtype=complex), np.zeros((n, 3 * n), dtype=complex)
+    new = step(WaveState(basis[:n], basis[n : 2 * n], basis[2 * n :], zero, zero), bg, coin)
+    return np.concatenate([new.island_in, new.island_plus, new.bridge])
+
+
+def internal_energy(state: WaveState):
+    """Half the squared norm of the state on the internal graph (tails
+    excluded): a float for one inflow, one energy per column for ``(n, k)``."""
+    # vecdot sums each column in the order vdot sums a vector.
     total = (
-        np.vdot(state.island_in, state.island_in).real
-        + np.vdot(state.island_plus, state.island_plus).real
-        + np.vdot(state.bridge, state.bridge).real
+        np.vecdot(state.island_in, state.island_in, axis=0).real
+        + np.vecdot(state.island_plus, state.island_plus, axis=0).real
+        + np.vecdot(state.bridge, state.bridge, axis=0).real
     )
     return 0.5 * total
 
 
-def _residual(new: WaveState, old: WaveState) -> float:
+def step_residual(new: WaveState, old: WaveState) -> float:
+    """The sup-norm change of one step, over every entry of every column."""
     return max(
         np.abs(new.island_in - old.island_in).max(initial=0.0),
         np.abs(new.island_plus - old.island_plus).max(initial=0.0),
@@ -188,32 +207,33 @@ def run_to_stationary(
     max_steps: int = 10**6,
 ) -> WaveState:
     """Iterate from the zero internal state until the sup-norm change of one
-    step falls below ``tol``."""
-    if tol <= 0:
-        raise AssumptionError("tolerance must be positive")
+    step falls below ``tol``.  An ``(n, k)`` inflow runs k inflows at once
+    and stops when every column is stationary."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise AssumptionError(f"tolerance must be finite and positive, got {tol}")
+    if max_steps < 0:
+        raise AssumptionError(f"max_steps must be non-negative, got {max_steps}")
     state = WaveState.zero(bg, inflow)
+    res = math.inf
     for _ in range(max_steps):
         new = step(state, bg, coin)
-        res = _residual(new, state)
-        state = replace(new, residual=res)
+        res = step_residual(new, state)
+        state = new
         if res < tol:
-            return state
+            return replace(state, residual=res)
     raise ConvergenceError(
-        f"no stationary state after {max_steps} steps (residual {state.residual:.3e})",
-        residual=state.residual,
+        f"no stationary state after {max_steps} steps (residual {res:.3e})",
+        residual=res,
         steps=state.steps,
     )
 
 
 def outflow_map(bg: BlowUpGraph, coin: Coin, tol: float = 1e-10, max_steps: int = 10**6) -> np.ndarray:
     """The simulated scattering matrix: column j is the stationary outflow
-    for a unit inflow at tail j.  Columns of non-boundary islands are zero."""
-    n = bg.size
-    s = np.zeros((n, n), dtype=complex)
-    for j in bg.boundary_islands():
-        inflow = np.zeros(n, dtype=complex)
-        inflow[j] = 1.0
-        s[:, j] = run_to_stationary(bg, coin, inflow, tol, max_steps).outflow
+    for a unit inflow at tail j (all tails in one run); other columns are zero."""
+    tails = bg.boundary_islands()
+    s = np.zeros((bg.size, bg.size), dtype=complex)
+    s[:, tails] = run_to_stationary(bg, coin, np.eye(bg.size)[:, tails], tol, max_steps).outflow
     return s
 
 

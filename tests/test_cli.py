@@ -148,6 +148,22 @@ def test_simulate_nonconvergence_exit(projective_file):
     assert main(["simulate", projective_file, "--max-steps", "1"]) == 4
 
 
+@pytest.mark.parametrize(
+    "flag, word",
+    [
+        (("--tol", "nan"), "tolerance"),
+        (("--tol", "inf"), "tolerance"),
+        (("--tol", "0"), "tolerance"),
+        (("--max-steps", "-1"), "max_steps"),
+    ],
+)
+def test_simulate_rejects_bad_stopping_rule(projective_file, flag, word, capsys):
+    start = time.perf_counter()
+    assert main(["simulate", projective_file, *flag]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert word in capsys.readouterr().err
+
+
 def test_simulate_degenerate_coin_fast(projective_file, capsys):
     code, payload = run_json(
         capsys, "simulate", projective_file, "--a", "1", "--b", "0", "--c", "0", "--d", "-1"

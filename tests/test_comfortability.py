@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -96,6 +97,29 @@ def test_average_agrees_with_simulator_mean():
     assert abs(
         average_comfortability(fd, coin) - average_by_enumeration(fd, coin, "simulator")
     ) < 1e-8
+
+
+def test_simulator_average_never_builds_scattering(monkeypatch):
+    # The simulator oracle must not call the closed forms it checks: a coin
+    # with complex d, which the closed forms reject, still has a simulated
+    # average.
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulator average built S")
+
+    # the package re-exports the function comfortability under the module's name
+    monkeypatch.setattr(importlib.import_module("surfwalk.comfortability"), "scattering_matrix", refuse)
+    rs = planar_k4()
+    fd = trace_faces(rs)
+    r = 1.0 / np.sqrt(2.0)
+    coin = Coin(r, r, 1j * r, -1j * r)
+    assert not coin.d_is_real
+    bg = hedgehog(rs)
+    per_tail = sum(
+        internal_energy(run_to_stationary(bg, coin, unit_inflow(bg.size, j), tol=1e-11))
+        for j in range(bg.size)
+    )
+    expected = per_tail / rs.graph.arc_count
+    assert abs(average_by_enumeration(fd, coin, "simulator") - expected) < 1e-8 * expected
 
 
 def test_positive_coin_form_matches_general():
