@@ -132,41 +132,61 @@ class ScatteringMatrix:
         With phi_j the product of the weights up to tail j, the weights
         from tail m round to tail j multiply to phi_j / phi_m, times Pi_f
         when the walk passes the face's start (j <= m).  So entry (j, m) is
-        bc / (1 - a^q Pi_f) * t[j - m] * phi_j * conj(phi_m), where the
-        Toeplitz sequence t holds a^(k-1) for the k = j - m > 0 steps ahead
-        and Pi_f a^(k-1) for the k = q + j - m steps round the start.
+        bc / (1 - a^q Pi_f) * t[j - m] * phi_j / phi_m, where the Toeplitz
+        sequence t holds a^(k-1) for the k = j - m > 0 steps ahead and
+        Pi_f a^(k-1) for the k = q + j - m steps round the start.  A double
+        omega has unit modulus only to rounding, so conj(phi_m) would stand
+        in for 1 / phi_m with an error growing with the hops to tail m.
         """
-        o, e = self.offsets[i], self.offsets[i + 1]
-        q = e - o
+        q = self.offsets[i + 1] - self.offsets[i]
         coin = self.coin
-        phase = (1 - 2 * (np.cumsum(self.parity[o:e]) & 1)) * np.power(
-            complex(coin.omega), np.cumsum(self.hops[o:e])
-        )
-        a_pow = np.power(complex(coin.a), np.arange(q))
+        # phi_j and a^k are accumulated in long double and rounded once:
+        # double powers drift by several ulps over a long face, and the
+        # energies' 1 / |bc|^2 magnifies that as |a| -> 1.
+        phase = self._phase(i).astype(complex)
+        a_pow = np.full(q, np.clongdouble(coin.a))
+        a_pow[:1] = 1
+        a_pow = np.cumprod(a_pow).astype(complex)
         # t[d + q - 1] for d = j - m in (-q, q); window m, read backwards, is column m.
         t = np.concatenate((phase[-1:] * a_pow, a_pow[:-1]))
         toeplitz = sliding_window_view(t, q)[q - 1 - cols].T
         scale = coin.b * coin.c * self.closing[i]
-        return (scale * phase)[:, None] * toeplitz * phase[cols].conj()
+        return (scale * phase)[:, None] * toeplitz / phase[cols]
+
+    def _phase(self, i: int) -> np.ndarray:
+        """phi_j, the product of the weights of face ``i`` up to tail j (the
+        last one is Pi_f), in long double."""
+        o, e = self.offsets[i], self.offsets[i + 1]
+        w = (1 - 2 * (self.parity[o:e] & 1)) * np.power(
+            np.clongdouble(self.coin.omega), self.hops[o:e]
+        )
+        return np.cumprod(w)
 
     def _solve(self, i: int, v: np.ndarray) -> np.ndarray:
-        """Q v on face ``i`` for a general inflow ``v`` (face order): solve
-        the cyclic recurrence x_j = v_j + a w_j x_{j-1}, then Q v = bc P x."""
-        o, e = self.offsets[i], self.offsets[i + 1]
+        """Q v on face ``i`` for a general inflow ``v`` (face order).
+
+        The cyclic recurrence x_j = v_j + a w_j x_{j-1}, Q v = bc P x, is
+        solved for y_j = x_j / phi_j: y_j = v_j / phi_j + a y_{j-1} with
+        y_{-1} = Pi_f y_{q-1}, and entry j of Q v is bc phi_j y_{j-1}.
+        Only a multiplies in the loop, so no rounded product a w_j is
+        raised to the q-th power round the face; the loop runs in long
+        double, as near |a| = 1 each step's rounding travels round the whole
+        face before the energies' 1 / |bc|^2 magnifies it.
+        """
         coin = self.coin
-        w = _weights(self.hops[o:e], self.parity[o:e], coin.omega)
-        aw = (coin.a * w).tolist()
-        vs = v.tolist()
-        # x_{-1} = x_{q-1}: one pass from zero gives (1 - a^q Pi) x_{q-1}.
-        x = 0j
-        for vj, awj in zip(vs, aw):
-            x = vj + awj * x
-        x *= self.closing[i]
-        px = []
-        for vj, awj in zip(vs, aw):
-            px.append(x)
-            x = vj + awj * x
-        return coin.b * coin.c * w * np.array(px)
+        phase = self._phase(i)
+        a = np.clongdouble(coin.a)
+        us = list(v / phase)
+        # One pass from zero gives (1 - a^q Pi) y_{q-1}.
+        y = np.clongdouble(0)
+        for u in us:
+            y = u + a * y
+        y *= self.closing[i] * phase[-1]
+        ys = []
+        for u in us:
+            ys.append(y)
+            y = u + a * y
+        return (coin.b * coin.c * (phase * np.array(ys))).astype(complex)
 
     def apply_q(self, v: np.ndarray) -> np.ndarray:
         """Q v, matrix-free: O(q) per face that ``v`` touches.
@@ -244,16 +264,19 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     tails, hops, parity = zip(*(_face_boundary(bg, face) for face in bg.faces))
     counts = np.array([len(t) for t in tails], dtype=np.int64)
 
-    # a^q Pi_f: the hops round a face with tails add up to its length.
+    # a^q Pi_f: the hops round a face with tails add up to its length.  It
+    # is formed in long double: as |a| -> 1 the gap 1 - a^q Pi_f shrinks to
+    # ~q(1 - |a|), and the double rounding of the product, divided by that
+    # gap, would cost every entry of the face a few hundred ulps.
     twists = np.array([p.sum() for p in parity], dtype=np.int64)
     lengths = np.array([len(face) for face in bg.faces], dtype=np.int64)
     turn = (
-        np.power(complex(a), counts)
+        np.power(np.clongdouble(a), counts)
         * (1 - 2 * (twists & 1))
-        * np.power(complex(coin.omega), lengths)
+        * np.power(np.clongdouble(coin.omega), lengths)
     )
     live = counts > 0
-    gaps = np.where(live, np.abs(1.0 - turn), np.inf)
+    gaps = np.where(live, np.abs(1.0 - turn), np.inf).astype(float)
     if not degenerate and abs(a) >= 1.0 - 1e-14:
         worst = int(np.argmin(gaps))
         raise AssumptionError(

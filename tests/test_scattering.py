@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
@@ -404,6 +404,15 @@ def _coin_of_kind(kind, rng):
     kind=st.sampled_from(["random", "degenerate", "zero_a", "near_one"]),
     partial=st.booleans(),
 )
+# |a| = 0.999 cases with energies of 1e4 to 2e5, where the bridge energy
+# magnifies the error in Q v by 1 / |bc|^2 ~ 2.5e5: each one broke the
+# 1e-10 bounds through one rounding path, in the library or in the oracle.
+@example(seed=284, n=4, kind="near_one", partial=False)
+@example(seed=1429, n=5, kind="near_one", partial=False)
+@example(seed=38, n=8, kind="near_one", partial=False)
+@example(seed=164, n=6, kind="near_one", partial=False)
+@example(seed=789, n=6, kind="near_one", partial=False)
+@example(seed=3572, n=4, kind="near_one", partial=False)
 def test_explicit_scattering_matches_dense_oracle(seed, n, kind, partial):
     rng = np.random.default_rng(seed)
     rs = random_rotation_system(rng, graph=complete_graph(n))
