@@ -59,7 +59,6 @@ from .rotation_system import (
 )
 from .scattering import (
     ScatteringMatrix,
-    face_permutation,
     orientability_from_scattering,
     scattering_matrix,
     stationary_closed_form,

@@ -46,9 +46,86 @@ EXIT_CONVERGENCE = 4
 EXIT_BUDGET = 5
 
 
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    return f"{z.real:.17g},{z.imag:.17g}"
+# Every float the CLI exports is written by this one call, as '%.17g' (the
+# same bytes as f"{x:.17g}"), which round-trips.
+_format_float = "%.17g".__mod__
+
+
+def _distinct_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The '%.17g' text of each distinct 64-bit pattern in a float array (an
+    object array), and for every entry of ``x`` the index of its text.
+
+    Each pattern is formatted once: scattering blocks repeat few values.
+    Patterns are compared, not values, so -0.0 keeps its sign next to 0.0.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    bits, inverse = np.unique(x.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map(_format_float, bits.view(np.float64).tolist())), dtype=object)
+    return texts, inverse.reshape(x.shape)
+
+
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of every entry of a float array, same shape."""
+    texts, inverse = _distinct_texts(x)
+    return texts[inverse]
+
+
+def _complex_texts(z: np.ndarray) -> np.ndarray:
+    """The 're,im' text of every entry of a complex array, same shape.
+
+    Each distinct (re, im) pair of texts is joined once as well, so equal
+    entries share one string.
+    """
+    z = np.ascontiguousarray(z, dtype=complex)
+    texts, inverse = _distinct_texts(z[..., None].view(np.float64))
+    pairs, pair_inverse = np.unique(inverse[..., 0] * len(texts) + inverse[..., 1], return_inverse=True)
+    joined = (texts + ",")[pairs // len(texts)] + texts[pairs % len(texts)]
+    return joined[pair_inverse.reshape(z.shape)]
+
+
+def _json_array(texts: np.ndarray, indent: str) -> str:
+    """``json.dumps(texts.tolist(), indent=2)`` for an array of strings that
+    need no escaping, nested at ``indent`` (the indent of its closing bracket)."""
+    if not len(texts):
+        return "[]"
+    inner = indent + "  "
+    if texts.ndim == 1:
+        body = '"' + ('",\n' + inner + '"').join(texts.tolist()) + '"'
+    else:
+        body = (",\n" + inner).join([_json_array(row, inner) for row in texts])
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
+# json.dumps writes a slot string "\x00<i>" as "\u0000<i>"; no other string a
+# command exports holds a control character.
+_SLOT = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.M)
+
+
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` for a payload whose arrays of
+    strings are numpy object arrays.
+
+    With an indent, json.dumps runs the pure-Python encoder.  It renders
+    only the skeleton here, with a slot string in place of each array, and
+    each array's text is spliced into its slot in the same layout.
+    """
+    arrays = []
+
+    def slot(node):
+        if isinstance(node, np.ndarray):
+            arrays.append(node)
+            return f"\x00{len(arrays) - 1}"
+        if isinstance(node, dict):
+            return {key: slot(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [slot(value) for value in node]
+        return node
+
+    def splice(m):
+        indent, head, i = m.groups()
+        return indent + head + _json_array(arrays[int(i)], indent)
+
+    return _SLOT.sub(splice, json.dumps(slot(payload), indent=2))
 
 
 def _parse_complex(text: str) -> complex:
@@ -213,7 +290,12 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
     labels = base_face_map(bg, trace_faces(rs))
+    # One pass over every entry of every block, so that each distinct float
+    # is formatted once; block i's entries are flat[ends[i - 1]:ends[i]].
+    flat = np.concatenate([block.ravel() for _, block in s.blocks])
+    ends = np.cumsum([len(tails) ** 2 for tails, _ in s.blocks])[:-1]
     if fmt == "json":
+        matrices = np.split(_complex_texts(flat), ends)
         payload = {
             "tails": _tail_legend(bg),
             "unitarity_defect": s.unitarity_defect(),
@@ -223,20 +305,20 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
                     "face": labels[i][0],
                     "chiral_copy": labels[i][1],
                     "tails": list(tails),
-                    "matrix": [[_fmt_complex(z) for z in row] for row in block],
+                    "matrix": matrices[i].reshape(len(tails), len(tails)),
                 }
-                for i, (tails, block) in enumerate(s.blocks)
+                for i, (tails, _) in enumerate(s.blocks)
             ],
         }
-        _emit(json.dumps(payload, indent=2), out)
+        _emit(_dumps(payload), out)
     else:
+        # Two cells, re and im, per entry.
+        cells = np.split(_float_texts(flat.view(np.float64)), 2 * ends)
         lines = []
-        for i, (tails, block) in enumerate(s.blocks):
-            for r, row_tail in enumerate(tails):
-                cells = [str(labels[i][0]), str(int(labels[i][1])), str(row_tail)]
-                for z in block[r]:
-                    cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-                lines.append(",".join(cells))
+        for i, (tails, _) in enumerate(s.blocks):
+            face, copy = str(labels[i][0]), str(int(labels[i][1]))
+            for row_tail, row in zip(tails, cells[i].reshape(len(tails), 2 * len(tails)).tolist()):
+                lines.append(",".join([face, copy, str(row_tail), *row]))
         _emit("\n".join(lines) + "\n", out)
 
 
@@ -300,16 +382,19 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
     bg = hedgehog(rs)
     vec = _parse_inflow(bg, inflow)
     state = run_to_stationary(bg, coin, vec, tol=tol, max_steps=max_steps)
+    outflow, island_in, island_plus, bridge = _complex_texts(
+        np.stack([state.outflow, state.island_in, state.island_plus, state.bridge])
+    )
     payload = {
         "steps": state.steps,
         "residual": state.residual,
         "energy": internal_energy(state),
         "tails": _tail_legend(bg),
-        "outflow": [_fmt_complex(z) for z in state.outflow],
+        "outflow": outflow,
         "state": {
-            "island_before_tail": [_fmt_complex(z) for z in state.island_in],
-            "island_after_tail": [_fmt_complex(z) for z in state.island_plus],
-            "bridge": [_fmt_complex(z) for z in state.bridge],
+            "island_before_tail": island_in,
+            "island_after_tail": island_plus,
+            "bridge": bridge,
         },
     }
     if coin.d_is_real and min(abs(coin.b), abs(coin.c)) > 1e-12 and abs(coin.a) < 1:
@@ -329,7 +414,7 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
             ),
             "energy_vs_formula": abs(internal_energy(state) - report.energy),
         }
-    _emit(json.dumps(payload, indent=2), out)
+    _emit(_dumps(payload), out)
 
 
 def _format_class_rows(rows, a_values):

@@ -55,11 +55,6 @@ def _require_closed_form(coin: Coin):
         raise AssumptionError("comfortability formulas need |a| < 1")
 
 
-def hedgehog_scattering(fd: FacialDecomposition, coin: Coin) -> ScatteringMatrix:
-    """The scattering matrix of the hedgehog system over ``fd``'s rotation system."""
-    return scattering_matrix(hedgehog(fd.rs), coin)
-
-
 def _energy_parts(q: np.ndarray, q_bar: np.ndarray, sign: np.ndarray, coin: Coin):
     """Island and bridge energy of the stationary state with Q inflow = q.
 
@@ -95,7 +90,7 @@ def comfortability(
 ) -> ComfortReport:
     """Energy stored by the stationary state with the given inflow, from S alone."""
     _require_closed_form(coin)
-    s = scattering if scattering is not None else hedgehog_scattering(fd, coin)
+    s = scattering if scattering is not None else scattering_matrix(hedgehog(fd.rs), coin)
     bg = s.bg
     if not bg.hedgehog:
         raise AssumptionError("comfortability is defined for the hedgehog boundary")
@@ -187,7 +182,7 @@ def average_by_enumeration(
         state = run_to_stationary(bg, coin, np.eye(bg.size), tol=tol)
         return float(internal_energy(state).sum()) / fd.rs.graph.arc_count
     _require_closed_form(coin)
-    s = hedgehog_scattering(fd, coin)
+    s = scattering_matrix(hedgehog(fd.rs), coin)
     bg = s.bg
     # A single-tail inflow excites one face: its Q inflow is a column of
     # that face's explicit block, so each face yields all its energies at

@@ -36,7 +36,6 @@ from .walk_dynamics import Coin, WaveState
 
 __all__ = [
     "ScatteringMatrix",
-    "face_permutation",
     "scattering_matrix",
     "stationary_closed_form",
     "orientability_from_scattering",
@@ -78,22 +77,10 @@ def _partial_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
     return tails, np.array(dist, dtype=np.int64), np.array(parity, dtype=np.int64)
 
 
-def _weights(dist, parity, omega: complex) -> np.ndarray:
-    """w_j = (-1)^parity_j omega^dist_j: entry (j, j-1) of P_f(omega)."""
-    return (1 - 2 * (np.asarray(parity) & 1)) * np.power(complex(omega), dist)
-
-
-def face_permutation(bg: BlowUpGraph, face_index: int, omega: complex) -> np.ndarray:
-    """P_f(omega): the weighted cyclic shift over the tails of one face.
-
-    Entry (j, j-1) is (-1)^(twist parity) * omega^(island hops) between
-    consecutive tails; with the hedgehog this is omega times a sign.
-    """
-    _, dist, parity = _face_boundary(bg, bg.faces[face_index])
-    q = len(dist)
-    p = np.zeros((q, q), dtype=complex)
-    p[np.arange(q), np.roll(np.arange(q), 1)] = _weights(dist, parity, omega)
-    return p
+def _weights(dist, parity, omega) -> np.ndarray:
+    """w_j = (-1)^parity_j omega^dist_j: entry (j, j-1) of P_f(omega), in
+    the precision of ``omega``."""
+    return (1 - 2 * (np.asarray(parity) & 1)) * np.power(omega, dist)
 
 
 @dataclass(frozen=True)
@@ -157,10 +144,7 @@ class ScatteringMatrix:
         """phi_j, the product of the weights of face ``i`` up to tail j (the
         last one is Pi_f), in long double."""
         o, e = self.offsets[i], self.offsets[i + 1]
-        w = (1 - 2 * (self.parity[o:e] & 1)) * np.power(
-            np.clongdouble(self.coin.omega), self.hops[o:e]
-        )
-        return np.cumprod(w)
+        return np.cumprod(_weights(self.hops[o:e], self.parity[o:e], np.clongdouble(self.coin.omega)))
 
     def _solve(self, i: int, v: np.ndarray) -> np.ndarray:
         """Q v on face ``i`` for a general inflow ``v`` (face order).
@@ -245,12 +229,14 @@ class ScatteringMatrix:
         return s
 
     def unitarity_defect(self) -> float:
+        """max |S_f^H S_f - I| over the dense face blocks."""
         worst = 0.0
         for tails, block in self.blocks:
             if len(tails) == 0:
                 continue
-            eye = np.eye(len(tails))
-            worst = max(worst, np.abs(block.conj().T @ block - eye).max())
+            gram = block.conj().T @ block
+            gram.flat[:: len(tails) + 1] -= 1
+            worst = max(worst, np.abs(gram).max())
         return worst
 
 

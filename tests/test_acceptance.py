@@ -17,7 +17,6 @@ from conftest import (
 from surfwalk.comfortability import (
     average_comfortability,
     comfortability,
-    hedgehog_scattering,
     island_energy,
     island_h,
     kn_best_worst,
@@ -124,10 +123,10 @@ def test_criterion_05_average_formula_chain(k4_classes):
     worst = 0.0
     for cls in k4_classes:
         fd = cls.decomposition
-        s = hedgehog_scattering(fd, Coin.hadamard_type())
+        s = scattering_matrix(hedgehog(fd.rs), Coin.hadamard_type())
         for a in (0.3, 0.7, 0.98):
             coin = Coin.real_symmetric(a)
-            s_a = hedgehog_scattering(fd, coin)
+            s_a = scattering_matrix(hedgehog(fd.rs), coin)
             by_enum = (
                 sum(
                     comfortability(fd, coin, _unit(24, t), scattering=s_a).energy
@@ -200,8 +199,8 @@ def test_criterion_09_unitary_equivalence_invariance(rng):
         x = int(rng.integers(4))
         flipped, phi = flip_correspondence(rs, x)
         fd1, fd2 = trace_faces(rs), trace_faces(flipped)
-        s1 = hedgehog_scattering(fd1, coin)
-        s2 = hedgehog_scattering(fd2, coin)
+        s1 = scattering_matrix(hedgehog(fd1.rs), coin)
+        s2 = scattering_matrix(hedgehog(fd2.rs), coin)
         tail = int(rng.integers(24))
         e1 = comfortability(fd1, coin, _unit(24, tail), scattering=s1).energy
         e2 = comfortability(fd2, coin, _unit(24, int(phi[tail])), scattering=s2).energy

@@ -13,7 +13,6 @@ from surfwalk.comfortability import (
     average_comfortability,
     comfortability,
     compare_partitions,
-    hedgehog_scattering,
     island_energy,
     island_h,
     kn_best_worst,
@@ -25,6 +24,7 @@ from surfwalk.covering_blowup import hedgehog
 from surfwalk.errors import AssumptionError, BudgetError, GraphError
 from surfwalk.graph_core import SymmetricDigraph, cycle_graph
 from surfwalk.rotation_system import RotationSystem, flip_vertex, trace_faces
+from surfwalk.scattering import scattering_matrix
 from surfwalk.walk_dynamics import Coin, internal_energy, run_to_stationary
 
 
@@ -45,7 +45,7 @@ def test_energy_matches_simulator_per_inflow(rng):
         fd = trace_faces(rs)
         bg = hedgehog(rs)
         coin = Coin.hadamard_type()
-        s = hedgehog_scattering(fd, coin)
+        s = scattering_matrix(hedgehog(fd.rs), coin)
         for tail in rng.choice(bg.size, size=5, replace=False):
             inflow = unit_inflow(bg.size, int(tail))
             closed = comfortability(fd, coin, inflow, scattering=s)

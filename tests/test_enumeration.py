@@ -6,7 +6,8 @@ import pytest
 
 import enum_oracle
 from conftest import random_rotation_system
-from surfwalk.comfortability import comfortability, hedgehog_scattering
+from surfwalk.comfortability import comfortability
+from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import (
     check_budget,
     enumerate_embeddings,
@@ -17,6 +18,7 @@ from surfwalk.enumeration import (
 from surfwalk.errors import BudgetError, GraphError
 from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph
 from surfwalk.rotation_system import RotationSystem, flip_vertex, mirror, trace_faces
+from surfwalk.scattering import scattering_matrix
 from surfwalk.walk_dynamics import Coin
 
 
@@ -93,13 +95,13 @@ def test_single_inflow_energy_constant_on_orbit(k4_classes, rng):
     cls = k4_classes[3]
     rs = cls.representative
     fd1 = trace_faces(rs)
-    s1 = hedgehog_scattering(fd1, coin)
+    s1 = scattering_matrix(hedgehog(fd1.rs), coin)
     energies1 = sorted(
         comfortability(fd1, coin, _unit(24, t), scattering=s1).energy for t in range(24)
     )
     flipped = flip_vertex(rs, 2)
     fd2 = trace_faces(flipped)
-    s2 = hedgehog_scattering(fd2, coin)
+    s2 = scattering_matrix(hedgehog(fd2.rs), coin)
     energies2 = sorted(
         comfortability(fd2, coin, _unit(24, t), scattering=s2).energy for t in range(24)
     )

@@ -21,7 +21,6 @@ from surfwalk.scattering import (
     _face_boundary,
     _partial_boundary,
     _weights,
-    face_permutation,
     orientability_from_scattering,
     scattering_matrix,
     stationary_closed_form,
@@ -89,7 +88,7 @@ def test_geometric_series_identity(rng):
             face_index = next(
                 i for i, f in enumerate(bg.faces) if set(f) == set(tails)
             )
-            pf = face_permutation(bg, face_index, omega)
+            pf = dense_oracle.face_shift(bg, bg.faces[face_index])[1](omega)
             length = len(bg.faces[face_index])
             accum = np.zeros_like(pf)
             power = np.eye(q, dtype=complex)
@@ -134,7 +133,7 @@ def test_face_permutation_closes_to_identity(rng):
         bg = hedgehog(rs)
         coin = random_d_real_coin(rng)
         for i, face in enumerate(bg.faces):
-            p = face_permutation(bg, i, coin.omega)
+            p = dense_oracle.face_shift(bg, bg.faces[i])[1](coin.omega)
             q = len(face)
             closed = np.linalg.matrix_power(p, q)
             assert np.abs(closed - coin.omega**q * np.eye(q)).max() < 1e-10
@@ -151,12 +150,12 @@ def test_hexagon_block_has_two_sign_flips():
     hexagons = [i for i, f in enumerate(bg.faces) if len(f) == 6]
     assert len(hexagons) == 2  # both chiral copies
     for i in hexagons:
-        p = face_permutation(bg, i, 1.0)
+        p = dense_oracle.face_shift(bg, bg.faces[i])[1](1.0)
         negative = np.isclose(p, -1.0).sum()
         assert negative == 2
         assert len(fd.faces[labels[i][0]]) == 6
     for i in (set(range(len(bg.faces))) - set(hexagons)):
-        p = face_permutation(bg, i, 1.0)
+        p = dense_oracle.face_shift(bg, bg.faces[i])[1](1.0)
         assert np.isclose(p, -1.0).sum() == 0
 
 
@@ -268,6 +267,25 @@ def test_empty_face_block_without_tails():
     sizes = sorted(len(t) for t, _ in s.blocks)
     assert sizes == [0, 0, 0, 0, 0, 6]
     assert s.unitarity_defect() < 1e-12
+
+
+def test_unitarity_defect_is_the_dense_expression(k4_classes, rng):
+    # The in-place Gram form gives the same bits as max |S_f^H S_f - I|.
+    def dense_defect(s):
+        return max(
+            np.abs(block.conj().T @ block - np.eye(len(tails))).max()
+            for tails, block in s.blocks
+            if len(tails)
+        )
+
+    systems = [cls.representative for cls in k4_classes]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (8, 12, 16)]
+    coins = [Coin.hadamard_type(), random_d_real_coin(rng), random_d_real_coin(rng, max_a=0.99)]
+    for rs in systems:
+        bg = hedgehog(rs)
+        for coin in coins:
+            s = scattering_matrix(bg, coin)
+            assert s.unitarity_defect() == dense_defect(s)
 
 
 def test_outflow_map_three_random_coins(k4_classes, rng):
