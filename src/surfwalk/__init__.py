@@ -17,7 +17,6 @@ from .comfortability import (
     kn_best_worst,
     limit_comfortability,
     positive_coin_average,
-    self_intersections,
 )
 from .covering_blowup import (
     BlowUpGraph,
@@ -45,14 +44,12 @@ from .graph_core import (
     SymmetricDigraph,
     complete_graph,
     cycle_graph,
-    incoming_arcs,
     path_graph,
 )
 from .rotation_system import (
     FacialDecomposition,
     RotationSystem,
     detect_orientability,
-    euler_genus,
     flip_vertex,
     mirror,
     trace_faces,

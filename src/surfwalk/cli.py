@@ -19,12 +19,7 @@ import sys
 import click
 import numpy as np
 
-from .comfortability import (
-    average_comfortability,
-    comfortability,
-    limit_comfortability,
-    positive_coin_average,
-)
+from .comfortability import average_comfortability, comfortability, limit_comfortability
 from .covering_blowup import base_face_map, double_cover, hedgehog
 from .enumeration import check_budget, enumerate_embeddings, rank_by_comfortability
 from .errors import (
@@ -179,11 +174,15 @@ def _load_graph_or_kn(spec: str):
 
 
 def _emit(text: str, out: str | None):
+    """Write ``text``, ended by one newline, to ``out`` or else to stdout:
+    the same bytes either way."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        click.echo(text, nl=False)
 
 
 def _tail_legend(bg) -> list[dict]:
@@ -197,7 +196,7 @@ def _tail_legend(bg) -> list[dict]:
         legend.append(
             {
                 "tail": i,
-                "bridge": int(bg.bridge_of_tail(i)),
+                "bridge": int(bg.bar[i]),
                 "base_arc": [g.origin[e], g.terminus[e]],
                 "sheet": dc.sheet[i],
             }
@@ -353,9 +352,6 @@ def cmd_comfort(file, a_, b_, c_, d_, inflow, want_limit, out):
         avg = average_comfortability(fd, coin)
         payload["average"] = avg
         payload["average_per_tail"] = avg / 2.0
-        a = complex(coin.a)
-        if abs(a.imag) < 1e-12 and a.real > 0 and abs(coin.omega - 1) < 1e-12:
-            payload["positive_coin_form"] = positive_coin_average(fd, a.real)
     else:
         bg = hedgehog(rs)
         vec = _parse_inflow(bg, inflow)
@@ -444,11 +440,13 @@ def _format_class_rows(rows, a_values):
 @click.option("--out", type=click.Path(dir_okay=False))
 def cmd_enumerate(graph, a_values, out):
     """All embedding classes of a graph ('K4' or a rotation-system file)."""
+    if not all(0.0 < a < 1.0 for a in a_values):
+        raise AssumptionError("--a needs 0 < a < 1")
+    coins = [Coin.real_symmetric(a) for a in a_values]
     g = _load_graph_or_kn(graph)
-    classes = enumerate_embeddings(g)
     rows = []
-    for cls in classes:
-        avgs = [positive_coin_average(cls.decomposition, a) for a in a_values]
+    for cls in enumerate_embeddings(g):
+        avgs = [average_comfortability(cls.decomposition, coin) for coin in coins]
         rows.append((cls, limit_comfortability(cls.decomposition), avgs))
     _emit(_format_class_rows(rows, a_values), out)
 

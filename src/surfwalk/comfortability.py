@@ -26,8 +26,8 @@ import numpy as np
 from .covering_blowup import hedgehog
 from .errors import AssumptionError, BudgetError, GraphError
 from .rotation_system import FacialDecomposition
-from .scattering import ScatteringMatrix, scattering_matrix
-from .walk_dynamics import Coin, internal_energy, run_to_stationary
+from .scattering import ScatteringMatrix, _require_built_for, scattering_matrix
+from .walk_dynamics import Coin
 
 __all__ = [
     "ComfortReport",
@@ -36,7 +36,6 @@ __all__ = [
     "positive_coin_average",
     "average_by_enumeration",
     "limit_comfortability",
-    "self_intersections",
     "island_h",
     "island_energy",
     "compare_partitions",
@@ -90,10 +89,12 @@ def comfortability(
 ) -> ComfortReport:
     """Energy stored by the stationary state with the given inflow, from S alone."""
     _require_closed_form(coin)
-    s = scattering if scattering is not None else scattering_matrix(hedgehog(fd.rs), coin)
+    if scattering is None:
+        s = scattering_matrix(hedgehog(fd.rs), coin)
+    else:
+        s = scattering
+        _require_built_for(s, coin, fd.rs)
     bg = s.bg
-    if not bg.hedgehog:
-        raise AssumptionError("comfortability is defined for the hedgehog boundary")
     q = s.apply_q(inflow)
     island, bridge = map(float, _energy_parts(q, q[bg.bar], bg.bridge_sign, coin))
 
@@ -110,31 +111,32 @@ def comfortability(
     )
 
 
-def _face_terms(fd: FacialDecomposition):
-    for length, hits in zip((len(f) for f in fd.faces), fd.self_intersections):
-        yield length, hits
-
-
 def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
     """Average energy over a uniformly random single-tail inflow (times the
-    tail/arc normalization ratio 2; see module docstring)."""
+    tail/arc normalization ratio 2; see module docstring).
+
+    The terms are summed in a canonical order, faces by (length, sorted
+    hit distances) and each face's hits sorted, so embeddings with the same
+    face data get bit-identical averages and rank ties stay exact.
+    """
     _require_closed_form(coin)
-    a, omega, d = coin.a, coin.omega, coin.d.real
+    a, d = coin.a, coin.d.real
+    z = a * coin.omega
     abs_a = abs(a)
     b2 = abs(coin.b) ** 2
     c2 = abs(coin.c) ** 2
 
     t1 = 0.0
     t2 = 0.0
-    for length, hits in _face_terms(fd):
-        denom = abs(1.0 - (a * omega) ** length) ** 2
+    faces = zip(map(len, fd.faces), map(sorted, map(dict.values, fd.self_intersections)))
+    for length, hits in sorted(faces):
+        denom = abs(1.0 - z**length) ** 2
         t1 += length * (1.0 - abs_a ** (2 * length)) / denom
         if hits:
             inner = 0.0
-            for d1, d2 in hits.values():
+            for d1, d2 in hits:
                 inner += 2.0 * (
-                    (a * omega) ** d1 * (1.0 - abs_a ** (2 * d2))
-                    + (a * omega) ** d2 * (1.0 - abs_a ** (2 * d1))
+                    z**d1 * (1.0 - abs_a ** (2 * d2)) + z**d2 * (1.0 - abs_a ** (2 * d1))
                 ).real
             t2 += inner / denom
     n_arcs = fd.rs.graph.arc_count
@@ -147,13 +149,17 @@ def positive_coin_average(fd: FacialDecomposition, a: float) -> float:
     [[a, b], [b, -a]].  Each self-intersecting edge is weighted once per
     crossing direction on each chiral copy of its face, which is what the
     tail-by-tail average requires.
+
+    This is an oracle for the benchmark's checks and criterion 05: no
+    library or CLI path calls it.
     """
     if not 0.0 < a < 1.0:
         raise AssumptionError("this form is stated for 0 < a < 1")
     b2 = 1.0 - a * a
     first = 0.0
     second = 0.0
-    for length, hits in _face_terms(fd):
+    for face, hits in zip(fd.faces, fd.self_intersections):
+        length = len(face)
         first += length * (1.0 + a**length) / (1.0 - a**length)
         if hits:
             arc_sum = sum(2.0 * (a**d1 + a**d2) for d1, d2 in hits.values())
@@ -162,25 +168,9 @@ def positive_coin_average(fd: FacialDecomposition, a: float) -> float:
     return ((2.0 + b2) / b2 * first - 2.0 * a / b2 * second) / n_arcs
 
 
-def average_by_enumeration(
-    fd: FacialDecomposition,
-    coin: Coin,
-    method: str = "closed_form",
-    tol: float = 1e-11,
-) -> float:
-    """Sum of single-tail energies over every tail, divided by |A|.
-
-    ``method='closed_form'`` evaluates the energies from the explicit face
-    blocks of S, a face at a time; ``'simulator'`` runs the walk to
-    stationarity for every tail at once, one inflow column per tail (the
-    oracle: it never builds S).
-    """
-    if method not in ("closed_form", "simulator"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "simulator":
-        bg = hedgehog(fd.rs)  # every island carries a tail
-        state = run_to_stationary(bg, coin, np.eye(bg.size), tol=tol)
-        return float(internal_energy(state).sum()) / fd.rs.graph.arc_count
+def average_by_enumeration(fd: FacialDecomposition, coin: Coin) -> float:
+    """Sum of single-tail energies over every tail, divided by |A|, from
+    the explicit face blocks of S, a face at a time."""
     _require_closed_form(coin)
     s = scattering_matrix(hedgehog(fd.rs), coin)
     bg = s.bg
@@ -219,14 +209,6 @@ def limit_comfortability(fd: FacialDecomposition) -> float:
     n_edges = fd.rs.graph.edge_count
     penalty = sum(2 * len(hits) / len(face) for face, hits in zip(fd.faces, fd.self_intersections))
     return (n_faces / n_edges) * (1.0 - penalty / n_faces)
-
-
-def self_intersections(fd: FacialDecomposition, face_index: int) -> dict[int, tuple[int, int]]:
-    """Edges face ``face_index`` crosses in both directions, with the two
-    distances between the crossings along the walk."""
-    if not 0 <= face_index < len(fd.faces):
-        raise GraphError(f"no face {face_index}")
-    return dict(fd.self_intersections[face_index])
 
 
 # --------------------------------------------------------------------------

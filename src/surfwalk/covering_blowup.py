@@ -129,6 +129,13 @@ class BlowUpGraph:
     the cyclic sequence of island arc ids it visits (both chiral copies, so
     the walks partition all islands).  ``boundary`` marks the island arcs
     carrying a tail; tails never exist as paths, only as these marks.
+
+    The incidence maps between islands and bridges are array lookups: the
+    bridge into the origin of island arc g is ``bar[g]`` and the one into
+    its terminus ``bar[rot[g]]``; the island arc into the origin of bridge
+    g is ``rot_inv[g]`` and the one out of it is ``g``.  The bijection phi
+    from bridges to tails is ``bar`` as well: bridge g feeds the tail on
+    island ``bar[g]``, and tail i is fed by bridge ``bar[i]``.
     """
 
     cover: DoubleCover
@@ -152,30 +159,6 @@ class BlowUpGraph:
 
     def boundary_islands(self) -> np.ndarray:
         return np.flatnonzero(self.boundary)
-
-    # Incidence maps between islands and bridges, all O(1):
-    def br(self, g: int) -> int:
-        """Bridge into the origin of island arc g."""
-        return int(self.bar[g])
-
-    def br_sharp(self, g: int) -> int:
-        """Bridge into the terminus of island arc g."""
-        return int(self.bar[self.rot[g]])
-
-    def is_(self, g: int) -> int:
-        """Island arc into the origin of bridge g."""
-        return int(self.rot_inv[g])
-
-    def is_sharp(self, g: int) -> int:
-        """Island arc out of the origin of bridge g."""
-        return g
-
-    def tail_of_bridge(self, g: int) -> int:
-        """phi: the boundary vertex fed by bridge g, named by its island arc."""
-        return int(self.bar[g])
-
-    def bridge_of_tail(self, i: int) -> int:
-        return int(self.bar[i])
 
 
 def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:

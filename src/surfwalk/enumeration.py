@@ -335,14 +335,16 @@ class RankedClass:
 def rank_by_comfortability(classes, a: float) -> list[RankedClass]:
     """Classes sorted by average comfortability at coin parameter ``a``
     (descending); ties keep the enumeration order."""
-    from .comfortability import limit_comfortability, positive_coin_average
+    from .comfortability import average_comfortability, limit_comfortability
+    from .walk_dynamics import Coin
 
     if not 0.0 < a < 1.0:
         raise GraphError("ranking needs 0 < a < 1")
+    coin = Coin.real_symmetric(a)
     ranked = [
         RankedClass(
             embedding=c,
-            average=positive_coin_average(c.decomposition, a),
+            average=average_comfortability(c.decomposition, coin),
             limit=limit_comfortability(c.decomposition),
         )
         for c in classes

@@ -18,7 +18,6 @@ __all__ = [
     "SymmetricDigraph",
     "arc_reverse",
     "arc_edge",
-    "incoming_arcs",
     "complete_graph",
     "cycle_graph",
     "path_graph",
@@ -113,11 +112,6 @@ class SymmetricDigraph:
             if self.origin[e] == u:
                 return e
         raise GraphError(f"no edge between {u} and {v}")
-
-
-def incoming_arcs(g: SymmetricDigraph, x: int) -> tuple[int, ...]:
-    """A_x = {e : t(e) = x}, in stable id order."""
-    return g.incoming_arcs(x)
 
 
 def complete_graph(n: int) -> SymmetricDigraph:

@@ -18,7 +18,6 @@ from .graph_core import (
     SymmetricDigraph,
     arc_edge,
     arc_reverse,
-    is_connected,
     permutation_cycles,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "RotationSystem",
     "FacialDecomposition",
     "trace_faces",
-    "euler_genus",
     "detect_orientability",
     "flip_vertex",
     "mirror",
@@ -179,18 +177,17 @@ class FacialDecomposition:
     """All facial walks of a rotation system.
 
     ``cover_faces`` are the traced orbits on (arc, parity) states, each
-    starting at its smallest state, in pairs ``chiral_partner[i]`` of
-    mutually reversed walks; ``representative`` flags one orbit per pair.
-    ``faces`` are the representatives projected to base arcs: the facial
-    walks of (G, rho, tau), each face reported once.  Self-intersections are
-    the edges a face crosses in both directions, stored with the two
-    distances between the crossings along the walk.
+    starting at its smallest state, in pairs of mutually reversed walks;
+    ``cover_base[i]`` is (base face index, is_chiral_copy) of orbit ``i``.
+    ``faces`` are the representatives (the orbits that are no chiral copy)
+    projected to base arcs: the facial walks of (G, rho, tau), each face
+    reported once.  Self-intersections are the edges a face crosses in both
+    directions, stored with the two distances between the crossings along
+    the walk.
     """
 
     rs: RotationSystem
     cover_faces: tuple[tuple[int, ...], ...]
-    chiral_partner: tuple[int, ...]
-    representative: tuple[int, ...]
     faces: tuple[tuple[int, ...], ...]
     self_intersections: tuple[dict[int, tuple[int, int]], ...]
     orientable: bool
@@ -265,8 +262,6 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     return FacialDecomposition(
         rs=rs,
         cover_faces=tuple(map(tuple, orbits)),
-        chiral_partner=tuple(partner),
-        representative=tuple(reps),
         faces=tuple(arcs[i] for i in reps),
         self_intersections=tuple(self_int),
         orientable=orientable,
@@ -274,14 +269,6 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
         state_face=tuple(zip(orbit_of, position)),
         cover_base=tuple(cover_base),
     )
-
-
-def euler_genus(rs: RotationSystem) -> tuple[bool, int]:
-    """(orientable, genus) of the embedded surface, via Euler's formula."""
-    if not is_connected(rs.graph):
-        raise GraphError("genus is defined for connected graphs only")
-    fd = trace_faces(rs)
-    return fd.orientable, fd.genus
 
 
 def _bfs_tree(g: SymmetricDigraph) -> list[tuple[int, int]]:
@@ -300,7 +287,7 @@ def _bfs_tree(g: SymmetricDigraph) -> list[tuple[int, int]]:
                 tree.append((x, y))
                 queue.append(y)
     if not all(seen):
-        raise GraphError("orientability detection needs a connected graph")
+        raise GraphError("orientability and genus need a connected graph")
     return tree
 
 

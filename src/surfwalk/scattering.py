@@ -32,6 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .covering_blowup import BlowUpGraph
 from .errors import AssumptionError
+from .rotation_system import RotationSystem
 from .walk_dynamics import Coin, WaveState
 
 __all__ = [
@@ -284,6 +285,15 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     )
 
 
+def _require_built_for(s: ScatteringMatrix, coin: Coin, rs: RotationSystem):
+    """Reject a precomputed S that belongs to another coin, rotation system
+    or boundary than the hedgehog of ``rs`` under ``coin``."""
+    if s.coin != coin:
+        raise AssumptionError("scattering= was built for another coin")
+    if s.bg.cover.base != rs or not s.bg.hedgehog:
+        raise AssumptionError("scattering= was built for another rotation system or boundary")
+
+
 def stationary_closed_form(
     bg: BlowUpGraph, coin: Coin, inflow: np.ndarray, scattering: ScatteringMatrix | None = None
 ) -> WaveState:
@@ -300,7 +310,11 @@ def stationary_closed_form(
         raise AssumptionError(
             "a degenerate coin (b = 0 or c = 0) has no eta; use the simulator"
         )
-    s = scattering if scattering is not None else scattering_matrix(bg, coin)
+    if scattering is None:
+        s = scattering_matrix(bg, coin)
+    else:
+        s = scattering
+        _require_built_for(s, coin, bg.cover.base)
     inflow = np.asarray(inflow, dtype=complex)
     q = s.apply_q(inflow)
 
@@ -323,7 +337,7 @@ def stationary_closed_form(
     )
 
 
-def orientability_from_scattering(s: ScatteringMatrix, bg: BlowUpGraph) -> bool:
+def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     """Sign test of the scattering entries between distinct islands.
 
     With a > 0 (and d real) every nonzero cross-island entry is real with
@@ -337,7 +351,7 @@ def orientability_from_scattering(s: ScatteringMatrix, bg: BlowUpGraph) -> bool:
     have no entries and are vacuously consistent.  Entries are read block
     by block; the pair of base vertices indexes the running sign range.
     """
-    coin = s.coin
+    coin, bg = s.coin, s.bg
     if abs(complex(coin.a).imag) > _AMPLITUDE_EPS or complex(coin.a).real <= 0:
         raise AssumptionError("orientability detection needs a real coin entry a > 0")
     coin.require_d_real()

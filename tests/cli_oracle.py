@@ -3,8 +3,9 @@ the vectorised renderer in ``surfwalk.cli``.
 
 Every complex entry is formatted on its own as f"{re:.17g},{im:.17g}", JSON
 is written by ``json.dumps(payload, indent=2)`` and CSV row by row, as the
-commands first did.  The payloads are assembled here from the library; of
-the CLI only the tail legend is reused, and none of its text helpers.
+commands first did; every document ends with one newline.  The payloads
+are assembled here from the library; of the CLI only the tail legend is
+reused, and none of its text helpers.
 """
 
 import json
@@ -42,7 +43,7 @@ def scatter_json(rs, coin) -> str:
             for i, (tails, block) in enumerate(s.blocks)
         ],
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def scatter_csv(rs, coin) -> str:
@@ -93,4 +94,4 @@ def simulate_json(rs, coin, tail: int, tol: float) -> str:
             ),
             "energy_vs_formula": abs(internal_energy(state) - report.energy),
         }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2) + "\n"

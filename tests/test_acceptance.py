@@ -21,7 +21,6 @@ from surfwalk.comfortability import (
     island_h,
     kn_best_worst,
     limit_comfortability,
-    self_intersections,
     positive_coin_average,
 )
 from surfwalk.covering_blowup import double_cover, hedgehog
@@ -186,7 +185,7 @@ def test_criterion_08_orientability_three_way(k4_classes, rng):
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
         bg = hedgehog(rs)
-        by_signs = orientability_from_scattering(scattering_matrix(bg, coin), bg)
+        by_signs = orientability_from_scattering(scattering_matrix(bg, coin))
         assert by_tree == by_cover == by_signs
     _report(8, "spanning tree = double cover = scattering signs on 11 + 100 systems")
 
@@ -222,7 +221,7 @@ def test_criterion_10_octagon_self_intersections(k4_classes):
         if cls.face_lengths == (8, 4):
             fd = cls.decomposition
             octagon = max(range(2), key=lambda i: len(fd.faces[i]))
-            counts[cls.orientable] = len(self_intersections(fd, octagon))
+            counts[cls.orientable] = len(fd.self_intersections[octagon])
     assert counts[True] == 2  # torus
     assert counts[False] == 1  # Klein bottle
     _report(10, "octagon self-intersections: torus 2, Klein bottle 1")

@@ -233,3 +233,20 @@ def test_huge_vertex_count_exits_2(tmp_path, capsys):
     path.write_text(HUGE_VERTEX_COUNT_FILE)
     assert main(["faces", str(path)]) == 2
     assert len(capsys.readouterr().err) < 200
+
+
+def test_comfort_uniform_keys(projective_file, capsys):
+    code, payload = run_json(capsys, "comfort", projective_file, "--limit")
+    assert code == 0
+    assert sorted(payload) == ["average", "average_per_tail", "limit"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "K4", "--a", "0"], ["enumerate", "K4", "--a", "1.5"], ["enumerate", "K4", "--a", "-0.5"],
+     ["enumerate", "K4", "--a", "0.5", "--a", "1"], ["rank", "K4", "--a", "0"]],
+    ids=["enumerate-0", "enumerate-1.5", "enumerate-negative", "enumerate-1", "rank-0"],
+)
+def test_coin_parameter_outside_unit_interval_exits_3(argv, capsys):
+    assert main(argv) == 3
+    assert "0 < a < 1" in capsys.readouterr().err

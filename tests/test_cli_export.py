@@ -81,9 +81,18 @@ def test_scatter_stdout_matches_out_file(fmt, tmp_path, capsys):
     argv = ["scatter", path, *flags, "--format", fmt]
     written = _run(argv, tmp_path / "out")
     assert cli.main(argv) == 0
-    # The echo ends the JSON document, which has no final newline of its own,
-    # with one; the CSV rows end with it already.
-    assert capsys.readouterr().out == (written if fmt == "csv" else written + "\n")
+    assert capsys.readouterr().out == written
+    assert written.endswith("}\n" if fmt == "json" else "\n")
+
+
+@pytest.mark.parametrize("command", [["faces"], ["comfort", "--limit"]], ids=["faces", "comfort"])
+def test_json_stdout_matches_out_file(command, tmp_path, capsys):
+    path, _ = _system_file(tmp_path, "projective")
+    argv = [command[0], path, *command[1:]]
+    written = _run(argv, tmp_path / "out")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == written
+    assert written.endswith("}\n")
 
 
 ADVERSARIAL = np.array(

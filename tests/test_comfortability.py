@@ -17,10 +17,9 @@ from surfwalk.comfortability import (
     island_h,
     kn_best_worst,
     limit_comfortability,
-    self_intersections,
     positive_coin_average,
 )
-from surfwalk.covering_blowup import hedgehog
+from surfwalk.covering_blowup import blow_up, double_cover, hedgehog
 from surfwalk.errors import AssumptionError, BudgetError, GraphError
 from surfwalk.graph_core import SymmetricDigraph, cycle_graph
 from surfwalk.rotation_system import RotationSystem, flip_vertex, trace_faces
@@ -32,6 +31,15 @@ def unit_inflow(n, tail):
     v = np.zeros(n, dtype=complex)
     v[tail] = 1.0
     return v
+
+
+def simulated_average(fd, coin, tol=1e-11):
+    """The single-tail average by the simulator alone: one batched run with
+    an inflow column per tail, its column energies summed, divided by |A|.
+    It never builds S, so it checks the closed forms for any unitary coin."""
+    bg = hedgehog(fd.rs)  # every island carries a tail
+    state = run_to_stationary(bg, coin, np.eye(bg.size), tol=tol)
+    return float(internal_energy(state).sum()) / fd.rs.graph.arc_count
 
 
 def test_zero_inflow_zero_energy():
@@ -77,7 +85,7 @@ def test_average_routes_agree(rng):
     fd = trace_faces(rs)
     for coin in (Coin.hadamard_type(), random_d_real_coin(rng, max_a=0.8)):
         by_faces = average_comfortability(fd, coin)
-        by_enum = average_by_enumeration(fd, coin, "closed_form")
+        by_enum = average_by_enumeration(fd, coin)
         assert abs(by_faces - by_enum) < 1e-10
         # matrix-trace route
         bg = hedgehog(rs)
@@ -95,7 +103,7 @@ def test_average_agrees_with_simulator_mean():
     fd = trace_faces(projective_k4())
     coin = Coin.hadamard_type()
     assert abs(
-        average_comfortability(fd, coin) - average_by_enumeration(fd, coin, "simulator")
+        average_comfortability(fd, coin) - simulated_average(fd, coin)
     ) < 1e-8
 
 
@@ -107,7 +115,8 @@ def test_simulator_average_never_builds_scattering(monkeypatch):
         raise AssertionError("simulator average built S")
 
     # the package re-exports the function comfortability under the module's name
-    monkeypatch.setattr(importlib.import_module("surfwalk.comfortability"), "scattering_matrix", refuse)
+    for module in ("surfwalk.scattering", "surfwalk.comfortability"):
+        monkeypatch.setattr(importlib.import_module(module), "scattering_matrix", refuse)
     rs = planar_k4()
     fd = trace_faces(rs)
     r = 1.0 / np.sqrt(2.0)
@@ -119,7 +128,7 @@ def test_simulator_average_never_builds_scattering(monkeypatch):
         for j in range(bg.size)
     )
     expected = per_tail / rs.graph.arc_count
-    assert abs(average_by_enumeration(fd, coin, "simulator") - expected) < 1e-8 * expected
+    assert abs(simulated_average(fd, coin) - expected) < 1e-8 * expected
 
 
 def test_positive_coin_form_matches_general():
@@ -197,16 +206,14 @@ def test_self_intersection_counts_match_figure(k4_classes):
         if cls.face_lengths == (8, 4):
             fd = cls.decomposition
             i = max(range(2), key=lambda j: len(fd.faces[j]))
-            octagons[cls.orientable] = len(self_intersections(fd, i))
+            octagons[cls.orientable] = len(fd.self_intersections[i])
     assert octagons == {True: 2, False: 1}
 
 
 def test_self_intersections_triangle_faces_empty():
     fd = trace_faces(planar_k4())
     for i in range(4):
-        assert self_intersections(fd, i) == {}
-    with pytest.raises(GraphError):
-        self_intersections(fd, 99)
+        assert fd.self_intersections[i] == {}
 
 
 def test_comfortability_requires_valid_coin():
@@ -343,3 +350,23 @@ def test_kn_best_worst_classification():
     assert kn_best_worst(8).worst == "non-orientable"
     assert kn_best_worst(4).formula_caveat
     assert not kn_best_worst(5).formula_caveat
+
+
+def test_comfortability_rejects_scattering_of_another_coin_or_system():
+    # Paired with the Hadamard S, coin 0.3 would read energy 1.130 on
+    # projective K4 instead of 1.601.
+    rs = projective_k4()
+    fd = trace_faces(rs)
+    coin = Coin.real_symmetric(0.3)
+    inflow = unit_inflow(24, 0)
+    expected = comfortability(fd, coin, inflow).energy
+    assert abs(expected - 1.601) < 1e-3
+    own = scattering_matrix(hedgehog(rs), coin)
+    assert comfortability(fd, coin, inflow, scattering=own).energy == expected
+    for other in (
+        scattering_matrix(hedgehog(rs), Coin.hadamard_type()),
+        scattering_matrix(hedgehog(planar_k4()), coin),
+        scattering_matrix(blow_up(double_cover(rs), boundary=range(12)), coin),
+    ):
+        with pytest.raises(AssumptionError, match="scattering="):
+            comfortability(fd, coin, inflow, scattering=other)

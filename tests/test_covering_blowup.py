@@ -80,12 +80,13 @@ def test_incidence_map_relations(rng):
         bg = blow_up(double_cover(rs))
         cg = bg.cover.graph
         for g in range(bg.size):
-            # o(xi) = t(br(xi)), t(xi) = t(br_sharp(xi)) for island arc g.
-            assert bg.br(g) == (g ^ 1)
-            assert cg.terminus[bg.br(g) ^ 1] == cg.origin[bg.br(g)]
-            # is(b) ends at o(b), is_sharp(b) starts there; rot(is) = is_sharp.
-            assert bg.rot[bg.is_(g)] == bg.is_sharp(g)
-            assert bg.is_(g) != bg.is_sharp(g)
+            # o(xi) = t(br(xi)) with br(xi) = bar[xi] for island arc g.
+            assert bg.bar[g] == (g ^ 1)
+            assert cg.terminus[bg.bar[g] ^ 1] == cg.origin[bg.bar[g]]
+            # is(b) = rot_inv[b] ends at o(b), is_sharp(b) = b starts there;
+            # rot(is) = is_sharp.
+            assert bg.rot[bg.rot_inv[g]] == g
+            assert bg.rot_inv[g] != g
 
 
 def test_extended_walks_cover_everything_once(rng):
@@ -107,10 +108,11 @@ def test_hedgehog_tail_count_and_phi_bijection():
     bg = hedgehog(projective_k4())
     tails = bg.boundary_islands()
     assert len(tails) == 24  # one per island arc = 2|A|
-    images = {bg.tail_of_bridge(g) for g in range(bg.size)}
+    # phi(bridge g) = tail on island bar[g]; tail i is fed by bridge bar[i].
+    images = {int(bg.bar[g]) for g in range(bg.size)}
     assert images == set(range(bg.size))
     for g in range(bg.size):
-        assert bg.bridge_of_tail(bg.tail_of_bridge(g)) == g
+        assert bg.bar[bg.bar[g]] == g
 
 
 def test_quay_sits_on_one_face():

@@ -6,7 +6,7 @@ import pytest
 
 import enum_oracle
 from conftest import random_rotation_system
-from surfwalk.comfortability import comfortability
+from surfwalk.comfortability import average_comfortability, comfortability
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import (
     check_budget,
@@ -237,3 +237,27 @@ def test_k5_genus_distribution():
     dist, classes = _orientable_genus_distribution(complete_graph(5))
     assert dist == {1: 462, 2: 4974, 3: 2340}
     assert sum(c.orbit_size for c in classes) == check_budget(10, [4] * 5, budget=10**7) == 7_962_624
+
+
+def test_equal_face_data_ties_exactly_and_keeps_enumeration_order():
+    # Classes with the same face lengths and self-intersection distances
+    # have mathematically equal averages; summing in a canonical order makes
+    # them bit-equal, so the stable sort keeps them in enumeration order.
+    # Summed in face order, one group of this census differs by rounding.
+    g = SymmetricDigraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])
+    classes = enumerate_embeddings(g)
+    assert len(classes) == 60
+    coin = Coin.real_symmetric(0.98)
+    averages = collections.defaultdict(set)
+    for c in classes:
+        fd = c.decomposition
+        data = sorted((len(f), sorted(h.values())) for f, h in zip(fd.faces, fd.self_intersections))
+        averages[repr(data)].add(average_comfortability(fd, coin))
+    assert len(averages) == 32
+    assert all(len(values) == 1 for values in averages.values())
+    position = {id(c): i for i, c in enumerate(classes)}
+    ranked = rank_by_comfortability(classes, 0.98)
+    for first, second in zip(ranked, ranked[1:]):
+        assert first.average >= second.average
+        if first.average == second.average:
+            assert position[id(first.embedding)] < position[id(second.embedding)]

@@ -7,7 +7,6 @@ from surfwalk.graph_core import (
     arc_reverse,
     complete_graph,
     cycle_graph,
-    incoming_arcs,
     is_connected,
     path_graph,
 )
@@ -27,21 +26,21 @@ def test_complete_graph_rejects_small_n():
 
 def test_incoming_arcs_k4():
     g = complete_graph(4)
-    arcs = incoming_arcs(g, 0)
+    arcs = g.incoming_arcs(0)
     assert len(arcs) == 3
     assert sorted(g.origin[e] for e in arcs) == [1, 2, 3]
     for x in range(4):
-        assert len(incoming_arcs(g, x)) == g.degree(x) == 3
+        assert len(g.incoming_arcs(x)) == g.degree(x) == 3
 
 
 def test_incoming_arcs_path_middle_vertex():
     g = path_graph(3)
-    assert len(incoming_arcs(g, 1)) == 2
+    assert len(g.incoming_arcs(1)) == 2
 
 
 def test_incoming_arcs_unknown_vertex():
     with pytest.raises(GraphError):
-        incoming_arcs(complete_graph(4), 7)
+        complete_graph(4).incoming_arcs(7)
 
 
 def test_degree_sum_identity():

@@ -215,9 +215,9 @@ def test_transfer_relation_exact_on_closed_form():
 def test_orientability_detection_sphere_and_projective():
     coin = Coin.hadamard_type()
     bg0 = hedgehog(planar_k4())
-    assert orientability_from_scattering(scattering_matrix(bg0, coin), bg0)
+    assert orientability_from_scattering(scattering_matrix(bg0, coin))
     bg1 = hedgehog(projective_k4())
-    assert not orientability_from_scattering(scattering_matrix(bg1, coin), bg1)
+    assert not orientability_from_scattering(scattering_matrix(bg1, coin))
 
 
 def test_orientability_three_way_agreement(rng):
@@ -227,7 +227,7 @@ def test_orientability_three_way_agreement(rng):
         bg = hedgehog(rs)
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
-        by_signs = orientability_from_scattering(scattering_matrix(bg, coin), bg)
+        by_signs = orientability_from_scattering(scattering_matrix(bg, coin))
         assert by_tree == by_cover == by_signs
 
 
@@ -236,7 +236,7 @@ def test_detection_requires_positive_a():
     coin = Coin.real_symmetric(-0.5)
     s = scattering_matrix(bg, coin)
     with pytest.raises(AssumptionError):
-        orientability_from_scattering(s, bg)
+        orientability_from_scattering(s)
 
 
 def test_general_boundary_matches_simulator():
@@ -307,7 +307,7 @@ def test_three_way_agreement_on_k5(rng):
         bg = hedgehog(rs)
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
-        by_signs = orientability_from_scattering(scattering_matrix(bg, coin), bg)
+        by_signs = orientability_from_scattering(scattering_matrix(bg, coin))
         assert by_tree == by_cover == by_signs
 
 
@@ -482,8 +482,25 @@ def test_closed_form_pipeline_never_goes_dense(monkeypatch, rng):
     inflow[int(rng.integers(bg.size))] = 1.0
     state = stationary_closed_form(bg, coin, inflow, scattering=s)
     report = comfortability(fd, coin, inflow, scattering=s)
-    average = average_by_enumeration(fd, coin, "closed_form")
+    average = average_by_enumeration(fd, coin)
     assert np.isfinite([report.energy, average]).all()
     assert np.abs(state.outflow).max() > 0
     # Nothing on the path needed the dense per-face export either.
     assert "blocks" not in vars(s)
+
+
+def test_stationary_closed_form_rejects_scattering_of_another_coin_or_system():
+    bg = hedgehog(projective_k4())
+    coin = Coin.real_symmetric(0.3)
+    inflow = np.zeros(bg.size, dtype=complex)
+    inflow[0] = 1.0
+    expected = stationary_closed_form(bg, coin, inflow)
+    same = stationary_closed_form(bg, coin, inflow, scattering=scattering_matrix(hedgehog(projective_k4()), coin))
+    assert np.array_equal(same.outflow, expected.outflow)
+    for other in (
+        scattering_matrix(bg, Coin.hadamard_type()),
+        scattering_matrix(hedgehog(planar_k4()), coin),
+        scattering_matrix(blow_up(bg.cover, boundary=range(12)), coin),
+    ):
+        with pytest.raises(AssumptionError, match="scattering="):
+            stationary_closed_form(bg, coin, inflow, scattering=other)
