@@ -393,7 +393,7 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
             "bridge": bridge,
         },
     }
-    if coin.d_is_real and min(abs(coin.b), abs(coin.c)) > 1e-12 and abs(coin.a) < 1:
+    if coin.has_closed_form:
         s = scattering_matrix(bg, coin)
         closed = stationary_closed_form(bg, coin, vec, scattering=s)
         fd = trace_faces(rs)

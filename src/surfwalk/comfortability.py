@@ -43,17 +43,6 @@ __all__ = [
     "KnGenera",
 ]
 
-_EPS = 1e-12
-
-
-def _require_closed_form(coin: Coin):
-    coin.require_d_real()
-    if abs(coin.b) < _EPS or abs(coin.c) < _EPS:
-        raise AssumptionError("comfortability formulas need b, c != 0")
-    if abs(coin.a) >= 1.0 - 1e-14:
-        raise AssumptionError("comfortability formulas need |a| < 1")
-
-
 def _energy_parts(q: np.ndarray, q_bar: np.ndarray, sign: np.ndarray, coin: Coin):
     """Island and bridge energy of the stationary state with Q inflow = q.
 
@@ -69,12 +58,11 @@ def _energy_parts(q: np.ndarray, q_bar: np.ndarray, sign: np.ndarray, coin: Coin
 
 @dataclass(frozen=True)
 class ComfortReport:
-    """Energies of one stationary state, split island/bridge and per face."""
+    """Energies of one stationary state, split island/bridge."""
 
     energy: float
     island: float
     bridge: float
-    per_face_island: tuple[float, ...]
 
     def __post_init__(self):
         if self.energy < -1e-12 or self.island < -1e-12 or self.bridge < -1e-12:
@@ -88,7 +76,7 @@ def comfortability(
     scattering: ScatteringMatrix | None = None,
 ) -> ComfortReport:
     """Energy stored by the stationary state with the given inflow, from S alone."""
-    _require_closed_form(coin)
+    coin.require_closed_form()
     if scattering is None:
         s = scattering_matrix(hedgehog(fd.rs), coin)
     else:
@@ -97,18 +85,7 @@ def comfortability(
     bg = s.bg
     q = s.apply_q(inflow)
     island, bridge = map(float, _energy_parts(q, q[bg.bar], bg.bridge_sign, coin))
-
-    c2 = abs(coin.c) ** 2
-    per_face = [
-        float(np.vdot(q[tails], q[tails]).real) / c2
-        for tails in s.face_tails()
-    ]
-    return ComfortReport(
-        energy=island + bridge,
-        island=island,
-        bridge=bridge,
-        per_face_island=tuple(per_face),
-    )
+    return ComfortReport(energy=island + bridge, island=island, bridge=bridge)
 
 
 def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
@@ -119,7 +96,7 @@ def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
     hit distances) and each face's hits sorted, so embeddings with the same
     face data get bit-identical averages and rank ties stay exact.
     """
-    _require_closed_form(coin)
+    coin.require_closed_form()
     a, d = coin.a, coin.d.real
     z = a * coin.omega
     abs_a = abs(a)
@@ -171,7 +148,7 @@ def positive_coin_average(fd: FacialDecomposition, a: float) -> float:
 def average_by_enumeration(fd: FacialDecomposition, coin: Coin) -> float:
     """Sum of single-tail energies over every tail, divided by |A|, from
     the explicit face blocks of S, a face at a time."""
-    _require_closed_form(coin)
+    coin.require_closed_form()
     s = scattering_matrix(hedgehog(fd.rs), coin)
     bg = s.bg
     # A single-tail inflow excites one face: its Q inflow is a column of

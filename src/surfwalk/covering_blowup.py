@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_core import SymmetricDigraph, arc_edge, permutation_cycles
+from .graph_core import SymmetricDigraph, arc_edge, bfs_forest, permutation_cycles
 from .rotation_system import RotationSystem
 
 __all__ = [
@@ -92,23 +92,6 @@ def double_cover(rs: RotationSystem) -> DoubleCover:
         nxt = rs.rot[e] if s == 0 else rot_inv[e]
         rot[c] = lift[2 * nxt + s]
 
-    # Component count of the cover (1 iff the base embedding is non-orientable).
-    seen = [False] * cover.vertex_count
-    components = 0
-    for start in range(cover.vertex_count):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            for a in cover.incoming_arcs(x):
-                y = cover.origin[a]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-
     return DoubleCover(
         base=rs,
         graph=cover,
@@ -116,7 +99,9 @@ def double_cover(rs: RotationSystem) -> DoubleCover:
         proj=tuple(proj),
         sheet=tuple(sheet),
         rot=tuple(rot),
-        components=components,
+        # A spanning forest has one tree per component, each with one edge
+        # fewer than vertices; 1 component iff the base is non-orientable.
+        components=cover.vertex_count - len(bfs_forest(cover)),
     )
 
 
@@ -201,12 +186,8 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
 def base_face_map(bg: BlowUpGraph, fd) -> list[tuple[int, bool]]:
     """For each extended facial walk of the blow-up, the (base face index,
     is_chiral_copy) pair under the facial decomposition of the base system."""
-    out = []
-    for face in bg.faces:
-        state = bg.cover.arc_to_state(face[0])
-        cover_index, _ = fd.face_of(state)
-        out.append(fd.base_face_of(cover_index))
-    return out
+    orbit_of = {state: i for i, orbit in enumerate(fd.cover_faces) for state in orbit}
+    return [fd.cover_base[orbit_of[bg.cover.arc_to_state(face[0])]] for face in bg.faces]
 
 
 def attach_hedgehog(bg: BlowUpGraph) -> BlowUpGraph:

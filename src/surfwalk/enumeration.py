@@ -31,9 +31,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetError, GraphError
+from .comfortability import average_comfortability, limit_comfortability
+from .errors import AssumptionError, BudgetError, GraphError
 from .graph_core import SymmetricDigraph, arc_edge, is_connected
 from .rotation_system import FacialDecomposition, RotationSystem, trace_faces
+from .walk_dynamics import Coin
 
 __all__ = [
     "EmbeddingClass",
@@ -335,11 +337,8 @@ class RankedClass:
 def rank_by_comfortability(classes, a: float) -> list[RankedClass]:
     """Classes sorted by average comfortability at coin parameter ``a``
     (descending); ties keep the enumeration order."""
-    from .comfortability import average_comfortability, limit_comfortability
-    from .walk_dynamics import Coin
-
     if not 0.0 < a < 1.0:
-        raise GraphError("ranking needs 0 < a < 1")
+        raise AssumptionError("ranking needs 0 < a < 1")
     coin = Coin.real_symmetric(a)
     ranked = [
         RankedClass(

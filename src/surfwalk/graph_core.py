@@ -9,6 +9,7 @@ face walks, covers) be a plain integer array.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "path_graph",
+    "bfs_forest",
     "is_connected",
     "permutation_cycles",
 ]
@@ -133,18 +135,31 @@ def path_graph(n: int) -> SymmetricDigraph:
     return SymmetricDigraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def is_connected(g: SymmetricDigraph) -> bool:
+def bfs_forest(g: SymmetricDigraph) -> list[tuple[int, int]]:
+    """A breadth-first spanning forest as (parent, child) pairs in discovery
+    order.  Each tree is rooted at its smallest vertex and neighbours are
+    visited in incoming-arc order, so the tree of vertex 0 comes first; the
+    forest has ``vertex_count`` minus the number of components pairs."""
     seen = [False] * g.vertex_count
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for e in g.incoming_arcs(x):
-            y = g.origin[e]
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return all(seen)
+    forest = []
+    for root in range(g.vertex_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for e in g.incoming_arcs(x):
+                y = g.origin[e]
+                if not seen[y]:
+                    seen[y] = True
+                    forest.append((x, y))
+                    queue.append(y)
+    return forest
+
+
+def is_connected(g: SymmetricDigraph) -> bool:
+    return len(bfs_forest(g)) == g.vertex_count - 1
 
 
 def permutation_cycles(succ: Sequence[int]) -> tuple[list[list[int]], list[int], list[int]]:

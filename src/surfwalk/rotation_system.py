@@ -18,6 +18,7 @@ from .graph_core import (
     SymmetricDigraph,
     arc_edge,
     arc_reverse,
+    bfs_forest,
     permutation_cycles,
 )
 
@@ -48,6 +49,8 @@ class RotationSystem:
             raise GraphError("twist must cover every edge")
         if any(t not in (0, 1) for t in self.twist):
             raise GraphError("twists must be 0 or 1")
+        if self.rot and not (0 <= min(self.rot) and max(self.rot) < len(self.rot)):
+            raise GraphError(f"rotation names an arc outside 0..{len(self.rot) - 1}")
         for x in range(g.vertex_count):
             ax = g.incoming_arcs(x)
             if len(ax) < 2:
@@ -124,19 +127,29 @@ class RotationSystem:
         return tuple(inv)
 
 
+def _flipped(rs: RotationSystem, flip_bits: Sequence[int]) -> RotationSystem:
+    """The system after the vertex move at every x with ``flip_bits[x]`` set:
+    rho is inverted at each flipped vertex and the twist of each edge is
+    toggled once per flipped end."""
+    g = rs.graph
+    rot, twist = list(rs.rot), list(rs.twist)
+    for x in range(g.vertex_count):
+        if flip_bits[x]:
+            for e in g.incoming_arcs(x):
+                rot[rs.rot[e]] = e
+                twist[arc_edge(e)] ^= 1
+    return RotationSystem(g, tuple(rot), tuple(twist))
+
+
 def flip_vertex(rs: RotationSystem, x: int) -> RotationSystem:
     """The embedding-preserving vertex move: invert rho_x and toggle the
     twist of every edge incident to x."""
     g = rs.graph
     if not (0 <= x < g.vertex_count):
         raise GraphError(f"unknown vertex {x}")
-    rot = list(rs.rot)
-    for e in g.incoming_arcs(x):
-        rot[rs.rot[e]] = e
-    twist = list(rs.twist)
-    for e in g.incoming_arcs(x):
-        twist[arc_edge(e)] ^= 1
-    return RotationSystem(g, tuple(rot), tuple(twist))
+    flip_bits = [0] * g.vertex_count
+    flip_bits[x] = 1
+    return _flipped(rs, flip_bits)
 
 
 def mirror(rs: RotationSystem) -> RotationSystem:
@@ -192,22 +205,11 @@ class FacialDecomposition:
     self_intersections: tuple[dict[int, tuple[int, int]], ...]
     orientable: bool
     genus: int
-    state_face: tuple[tuple[int, int], ...] = field(repr=False, compare=False, default=())
     cover_base: tuple[tuple[int, bool], ...] = field(repr=False, compare=False, default=())
 
     @property
     def face_lengths(self) -> tuple[int, ...]:
         return tuple(sorted((len(f) for f in self.faces), reverse=True))
-
-    def face_of(self, state: int) -> tuple[int, int]:
-        """(cover face index, position) of a trace state ``2*arc + parity``."""
-        return self.state_face[state]
-
-    def base_face_of(self, cover_index: int) -> tuple[int, bool]:
-        """(base face index, is_chiral_copy) of a cover face."""
-        if not 0 <= cover_index < len(self.cover_base):
-            raise GraphError(f"no cover face {cover_index}")
-        return self.cover_base[cover_index]
 
 
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
@@ -266,29 +268,8 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
         self_intersections=tuple(self_int),
         orientable=orientable,
         genus=genus,
-        state_face=tuple(zip(orbit_of, position)),
         cover_base=tuple(cover_base),
     )
-
-
-def _bfs_tree(g: SymmetricDigraph) -> list[tuple[int, int]]:
-    """BFS spanning tree rooted at vertex 0, as (parent, child) pairs in
-    discovery order."""
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    queue = [0]
-    tree = []
-    while queue:
-        x = queue.pop(0)
-        for e in g.incoming_arcs(x):
-            y = g.origin[e]
-            if not seen[y]:
-                seen[y] = True
-                tree.append((x, y))
-                queue.append(y)
-    if not all(seen):
-        raise GraphError("orientability and genus need a connected graph")
-    return tree
 
 
 def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
@@ -301,8 +282,11 @@ def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
     can).  Returns (orientable, flip bit per vertex).
     """
     g = rs.graph
+    tree = bfs_forest(g)
+    if len(tree) != g.vertex_count - 1:
+        raise GraphError("orientability and genus need a connected graph")
     flip = [0] * g.vertex_count
-    for parent, child in _bfs_tree(g):
+    for parent, child in tree:
         flip[child] = flip[parent] ^ rs.twist[arc_edge(g.arc_between(parent, child))]
     orientable = all(
         rs.twist[k] == flip[u] ^ flip[v] for k, (u, v) in enumerate(g.edges())
@@ -313,14 +297,6 @@ def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
 def detect_orientability(rs: RotationSystem) -> tuple[bool, RotationSystem]:
     """Normalize twists along a spanning tree by vertex flips; the surface is
     non-orientable iff a twisted edge survives outside the tree.  The
-    normalized system is built once: every flipped vertex has its rotation
-    inverted and the twist of each edge is toggled once per flipped end."""
+    normalized system is built once, with every tree flip applied together."""
     orientable, flip = _tree_flips(rs)
-    g = rs.graph
-    rot = list(rs.rot)
-    for x in range(g.vertex_count):
-        if flip[x]:
-            for e in g.incoming_arcs(x):
-                rot[rs.rot[e]] = e
-    twist = tuple(t ^ flip[u] ^ flip[v] for t, (u, v) in zip(rs.twist, g.edges()))
-    return orientable, RotationSystem(g, tuple(rot), twist)
+    return orientable, _flipped(rs, flip)

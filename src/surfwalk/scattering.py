@@ -42,8 +42,6 @@ __all__ = [
     "orientability_from_scattering",
 ]
 
-_AMPLITUDE_EPS = 1e-12
-
 
 def _face_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
     """Boundary positions of a face and the inter-tail weights.
@@ -245,8 +243,7 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     """S = sum of face blocks bc P_f(omega) (I - a P_f(omega))^-1 + d I,
     kept as explicit per-face data (O(total tails), no inverse)."""
     coin.require_d_real()
-    a, b, c = coin.a, coin.b, coin.c
-    degenerate = abs(b) < _AMPLITUDE_EPS or abs(c) < _AMPLITUDE_EPS
+    a = coin.a
 
     tails, hops, parity = zip(*(_face_boundary(bg, face) for face in bg.faces))
     counts = np.array([len(t) for t in tails], dtype=np.int64)
@@ -264,14 +261,14 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     )
     live = counts > 0
     gaps = np.where(live, np.abs(1.0 - turn), np.inf).astype(float)
-    if not degenerate and abs(a) >= 1.0 - 1e-14:
+    if not coin.degenerate and coin.unit_a:
         worst = int(np.argmin(gaps))
         raise AssumptionError(
             "face blocks need |a| < 1 to be invertible; the smallest gap "
             f"|1 - a^q Pi| is {gaps[worst]:.3e} (face {worst})"
         )
     closing = np.zeros(len(counts), dtype=complex)
-    if not degenerate:
+    if not coin.degenerate:
         closing[live] = 1.0 / (1.0 - turn[live])
     return ScatteringMatrix(
         bg=bg,
@@ -306,7 +303,7 @@ def stationary_closed_form(
     coin.require_d_real()
     if not bg.hedgehog:
         raise AssumptionError("the stationary closed form is stated for the hedgehog")
-    if abs(coin.b) < _AMPLITUDE_EPS or abs(coin.c) < _AMPLITUDE_EPS:
+    if coin.degenerate:
         raise AssumptionError(
             "a degenerate coin (b = 0 or c = 0) has no eta; use the simulator"
         )
@@ -352,7 +349,7 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     by block; the pair of base vertices indexes the running sign range.
     """
     coin, bg = s.coin, s.bg
-    if abs(complex(coin.a).imag) > _AMPLITUDE_EPS or complex(coin.a).real <= 0:
+    if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
         raise AssumptionError("orientability detection needs a real coin entry a > 0")
     coin.require_d_real()
     if not bg.hedgehog:
@@ -369,7 +366,7 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
             raise AssumptionError("scattering entries are not real; check the coin")
         vertex = base_of_tail[np.array(tails)]
         pair = vertex[:, None] * nv + vertex[None, :]
-        keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > _AMPLITUDE_EPS)
+        keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > Coin.AMPLITUDE_EPS)
         np.minimum.at(low, pair[keep], block.real[keep])
         np.maximum.at(high, pair[keep], block.real[keep])
     return not np.any((low < 0) & (high > 0))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,7 +55,15 @@ class Coin:
     ``a`` keeps a walker on its island, ``b`` lets it hop off a bridge onto
     an island, ``c`` sends it from an island onto a bridge and ``d``
     reflects it back along the inverse bridge.
+
+    The closed forms S_f = bc P_f(omega) (I - a P_f(omega))^-1 + d I hold
+    for d real, b and c nonzero and |a| < 1 (:attr:`has_closed_form`).  An
+    amplitude below ``AMPLITUDE_EPS`` counts as zero, and an |a| within
+    ``UNIT_A_MARGIN`` of 1 as one.
     """
+
+    AMPLITUDE_EPS: ClassVar[float] = 1e-12
+    UNIT_A_MARGIN: ClassVar[float] = 1e-14
 
     a: complex
     b: complex
@@ -76,11 +85,34 @@ class Coin:
 
     @property
     def d_is_real(self) -> bool:
-        return abs(self.d.imag if isinstance(self.d, complex) else 0.0) <= UNITARITY_TOL
+        return abs(complex(self.d).imag) <= self.AMPLITUDE_EPS
+
+    @property
+    def degenerate(self) -> bool:
+        """b = 0 or c = 0: no amplitude crosses between island and bridge,
+        so S = dI and the stationary state has no closed form."""
+        return min(abs(self.b), abs(self.c)) < self.AMPLITUDE_EPS
+
+    @property
+    def unit_a(self) -> bool:
+        """|a| = 1: the face blocks I - a P_f(omega) may be singular."""
+        return abs(self.a) >= 1.0 - self.UNIT_A_MARGIN
+
+    @property
+    def has_closed_form(self) -> bool:
+        return self.d_is_real and not self.degenerate and not self.unit_a
 
     def require_d_real(self):
         if not self.d_is_real:
             raise AssumptionError("closed forms require a real reflection amplitude d")
+
+    def require_closed_form(self):
+        """Raise :class:`AssumptionError` unless :attr:`has_closed_form`."""
+        self.require_d_real()
+        if self.degenerate:
+            raise AssumptionError("comfortability formulas need b, c != 0")
+        if self.unit_a:
+            raise AssumptionError("comfortability formulas need |a| < 1")
 
     @classmethod
     def hadamard_type(cls) -> "Coin":

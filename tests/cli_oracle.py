@@ -79,7 +79,7 @@ def simulate_json(rs, coin, tail: int, tol: float) -> str:
             "bridge": [fmt_complex(z) for z in state.bridge],
         },
     }
-    if coin.d_is_real and min(abs(coin.b), abs(coin.c)) > 1e-12 and abs(coin.a) < 1:
+    if coin.d_is_real and min(abs(coin.b), abs(coin.c)) >= 1e-12 and abs(coin.a) < 1 - 1e-14:
         s = scattering_matrix(bg, coin)
         closed = stationary_closed_form(bg, coin, vec, scattering=s)
         report = comfortability(trace_faces(rs), coin, vec, scattering=s)

@@ -7,6 +7,7 @@ chains in its workloads.  The files are read as text, not imported.
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -66,3 +67,35 @@ def test_benchmark_names_resolve():
         for name in chain.split("."):
             assert hasattr(value, name), f"sw.{chain}"
             value = getattr(value, name)
+
+
+def _sw_chain(node) -> list[str] | None:
+    """The names of an ``sw.a.b`` attribute chain, or None for any other node."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return names[::-1] if isinstance(node, ast.Name) and node.id == "sw" else None
+
+
+def test_benchmark_calls_bind_to_signatures():
+    """Each ``sw.<chain>(...)`` call in the workloads binds to the library's
+    signature with its positional count and keyword names, so dropping a
+    parameter the benchmark passes (``scattering=``, ``tol=``) fails here."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _sw_chain(node.func)]
+    assert len(calls) >= 31
+    for call in calls:
+        chain = _sw_chain(call.func)
+        where = f"workloads.py:{call.lineno} sw.{'.'.join(chain)}"
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+        assert all(kw.arg is not None for kw in call.keywords), where
+        target = surfwalk
+        for name in chain:
+            target = getattr(target, name)
+        args = [None] * len(call.args)
+        kwargs = {kw.arg: None for kw in call.keywords}
+        try:
+            inspect.signature(target).bind(*args, **kwargs)
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None

@@ -172,6 +172,18 @@ def test_simulate_degenerate_coin_fast(projective_file, capsys):
     assert payload["steps"] <= 24
 
 
+def test_simulate_near_unit_a_skips_the_comparison(projective_file, capsys):
+    # |a| within 1e-14 of 1: the closed forms do not apply, so the run is
+    # reported without a comparison block instead of failing afterwards.
+    code, payload = run_json(
+        capsys, "simulate", projective_file, "--a", "0.999999999999995", "--b", "9.996e-08",
+        "--c", "9.996e-08", "--d", "-0.999999999999995", "--tol", "1e9",
+    )
+    assert code == 0
+    assert "comparison" not in payload
+    assert payload["steps"] == 1
+
+
 def test_enumerate_k4(capsys):
     code = main(["enumerate", "K4", "--a", "0.98"])
     assert code == 0

@@ -23,7 +23,7 @@ from surfwalk.covering_blowup import blow_up, double_cover, hedgehog
 from surfwalk.errors import AssumptionError, BudgetError, GraphError
 from surfwalk.graph_core import SymmetricDigraph, cycle_graph
 from surfwalk.rotation_system import RotationSystem, flip_vertex, trace_faces
-from surfwalk.scattering import scattering_matrix
+from surfwalk.scattering import scattering_matrix, stationary_closed_form
 from surfwalk.walk_dynamics import Coin, internal_energy, run_to_stationary
 
 
@@ -77,7 +77,6 @@ def test_island_split_matches_simulator():
     sim_bridge = 0.5 * np.vdot(state.bridge, state.bridge).real
     assert abs(closed.island - sim_island) < 1e-8
     assert abs(closed.bridge - sim_bridge) < 1e-8
-    assert abs(sum(closed.per_face_island) - closed.island) < 1e-10
 
 
 def test_average_routes_agree(rng):
@@ -218,8 +217,19 @@ def test_self_intersections_triangle_faces_empty():
 
 def test_comfortability_requires_valid_coin():
     fd = trace_faces(projective_k4())
-    with pytest.raises(AssumptionError):
-        comfortability(fd, Coin(1.0, 0.0, 0.0, -1.0), np.zeros(24, dtype=complex))
+    bg = hedgehog(fd.rs)
+    inflow = unit_inflow(bg.size, 0)
+    complex_d = Coin(*(1j * np.array([1, 1, 1, -1]) / math.sqrt(2)))
+    degenerate = Coin(1.0, 0.0, 0.0, -1.0)
+    unit_a = Coin.real_symmetric(1.0 - 5e-15)
+    for coin in (complex_d, degenerate, unit_a):
+        assert not coin.has_closed_form
+        with pytest.raises(AssumptionError):
+            comfortability(fd, coin, inflow)
+        with pytest.raises(AssumptionError):
+            average_comfortability(fd, coin)
+        with pytest.raises(AssumptionError):
+            stationary_closed_form(bg, coin, inflow)
 
 
 # ---------------------------------------------------------------------------

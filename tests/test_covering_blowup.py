@@ -131,13 +131,14 @@ def test_blow_up_faces_match_base_decomposition(rng):
         fd = trace_faces(rs)
         bg = blow_up(double_cover(rs))
         assert sorted(len(f) for f in bg.faces) == sorted(len(f) for f in fd.cover_faces)
-        for s in range(2 * rs.graph.arc_count):
-            i, p = fd.face_of(s)
-            assert fd.cover_faces[i][p] == s
+        # The traced orbits partition the trace states.
+        face_of = {s: (i, p) for i, orbit in enumerate(fd.cover_faces) for p, s in enumerate(orbit)}
+        assert sorted(face_of) == list(range(2 * rs.graph.arc_count))
+        assert sum(map(len, fd.cover_faces)) == len(face_of)
         # Each extended walk is the lift of one traced orbit, step by step.
         dc = bg.cover
         for face in bg.faces:
-            i, p = fd.face_of(dc.arc_to_state(face[0]))
+            i, p = face_of[dc.arc_to_state(face[0])]
             orbit = fd.cover_faces[i]
             assert len(face) == len(orbit)
             assert list(face) == [dc.lift[orbit[(p + k) % len(orbit)]] for k in range(len(face))]

@@ -15,7 +15,7 @@ from surfwalk.enumeration import (
     min_max_genus,
     rank_by_comfortability,
 )
-from surfwalk.errors import BudgetError, GraphError
+from surfwalk.errors import AssumptionError, BudgetError, GraphError
 from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph
 from surfwalk.rotation_system import RotationSystem, flip_vertex, mirror, trace_faces
 from surfwalk.scattering import scattering_matrix
@@ -127,6 +127,13 @@ def test_rank_endpoints(k4_classes):
     }
     assert by_label[(False, (8, 4))] > by_label[(True, (8, 4))]
     assert abs(by_label[(True, (3, 3, 3, 3))] - 2.0 / 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.5, 1.5])
+def test_rank_rejects_coin_parameter_outside_unit_interval(k4_classes, a):
+    # A coin assumption, like every other coin-parameter check.
+    with pytest.raises(AssumptionError, match="0 < a < 1"):
+        rank_by_comfortability(k4_classes, a)
 
 
 def test_min_max_genus_against_formulas(k4_classes):

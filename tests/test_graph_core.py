@@ -5,6 +5,7 @@ from surfwalk.graph_core import (
     SymmetricDigraph,
     arc_edge,
     arc_reverse,
+    bfs_forest,
     complete_graph,
     cycle_graph,
     is_connected,
@@ -72,3 +73,22 @@ def test_connectivity():
     assert is_connected(complete_graph(5))
     g = SymmetricDigraph.from_edges(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
+
+
+def test_bfs_forest_connected_is_breadth_first():
+    # Breadth first from vertex 0, neighbours in incoming-arc order: both
+    # neighbours of 0 come before anything two steps away.
+    assert bfs_forest(cycle_graph(5)) == [(0, 1), (0, 4), (1, 2), (4, 3)]
+    assert bfs_forest(complete_graph(5)) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert bfs_forest(path_graph(4)) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_bfs_forest_disconnected_roots_each_tree_at_its_smallest_vertex():
+    g = SymmetricDigraph.from_edges(7, [(4, 2), (0, 1), (3, 4), (2, 3)])
+    # Components {0, 1} and {2, 3, 4}, and the isolated vertices 5 and 6;
+    # vertex 2 reaches 4 through a smaller arc id than 3.
+    forest = bfs_forest(g)
+    assert forest == [(0, 1), (2, 4), (2, 3)]
+    assert g.vertex_count - len(forest) == 4
+    assert not is_connected(g)
+    assert bfs_forest(SymmetricDigraph(1, (), ())) == []

@@ -8,6 +8,7 @@ from surfwalk.errors import GraphError
 from surfwalk.graph_core import complete_graph, cycle_graph, path_graph
 from surfwalk.rotation_system import (
     RotationSystem,
+    _flipped,
     detect_orientability,
     flip_vertex,
     mirror,
@@ -246,6 +247,49 @@ def test_rotation_rejects_broken_cycles():
     rot[e] = e  # fixed point
     with pytest.raises(GraphError):
         RotationSystem(g, tuple(rot), rs.twist)
+
+
+def test_rotation_rejects_arc_ids_out_of_range():
+    rs = planar_k4()
+    last = rs.graph.arc_count - 1
+    e = rs.rot.index(last)
+    for bad in (-1, last + 1):
+        rot = list(rs.rot)
+        rot[e] = bad  # -1 would index the last arc
+        with pytest.raises(GraphError, match="outside"):
+            RotationSystem(rs.graph, tuple(rot), rs.twist)
+
+
+def test_rotation_rejects_permutation_leaving_its_vertex():
+    rs = planar_k4()
+    g = rs.graph
+    e0, e1 = g.incoming_arcs(0)[0], g.incoming_arcs(1)[0]
+    rot = list(rs.rot)
+    rot[e0], rot[e1] = rot[e1], rot[e0]  # still a permutation of all arcs
+    with pytest.raises(GraphError, match="leaves A_0"):
+        RotationSystem(g, tuple(rot), rs.twist)
+
+
+def test_rotation_rejects_two_cycles_at_one_vertex():
+    g = complete_graph(5)
+    rs = RotationSystem.from_neighbor_orders(g, [[w for w in range(5) if w != x] for x in range(5)])
+    a, b, c, d = g.incoming_arcs(0)
+    rot = list(rs.rot)
+    rot[a], rot[b], rot[c], rot[d] = b, a, d, c
+    with pytest.raises(GraphError, match="not a single cycle"):
+        RotationSystem(g, tuple(rot), rs.twist)
+
+
+def test_flipped_equals_successive_flips(rng):
+    for n in (4, 5, 7):
+        for _ in range(8):
+            rs = random_rotation_system(rng, complete_graph(n))
+            bits = [int(b) for b in rng.integers(0, 2, n)]
+            one_by_one = rs
+            for x in range(n):
+                if bits[x]:
+                    one_by_one = flip_vertex(one_by_one, x)
+            assert _flipped(rs, bits) == one_by_one
 
 
 @settings(max_examples=30, deadline=None)
