@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .comfortability import average_comfortability, comfortability, limit_comfortability
-from .covering_blowup import base_face_map, double_cover, hedgehog
+from .covering_blowup import double_cover, hedgehog
 from .enumeration import check_budget, enumerate_embeddings, rank_by_comfortability
 from .errors import (
     AssumptionError,
@@ -288,7 +288,7 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     coin = _coin_from_options(a_, b_, c_, d_)
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
-    labels = base_face_map(bg, trace_faces(rs))
+    labels = trace_faces(rs).cover_base
     # One pass over every entry of every block, so that each distinct float
     # is formatted once; block i's entries are flat[ends[i - 1]:ends[i]].
     flat = np.concatenate([block.ravel() for _, block in s.blocks])

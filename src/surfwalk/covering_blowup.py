@@ -5,7 +5,10 @@ its vertices by the directed cycle of its rotation gives the blow-up graph
 on which the walk lives.  Blow-up vertices are the cover arcs; island arc
 ``g`` runs from cover arc ``g`` to ``rot[g]`` and bridge arc ``g`` runs from
 ``g`` to ``g-bar``, so both families are indexed by cover arc ids and all
-incidence maps are array lookups.
+incidence maps are array lookups.  Cover arcs carry the one numbering of
+:mod:`surfwalk.rotation_system`, so the extended facial walks ``faces`` are
+the walks ``trace_faces`` reports as ``cover_faces``, in the same order, and
+its ``cover_base[i]`` names the base face of ``faces[i]``.
 
 Hedgehog tails cut every island arc at a boundary vertex; a tail is
 identified by the island arc it sits on, and the bijection with bridges is
@@ -19,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph_core import SymmetricDigraph, arc_edge, bfs_forest, permutation_cycles
-from .rotation_system import RotationSystem
+from .graph_core import SymmetricDigraph, bfs_forest, permutation_cycles
+from .rotation_system import RotationSystem, _cover_arcs
 
 __all__ = [
     "DoubleCover",
@@ -37,9 +40,12 @@ class DoubleCover:
     """The cover (G^tau, rho + rho^-1, id).
 
     Cover vertex ``2x + s`` is base vertex ``x`` on sheet ``s``; sheet 0
-    carries rho, sheet 1 carries rho^-1.  ``lift[2e + s]`` is the cover arc
-    of base arc ``e`` whose terminus lies on sheet ``s``; ``proj`` and
-    ``sheet`` invert that.
+    carries rho, sheet 1 carries rho^-1.  Cover arcs are numbered as in
+    :mod:`surfwalk.rotation_system`: base edge ``k`` owns cover arcs
+    ``4k .. 4k+3``, ``c ^ 1`` is the reverse of ``c`` and ``c ^ 2`` the
+    same base arc on the other sheet.  ``proj[c]`` and ``sheet[c]`` give the
+    base arc of ``c`` and the sheet of its terminus; ``lift[2e + s]`` is
+    the cover arc over base arc ``e`` ending on sheet ``s``.
     """
 
     base: RotationSystem
@@ -54,50 +60,20 @@ class DoubleCover:
     def arc_count(self) -> int:
         return self.graph.arc_count
 
-    def arc_to_state(self, c: int) -> int:
-        return 2 * self.proj[c] + self.sheet[c]
-
 
 def double_cover(rs: RotationSystem) -> DoubleCover:
     g = rs.graph
-    n, m = g.vertex_count, g.edge_count
-
-    # Cover edge 2k + j joins (u, j) and (v, j + tau) for base edge k = {u, v};
-    # its arcs keep the u -> v arc first, matching the base pair order.
-    edges = []
-    for k in range(m):
-        u, v = g.origin[2 * k], g.terminus[2 * k]
-        t = rs.twist[k]
-        edges.append((2 * u + 0, 2 * v + (t & 1)))
-        edges.append((2 * u + 1, 2 * v + (1 ^ t)))
-    cover = SymmetricDigraph.from_edges(2 * n, edges)
-
-    lift = [0] * (2 * g.arc_count)
-    for k in range(m):
-        t = rs.twist[k]
-        for s in (0, 1):
-            lift[2 * (2 * k) + s] = 2 * (2 * k + (s ^ t))       # u -> v lift
-            lift[2 * (2 * k + 1) + s] = 2 * (2 * k + s) + 1     # v -> u lift
-    proj = [0] * cover.arc_count
-    sheet = [0] * cover.arc_count
-    for e in range(g.arc_count):
-        for s in (0, 1):
-            proj[lift[2 * e + s]] = e
-            sheet[lift[2 * e + s]] = s
-
-    rot_inv = rs.rot_inverse()
-    rot = [0] * cover.arc_count
-    for c in range(cover.arc_count):
-        e, s = proj[c], sheet[c]
-        nxt = rs.rot[e] if s == 0 else rot_inv[e]
-        rot[c] = lift[2 * nxt + s]
-
+    rot, lift, state = _cover_arcs(rs)
+    terminus = [2 * g.terminus[s >> 1] + (s & 1) for s in state]
+    cover = SymmetricDigraph(
+        2 * g.vertex_count, tuple(terminus[c ^ 1] for c in range(len(terminus))), tuple(terminus)
+    )
     return DoubleCover(
         base=rs,
         graph=cover,
         lift=tuple(lift),
-        proj=tuple(proj),
-        sheet=tuple(sheet),
+        proj=tuple(s >> 1 for s in state),
+        sheet=tuple(s & 1 for s in state),
         rot=tuple(rot),
         # A spanning forest has one tree per component, each with one edge
         # fewer than vertices; 1 component iff the base is non-orientable.
@@ -154,11 +130,9 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
     rot_inv = np.zeros(n, dtype=np.int64)
     rot_inv[rot] = np.arange(n)
     bar = np.arange(n, dtype=np.int64) ^ 1
-    twist = np.array(
-        [dc.base.twist[arc_edge(dc.proj[c])] for c in range(n)], dtype=np.int64
-    )
+    twist = np.array(dc.base.twist, dtype=np.int64)[np.array(dc.proj, dtype=np.int64) >> 1]
     sign = 1.0 - 2.0 * twist
-    island_of = np.array([dc.graph.terminus[c] for c in range(n)], dtype=np.int64)
+    island_of = np.array(dc.graph.terminus, dtype=np.int64)
 
     # Extended facial walks: successor of island g is bar(rot(g)); the
     # bridge crossed between them is bar(successor).
@@ -181,13 +155,6 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
         faces=tuple(map(tuple, faces)),
         boundary=bmask,
     )
-
-
-def base_face_map(bg: BlowUpGraph, fd) -> list[tuple[int, bool]]:
-    """For each extended facial walk of the blow-up, the (base face index,
-    is_chiral_copy) pair under the facial decomposition of the base system."""
-    orbit_of = {state: i for i, orbit in enumerate(fd.cover_faces) for state in orbit}
-    return [fd.cover_base[orbit_of[bg.cover.arc_to_state(face[0])]] for face in bg.faces]
 
 
 def attach_hedgehog(bg: BlowUpGraph) -> BlowUpGraph:

@@ -2,10 +2,10 @@
 
 A rotation system pins a two-cell embedding of the graph on a closed
 surface: ``rho`` is the cyclic order of incoming arcs at each vertex and
-``tau`` marks twisted (type-1) edges.  Face tracing runs on states
-``(arc, parity)`` where the parity is the running twist sum, i.e. on the
-arcs of the tau-double-cover; traced orbits come in chiral pairs and each
-pair is one face of the embedding.
+``tau`` marks twisted (type-1) edges.  Face tracing runs on the arcs of
+the tau-double-cover, whose numbering is fixed here once (see
+:func:`_cover_arcs`); traced walks come in chiral pairs and each pair is
+one face of the embedding.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import GraphError
 from .graph_core import (
     SymmetricDigraph,
     arc_edge,
-    arc_reverse,
     bfs_forest,
     permutation_cycles,
 )
@@ -160,43 +159,46 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 # --------------------------------------------------------------------------
 # Face tracing.
 #
-# A trace state is 2*e + s: arc e together with the parity s of the twist
-# sum accumulated up to and including e.  The successor applies rho (s = 0)
-# or rho^-1 (s = 1), flips to the inverse arc and absorbs the new edge's
-# twist into the parity.  States are exactly the arcs of the double cover,
-# and the chiral involution (reverse the walk on the opposite sheet) is
-# chi(e, s) = (e-bar, s + tau(e) + 1).
+# Faces are traced on the arcs of the tau-double-cover, numbered once, here.
+# Base edge k = {u, v} (arc 2k = u -> v, arc 2k + 1 = v -> u) owns cover arcs
+# 4k .. 4k+3: cover arc c lies over base arc 2(c >> 2) + (c & 1), and its
+# terminus is on sheet ((c >> 1) & 1) ^ tau_k for even c and on sheet
+# (c >> 1) & 1 for odd c.  So c ^ 1 is the reverse arc, c ^ 2 the same base
+# arc on the other sheet, c ^ 3 the chiral reverse (the reversed walk on the
+# opposite sheet) and c >> 2 the base edge.  A state is 2 * base arc + sheet;
+# sheet 0 carries rho and sheet 1 rho^-1.
 # --------------------------------------------------------------------------
 
 
-def _successor_table(rs: RotationSystem) -> list[int]:
-    g = rs.graph
-    rot_inv = rs.rot_inverse()
-    succ = [0] * (2 * g.arc_count)
-    for e in range(g.arc_count):
-        for s in (0, 1):
-            nxt = arc_reverse(rs.rot[e] if s == 0 else rot_inv[e])
-            succ[2 * e + s] = 2 * nxt + (s ^ rs.twist[arc_edge(nxt)])
-    return succ
-
-
-def _chi(rs: RotationSystem, state: int) -> int:
-    e, s = state >> 1, state & 1
-    return 2 * arc_reverse(e) + (s ^ rs.twist[arc_edge(e)] ^ 1)
+def _cover_arcs(rs: RotationSystem) -> tuple[list[int], list[int], list[int]]:
+    """The double cover's rotation, ``lift`` (the cover arc of each state)
+    and ``state`` (the state of each cover arc)."""
+    state = []
+    for k, t in enumerate(rs.twist):
+        # Cover arcs 4k .. 4k+3 lie over base arcs 2k, 2k + 1, 2k, 2k + 1.
+        state += (4 * k + t, 4 * k + 2, 4 * k + 1 - t, 4 * k + 3)
+    lift = [0] * len(state)
+    for c, s in enumerate(state):
+        lift[s] = c
+    rot, rot_inv = rs.rot, rs.rot_inverse()
+    cover_rot = [lift[2 * (rot_inv[s >> 1] if s & 1 else rot[s >> 1]) + (s & 1)] for s in state]
+    return cover_rot, lift, state
 
 
 @dataclass(frozen=True)
 class FacialDecomposition:
     """All facial walks of a rotation system.
 
-    ``cover_faces`` are the traced orbits on (arc, parity) states, each
-    starting at its smallest state, in pairs of mutually reversed walks;
-    ``cover_base[i]`` is (base face index, is_chiral_copy) of orbit ``i``.
-    ``faces`` are the representatives (the orbits that are no chiral copy)
-    projected to base arcs: the facial walks of (G, rho, tau), each face
-    reported once.  Self-intersections are the edges a face crosses in both
-    directions, stored with the two distances between the crossings along
-    the walk.
+    ``cover_faces`` are the extended facial walks: the cycles of the face
+    successor ``rot[c] ^ 1`` on cover arcs, each starting at its smallest
+    cover arc and listed in that order, so they equal the hedgehog's
+    ``faces``.  They come in chiral pairs (``c`` and ``c ^ 3``), and
+    ``cover_base[i]`` is (base face index, is_chiral_copy) of walk ``i``.
+    ``faces`` are the representatives projected to base arcs, each read
+    from its smallest state ``2 * base arc + sheet``: the facial walks of
+    (G, rho, tau), each face reported once and sorted by arc sequence.
+    Self-intersections are the edges a face crosses in both directions,
+    stored with the two distances between the crossings along the walk.
     """
 
     rs: RotationSystem
@@ -215,40 +217,40 @@ class FacialDecomposition:
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     """Trace every facial walk and derive genus and orientability."""
     g = rs.graph
-    orbits, orbit_of, position = permutation_cycles(_successor_table(rs))
+    rot, lift, state = _cover_arcs(rs)
+    walks, walk_of, position = permutation_cycles([c ^ 1 for c in rot])
 
-    # Pair each orbit with its chiral partner; a self-paired orbit would
-    # break the face count and is rejected loudly.
-    partner = [-1] * len(orbits)
-    for i, orbit in enumerate(orbits):
-        j = orbit_of[_chi(rs, orbit[0])]
-        if j == i:
-            raise GraphError("facial walk equals its own chiral reverse")
-        partner[i] = j
+    # A walk is read from its smallest state; the key (arc sequence, that
+    # state) picks the representative of each chiral pair and orders them.
+    starts = [lift[min(map(state.__getitem__, walk))] for walk in walks]
+    read = [walk[position[c0]:] + walk[: position[c0]] for walk, c0 in zip(walks, starts)]
+    proj = [s >> 1 for s in state]
+    arcs = [tuple(map(proj.__getitem__, walk)) for walk in read]
+    key = [(a, state[c0]) for a, c0 in zip(arcs, starts)]
 
-    # Each orbit starts at its smallest state; the representative of a pair
-    # is the orbit whose projected arc sequence is lexicographically smaller.
-    arcs = [tuple(s >> 1 for s in orbit) for orbit in orbits]
-    reps = [i if arcs[i] <= arcs[j] else j for i, j in enumerate(partner) if i < j]
-    reps.sort(key=lambda i: arcs[i])
+    # Pair each walk with its chiral partner; a self-paired walk would break
+    # the face count and is rejected loudly.
+    partner = [walk_of[walk[0] ^ 3] for walk in walks]
+    reps = [i if key[i] <= key[j] else j for i, j in enumerate(partner) if i < j]
+    if 2 * len(reps) != len(walks):
+        raise GraphError("facial walk equals its own chiral reverse")
+    reps.sort(key=key.__getitem__)
 
-    cover_base: list[tuple[int, bool]] = [(-1, False)] * len(orbits)
+    cover_base: list[tuple[int, bool]] = [(-1, False)] * len(walks)
     for base, i in enumerate(reps):
         cover_base[i] = (base, False)
         cover_base[partner[i]] = (base, True)
 
-    # Self-intersections: state (e, s) meets its reverse (e-bar, s ^ tau(e))
-    # on the same orbit; record per edge the forward/backward distances.
+    # Self-intersections: cover arc c meets its reverse c ^ 1 on the same
+    # walk; record per edge the forward/backward distances.
     self_int: list[dict[int, tuple[int, int]]] = []
     for i in reps:
-        r = len(orbits[i])
+        r = len(walks[i])
         hits: dict[int, tuple[int, int]] = {}
-        for p, s in enumerate(orbits[i]):
-            e = s >> 1
-            rev = 2 * arc_reverse(e) + ((s & 1) ^ rs.twist[arc_edge(e)])
-            if orbit_of[rev] == i:
-                d1 = (position[rev] - p) % r
-                hits[arc_edge(e)] = (min(d1, r - d1), max(d1, r - d1))
+        for c in read[i]:
+            if walk_of[c ^ 1] == i:
+                d1 = (position[c ^ 1] - position[c]) % r
+                hits[c >> 2] = (min(d1, r - d1), max(d1, r - d1))
         self_int.append(hits)
 
     orientable, _ = _tree_flips(rs)
@@ -263,7 +265,7 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
 
     return FacialDecomposition(
         rs=rs,
-        cover_faces=tuple(map(tuple, orbits)),
+        cover_faces=tuple(map(tuple, walks)),
         faces=tuple(arcs[i] for i in reps),
         self_intersections=tuple(self_int),
         orientable=orientable,
@@ -289,7 +291,7 @@ def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
     for parent, child in tree:
         flip[child] = flip[parent] ^ rs.twist[arc_edge(g.arc_between(parent, child))]
     orientable = all(
-        rs.twist[k] == flip[u] ^ flip[v] for k, (u, v) in enumerate(g.edges())
+        t == flip[u] ^ flip[v] for t, u, v in zip(rs.twist, g.origin[::2], g.terminus[::2])
     )
     return orientable, flip
 

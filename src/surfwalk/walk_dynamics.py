@@ -277,13 +277,11 @@ def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.
 
 
 def _flip_relabelling(dc1: DoubleCover, dc2: DoubleCover, x: int) -> np.ndarray:
-    n = dc1.arc_count
-    phi = np.zeros(n, dtype=np.int64)
-    for c in range(n):
-        e, s = dc1.proj[c], dc1.sheet[c]
-        s2 = s ^ (dc1.base.graph.terminus[e] == x)
-        phi[c] = dc2.lift[2 * e + s2]
-    return phi
+    """Cover arc of ``dc2`` for each cover arc of ``dc1``: the same base
+    arc, with the sheet swapped where its terminus is ``x``."""
+    proj = np.array(dc1.proj, dtype=np.int64)
+    sheet = np.array(dc1.sheet, dtype=np.int64) ^ (np.array(dc1.base.graph.terminus)[proj] == x)
+    return np.array(dc2.lift, dtype=np.int64)[2 * proj + sheet]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from surfwalk.cli import _tail_legend
 from surfwalk.comfortability import comfortability
-from surfwalk.covering_blowup import base_face_map, hedgehog
+from surfwalk.covering_blowup import hedgehog
 from surfwalk.rotation_system import trace_faces
 from surfwalk.scattering import scattering_matrix, stationary_closed_form
 from surfwalk.walk_dynamics import internal_energy, run_to_stationary
@@ -28,7 +28,7 @@ def fmt_complex(z) -> str:
 def scatter_json(rs, coin) -> str:
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
-    labels = base_face_map(bg, trace_faces(rs))
+    labels = trace_faces(rs).cover_base
     payload = {
         "tails": _tail_legend(bg),
         "unitarity_defect": s.unitarity_defect(),
@@ -49,7 +49,7 @@ def scatter_json(rs, coin) -> str:
 def scatter_csv(rs, coin) -> str:
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
-    labels = base_face_map(bg, trace_faces(rs))
+    labels = trace_faces(rs).cover_base
     lines = []
     for i, (tails, block) in enumerate(s.blocks):
         for r, row_tail in enumerate(tails):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +263,21 @@ def test_comfort_uniform_keys(projective_file, capsys):
 def test_coin_parameter_outside_unit_interval_exits_3(argv, capsys):
     assert main(argv) == 3
     assert "0 < a < 1" in capsys.readouterr().err
+
+
+def test_k8_face_labels_match_golden_file(tmp_path, capsys):
+    # The faces document, the scatter tail legend and the face,chiral_copy,
+    # tail columns of the CSV export of a seeded K8 system, recorded while
+    # faces were traced on (arc, parity) states; integers only, so the
+    # fixture holds on every platform.
+    golden = json.loads((Path(__file__).parent / "data" / "k8_golden.json").read_text())
+    path = tmp_path / "k8.txt"
+    path.write_text(golden["system"])
+    assert main(["faces", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps(golden["faces"], indent=2) + "\n"
+    code, payload = run_json(capsys, "scatter", str(path))
+    assert code == 0
+    assert payload["tails"] == golden["tails"]
+    assert main(["scatter", str(path), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [",".join(row.split(",")[:3]) for row in rows] == golden["scatter_csv"]

@@ -3,7 +3,6 @@ import numpy as np
 from conftest import projective_k4, planar_k4, random_rotation_system
 from surfwalk.covering_blowup import (
     attach_hedgehog,
-    base_face_map,
     blow_up,
     double_cover,
     hedgehog,
@@ -130,23 +129,12 @@ def test_blow_up_faces_match_base_decomposition(rng):
         rs = random_rotation_system(rng)
         fd = trace_faces(rs)
         bg = blow_up(double_cover(rs))
-        assert sorted(len(f) for f in bg.faces) == sorted(len(f) for f in fd.cover_faces)
-        # The traced orbits partition the trace states.
-        face_of = {s: (i, p) for i, orbit in enumerate(fd.cover_faces) for p, s in enumerate(orbit)}
-        assert sorted(face_of) == list(range(2 * rs.graph.arc_count))
-        assert sum(map(len, fd.cover_faces)) == len(face_of)
-        # Each extended walk is the lift of one traced orbit, step by step.
-        dc = bg.cover
-        for face in bg.faces:
-            i, p = face_of[dc.arc_to_state(face[0])]
-            orbit = fd.cover_faces[i]
-            assert len(face) == len(orbit)
-            assert list(face) == [dc.lift[orbit[(p + k) % len(orbit)]] for k in range(len(face))]
-        labels = base_face_map(bg, fd)
+        assert bg.faces == fd.cover_faces
         # Each base face owns exactly two extended walks, one per chirality.
         by_base = {}
-        for base, chiral in labels:
+        for base, chiral in fd.cover_base:
             by_base.setdefault(base, []).append(chiral)
+        assert sorted(by_base) == list(range(len(fd.faces)))
         assert all(sorted(v) == [False, True] for v in by_base.values())
 
 

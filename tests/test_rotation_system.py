@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import face_oracle
 from conftest import projective_k4, planar_k4, random_rotation_system
+from surfwalk.covering_blowup import double_cover, hedgehog
 from surfwalk.errors import GraphError
 from surfwalk.graph_core import complete_graph, cycle_graph, path_graph
 from surfwalk.rotation_system import (
@@ -147,10 +149,51 @@ def _min_rotation(seq):
 def test_mirror_faces_are_reversed_walks():
     fd = trace_faces(planar_k4())
     fdm = trace_faces(mirror(planar_k4()))
-    mirror_walks = {_min_rotation(tuple(s >> 1 for s in f)) for f in fdm.cover_faces}
+    proj = double_cover(fdm.rs).proj
+    mirror_walks = {_min_rotation(tuple(proj[c] for c in f)) for f in fdm.cover_faces}
     for face in fd.faces:
         reversed_walk = tuple((e ^ 1) for e in reversed(face))
         assert _min_rotation(reversed_walk) in mirror_walks
+
+
+def _oracle_systems():
+    rng = np.random.default_rng(909)
+    yield from (random_rotation_system(rng, max_vertices=7) for _ in range(400))
+    for n in range(4, 9):
+        yield from (random_rotation_system(rng, complete_graph(n)) for _ in range(20))
+
+
+def test_trace_faces_matches_state_oracle():
+    # The library traces cover arcs and the oracle trace states; the two
+    # must agree face by face once the oracle's orbits are lifted.
+    count = 0
+    for rs in _oracle_systems():
+        fd, expect = trace_faces(rs), face_oracle.trace(rs)
+        assert list(fd.faces) == expect["faces"]
+        assert [list(h.items()) for h in fd.self_intersections] == [
+            list(h.items()) for h in expect["self_intersections"]
+        ]
+        assert (fd.orientable, fd.genus) == (expect["orientable"], expect["genus"])
+        lift = double_cover(rs).lift
+        at = {lift[s]: (j, p) for j, orbit in enumerate(expect["orbits"]) for p, s in enumerate(orbit)}
+        assert len(fd.cover_faces) == len(fd.cover_base) == len(expect["orbits"])
+        for walk, label in zip(fd.cover_faces, fd.cover_base):
+            j, p = at[walk[0]]
+            orbit = expect["orbits"][j]
+            assert list(walk) == [lift[orbit[(p + k) % len(orbit)]] for k in range(len(orbit))]
+            assert label == expect["cover_base"][j]
+        count += 1
+    assert count == 500
+
+
+def test_chiral_tie_goes_to_the_smaller_state():
+    # Two faces of this triangle share the arc sequence (0, 4, 3); the one
+    # read from the smaller state is face 0.
+    rs = random_rotation_system(np.random.default_rng(77), max_vertices=7)
+    fd = trace_faces(rs)
+    assert fd.faces == ((0, 4, 3), (0, 4, 3))
+    assert hedgehog(rs).faces == fd.cover_faces
+    assert list(fd.cover_base) == [(1, False), (0, True), (0, False), (1, True)]
 
 
 def test_detect_orientability_all_zero_twists(rng):
@@ -192,8 +235,6 @@ def _flip_by_flip(rs):
 
 
 def test_detect_orientability_matches_flip_by_flip(rng):
-    from surfwalk.covering_blowup import double_cover
-
     for n in (4, 5, 6, 8, 12):
         for _ in range(6):
             rs = random_rotation_system(rng, graph=complete_graph(n))

@@ -10,7 +10,7 @@ from conftest import (
     random_d_real_coin,
     random_rotation_system,
 )
-from surfwalk.covering_blowup import base_face_map, blow_up, double_cover, hedgehog
+from surfwalk.covering_blowup import blow_up, double_cover, hedgehog
 from surfwalk.errors import AssumptionError
 from surfwalk.rotation_system import detect_orientability, flip_vertex, trace_faces
 from surfwalk.comfortability import average_by_enumeration, comfortability
@@ -45,7 +45,7 @@ def test_block_structure_covers_all_tails():
     s = scattering_matrix(bg, Coin.hadamard_type())
     tails = [t for block_tails, _ in s.blocks for t in block_tails]
     assert sorted(tails) == list(range(24))
-    labels = base_face_map(bg, trace_faces(planar_k4()))
+    labels = trace_faces(planar_k4()).cover_base
     assert sorted({b for b, _ in labels}) == [0, 1, 2, 3]
     assert all(len(block_tails) == 3 for block_tails, _ in s.blocks)
 
@@ -146,7 +146,7 @@ def test_hexagon_block_has_two_sign_flips():
     rs = projective_k4()
     fd = trace_faces(rs)
     bg = hedgehog(rs)
-    labels = base_face_map(bg, fd)
+    labels = fd.cover_base
     hexagons = [i for i, f in enumerate(bg.faces) if len(f) == 6]
     assert len(hexagons) == 2  # both chiral copies
     for i in hexagons:
