@@ -189,16 +189,16 @@ def _tail_legend(bg) -> list[dict]:
     """One record per tail: the island arc it sits on, the bridge feeding it
     and the base arc/sheet underneath."""
     dc = bg.cover
+    g = dc.base.graph
     legend = []
     for i in map(int, bg.boundary_islands()):
-        e = dc.proj[i]
-        g = dc.base.graph
+        e = int(dc.proj[i])
         legend.append(
             {
                 "tail": i,
                 "bridge": int(bg.bar[i]),
                 "base_arc": [g.origin[e], g.terminus[e]],
-                "sheet": dc.sheet[i],
+                "sheet": int(dc.sheet[i]),
             }
         )
     return legend

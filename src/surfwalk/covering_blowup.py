@@ -8,7 +8,9 @@ on which the walk lives.  Blow-up vertices are the cover arcs; island arc
 incidence maps are array lookups.  Cover arcs carry the one numbering of
 :mod:`surfwalk.rotation_system`, so the extended facial walks ``faces`` are
 the walks ``trace_faces`` reports as ``cover_faces``, in the same order, and
-its ``cover_base[i]`` names the base face of ``faces[i]``.
+its ``cover_base[i]`` names the base face of ``faces[i]``.  The cover is
+held as index arrays over that numbering, converted once; only the
+orientability cross-check builds it as a validated graph.
 
 Hedgehog tails cut every island arc at a boundary vertex; a tail is
 identified by the island arc it sits on, and the bijection with bridges is
@@ -18,10 +20,12 @@ from a rotation system to that tailed blow-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
+from .errors import GraphError
 from .graph_core import SymmetricDigraph, bfs_forest, permutation_cycles
 from .rotation_system import RotationSystem, _cover_arcs
 
@@ -37,48 +41,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DoubleCover:
-    """The cover (G^tau, rho + rho^-1, id).
+    """The cover (G^tau, rho + rho^-1, id), as read-only int64 arrays.
 
     Cover vertex ``2x + s`` is base vertex ``x`` on sheet ``s``; sheet 0
     carries rho, sheet 1 carries rho^-1.  Cover arcs are numbered as in
     :mod:`surfwalk.rotation_system`: base edge ``k`` owns cover arcs
     ``4k .. 4k+3``, ``c ^ 1`` is the reverse of ``c`` and ``c ^ 2`` the
-    same base arc on the other sheet.  ``proj[c]`` and ``sheet[c]`` give the
-    base arc of ``c`` and the sheet of its terminus; ``lift[2e + s]`` is
-    the cover arc over base arc ``e`` ending on sheet ``s``.
+    same base arc on the other sheet.  ``rot`` is the cover rotation,
+    ``proj[c]`` and ``sheet[c]`` give the base arc of ``c`` and the sheet of
+    its terminus; ``lift[2e + s]`` is the cover arc over base arc ``e``
+    ending on sheet ``s``.  The blow-up needs nothing else; the cover as a
+    validated graph and its component count are built on first read, for
+    the orientability cross-check.
     """
 
     base: RotationSystem
-    graph: SymmetricDigraph
-    lift: tuple[int, ...]
-    proj: tuple[int, ...]
-    sheet: tuple[int, ...]
-    rot: tuple[int, ...]
-    components: int
+    # The arrays follow from base, so equality and hashing read base alone.
+    rot: np.ndarray = field(compare=False)
+    lift: np.ndarray = field(compare=False)
+    proj: np.ndarray = field(compare=False)
+    sheet: np.ndarray = field(compare=False)
 
     @property
     def arc_count(self) -> int:
-        return self.graph.arc_count
+        return len(self.rot)
+
+    @cached_property
+    def graph(self) -> SymmetricDigraph:
+        terminus = 2 * np.array(self.base.graph.terminus, dtype=np.int64)[self.proj] + self.sheet
+        origin = terminus[np.arange(self.arc_count) ^ 1]
+        return SymmetricDigraph(
+            2 * self.base.graph.vertex_count, tuple(origin.tolist()), tuple(terminus.tolist())
+        )
+
+    @cached_property
+    def components(self) -> int:
+        # A spanning forest has one tree per component, each with one edge
+        # fewer than vertices; 1 component iff the base is non-orientable.
+        return self.graph.vertex_count - len(bfs_forest(self.graph))
 
 
 def double_cover(rs: RotationSystem) -> DoubleCover:
-    g = rs.graph
-    rot, lift, state = _cover_arcs(rs)
-    terminus = [2 * g.terminus[s >> 1] + (s & 1) for s in state]
-    cover = SymmetricDigraph(
-        2 * g.vertex_count, tuple(terminus[c ^ 1] for c in range(len(terminus))), tuple(terminus)
-    )
-    return DoubleCover(
-        base=rs,
-        graph=cover,
-        lift=tuple(lift),
-        proj=tuple(s >> 1 for s in state),
-        sheet=tuple(s & 1 for s in state),
-        rot=tuple(rot),
-        # A spanning forest has one tree per component, each with one edge
-        # fewer than vertices; 1 component iff the base is non-orientable.
-        components=cover.vertex_count - len(bfs_forest(cover)),
-    )
+    rot, lift, state = (np.array(a, dtype=np.int64) for a in _cover_arcs(rs))
+    proj, sheet = state >> 1, state & 1
+    for a in (rot, lift, proj, sheet):
+        a.flags.writeable = False
+    return DoubleCover(base=rs, rot=rot, lift=lift, proj=proj, sheet=sheet)
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,6 @@ class BlowUpGraph:
     bar: np.ndarray
     bridge_twist: np.ndarray
     bridge_sign: np.ndarray
-    island_of: np.ndarray
     faces: tuple[tuple[int, ...], ...]
     boundary: np.ndarray
 
@@ -126,23 +133,23 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
     """Blow up the double cover; ``boundary`` selects tailed island arcs
     (defaults to none; see :func:`attach_hedgehog`)."""
     n = dc.arc_count
-    rot = np.array(dc.rot, dtype=np.int64)
-    rot_inv = np.zeros(n, dtype=np.int64)
+    rot = dc.rot
+    rot_inv = np.empty_like(rot)
     rot_inv[rot] = np.arange(n)
     bar = np.arange(n, dtype=np.int64) ^ 1
-    twist = np.array(dc.base.twist, dtype=np.int64)[np.array(dc.proj, dtype=np.int64) >> 1]
+    twist = np.array(dc.base.twist, dtype=np.int64)[dc.proj >> 1]
     sign = 1.0 - 2.0 * twist
-    island_of = np.array(dc.graph.terminus, dtype=np.int64)
 
     # Extended facial walks: successor of island g is bar(rot(g)); the
     # bridge crossed between them is bar(successor).
     faces, _, _ = permutation_cycles(bar[rot].tolist())
 
-    if boundary is None:
-        bmask = np.zeros(n, dtype=bool)
-    else:
-        bmask = np.zeros(n, dtype=bool)
-        bmask[np.asarray(list(boundary), dtype=np.int64)] = True
+    bmask = np.zeros(n, dtype=bool)
+    if boundary is not None:
+        tails = np.asarray(list(boundary), dtype=np.int64)
+        if tails.size and not (0 <= tails.min() and tails.max() < n):
+            raise GraphError(f"boundary names an island arc outside 0..{n - 1}")
+        bmask[tails] = True
 
     return BlowUpGraph(
         cover=dc,
@@ -151,7 +158,6 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
         bar=bar,
         bridge_twist=twist,
         bridge_sign=sign,
-        island_of=island_of,
         faces=tuple(map(tuple, faces)),
         boundary=bmask,
     )

@@ -50,6 +50,7 @@ class RotationSystem:
             raise GraphError("twists must be 0 or 1")
         if self.rot and not (0 <= min(self.rot) and max(self.rot) < len(self.rot)):
             raise GraphError(f"rotation names an arc outside 0..{len(self.rot) - 1}")
+        cycles, cycle_of, _ = permutation_cycles(self.rot)
         for x in range(g.vertex_count):
             ax = g.incoming_arcs(x)
             if len(ax) < 2:
@@ -57,22 +58,11 @@ class RotationSystem:
                     f"vertex {x} has degree {len(ax)}; a fixed-point-free "
                     "cyclic rotation needs degree >= 2"
                 )
-            # rho_x must be one cycle through all of A_x with no fixed point.
-            e = ax[0]
-            seen = []
-            while True:
-                nxt = self.rot[e]
-                if g.terminus[nxt] != x:
+            # rho_x must be one cycle through all of A_x (so no fixed point).
+            for e in ax:
+                if g.terminus[self.rot[e]] != x:
                     raise GraphError(f"rotation leaves A_{x} at arc {e}")
-                if nxt == e:
-                    raise GraphError(f"rotation fixes arc {e}")
-                seen.append(nxt)
-                e = nxt
-                if e == ax[0]:
-                    break
-                if len(seen) > len(ax):
-                    raise GraphError(f"rotation at vertex {x} is not a single cycle")
-            if len(seen) != len(ax):
+            if len(cycles[cycle_of[ax[0]]]) != len(ax):
                 raise GraphError(f"rotation at vertex {x} is not a single cycle")
 
     @classmethod
@@ -91,13 +81,12 @@ class RotationSystem:
         """
         rot = [0] * graph.arc_count
         for x, order in enumerate(orders):
-            ax = graph.incoming_arcs(x)
-            nbrs = sorted(graph.origin[e] for e in ax)
-            if sorted(order) != nbrs:
+            arc_from = {graph.origin[e]: e for e in graph.incoming_arcs(x)}
+            if len(order) != len(arc_from) or arc_from.keys() != set(order):
                 raise GraphError(
-                    f"rotation at vertex {x} must list its neighbors {nbrs} exactly once"
+                    f"rotation at vertex {x} must list its neighbors {sorted(arc_from)} exactly once"
                 )
-            arcs = [graph.arc_between(u, x) for u in order]
+            arcs = [arc_from[u] for u in order]
             for i, e in enumerate(arcs):
                 rot[e] = arcs[(i + 1) % len(arcs)]
         if twists is None:
@@ -107,17 +96,11 @@ class RotationSystem:
     def neighbor_orders(self) -> list[list[int]]:
         """Inverse of :meth:`from_neighbor_orders` (starts at the smallest arc)."""
         g = self.graph
-        out = []
-        for x in range(g.vertex_count):
-            e0 = g.incoming_arcs(x)[0]
-            order, e = [], e0
-            while True:
-                order.append(g.origin[e])
-                e = self.rot[e]
-                if e == e0:
-                    break
-            out.append(order)
-        return out
+        cycles, cycle_of, _ = permutation_cycles(self.rot)
+        return [
+            [g.origin[e] for e in cycles[cycle_of[g.incoming_arcs(x)[0]]]]
+            for x in range(g.vertex_count)
+        ]
 
     def rot_inverse(self) -> tuple[int, ...]:
         inv = [0] * len(self.rot)

@@ -358,7 +358,7 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     nv = bg.cover.base.graph.vertex_count
     low = np.full(nv * nv, np.inf)
     high = np.full(nv * nv, -np.inf)
-    base_of_tail = bg.island_of >> 1
+    base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
     for tails, block in s.blocks:
         if not tails:
             continue

@@ -72,8 +72,10 @@ class Coin:
 
     def __post_init__(self):
         m = self.matrix()
-        defect = np.abs(m @ m.conj().T - np.eye(2)).max()
-        if defect > UNITARITY_TOL:
+        with np.errstate(invalid="ignore"):
+            defect = np.abs(m @ m.conj().T - np.eye(2)).max()
+        # A nan or inf entry makes the defect nan, which only this form rejects.
+        if not defect <= UNITARITY_TOL:
             raise AssumptionError(f"coin is not unitary (defect {defect:.2e})")
 
     def matrix(self) -> np.ndarray:
@@ -279,9 +281,9 @@ def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.
 def _flip_relabelling(dc1: DoubleCover, dc2: DoubleCover, x: int) -> np.ndarray:
     """Cover arc of ``dc2`` for each cover arc of ``dc1``: the same base
     arc, with the sheet swapped where its terminus is ``x``."""
-    proj = np.array(dc1.proj, dtype=np.int64)
-    sheet = np.array(dc1.sheet, dtype=np.int64) ^ (np.array(dc1.base.graph.terminus)[proj] == x)
-    return np.array(dc2.lift, dtype=np.int64)[2 * proj + sheet]
+    proj = dc1.proj
+    sheet = dc1.sheet ^ (np.array(dc1.base.graph.terminus)[proj] == x)
+    return dc2.lift[2 * proj + sheet]
 
 
 @dataclass(frozen=True)

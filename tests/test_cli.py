@@ -95,6 +95,16 @@ def test_scatter_rejects_non_unitary_coin(projective_file):
     assert main(["scatter", projective_file, "--a", "1", "--b", "1", "--c", "1", "--d", "1"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["comfort", "--a", "nan"], ["simulate", "--a", "inf", "--max-steps", "5"], ["scatter", "--d", "nan"]],
+    ids=["comfort-nan", "simulate-inf", "scatter-nan"],
+)
+def test_non_finite_coin_entry_exits_3(projective_file, argv, capsys):
+    assert main([argv[0], projective_file, *argv[1:]]) == 3
+    assert "not unitary" in capsys.readouterr().err
+
+
 def test_scatter_csv_two_columns_per_entry(projective_file, capsys):
     code = main(["scatter", projective_file, "--format", "csv"])
     assert code == 0

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import projective_k4, planar_k4, random_rotation_system
 from surfwalk.covering_blowup import (
@@ -7,7 +8,8 @@ from surfwalk.covering_blowup import (
     double_cover,
     hedgehog,
 )
-from surfwalk.graph_core import arc_edge
+from surfwalk.errors import GraphError
+from surfwalk.graph_core import SymmetricDigraph, arc_edge
 from surfwalk.rotation_system import detect_orientability, trace_faces
 
 
@@ -16,6 +18,8 @@ def test_cover_counts():
     assert dc.graph.vertex_count == 8
     assert dc.graph.edge_count == 12
     assert dc.arc_count == 24
+    assert dc == double_cover(planar_k4()) != double_cover(projective_k4())
+    assert hash(dc) == hash(double_cover(planar_k4()))
 
 
 def test_cover_components_match_orientability(rng):
@@ -50,11 +54,37 @@ def test_cover_rotation_per_sheet():
         assert dc.sheet[dc.rot[c]] == s
 
 
+def test_cover_graph_is_built_only_when_read(monkeypatch):
+    rs = projective_k4()
+    built = []
+    validate = SymmetricDigraph.__post_init__
+
+    def counting(self):
+        built.append(self.vertex_count)
+        validate(self)
+
+    monkeypatch.setattr(SymmetricDigraph, "__post_init__", counting)
+    hedgehog(rs)
+    assert built == []
+    dc = double_cover(rs)
+    assert dc.components == dc.components == 1
+    assert built == [8]
+
+
 def test_blow_up_counts():
     bg = blow_up(double_cover(planar_k4()))
     assert bg.size == 24  # vertices = islands = bridges
     assert not bg.hedgehog
     assert attach_hedgehog(bg).hedgehog
+
+
+@pytest.mark.parametrize("bad", [-1, 24])
+def test_blow_up_rejects_boundary_outside_the_islands(bad):
+    dc = double_cover(planar_k4())
+    with pytest.raises(GraphError, match="outside 0..23"):
+        blow_up(dc, boundary=[0, bad])
+    assert blow_up(dc, boundary=[]).boundary_islands().size == 0
+    assert blow_up(dc, boundary=[0, 23]).boundary_islands().tolist() == [0, 23]
 
 
 def test_islands_are_rotation_cycles():

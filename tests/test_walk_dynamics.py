@@ -49,6 +49,14 @@ def test_coin_validates_unitarity():
     assert c.d_is_real
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_coin_rejects_non_finite_entries(bad):
+    with pytest.raises(AssumptionError, match="not unitary"):
+        Coin(bad, 0.0, 0.0, 1.0)
+    with pytest.raises(AssumptionError, match="not unitary"):
+        Coin(1.0, 0.0, 0.0, bad)
+
+
 def test_coin_parametrization(rng):
     for _ in range(20):
         coin = random_d_real_coin(rng)
