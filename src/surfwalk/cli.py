@@ -191,7 +191,7 @@ def _tail_legend(bg) -> list[dict]:
     dc = bg.cover
     g = dc.base.graph
     legend = []
-    for i in map(int, bg.boundary_islands()):
+    for i in range(bg.size):
         e = int(dc.proj[i])
         legend.append(
             {
@@ -322,16 +322,15 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
 
 
 def _parse_inflow(bg, spec: str) -> np.ndarray:
-    inflow = np.zeros(bg.size, dtype=complex)
     if spec == "uniform":
-        inflow[bg.boundary_islands()] = 1.0
-        return inflow
+        return np.ones(bg.size, dtype=complex)
     try:
         tail = int(spec)
     except ValueError:
         raise AssumptionError(f"--inflow takes a tail id or 'uniform', got {spec!r}")
-    if not (0 <= tail < bg.size) or not bg.boundary[tail]:
+    if not 0 <= tail < bg.size:
         raise AssumptionError(f"tail {tail} does not exist")
+    inflow = np.zeros(bg.size, dtype=complex)
     inflow[tail] = 1.0
     return inflow
 

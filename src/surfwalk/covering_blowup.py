@@ -12,20 +12,20 @@ its ``cover_base[i]`` names the base face of ``faces[i]``.  The cover is
 held as index arrays over that numbering, converted once; only the
 orientability cross-check builds it as a validated graph.
 
-Hedgehog tails cut every island arc at a boundary vertex; a tail is
-identified by the island arc it sits on, and the bijection with bridges is
+Every island arc carries a hedgehog tail, cut in at a boundary vertex; a
+tail is identified by the island arc it sits on, so tails and islands share
+the ids ``0 .. size - 1``, and the bijection with bridges is
 ``phi(bridge g) = tail on island g-bar``.  :func:`hedgehog` is the one path
 from a rotation system to that tailed blow-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphError
 from .graph_core import SymmetricDigraph, bfs_forest, permutation_cycles
 from .rotation_system import RotationSystem, _cover_arcs
 
@@ -91,13 +91,13 @@ def double_cover(rs: RotationSystem) -> DoubleCover:
 
 @dataclass(frozen=True)
 class BlowUpGraph:
-    """Blow-up of the double cover, plus tail bookkeeping.
+    """Blow-up of the double cover with a tail on every island arc.
 
     ``rot``/``rot_inv`` are the island successor maps, ``bridge_sign`` holds
     (-1)^tau per bridge, and ``faces`` lists every extended facial walk as
     the cyclic sequence of island arc ids it visits (both chiral copies, so
-    the walks partition all islands).  ``boundary`` marks the island arcs
-    carrying a tail; tails never exist as paths, only as these marks.
+    the walks partition all islands, and hence all tails).  Tails never
+    exist as paths: tail ``g`` is the boundary condition on island arc ``g``.
 
     The incidence maps between islands and bridges are array lookups: the
     bridge into the origin of island arc g is ``bar[g]`` and the one into
@@ -108,30 +108,22 @@ class BlowUpGraph:
     """
 
     cover: DoubleCover
-    rot: np.ndarray
-    rot_inv: np.ndarray
-    bar: np.ndarray
-    bridge_twist: np.ndarray
-    bridge_sign: np.ndarray
-    faces: tuple[tuple[int, ...], ...]
-    boundary: np.ndarray
+    # The rest follows from cover, so equality and hashing read cover alone.
+    rot: np.ndarray = field(compare=False)
+    rot_inv: np.ndarray = field(compare=False)
+    bar: np.ndarray = field(compare=False)
+    bridge_twist: np.ndarray = field(compare=False)
+    bridge_sign: np.ndarray = field(compare=False)
+    faces: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def size(self) -> int:
-        """Number of blow-up vertices = islands = bridges."""
+        """Number of blow-up vertices = islands = bridges = tails."""
         return len(self.rot)
 
-    @property
-    def hedgehog(self) -> bool:
-        return bool(self.boundary.all())
 
-    def boundary_islands(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary)
-
-
-def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
-    """Blow up the double cover; ``boundary`` selects tailed island arcs
-    (defaults to none; see :func:`attach_hedgehog`)."""
+def blow_up(dc: DoubleCover) -> BlowUpGraph:
+    """Blow up the double cover, with a tail on every island arc."""
     n = dc.arc_count
     rot = dc.rot
     rot_inv = np.empty_like(rot)
@@ -144,13 +136,6 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
     # bridge crossed between them is bar(successor).
     faces, _, _ = permutation_cycles(bar[rot].tolist())
 
-    bmask = np.zeros(n, dtype=bool)
-    if boundary is not None:
-        tails = np.asarray(list(boundary), dtype=np.int64)
-        if tails.size and not (0 <= tails.min() and tails.max() < n):
-            raise GraphError(f"boundary names an island arc outside 0..{n - 1}")
-        bmask[tails] = True
-
     return BlowUpGraph(
         cover=dc,
         rot=rot,
@@ -159,16 +144,16 @@ def blow_up(dc: DoubleCover, boundary=None) -> BlowUpGraph:
         bridge_twist=twist,
         bridge_sign=sign,
         faces=tuple(map(tuple, faces)),
-        boundary=bmask,
     )
 
 
 def attach_hedgehog(bg: BlowUpGraph) -> BlowUpGraph:
-    """Tail every island arc (the boundary assignment of all closed forms)."""
-    return replace(bg, boundary=np.ones(bg.size, dtype=bool))
+    """The identity: :func:`blow_up` already tails every island arc.  Kept
+    for callers that name the hedgehog step of the pipeline."""
+    return bg
 
 
 def hedgehog(rs: RotationSystem) -> BlowUpGraph:
     """The hedgehog system of ``rs``: its double cover, blown up, with a
     tail on every island arc."""
-    return attach_hedgehog(blow_up(double_cover(rs)))
+    return blow_up(double_cover(rs))

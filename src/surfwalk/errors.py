@@ -11,7 +11,7 @@ class GraphError(ValueError):
 
 
 class AssumptionError(ValueError):
-    """A coin or boundary assumption required by a closed form is violated."""
+    """An assumption on the coin, the inflow or a solver setting is violated."""
 
 
 class ConvergenceError(RuntimeError):

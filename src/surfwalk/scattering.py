@@ -1,10 +1,11 @@
 """Closed-form scattering matrix, stationary state and orientability test.
 
 The scattering matrix is block diagonal over the extended facial walks.
-On a face with q tails, P_f(omega) is the weighted cyclic shift that moves
-amplitude from one tail to the next, picking up omega per island hop and a
-sign per twisted bridge: its weights w_j have unit modulus and P_f^q is Pi_f
-times the identity, Pi_f being the product of the weights.  Hence
+A face of length q visits q islands, each carrying a tail, and P_f(omega)
+is the weighted cyclic shift that moves amplitude from one tail to the
+next, picking up omega per island hop and a sign per twisted bridge: its
+weights w_j have unit modulus and P_f^q is Pi_f times the identity, Pi_f
+being the product of the weights.  Hence
 
     (I - a P_f)^-1 = sum_{k<q} a^k P_f^k / (1 - a^q Pi_f),
 
@@ -12,7 +13,7 @@ and every entry of S_f = bc P_f (I - a P_f)^-1 + d I is explicit: the entry
 from a tail to the tail k steps further round the face is
 bc a^(k-1) W / (1 - a^q Pi_f) (plus d on the diagonal), with W the product
 of the k weights in between.  :class:`ScatteringMatrix` keeps per face only
-the tails, their hop counts and twist parities and the closing factor
+the tails and their twist parities and the closing factor
 1 / (1 - a^q Pi_f); ``apply_q`` multiplies by Q = S - dI in O(q) per face,
 and the dense ``blocks``, ``matrix()`` and ``q_matrix()`` are export views
 built from the same entries.  No block is ever inverted.
@@ -24,7 +25,8 @@ by the arc involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,73 +45,34 @@ __all__ = [
 ]
 
 
-def _face_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
-    """Boundary positions of a face and the inter-tail weights.
-
-    Returns (tails, dist, parity) as arrays: the island ids carrying a tail
-    in walk order, the number of island hops from the previous tail to each
-    one, and the twist parity collected on the way.
-    """
-    islands = np.asarray(face, dtype=np.int64)
-    if bg.boundary[islands].all():
-        # Every island carries a tail (the hedgehog): one hop between tails,
-        # across the bridge into the next island.
-        return islands, np.ones(len(islands), dtype=np.int64), bg.bridge_twist[islands]
-    return _partial_boundary(bg, face)
-
-
-def _partial_boundary(bg: BlowUpGraph, face: tuple[int, ...]):
-    """:func:`_face_boundary` for a face whose islands need not all carry a tail."""
-    r = len(face)
-    positions = [j for j in range(r) if bg.boundary[face[j]]]
-    q = len(positions)
-    dist, parity = [], []
-    for idx in range(q):
-        j_prev, j = positions[idx - 1], positions[idx]
-        d = (j - j_prev) % r or r
-        p = 0
-        for k in range(1, d + 1):
-            p ^= int(bg.bridge_twist[face[(j_prev + k) % r]])
-        dist.append(d)
-        parity.append(p)
-    tails = np.array([face[j] for j in positions], dtype=np.int64)
-    return tails, np.array(dist, dtype=np.int64), np.array(parity, dtype=np.int64)
-
-
-def _weights(dist, parity, omega) -> np.ndarray:
-    """w_j = (-1)^parity_j omega^dist_j: entry (j, j-1) of P_f(omega), in
-    the precision of ``omega``."""
-    return (1 - 2 * (np.asarray(parity) & 1)) * np.power(omega, dist)
-
-
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """Block-diagonal unitary mapping constant inflow to stationary outflow.
 
-    Face ``i`` owns ``tails[offsets[i]:offsets[i + 1]]`` in walk order;
-    ``hops`` and ``parity`` give, per tail, the island hops and the twist
-    parity from the previous tail of its face.  ``closing[i]`` is
-    1 / (1 - a^q Pi_f) (zero for a degenerate coin, whose Q vanishes) and
-    ``gaps[i]`` is |1 - a^q Pi_f|, the conditioning of the face as |a| -> 1
-    (infinite on faces without tails).
+    Face ``i`` owns ``tails[offsets[i]:offsets[i + 1]]``, the islands of
+    ``bg.faces[i]`` in walk order; ``parity`` gives, per tail, the twist of
+    the bridge crossed from the previous tail of its face.  ``closing[i]``
+    is 1 / (1 - a^q Pi_f) (zero for a degenerate coin, whose Q vanishes)
+    and ``gaps[i]`` is |1 - a^q Pi_f|, the conditioning of the face as
+    |a| -> 1.
 
     ``blocks[i]`` pairs the ordered tail ids of face ``i`` with its q x q
-    block; faces without tails contribute empty blocks.
+    block.
     """
 
     bg: BlowUpGraph
     coin: Coin
-    tails: np.ndarray
-    offsets: np.ndarray
-    hops: np.ndarray
-    parity: np.ndarray
-    closing: np.ndarray
-    gaps: np.ndarray
+    # The rest follows from (bg, coin), so equality and hashing read those.
+    tails: np.ndarray = field(compare=False)
+    offsets: np.ndarray = field(compare=False)
+    parity: np.ndarray = field(compare=False)
+    closing: np.ndarray = field(compare=False)
+    gaps: np.ndarray = field(compare=False)
 
     @property
     def min_gap(self) -> float:
-        """The smallest |1 - a^q Pi_f| over faces with tails."""
-        return float(self.gaps.min(initial=np.inf))
+        """The smallest |1 - a^q Pi_f| over the faces."""
+        return float(self.gaps.min())
 
     def _columns(self, i: int, cols: np.ndarray) -> np.ndarray:
         """Explicit columns of Q on face ``i``: rows are the face's tails in
@@ -122,7 +85,7 @@ class ScatteringMatrix:
         sequence t holds a^(k-1) for the k = j - m > 0 steps ahead and
         Pi_f a^(k-1) for the k = q + j - m steps round the start.  A double
         omega has unit modulus only to rounding, so conj(phi_m) would stand
-        in for 1 / phi_m with an error growing with the hops to tail m.
+        in for 1 / phi_m with an error growing with the steps to tail m.
         """
         q = self.offsets[i + 1] - self.offsets[i]
         coin = self.coin
@@ -141,9 +104,10 @@ class ScatteringMatrix:
 
     def _phase(self, i: int) -> np.ndarray:
         """phi_j, the product of the weights of face ``i`` up to tail j (the
-        last one is Pi_f), in long double."""
+        last one is Pi_f), in long double.  Weight w_j = (-1)^parity_j omega
+        is entry (j, j-1) of P_f(omega)."""
         o, e = self.offsets[i], self.offsets[i + 1]
-        return np.cumprod(_weights(self.hops[o:e], self.parity[o:e], np.clongdouble(self.coin.omega)))
+        return np.cumprod((1 - 2 * self.parity[o:e]) * np.clongdouble(self.coin.omega))
 
     def _solve(self, i: int, v: np.ndarray) -> np.ndarray:
         """Q v on face ``i`` for a general inflow ``v`` (face order).
@@ -174,8 +138,7 @@ class ScatteringMatrix:
     def apply_q(self, v: np.ndarray) -> np.ndarray:
         """Q v, matrix-free: O(q) per face that ``v`` touches.
 
-        ``v`` is indexed by island arc id; entries off the tails are
-        ignored.  S v = Q v + d v on the tails.
+        ``v`` is indexed by tail (= island arc id).  S v = Q v + d v.
         """
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.bg.size,):
@@ -215,24 +178,19 @@ class ScatteringMatrix:
         s = np.zeros((n, n), dtype=complex)
         for tails, block in self.blocks:
             idx = np.array(tails, dtype=np.int64)
-            if len(idx):
-                s[np.ix_(idx, idx)] = block
+            s[np.ix_(idx, idx)] = block
         return s
 
     def q_matrix(self) -> np.ndarray:
-        """Q = S - dI on the tail sites (island indexed; export view)."""
+        """Q = S - dI (island indexed; export view)."""
         s = self.matrix()
-        d = self.coin.d
-        idx = self.bg.boundary_islands()
-        s[idx, idx] -= d
+        s.flat[:: self.bg.size + 1] -= self.coin.d
         return s
 
     def unitarity_defect(self) -> float:
         """max |S_f^H S_f - I| over the dense face blocks."""
         worst = 0.0
         for tails, block in self.blocks:
-            if len(tails) == 0:
-                continue
             gram = block.conj().T @ block
             gram.flat[:: len(tails) + 1] -= 1
             worst = max(worst, np.abs(gram).max())
@@ -245,50 +203,51 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     coin.require_d_real()
     a = coin.a
 
-    tails, hops, parity = zip(*(_face_boundary(bg, face) for face in bg.faces))
-    counts = np.array([len(t) for t in tails], dtype=np.int64)
-
-    # a^q Pi_f: the hops round a face with tails add up to its length.  It
-    # is formed in long double: as |a| -> 1 the gap 1 - a^q Pi_f shrinks to
-    # ~q(1 - |a|), and the double rounding of the product, divided by that
-    # gap, would cost every entry of the face a few hundred ulps.
-    twists = np.array([p.sum() for p in parity], dtype=np.int64)
+    # Every island carries a tail, so the tails of a face are its islands.
+    tails = np.fromiter(itertools.chain.from_iterable(bg.faces), dtype=np.int64, count=bg.size)
+    parity = bg.bridge_twist[tails]
     lengths = np.array([len(face) for face in bg.faces], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+
+    # a^q Pi_f is formed in long double: as |a| -> 1 the gap 1 - a^q Pi_f
+    # shrinks to ~q(1 - |a|), and the double rounding of the product,
+    # divided by that gap, would cost every entry of the face a few hundred
+    # ulps.
+    twists = np.add.reduceat(parity, offsets[:-1])
     turn = (
-        np.power(np.clongdouble(a), counts)
+        np.power(np.clongdouble(a), lengths)
         * (1 - 2 * (twists & 1))
         * np.power(np.clongdouble(coin.omega), lengths)
     )
-    live = counts > 0
-    gaps = np.where(live, np.abs(1.0 - turn), np.inf).astype(float)
+    gaps = np.abs(1.0 - turn).astype(float)
     if not coin.degenerate and coin.unit_a:
         worst = int(np.argmin(gaps))
         raise AssumptionError(
             "face blocks need |a| < 1 to be invertible; the smallest gap "
             f"|1 - a^q Pi| is {gaps[worst]:.3e} (face {worst})"
         )
-    closing = np.zeros(len(counts), dtype=complex)
-    if not coin.degenerate:
-        closing[live] = 1.0 / (1.0 - turn[live])
+    if coin.degenerate:
+        closing = np.zeros(len(lengths), dtype=complex)
+    else:
+        closing = (1.0 / (1.0 - turn)).astype(complex)
     return ScatteringMatrix(
         bg=bg,
         coin=coin,
-        tails=np.concatenate(tails),
-        offsets=np.concatenate(([0], np.cumsum(counts))),
-        hops=np.concatenate(hops),
-        parity=np.concatenate(parity),
+        tails=tails,
+        offsets=offsets,
+        parity=parity,
         closing=closing,
         gaps=gaps,
     )
 
 
 def _require_built_for(s: ScatteringMatrix, coin: Coin, rs: RotationSystem):
-    """Reject a precomputed S that belongs to another coin, rotation system
-    or boundary than the hedgehog of ``rs`` under ``coin``."""
+    """Reject a precomputed S that belongs to another coin or rotation
+    system than the hedgehog of ``rs`` under ``coin``."""
     if s.coin != coin:
         raise AssumptionError("scattering= was built for another coin")
-    if s.bg.cover.base != rs or not s.bg.hedgehog:
-        raise AssumptionError("scattering= was built for another rotation system or boundary")
+    if s.bg.cover.base != rs:
+        raise AssumptionError("scattering= was built for another rotation system")
 
 
 def stationary_closed_form(
@@ -301,8 +260,6 @@ def stationary_closed_form(
     a bridge superposes its two endpoint values weighted by d.
     """
     coin.require_d_real()
-    if not bg.hedgehog:
-        raise AssumptionError("the stationary closed form is stated for the hedgehog")
     if coin.degenerate:
         raise AssumptionError(
             "a degenerate coin (b = 0 or c = 0) has no eta; use the simulator"
@@ -352,16 +309,12 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
         raise AssumptionError("orientability detection needs a real coin entry a > 0")
     coin.require_d_real()
-    if not bg.hedgehog:
-        raise AssumptionError("orientability detection is stated for the hedgehog")
 
     nv = bg.cover.base.graph.vertex_count
     low = np.full(nv * nv, np.inf)
     high = np.full(nv * nv, -np.inf)
     base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
     for tails, block in s.blocks:
-        if not tails:
-            continue
         if np.abs(block.imag).max() > 1e-8:
             raise AssumptionError("scattering entries are not real; check the coin")
         vertex = base_of_tail[np.array(tails)]

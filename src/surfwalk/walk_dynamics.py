@@ -2,16 +2,17 @@
 
 One step applies, at every blow-up vertex, the 2x2 coin to the incoming
 (island, bridge) amplitudes, with a sign flip on twisted bridges, and at
-every boundary vertex the same coin to (quay, tail) amplitudes.  Tails are
-boundary conditions: the inbound pier always carries the constant inflow
-and whatever leaves on the outbound pier is recorded as outflow and
-dropped, which reproduces the free dynamics on semi-infinite tails exactly.
+every boundary vertex the same coin to (quay, tail) amplitudes.  Every
+island arc carries a tail, cut in at a boundary vertex that splits the
+island into two quay arcs.  Tails are boundary conditions: the inbound pier
+always carries the constant inflow and whatever leaves on the outbound pier
+is recorded as outflow and dropped, which reproduces the free dynamics on
+semi-infinite tails exactly.
 
-State layout (arrays indexed by island/bridge id ``g``):
+State layout (arrays indexed by island/bridge/tail id ``g``):
 
-* ``island_in[g]``  - the quay arc before the tail of a boundary island,
-  or the whole island arc if ``g`` carries no tail;
-* ``island_plus[g]`` - the quay arc after the tail (boundary islands only);
+* ``island_in[g]``  - the quay arc of island ``g`` before its tail;
+* ``island_plus[g]`` - the quay arc after the tail;
 * ``bridge[g]``     - the bridge arc (g, g-bar).
 
 Every array has the inflow's shape: ``(n,)``, or ``(n, k)`` for k inflows
@@ -148,8 +149,8 @@ class Coin:
 class WaveState:
     """Internal amplitudes plus the constant inflow and the latest outflow.
 
-    ``inflow`` and ``outflow`` are indexed by tail site (= island arc id)
-    along their first axis; non-boundary rows are zero.
+    ``inflow`` and ``outflow`` are indexed by tail (= island arc id)
+    along their first axis.
     """
 
     island_in: np.ndarray
@@ -166,8 +167,6 @@ class WaveState:
         inflow = np.asarray(inflow, dtype=complex)
         if inflow.ndim not in (1, 2) or inflow.shape[0] != n:
             raise AssumptionError(f"inflow must have shape ({n},) or ({n}, k), got {inflow.shape}")
-        if np.any(inflow[~bg.boundary] != 0):
-            raise AssumptionError("inflow is only admitted at boundary island arcs")
         return cls(
             island_in=np.zeros_like(inflow),
             island_plus=np.zeros_like(inflow),
@@ -180,18 +179,15 @@ class WaveState:
 def step(state: WaveState, bg: BlowUpGraph, coin: Coin) -> WaveState:
     """One application of the walk operator with the tail boundary condition."""
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    # Per-arc flags broadcast over any trailing inflow axis.
-    per_arc = (-1,) + (1,) * (state.inflow.ndim - 1)
-    bdry, sign = bg.boundary.reshape(per_arc), bg.bridge_sign.reshape(per_arc)
-    out = np.where(bdry, state.island_plus, state.island_in)
-
-    feed_island = out[bg.rot_inv]
+    # Bridge signs broadcast over any trailing inflow axis.
+    sign = bg.bridge_sign.reshape((-1,) + (1,) * (state.inflow.ndim - 1))
+    feed_island = state.island_plus[bg.rot_inv]
     feed_bridge = state.bridge[bg.bar]
 
     island_in = a * feed_island + b * feed_bridge
     bridge = sign * (c * feed_island + d * feed_bridge)
-    island_plus = np.where(bdry, a * state.island_in + b * state.inflow, 0.0)
-    outflow = np.where(bdry, c * state.island_in + d * state.inflow, 0.0)
+    island_plus = a * state.island_in + b * state.inflow
+    outflow = c * state.island_in + d * state.inflow
 
     return WaveState(
         island_in=island_in,
@@ -264,11 +260,8 @@ def run_to_stationary(
 
 def outflow_map(bg: BlowUpGraph, coin: Coin, tol: float = 1e-10, max_steps: int = 10**6) -> np.ndarray:
     """The simulated scattering matrix: column j is the stationary outflow
-    for a unit inflow at tail j (all tails in one run); other columns are zero."""
-    tails = bg.boundary_islands()
-    s = np.zeros((bg.size, bg.size), dtype=complex)
-    s[:, tails] = run_to_stationary(bg, coin, np.eye(bg.size)[:, tails], tol, max_steps).outflow
-    return s
+    for a unit inflow at tail j (all tails in one run)."""
+    return run_to_stationary(bg, coin, np.eye(bg.size), tol, max_steps).outflow
 
 
 def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.ndarray]:

@@ -65,6 +65,13 @@ def k4_classes():
     return enumerate_embeddings(complete_graph(4))
 
 
+@pytest.fixture(scope="session")
+def k5_classes():
+    from surfwalk.enumeration import enumerate_embeddings
+
+    return enumerate_embeddings(complete_graph(5))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

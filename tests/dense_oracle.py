@@ -1,9 +1,9 @@
 """The dense scattering route, kept as a test oracle for the explicit one.
 
 Each face block is built as the paper states it, bc P_f (I - a P_f)^-1 + d I,
-with P_f traced here from the blow-up walk and the resolvent inverted by
-numpy; sigma is the dense twist-signed flip-flop on the tail space.  Nothing
-here calls ``surfwalk.scattering`` or ``surfwalk.comfortability``.
+with P_f built here from the face's bridge twists and the resolvent
+inverted by numpy; sigma is the dense twist-signed flip-flop on the tail
+space.  Nothing here calls ``surfwalk.scattering`` or ``surfwalk.comfortability``.
 """
 
 import numpy as np
@@ -11,25 +11,19 @@ import numpy as np
 
 def face_shift(bg, face):
     """Tails of a face in walk order and its weighted cyclic shift P_f(omega)
-    as a function of omega: entry (j, j-1) is (-1)^parity omega^hops."""
-    r = len(face)
-    positions = [j for j in range(r) if bg.boundary[face[j]]]
-    q = len(positions)
-    hops, signs = [], []
-    for idx in range(q):
-        j_prev, j = positions[idx - 1], positions[idx]
-        d = (j - j_prev) % r or r
-        twist = sum(int(bg.bridge_twist[face[(j_prev + k) % r]]) for k in range(1, d + 1))
-        hops.append(d)
-        signs.append((-1.0) ** twist)
+    as a function of omega.  Every island carries a tail, so the tails are
+    the face's islands, and entry (j, j-1) is (-1)^tau omega, tau being the
+    twist of the bridge crossed into island j."""
+    q = len(face)
+    signs = [(-1.0) ** int(bg.bridge_twist[g]) for g in face]
 
     def shift(omega):
         p = np.zeros((q, q), dtype=np.result_type(omega, complex))
         for j in range(q):
-            p[j, (j - 1) % q] = signs[j] * omega ** hops[j]
+            p[j, (j - 1) % q] = signs[j] * omega
         return p
 
-    return [face[j] for j in positions], shift
+    return list(face), shift
 
 
 def blocks(bg, coin):
@@ -51,25 +45,20 @@ def matrix(bg, coin):
     """Dense S, island indexed on both axes."""
     s = np.zeros((bg.size, bg.size), dtype=complex)
     for tails, block in blocks(bg, coin):
-        if tails:
-            s[np.ix_(tails, tails)] = block
+        s[np.ix_(tails, tails)] = block
     return s
 
 
 def q_matrix(bg, coin):
-    """Dense Q = S - dI on the tail sites."""
-    s = matrix(bg, coin)
-    idx = np.flatnonzero(bg.boundary)
-    s[idx, idx] -= coin.d
-    return s
+    """Dense Q = S - dI."""
+    return matrix(bg, coin) - coin.d * np.eye(bg.size)
 
 
 def apply_q(bg, coin, v):
     """Q v block by block (no n x n matrix, for long faces)."""
     out = np.zeros(bg.size, dtype=complex)
     for tails, block in blocks(bg, coin):
-        if tails:
-            out[tails] = (block - coin.d * np.eye(len(tails))) @ v[tails]
+        out[tails] = (block - coin.d * np.eye(len(tails))) @ v[tails]
     return out
 
 
@@ -95,8 +84,6 @@ def refined_q(bg, coin, inflow):
         return out
     for face in bg.faces:
         tails, shift = face_shift(bg, face)
-        if not tails:
-            continue
         p = shift(np.clongdouble(coin.omega))
         m = np.eye(len(tails)) - np.clongdouble(coin.a) * p
         v = inflow[tails].astype(np.clongdouble)

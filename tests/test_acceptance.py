@@ -278,3 +278,19 @@ def test_criterion_12_kn_genus_harness(k4_classes):
     # informational at n = 4: the formula gives 0, the census gives 1
     assert k4.formula_caveat and summary.nonorientable_min == 1
     _report(12, "classical genus formulas line up with the K4 census (n=4 caveat noted)")
+
+
+def test_criterion_13_k5_ranking_endpoints(k5_classes):
+    k5 = kn_best_worst(5)
+    assert k5.best == ("non-orientable",) and k5.worst == "orientable"
+    for a in (0.5, 0.9, 0.98):
+        ranked = rank_by_comfortability(k5_classes, a)
+        # Each end is held by one class alone.
+        assert ranked[0].average > ranked[1].average
+        assert ranked[-1].average < ranked[-2].average
+        best, worst = ranked[0].embedding, ranked[-1].embedding
+        assert not best.orientable and best.genus == k5.nonorientable_min == 1
+        assert best.face_lengths == (5, 3, 3, 3, 3, 3)
+        assert worst.orientable and worst.genus == k5.orientable_max == 3
+        assert worst.face_lengths == (20,)
+    _report(13, "K5 census at a=0.5, 0.9, 0.98: projective plane first, one-face genus 3 last")

@@ -138,6 +138,14 @@ def test_comfort_zero_inflow_is_impossible_tail(projective_file):
     assert main(["comfort", projective_file, "--inflow", "99"]) == 3
 
 
+@pytest.mark.parametrize("command", ["comfort", "simulate"])
+@pytest.mark.parametrize("tail", ["-1", "24"])
+def test_inflow_outside_the_tails_exits_3(projective_file, command, tail, capsys):
+    # Projective K4 has one tail per island arc: ids 0 .. 23.
+    assert main([command, projective_file, "--inflow", tail]) == 3
+    assert f"tail {tail} does not exist" in capsys.readouterr().err
+
+
 def test_comfort_single_inflow(projective_file, capsys):
     code, payload = run_json(capsys, "comfort", projective_file, "--inflow", "5")
     assert code == 0

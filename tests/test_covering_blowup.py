@@ -1,6 +1,3 @@
-import numpy as np
-import pytest
-
 from conftest import projective_k4, planar_k4, random_rotation_system
 from surfwalk.covering_blowup import (
     attach_hedgehog,
@@ -8,7 +5,6 @@ from surfwalk.covering_blowup import (
     double_cover,
     hedgehog,
 )
-from surfwalk.errors import GraphError
 from surfwalk.graph_core import SymmetricDigraph, arc_edge
 from surfwalk.rotation_system import detect_orientability, trace_faces
 
@@ -73,18 +69,16 @@ def test_cover_graph_is_built_only_when_read(monkeypatch):
 
 def test_blow_up_counts():
     bg = blow_up(double_cover(planar_k4()))
-    assert bg.size == 24  # vertices = islands = bridges
-    assert not bg.hedgehog
-    assert attach_hedgehog(bg).hedgehog
+    assert bg.size == 24  # vertices = islands = bridges = tails
+    assert attach_hedgehog(bg) is bg
 
 
-@pytest.mark.parametrize("bad", [-1, 24])
-def test_blow_up_rejects_boundary_outside_the_islands(bad):
-    dc = double_cover(planar_k4())
-    with pytest.raises(GraphError, match="outside 0..23"):
-        blow_up(dc, boundary=[0, bad])
-    assert blow_up(dc, boundary=[]).boundary_islands().size == 0
-    assert blow_up(dc, boundary=[0, 23]).boundary_islands().tolist() == [0, 23]
+def test_blow_up_compares_and_hashes_by_its_cover():
+    bg = hedgehog(projective_k4())
+    assert bg == hedgehog(projective_k4())
+    assert hash(bg) == hash(hedgehog(projective_k4()))
+    assert bg != hedgehog(planar_k4())
+    assert len({bg, hedgehog(projective_k4()), hedgehog(planar_k4())}) == 2
 
 
 def test_islands_are_rotation_cycles():
@@ -135,8 +129,7 @@ def test_extended_walks_cover_everything_once(rng):
 
 def test_hedgehog_tail_count_and_phi_bijection():
     bg = hedgehog(projective_k4())
-    tails = bg.boundary_islands()
-    assert len(tails) == 24  # one per island arc = 2|A|
+    assert bg.size == 24  # one tail per island arc = 2|A|
     # phi(bridge g) = tail on island bar[g]; tail i is fed by bridge bar[i].
     images = {int(bg.bar[g]) for g in range(bg.size)}
     assert images == set(range(bg.size))

@@ -221,29 +221,26 @@ def test_one_rotation_system_per_class(monkeypatch):
     assert len(calls) <= 11 + 2
 
 
-def _orientable_genus_distribution(g):
+def _orientable_genus_distribution(classes, vertex_count):
     """Orientable embeddings per genus: sum of orbit sizes over orientable
     classes, divided by the 2^(V-1) twist assignments that flips reach."""
-    classes = enumerate_embeddings(g)
     dist = collections.Counter()
     for c in classes:
         if c.orientable:
             dist[c.genus] += c.orbit_size
-    scale = 2 ** (g.vertex_count - 1)
+    scale = 2 ** (vertex_count - 1)
     assert all(v % scale == 0 for v in dist.values())
-    return {genus: v // scale for genus, v in sorted(dist.items())}, classes
+    return {genus: v // scale for genus, v in sorted(dist.items())}
 
 
-def test_k4_genus_distribution():
-    dist, _ = _orientable_genus_distribution(complete_graph(4))
-    assert dist == {0: 2, 1: 14}
+def test_k4_genus_distribution(k4_classes):
+    assert _orientable_genus_distribution(k4_classes, 4) == {0: 2, 1: 14}
 
 
-def test_k5_genus_distribution():
+def test_k5_genus_distribution(k5_classes):
     # Gross-Furst: K5 has 462 / 4974 / 2340 orientable embeddings of genus 1 / 2 / 3.
-    dist, classes = _orientable_genus_distribution(complete_graph(5))
-    assert dist == {1: 462, 2: 4974, 3: 2340}
-    assert sum(c.orbit_size for c in classes) == check_budget(10, [4] * 5, budget=10**7) == 7_962_624
+    assert _orientable_genus_distribution(k5_classes, 5) == {1: 462, 2: 4974, 3: 2340}
+    assert sum(c.orbit_size for c in k5_classes) == check_budget(10, [4] * 5, budget=10**7) == 7_962_624
 
 
 def test_equal_face_data_ties_exactly_and_keeps_enumeration_order():

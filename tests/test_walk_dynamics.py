@@ -27,18 +27,8 @@ def unit_inflow(bg, tail):
     return v
 
 
-def partial_blow_up(rs, rng):
-    from surfwalk.covering_blowup import blow_up, double_cover
-
-    dc = double_cover(rs)
-    keep = rng.choice(dc.arc_count, size=dc.arc_count // 3, replace=False)
-    return blow_up(dc, boundary=sorted(int(g) for g in keep))
-
-
 def random_inflows(bg, k, rng):
-    v = rng.normal(size=(bg.size, k)) + 1j * rng.normal(size=(bg.size, k))
-    v[~bg.boundary] = 0.0
-    return v
+    return rng.normal(size=(bg.size, k)) + 1j * rng.normal(size=(bg.size, k))
 
 
 def test_coin_validates_unitarity():
@@ -167,18 +157,8 @@ def test_double_flip_roundtrip(rng):
     assert flip_vertex(flip_vertex(rs, 1), 1) == rs
 
 
-def test_inflow_must_sit_on_boundary():
-    from surfwalk.covering_blowup import blow_up, double_cover
-
-    bg = blow_up(double_cover(planar_k4()))  # no tails at all
-    with pytest.raises(AssumptionError):
-        WaveState.zero(bg, unit_inflow(bg, 0))
-
-
-@pytest.mark.parametrize("boundary", ["hedgehog", "partial"])
-def test_batched_inflow_matches_single_runs(boundary, rng):
-    rs = projective_k4()
-    bg = hedgehog(rs) if boundary == "hedgehog" else partial_blow_up(rs, rng)
+def test_batched_inflow_matches_single_runs(rng):
+    bg = hedgehog(projective_k4())
     coin = random_d_real_coin(rng, max_a=0.7)
     inflow = random_inflows(bg, 5, rng)
     batch = run_to_stationary(bg, coin, inflow, tol=1e-12)
@@ -197,15 +177,12 @@ def test_batched_inflow_matches_single_runs(boundary, rng):
 
 
 def test_outflow_map_matches_per_tail_runs(rng):
-    bg = partial_blow_up(projective_k4(), rng)
+    bg = hedgehog(projective_k4())
     coin = random_d_real_coin(rng, max_a=0.5)
     s = outflow_map(bg, coin, tol=1e-12)
-    tails = bg.boundary_islands()
+    assert s.shape == (bg.size, bg.size)
     for j in range(bg.size):
-        if j in tails:
-            expected = run_to_stationary(bg, coin, unit_inflow(bg, j), tol=1e-12).outflow
-        else:
-            expected = np.zeros(bg.size)
+        expected = run_to_stationary(bg, coin, unit_inflow(bg, j), tol=1e-12).outflow
         assert np.abs(s[:, j] - expected).max() < 1e-9
 
 
@@ -229,21 +206,18 @@ def test_internal_energy_per_column(rng):
 
 
 def test_batched_inflow_shape_and_support_checked(rng):
-    from surfwalk.covering_blowup import blow_up, double_cover
-
     bg = hedgehog(projective_k4())
     for shape in ((bg.size + 1, 3), (bg.size - 1, 3), (bg.size, 3, 2), ()):
         with pytest.raises(AssumptionError):
             WaveState.zero(bg, np.zeros(shape, dtype=complex))
-    bare = blow_up(double_cover(projective_k4()))  # no tails at all
-    inflow = np.zeros((bare.size, 2), dtype=complex)
+    # Every island arc carries a tail, so every row may carry inflow.
+    inflow = np.zeros((bg.size, 2), dtype=complex)
     inflow[5, 1] = 1.0
-    with pytest.raises(AssumptionError):
-        WaveState.zero(bare, inflow)
+    assert np.array_equal(WaveState.zero(bg, inflow).inflow, inflow)
 
 
 def test_step_matrix_is_one_step_without_inflow(rng):
-    for bg in (hedgehog(projective_k4()), partial_blow_up(projective_k4(), rng)):
+    for bg in (hedgehog(projective_k4()), hedgehog(planar_k4())):
         coin = random_d_real_coin(rng)
         n = bg.size
         x = rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)
