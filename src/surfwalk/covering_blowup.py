@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import SymmetricDigraph, bfs_forest, permutation_cycles
-from .rotation_system import RotationSystem, _cover_arcs
+from .graph_core import SymmetricDigraph, bfs_forest
+from .rotation_system import RotationSystem
 
 __all__ = [
     "DoubleCover",
@@ -82,7 +82,11 @@ class DoubleCover:
 
 
 def double_cover(rs: RotationSystem) -> DoubleCover:
-    rot, lift, state = (np.array(a, dtype=np.int64) for a in _cover_arcs(rs))
+    cover_rot, _, cover_state = rs._cover
+    rot, state = np.array(cover_rot, dtype=np.int64), np.array(cover_state, dtype=np.int64)
+    # lift is the inverse of state, the permutation from cover arcs to states.
+    lift = np.empty_like(state)
+    lift[state] = np.arange(len(state))
     proj, sheet = state >> 1, state & 1
     for a in (rot, lift, proj, sheet):
         a.flags.writeable = False
@@ -133,8 +137,9 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
     sign = 1.0 - 2.0 * twist
 
     # Extended facial walks: successor of island g is bar(rot(g)); the
-    # bridge crossed between them is bar(successor).
-    faces, _, _ = permutation_cycles(bar[rot].tolist())
+    # bridge crossed between them is bar(successor).  They are the walks
+    # the base system traced once for trace_faces.
+    faces = dc.base._walks[0]
 
     return BlowUpGraph(
         cover=dc,
@@ -143,7 +148,7 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
         bar=bar,
         bridge_twist=twist,
         bridge_sign=sign,
-        faces=tuple(map(tuple, faces)),
+        faces=faces,
     )
 
 

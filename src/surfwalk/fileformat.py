@@ -23,19 +23,17 @@ def parse_rotation_system(text: str) -> RotationSystem:
     rotations: dict[int, list[int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "vertices":
-            if vertices is not None:
-                raise ParseError("duplicate vertices line", line=lineno)
-            vertices = _int(fields, 1, lineno, expect=2)
-        elif kind == "edge":
+        if kind == "edge":
             if len(fields) != 4:
                 raise ParseError("edge lines read: edge <u> <v> <twist>", line=lineno)
-            u, v, t = (_int(fields, i, lineno) for i in (1, 2, 3))
+            try:
+                u, v, t = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                _name_first_non_integer(fields, 1, lineno)
             if t not in (0, 1):
                 raise ParseError(f"twist must be 0 or 1, got {t}", line=lineno)
             edges.append((u, v))
@@ -49,7 +47,14 @@ def parse_rotation_system(text: str) -> RotationSystem:
                 raise ParseError(f"bad vertex {fields[1][:-1]!r}", line=lineno)
             if x in rotations:
                 raise ParseError(f"duplicate rotation line for vertex {x}", line=lineno)
-            rotations[x] = [_int(fields, i, lineno) for i in range(2, len(fields))]
+            try:
+                rotations[x] = list(map(int, fields[2:]))
+            except ValueError:
+                _name_first_non_integer(fields, 2, lineno)
+        elif kind == "vertices":
+            if vertices is not None:
+                raise ParseError("duplicate vertices line", line=lineno)
+            vertices = _int(fields, 1, lineno, expect=2)
         else:
             raise ParseError(f"unknown directive {kind!r}", line=lineno)
 
@@ -91,6 +96,12 @@ def _int(fields, i, lineno, expect=None):
         return int(fields[i])
     except (IndexError, ValueError):
         raise ParseError(f"expected an integer in field {i}", line=lineno)
+
+
+def _name_first_non_integer(fields, first, lineno):
+    """Raise the error of the first field from ``first`` on that is no integer."""
+    for i in range(first, len(fields)):
+        _int(fields, i, lineno)
 
 
 def serialize_rotation_system(rs: RotationSystem) -> str:

@@ -11,13 +11,14 @@ one face of the embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, eq, sub
 from typing import Sequence
 
 from .errors import GraphError
 from .graph_core import (
     SymmetricDigraph,
     arc_edge,
-    bfs_forest,
     permutation_cycles,
 )
 
@@ -34,22 +35,40 @@ __all__ = [
 @dataclass(frozen=True)
 class RotationSystem:
     """(G, rho, tau): rotation ``rot[e]`` is the cyclic successor of arc
-    ``e`` among the arcs into t(e); ``twist[k]`` is tau of edge ``k``."""
+    ``e`` among the arcs into t(e); ``twist[k]`` is tau of edge ``k``.
+
+    The double cover is traced at most once per system: ``_cover`` and
+    ``_walks`` hold the cover arcs and the walks on them, computed on first
+    read and kept out of ``==``, ``hash``, ``repr`` and pickles.
+    """
 
     graph: SymmetricDigraph
     rot: tuple[int, ...]
     twist: tuple[int, ...]
 
     def __post_init__(self):
-        g = self.graph
-        if len(self.rot) != g.arc_count:
+        g, rot = self.graph, self.rot
+        if len(rot) != g.arc_count:
             raise GraphError("rotation must cover every arc")
         if len(self.twist) != g.edge_count:
             raise GraphError("twist must cover every edge")
-        if any(t not in (0, 1) for t in self.twist):
+        if self.twist.count(0) + self.twist.count(1) != len(self.twist):
             raise GraphError("twists must be 0 or 1")
-        if self.rot and not (0 <= min(self.rot) and max(self.rot) < len(self.rot)):
-            raise GraphError(f"rotation names an arc outside 0..{len(self.rot) - 1}")
+        if rot and not (0 <= min(rot) and max(rot) < len(rot)):
+            raise GraphError(f"rotation names an arc outside 0..{len(rot) - 1}")
+        # rho_x must be one cycle through all of A_x (so no fixed point).
+        # Checked in bulk; _name_first_bad_vertex loops over the vertices
+        # only to name the first offender.
+        terminus = g.terminus
+        if not (
+            all(map(eq, map(terminus.__getitem__, rot), terminus))
+            and min(map(len, g._incoming)) >= 2
+            and _one_cycle_per_vertex(rot, g._incoming)
+        ):
+            self._name_first_bad_vertex()
+
+    def _name_first_bad_vertex(self):
+        g = self.graph
         cycles, cycle_of, _ = permutation_cycles(self.rot)
         for x in range(g.vertex_count):
             ax = g.incoming_arcs(x)
@@ -58,12 +77,26 @@ class RotationSystem:
                     f"vertex {x} has degree {len(ax)}; a fixed-point-free "
                     "cyclic rotation needs degree >= 2"
                 )
-            # rho_x must be one cycle through all of A_x (so no fixed point).
             for e in ax:
                 if g.terminus[self.rot[e]] != x:
                     raise GraphError(f"rotation leaves A_{x} at arc {e}")
             if len(cycles[cycle_of[ax[0]]]) != len(ax):
                 raise GraphError(f"rotation at vertex {x} is not a single cycle")
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks")}
+
+    @cached_property
+    def _cover(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The cover rotation, ``lift`` and ``state`` of :func:`_cover_arcs`."""
+        return tuple(map(tuple, _cover_arcs(self)))
+
+    @cached_property
+    def _walks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+        """The cycles of the face successor ``rot[c] ^ 1`` on cover arcs, with
+        each arc's walk and position, as :func:`permutation_cycles` lists them."""
+        walks, walk_of, position = permutation_cycles([c ^ 1 for c in self._cover[0]])
+        return tuple(map(tuple, walks)), tuple(walk_of), tuple(position)
 
     @classmethod
     def from_neighbor_orders(
@@ -81,14 +114,15 @@ class RotationSystem:
         """
         rot = [0] * graph.arc_count
         for x, order in enumerate(orders):
-            arc_from = {graph.origin[e]: e for e in graph.incoming_arcs(x)}
+            ax = graph.incoming_arcs(x)
+            arc_from = dict(zip(map(graph.origin.__getitem__, ax), ax))
             if len(order) != len(arc_from) or arc_from.keys() != set(order):
                 raise GraphError(
                     f"rotation at vertex {x} must list its neighbors {sorted(arc_from)} exactly once"
                 )
-            arcs = [arc_from[u] for u in order]
-            for i, e in enumerate(arcs):
-                rot[e] = arcs[(i + 1) % len(arcs)]
+            arcs = list(map(arc_from.__getitem__, order))
+            for e, f in zip(arcs, arcs[1:] + arcs[:1]):
+                rot[e] = f
         if twists is None:
             twists = [0] * graph.edge_count
         return cls(graph, tuple(rot), tuple(twists))
@@ -107,6 +141,21 @@ class RotationSystem:
         for e, f in enumerate(self.rot):
             inv[f] = e
         return tuple(inv)
+
+
+def _one_cycle_per_vertex(rot: Sequence[int], incoming: Sequence[Sequence[int]]) -> bool:
+    """Whether rho, which keeps every arc at its vertex, first returns to the
+    first arc of each A_x after exactly |A_x| steps; then rho is one cycle
+    through each A_x, and a permutation."""
+    for ax in incoming:
+        e0 = e = ax[0]
+        for _ in ax[1:]:
+            e = rot[e]
+            if e == e0:
+                return False
+        if rot[e] != e0:
+            return False
+    return True
 
 
 def _flipped(rs: RotationSystem, flip_bits: Sequence[int]) -> RotationSystem:
@@ -156,15 +205,24 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 def _cover_arcs(rs: RotationSystem) -> tuple[list[int], list[int], list[int]]:
     """The double cover's rotation, ``lift`` (the cover arc of each state)
     and ``state`` (the state of each cover arc)."""
-    state = []
-    for k, t in enumerate(rs.twist):
-        # Cover arcs 4k .. 4k+3 lie over base arcs 2k, 2k + 1, 2k, 2k + 1.
-        state += (4 * k + t, 4 * k + 2, 4 * k + 1 - t, 4 * k + 3)
-    lift = [0] * len(state)
+    n = 4 * len(rs.twist)
+    # Cover arcs 4k .. 4k+3 lie over base arcs 2k, 2k + 1, 2k, 2k + 1 and
+    # carry states 4k + tau_k, 4k + 2, 4k + 1 - tau_k, 4k + 3.
+    state = list(range(n))
+    state[0::4] = map(add, range(0, n, 4), rs.twist)
+    state[1::4] = range(2, n, 4)
+    state[2::4] = map(sub, range(1, n, 4), rs.twist)
+    lift = [0] * n
     for c, s in enumerate(state):
         lift[s] = c
-    rot, rot_inv = rs.rot, rs.rot_inverse()
-    cover_rot = [lift[2 * (rot_inv[s >> 1] if s & 1 else rot[s >> 1]) + (s & 1)] for s in state]
+    # Sheet 0 turns the lift of e to the lift of rho(e); sheet 1 turns the
+    # lift of rho(e) back to the lift of e.
+    up, down = lift[0::2], lift[1::2]
+    cover_rot = [0] * n
+    for c, d in zip(up, map(up.__getitem__, rs.rot)):
+        cover_rot[c] = d
+    for c, d in zip(map(down.__getitem__, rs.rot), down):
+        cover_rot[c] = d
     return cover_rot, lift, state
 
 
@@ -200,8 +258,8 @@ class FacialDecomposition:
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     """Trace every facial walk and derive genus and orientability."""
     g = rs.graph
-    rot, lift, state = _cover_arcs(rs)
-    walks, walk_of, position = permutation_cycles([c ^ 1 for c in rot])
+    _, lift, state = rs._cover
+    walks, walk_of, position = rs._walks
 
     # A walk is read from its smallest state; the key (arc sequence, that
     # state) picks the representative of each chiral pair and orders them.
@@ -233,7 +291,8 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
         for c in read[i]:
             if walk_of[c ^ 1] == i:
                 d1 = (position[c ^ 1] - position[c]) % r
-                hits[c >> 2] = (min(d1, r - d1), max(d1, r - d1))
+                d2 = r - d1
+                hits[c >> 2] = (d1, d2) if d1 <= d2 else (d2, d1)
         self_int.append(hits)
 
     orientable, _ = _tree_flips(rs)
@@ -248,7 +307,7 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
 
     return FacialDecomposition(
         rs=rs,
-        cover_faces=tuple(map(tuple, walks)),
+        cover_faces=walks,
         faces=tuple(arcs[i] for i in reps),
         self_intersections=tuple(self_int),
         orientable=orientable,
@@ -267,12 +326,12 @@ def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
     can).  Returns (orientable, flip bit per vertex).
     """
     g = rs.graph
-    tree = bfs_forest(g)
+    tree = g._tree_edges
     if len(tree) != g.vertex_count - 1:
         raise GraphError("orientability and genus need a connected graph")
     flip = [0] * g.vertex_count
-    for parent, child in tree:
-        flip[child] = flip[parent] ^ rs.twist[arc_edge(g.arc_between(parent, child))]
+    for parent, child, k in tree:
+        flip[child] = flip[parent] ^ rs.twist[k]
     orientable = all(
         t == flip[u] ^ flip[v] for t, u, v in zip(rs.twist, g.origin[::2], g.terminus[::2])
     )

@@ -124,19 +124,22 @@ class Coin:
 
     @classmethod
     def real_symmetric(cls, a: float) -> "Coin":
-        """[[a, b], [b, -a]] with b = sqrt(1 - a^2); d real, omega = 1."""
+        """[[a, b], [b, -a]] with b = sqrt(1 - a^2); d real, omega = 1.
+        b is taken as sqrt((1 - a)(1 + a)), which keeps full precision as
+        |a| -> 1 where 1 - a*a cancels."""
         if not -1.0 < a < 1.0:
             raise AssumptionError("real_symmetric coin needs -1 < a < 1")
-        b = math.sqrt(1.0 - a * a)
+        b = math.sqrt((1.0 - a) * (1.0 + a))
         return cls(a, b, b, -a)
 
     @classmethod
     def from_params(cls, s: float, phi: float, beta: float) -> "Coin":
         """General unitary coin with d = s real: a = s e^{i phi},
-        b = t e^{i beta}, c = -t e^{i (phi - beta)}, t = sqrt(1 - s^2)."""
+        b = t e^{i beta}, c = -t e^{i (phi - beta)}, t = sqrt(1 - s^2), taken
+        as sqrt((1 - s)(1 + s)) as in :meth:`real_symmetric`."""
         if not -1.0 < s < 1.0:
             raise AssumptionError("from_params needs -1 < s < 1")
-        t = math.sqrt(1.0 - s * s)
+        t = math.sqrt((1.0 - s) * (1.0 + s))
         return cls(
             s * cmath.exp(1j * phi),
             t * cmath.exp(1j * beta),

@@ -1,4 +1,10 @@
+import pickle
+import sys
+
+import pytest
+
 from conftest import projective_k4, planar_k4, random_rotation_system
+from surfwalk import graph_core, rotation_system
 from surfwalk.covering_blowup import (
     attach_hedgehog,
     blow_up,
@@ -170,3 +176,54 @@ def test_bridge_twists_project_to_base():
         assert bg.bridge_twist[g] == bg.bridge_twist[bg.bar[g]]
     # One twisted base edge: two arcs, each with two lifts.
     assert int(bg.bridge_twist.sum()) == 4
+
+
+def _count_calls(monkeypatch, name, original):
+    """Count calls to ``original`` through every surfwalk module binding it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("surfwalk") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _count_traces(monkeypatch):
+    covers = _count_calls(monkeypatch, "_cover_arcs", rotation_system._cover_arcs)
+    walks = _count_calls(monkeypatch, "permutation_cycles", graph_core.permutation_cycles)
+    return covers, walks
+
+
+@pytest.mark.parametrize("order", ["faces first", "hedgehog first"])
+def test_the_cover_is_traced_once_per_system(monkeypatch, order):
+    rs = projective_k4()
+    covers, walks = _count_traces(monkeypatch)
+    if order == "faces first":
+        fd, bg = trace_faces(rs), hedgehog(rs)
+    else:
+        bg, fd = hedgehog(rs), trace_faces(rs)
+    assert bg.faces is fd.cover_faces
+    trace_faces(rs), hedgehog(rs), double_cover(rs)
+    assert (len(covers), len(walks)) == (1, 1)
+
+
+def test_double_cover_alone_traces_no_walks(monkeypatch):
+    rs = projective_k4()
+    covers, walks = _count_traces(monkeypatch)
+    double_cover(rs)
+    assert (len(covers), len(walks)) == (1, 0)
+
+
+def test_traced_system_compares_hashes_and_pickles_as_before():
+    rs, fresh = projective_k4(), projective_k4()
+    before = (repr(rs), hash(rs), pickle.dumps(rs))
+    trace_faces(rs), hedgehog(rs)
+    assert (repr(rs), hash(rs), pickle.dumps(rs)) == before
+    assert rs == fresh and fresh == rs
+    again = pickle.loads(pickle.dumps(rs))
+    assert again == rs and hash(again) == hash(rs)
+    assert trace_faces(again) == trace_faces(rs)

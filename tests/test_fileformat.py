@@ -75,3 +75,25 @@ def test_missing_rotation_lines_are_listed_briefly():
     with pytest.raises(ParseError) as err:
         parse_rotation_system("\n".join(lines))
     assert "and 19 more" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("vertices 4", "vertices four", 1),
+        ("edge 0 2 0", "edge x 2 0", 1),
+        ("edge 0 2 0", "edge 0 two 0", 2),
+        ("edge 0 2 0", "edge 0 2 0.0", 3),
+        ("edge 0 2 0", "edge 0 y z", 2),
+        ("rotation 2: 0 1 3", "rotation 2: 0 one 3", 3),
+        ("rotation 2: 0 1 3", "rotation 2: 0 1 3x", 4),
+        ("rotation 2: 0 1 3", "rotation 2: 0 a b", 3),
+    ],
+)
+def test_non_integer_field_is_named_with_its_line(old, new, field):
+    text = PROJECTIVE_K4_FILE.replace(old, new)
+    lineno = text.splitlines().index(new) + 1
+    with pytest.raises(ParseError) as err:
+        parse_rotation_system(text)
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: expected an integer in field {field}"

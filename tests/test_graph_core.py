@@ -10,6 +10,7 @@ from surfwalk.graph_core import (
     cycle_graph,
     is_connected,
     path_graph,
+    permutation_cycles,
 )
 
 
@@ -92,3 +93,52 @@ def test_bfs_forest_disconnected_roots_each_tree_at_its_smallest_vertex():
     assert g.vertex_count - len(forest) == 4
     assert not is_connected(g)
     assert bfs_forest(SymmetricDigraph(1, (), ())) == []
+
+
+# Arc pairs (o(2k), t(2k), o(2k+1), t(2k+1)) of one bad edge of each kind,
+# in a graph on vertices 0..3 whose good edges are {0, 1} and {1, 2}, and
+# the message that names it when it is edge k.
+BAD_EDGES = {
+    "unknown vertex": ((0, 9, 9, 0), "edge {k} references unknown vertex"),
+    "self-loop": ((2, 2, 2, 2), "self-loop at vertex 2"),
+    "non-inverse pair": ((2, 3, 3, 1), "arc pair {k} is not mutually inverse"),
+    "duplicate edge": ((1, 0, 0, 1), "duplicate edge (0, 1)"),
+}
+
+
+def _digraph(arc_pairs):
+    origin, terminus = [], []
+    for o0, t0, o1, t1 in arc_pairs:
+        origin += [o0, o1]
+        terminus += [t0, t1]
+    return SymmetricDigraph(4, tuple(origin), tuple(terminus))
+
+
+@pytest.mark.parametrize("first", BAD_EDGES)
+@pytest.mark.parametrize("second", BAD_EDGES)
+def test_first_bad_edge_is_named(first, second):
+    pair_a, message = BAD_EDGES[first]
+    pair_b, _ = BAD_EDGES[second]
+    if first == second:
+        # A second edge of the same kind, with its own message.
+        pair_b = {
+            "unknown vertex": (3, 8, 8, 3),
+            "self-loop": (3, 3, 3, 3),
+            "non-inverse pair": (0, 3, 3, 2),
+            "duplicate edge": (2, 1, 1, 2),
+        }[first]
+    arcs = [(0, 1, 1, 0), pair_a, (1, 2, 2, 1), pair_b]
+    with pytest.raises(GraphError) as err:
+        _digraph(arcs)
+    assert str(err.value) == message.format(k=1)
+
+
+def test_permutation_cycles_start_at_their_smallest_element():
+    succ = [3, 0, 2, 4, 1, 6, 5]
+    cycles, cycle_of, position = permutation_cycles(succ)
+    assert cycles == [[0, 3, 4, 1], [2], [5, 6]]
+    for x in range(len(succ)):
+        assert cycles[cycle_of[x]][position[x]] == x
+    for bad in ([1, 1, 0], [1, 2, 1]):
+        with pytest.raises(GraphError, match="not a permutation"):
+            permutation_cycles(bad)

@@ -7,7 +7,7 @@ import face_oracle
 from conftest import projective_k4, planar_k4, random_rotation_system
 from surfwalk.covering_blowup import double_cover, hedgehog
 from surfwalk.errors import GraphError
-from surfwalk.graph_core import complete_graph, cycle_graph, path_graph
+from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph, path_graph
 from surfwalk.rotation_system import (
     RotationSystem,
     _flipped,
@@ -355,3 +355,66 @@ def test_mirror_is_flip_of_every_vertex(rng):
             for x in range(n):
                 flipped = flip_vertex(flipped, x)
             assert mirror(rs) == flipped
+
+
+def _rotation(g, cycles):
+    """The rotation with the given cycles of arcs; arcs not named are fixed."""
+    rot = list(range(g.arc_count))
+    for cycle in cycles:
+        for i, e in enumerate(cycle):
+            rot[e] = cycle[(i + 1) % len(cycle)]
+    return tuple(rot)
+
+
+def _split(g, x):
+    """Two cycles at vertex x: its first two arcs, and the rest."""
+    ax = g.incoming_arcs(x)
+    return [ax[:2], ax[2:]]
+
+
+def _whole_but(g, *skip):
+    """One cycle through the arcs of each vertex not in ``skip``."""
+    return [g.incoming_arcs(x) for x in range(g.vertex_count) if x not in skip]
+
+
+def _swapped(g, rot, x, y):
+    """rot with the images of the first arcs of x and y exchanged."""
+    rot = list(rot)
+    e, f = g.incoming_arcs(x)[0], g.incoming_arcs(y)[0]
+    rot[e], rot[f] = rot[f], rot[e]
+    return tuple(rot)
+
+
+def _pendant_k5(pendant):
+    """K5 on the vertices other than ``pendant``, plus one edge to it."""
+    rest = [x for x in range(6) if x != pendant]
+    edges = [(u, v) for i, u in enumerate(rest) for v in rest[i + 1 :]]
+    return SymmetricDigraph.from_edges(6, [(pendant, rest[0])] + edges)
+
+
+def _bad_rotation_cases():
+    k5 = complete_graph(5)
+    yield "two low degrees", path_graph(4), tuple(range(6)), "vertex 0 has degree 1; "
+    leave = _swapped(k5, _swapped(k5, _rotation(k5, _whole_but(k5)), 0, 1), 2, 3)
+    yield "two leaving", k5, leave, f"rotation leaves A_0 at arc {k5.incoming_arcs(0)[0]}"
+    split = _rotation(k5, _split(k5, 1) + _split(k5, 3) + _whole_but(k5, 1, 3))
+    yield "two split", k5, split, "rotation at vertex 1 is not a single cycle"
+    leave_then_split = _swapped(k5, _rotation(k5, _split(k5, 4) + _whole_but(k5, 4)), 1, 2)
+    yield "leave, split", k5, leave_then_split, f"rotation leaves A_1 at arc {k5.incoming_arcs(1)[0]}"
+    split_then_leave = _swapped(k5, _rotation(k5, _split(k5, 1) + _whole_but(k5, 1)), 3, 4)
+    yield "split, leave", k5, split_then_leave, "rotation at vertex 1 is not a single cycle"
+    g = _pendant_k5(5)
+    yield "split, degree", g, _rotation(g, _split(g, 1) + _whole_but(g, 1)), "rotation at vertex 1 is not a single cycle"
+    g = _pendant_k5(0)
+    yield "degree, split", g, _rotation(g, _split(g, 2) + _whole_but(g, 2)), "vertex 0 has degree 1; "
+    g = _pendant_k5(4)
+    leave = _swapped(g, _rotation(g, _whole_but(g)), 0, 1)
+    yield "leave, degree", g, leave, f"rotation leaves A_0 at arc {g.incoming_arcs(0)[0]}"
+
+
+@pytest.mark.parametrize("case", list(_bad_rotation_cases()), ids=lambda case: case[0])
+def test_first_bad_vertex_is_named(case):
+    _, g, rot, message = case
+    with pytest.raises(GraphError) as err:
+        RotationSystem(g, rot, (0,) * g.edge_count)
+    assert str(err.value).startswith(message)

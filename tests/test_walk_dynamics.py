@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,24 @@ def test_coin_parametrization(rng):
         m = coin.matrix()
         assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
         assert abs(complex(coin.d).imag) < 1e-14
+
+
+def _off_diagonal_reference(a: float) -> Decimal:
+    """sqrt(1 - a^2) to 50 digits, with the double ``a`` taken as exact."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (1 - Decimal(a) ** 2).sqrt()
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_coin_off_diagonal_is_accurate_near_unit_a(k, sign):
+    a = sign * (1.0 - 10.0**-k)
+    ref = _off_diagonal_reference(a)
+    # Both constructors hold sqrt(1 - a^2) to within two ulps; 1 - a*a
+    # would lose about 3e-10 relative at k = 8.
+    for b in (Coin.real_symmetric(a).b, Coin.from_params(a, 0.0, 0.0).b.real):
+        assert abs(Decimal(b) - ref) <= 2 * Decimal(math.ulp(float(ref)))
 
 
 def test_one_step_norm_balance(rng):
