@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the front end of the closed-form pipeline, stage by stage, on K_n.
 
-For each size the script draws a seeded random rotation system on K_n
-(uniform cyclic orders, fair twists), writes it in the file format and
-prints one JSON line with the best time in milliseconds of each stage:
+For each n in 8, 16, 32, 64 and 128 the script draws a seeded random
+rotation system on K_n (uniform cyclic orders, fair twists), writes it in
+the file format and prints one JSON line with the best time in milliseconds of each stage:
 
 - ``parse_ms``: ``parse_rotation_system`` on the file text (validation
   included);
@@ -17,10 +17,9 @@ prints one JSON line with the best time in milliseconds of each stage:
 
 Run it from the root of a checkout:
 
-    PYTHONPATH=src python scripts/front_end_timing.py --sizes 8 16 32 64 128
+    PYTHONPATH=src python scripts/front_end_timing.py
 """
 
-import argparse
 import json
 import time
 
@@ -32,6 +31,10 @@ from surfwalk.graph_core import SymmetricDigraph, complete_graph
 from surfwalk.rotation_system import RotationSystem, trace_faces
 from surfwalk.scattering import scattering_matrix
 from surfwalk.walk_dynamics import Coin
+
+SIZES = (8, 16, 32, 64, 128)
+SEED = 101
+REPEAT = 5  # calls per stage; the fastest is reported
 
 
 def random_kn_system(n: int, rng) -> RotationSystem:
@@ -81,15 +84,10 @@ def stage_times(n: int, rng, repeat: int) -> dict:
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 32, 64, 128], help="n of each K_n")
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--repeat", type=int, default=5, help="calls per stage; the fastest is reported")
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
-    for n in args.sizes:
-        print(json.dumps(stage_times(n, rng, args.repeat)), flush=True)
+def main():
+    rng = np.random.default_rng(SEED)
+    for n in SIZES:
+        print(json.dumps(stage_times(n, rng, REPEAT)), flush=True)
 
 
 if __name__ == "__main__":

@@ -50,9 +50,11 @@ class DoubleCover:
     same base arc on the other sheet.  ``rot`` is the cover rotation,
     ``proj[c]`` and ``sheet[c]`` give the base arc of ``c`` and the sheet of
     its terminus; ``lift[2e + s]`` is the cover arc over base arc ``e``
-    ending on sheet ``s``.  The blow-up needs nothing else; the cover as a
-    validated graph and its component count are built on first read, for
-    the orientability cross-check.
+    ending on sheet ``s``.  The blow-up reads these arrays and takes its
+    faces from the walks the base system traced once (``base._walks``), so
+    a DoubleCover must come from :func:`double_cover`, whose ``rot`` is
+    ``base._cover``'s.  The cover as a validated graph and its component
+    count are built on first read, for the orientability cross-check.
     """
 
     base: RotationSystem
@@ -82,11 +84,7 @@ class DoubleCover:
 
 
 def double_cover(rs: RotationSystem) -> DoubleCover:
-    cover_rot, _, cover_state = rs._cover
-    rot, state = np.array(cover_rot, dtype=np.int64), np.array(cover_state, dtype=np.int64)
-    # lift is the inverse of state, the permutation from cover arcs to states.
-    lift = np.empty_like(state)
-    lift[state] = np.arange(len(state))
+    rot, lift, state = (np.array(a, dtype=np.int64) for a in rs._cover)
     proj, sheet = state >> 1, state & 1
     for a in (rot, lift, proj, sheet):
         a.flags.writeable = False

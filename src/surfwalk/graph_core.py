@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import GraphError
@@ -45,9 +43,7 @@ class SymmetricDigraph:
     """A finite simple graph seen as a symmetric digraph.
 
     ``origin[e]`` and ``terminus[e]`` give o(e) and t(e); the involution and
-    edge projection are index arithmetic (see module docstring).  The
-    spanning tree ``_tree_edges`` is built on first read and kept out of
-    ``==``, ``hash``, ``repr`` and pickles.
+    edge projection are index arithmetic (see module docstring).
     """
 
     vertex_count: int
@@ -61,51 +57,30 @@ class SymmetricDigraph:
             raise GraphError("graph needs at least one vertex")
         if len(o) != len(t) or len(o) % 2:
             raise GraphError("arcs must come in reverse pairs")
-        # With the pairs mutually inverse, the origins name every endpoint,
-        # and an edge listed twice repeats an arc.
-        if not (
-            o[1::2] == t[0::2]
-            and t[1::2] == o[0::2]
-            and (not o or (0 <= min(o) and max(o) < n))
-            and not any(map(eq, o, t))
-            and len(set(zip(o, t))) == len(o)
-        ):
-            self._name_first_bad_edge()
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for e, x in enumerate(t):
-            inc[x].append(e)
-        object.__setattr__(self, "_incoming", tuple(map(tuple, inc)))
-
-    def _name_first_bad_edge(self):
-        n, o, t = self.vertex_count, self.origin, self.terminus
         seen = set()
-        for k in range(len(o) // 2):
-            u, v = o[2 * k], t[2 * k]
+        for k, (u, v, u_back, v_back) in enumerate(zip(o[0::2], t[0::2], o[1::2], t[1::2])):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {k} references unknown vertex")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if (o[2 * k + 1], t[2 * k + 1]) != (v, u):
+            if (u_back, v_back) != (v, u):
                 raise GraphError(f"arc pair {k} is not mutually inverse")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
             seen.add(key)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_tree_edges"}
-
-    @cached_property
-    def _tree_edges(self) -> tuple[tuple[int, int, int], ...]:
-        """:func:`bfs_forest` as (parent, child, edge id) triples; every
-        rotation system on this graph reads it for its twist normalisation."""
-        return tuple((x, y, arc_edge(self.arc_between(x, y))) for x, y in bfs_forest(self))
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for e, x in enumerate(t):
+            inc[x].append(e)
+        object.__setattr__(self, "_incoming", tuple(tuple(a) for a in inc))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "SymmetricDigraph":
-        origin = [w for u, v in edges for w in (u, v)]
-        terminus = origin[:]
-        terminus[0::2], terminus[1::2] = origin[1::2], origin[0::2]
+        origin: list[int] = []
+        terminus: list[int] = []
+        for u, v in edges:
+            origin += [u, v]
+            terminus += [v, u]
         return cls(vertex_count, tuple(origin), tuple(terminus))
 
     @property
@@ -164,7 +139,6 @@ def bfs_forest(g: SymmetricDigraph) -> list[tuple[int, int]]:
     order.  Each tree is rooted at its smallest vertex and neighbours are
     visited in incoming-arc order, so the tree of vertex 0 comes first; the
     forest has ``vertex_count`` minus the number of components pairs."""
-    incoming, origin = g._incoming, g.origin
     seen = [False] * g.vertex_count
     forest = []
     for root in range(g.vertex_count):
@@ -174,8 +148,8 @@ def bfs_forest(g: SymmetricDigraph) -> list[tuple[int, int]]:
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for e in incoming[x]:
-                y = origin[e]
+            for e in g.incoming_arcs(x):
+                y = g.origin[e]
                 if not seen[y]:
                     seen[y] = True
                     forest.append((x, y))
@@ -201,12 +175,11 @@ def permutation_cycles(succ: Sequence[int]) -> tuple[list[list[int]], list[int],
     for start in range(n):
         if cycle_of[start] >= 0:
             continue
-        i, p, cycle = len(cycles), 0, []
+        cycle = []
         x = start
         while cycle_of[x] < 0:
-            cycle_of[x] = i
-            position[x] = p
-            p += 1
+            cycle_of[x] = len(cycles)
+            position[x] = len(cycle)
             cycle.append(x)
             x = succ[x]
         if x != start:

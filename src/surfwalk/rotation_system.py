@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, eq, sub
+from operator import add, sub
 from typing import Sequence
 
 from .errors import GraphError
 from .graph_core import (
     SymmetricDigraph,
     arc_edge,
+    bfs_forest,
     permutation_cycles,
 )
 
@@ -39,7 +40,8 @@ class RotationSystem:
 
     The double cover is traced at most once per system: ``_cover`` and
     ``_walks`` hold the cover arcs and the walks on them, computed on first
-    read and kept out of ``==``, ``hash``, ``repr`` and pickles.
+    read, kept out of ``==``, ``hash``, ``repr`` and pickles, and read only:
+    their lists are never changed.
     """
 
     graph: SymmetricDigraph
@@ -47,56 +49,51 @@ class RotationSystem:
     twist: tuple[int, ...]
 
     def __post_init__(self):
-        g, rot = self.graph, self.rot
-        if len(rot) != g.arc_count:
+        g = self.graph
+        if len(self.rot) != g.arc_count:
             raise GraphError("rotation must cover every arc")
         if len(self.twist) != g.edge_count:
             raise GraphError("twist must cover every edge")
-        if self.twist.count(0) + self.twist.count(1) != len(self.twist):
+        if any(t not in (0, 1) for t in self.twist):
             raise GraphError("twists must be 0 or 1")
-        if rot and not (0 <= min(rot) and max(rot) < len(rot)):
-            raise GraphError(f"rotation names an arc outside 0..{len(rot) - 1}")
-        # rho_x must be one cycle through all of A_x (so no fixed point).
-        # Checked in bulk; _name_first_bad_vertex loops over the vertices
-        # only to name the first offender.
-        terminus = g.terminus
-        if not (
-            all(map(eq, map(terminus.__getitem__, rot), terminus))
-            and min(map(len, g._incoming)) >= 2
-            and _one_cycle_per_vertex(rot, g._incoming)
-        ):
-            self._name_first_bad_vertex()
-
-    def _name_first_bad_vertex(self):
-        g = self.graph
-        cycles, cycle_of, _ = permutation_cycles(self.rot)
-        for x in range(g.vertex_count):
-            ax = g.incoming_arcs(x)
+        if self.rot and not (0 <= min(self.rot) and max(self.rot) < len(self.rot)):
+            raise GraphError(f"rotation names an arc outside 0..{len(self.rot) - 1}")
+        rot, terminus = self.rot, g.terminus
+        if len(set(rot)) != len(rot):
+            raise GraphError("successor map is not a permutation")
+        for x, ax in enumerate(g._incoming):
             if len(ax) < 2:
                 raise GraphError(
                     f"vertex {x} has degree {len(ax)}; a fixed-point-free "
                     "cyclic rotation needs degree >= 2"
                 )
+            # rho_x must be one cycle through all of A_x (so no fixed point).
             for e in ax:
-                if g.terminus[self.rot[e]] != x:
+                if terminus[rot[e]] != x:
                     raise GraphError(f"rotation leaves A_{x} at arc {e}")
-            if len(cycles[cycle_of[ax[0]]]) != len(ax):
+            # rho is a permutation that keeps A_x, so the cycle through the
+            # first arc of A_x stays in A_x.
+            first = ax[0]
+            e, length = rot[first], 1
+            while e != first:
+                e, length = rot[e], length + 1
+            if length != len(ax):
                 raise GraphError(f"rotation at vertex {x} is not a single cycle")
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks")}
 
     @cached_property
-    def _cover(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def _cover(self) -> tuple[list[int], list[int], list[int]]:
         """The cover rotation, ``lift`` and ``state`` of :func:`_cover_arcs`."""
-        return tuple(map(tuple, _cover_arcs(self)))
+        return _cover_arcs(self)
 
     @cached_property
-    def _walks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    def _walks(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
         """The cycles of the face successor ``rot[c] ^ 1`` on cover arcs, with
         each arc's walk and position, as :func:`permutation_cycles` lists them."""
         walks, walk_of, position = permutation_cycles([c ^ 1 for c in self._cover[0]])
-        return tuple(map(tuple, walks)), tuple(walk_of), tuple(position)
+        return tuple(map(tuple, walks)), walk_of, position
 
     @classmethod
     def from_neighbor_orders(
@@ -114,15 +111,14 @@ class RotationSystem:
         """
         rot = [0] * graph.arc_count
         for x, order in enumerate(orders):
-            ax = graph.incoming_arcs(x)
-            arc_from = dict(zip(map(graph.origin.__getitem__, ax), ax))
+            arc_from = {graph.origin[e]: e for e in graph.incoming_arcs(x)}
             if len(order) != len(arc_from) or arc_from.keys() != set(order):
                 raise GraphError(
                     f"rotation at vertex {x} must list its neighbors {sorted(arc_from)} exactly once"
                 )
-            arcs = list(map(arc_from.__getitem__, order))
-            for e, f in zip(arcs, arcs[1:] + arcs[:1]):
-                rot[e] = f
+            arcs = [arc_from[u] for u in order]
+            for i, e in enumerate(arcs):
+                rot[e] = arcs[(i + 1) % len(arcs)]
         if twists is None:
             twists = [0] * graph.edge_count
         return cls(graph, tuple(rot), tuple(twists))
@@ -141,21 +137,6 @@ class RotationSystem:
         for e, f in enumerate(self.rot):
             inv[f] = e
         return tuple(inv)
-
-
-def _one_cycle_per_vertex(rot: Sequence[int], incoming: Sequence[Sequence[int]]) -> bool:
-    """Whether rho, which keeps every arc at its vertex, first returns to the
-    first arc of each A_x after exactly |A_x| steps; then rho is one cycle
-    through each A_x, and a permutation."""
-    for ax in incoming:
-        e0 = e = ax[0]
-        for _ in ax[1:]:
-            e = rot[e]
-            if e == e0:
-                return False
-        if rot[e] != e0:
-            return False
-    return True
 
 
 def _flipped(rs: RotationSystem, flip_bits: Sequence[int]) -> RotationSystem:
@@ -291,8 +272,7 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
         for c in read[i]:
             if walk_of[c ^ 1] == i:
                 d1 = (position[c ^ 1] - position[c]) % r
-                d2 = r - d1
-                hits[c >> 2] = (d1, d2) if d1 <= d2 else (d2, d1)
+                hits[c >> 2] = (min(d1, r - d1), max(d1, r - d1))
         self_int.append(hits)
 
     orientable, _ = _tree_flips(rs)
@@ -326,12 +306,12 @@ def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
     can).  Returns (orientable, flip bit per vertex).
     """
     g = rs.graph
-    tree = g._tree_edges
+    tree = bfs_forest(g)
     if len(tree) != g.vertex_count - 1:
         raise GraphError("orientability and genus need a connected graph")
     flip = [0] * g.vertex_count
-    for parent, child, k in tree:
-        flip[child] = flip[parent] ^ rs.twist[k]
+    for parent, child in tree:
+        flip[child] = flip[parent] ^ rs.twist[arc_edge(g.arc_between(parent, child))]
     orientable = all(
         t == flip[u] ^ flip[v] for t, u, v in zip(rs.twist, g.origin[::2], g.terminus[::2])
     )

@@ -1,8 +1,8 @@
-import json
 import re
 import runpy
-import sys
 from pathlib import Path
+
+import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,12 +19,9 @@ def test_walk_convergence_reports_every_k4_class(capsys):
         assert abs(radius - ratio) < 0.005, row
 
 
-def test_front_end_timing_reports_every_stage(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["front_end_timing.py", "--sizes", "8", "--repeat", "1"])
-    runpy.run_path(str(SCRIPTS / "front_end_timing.py"), run_name="__main__")
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    row = json.loads(lines[0])
+def test_front_end_timing_reports_every_stage():
+    script = runpy.run_path(str(SCRIPTS / "front_end_timing.py"))
+    row = script["stage_times"](8, np.random.default_rng(script["SEED"]), 1)
     stages = ["parse_ms", "validation_ms", "trace_faces_ms", "hedgehog_ms", "scattering_matrix_ms"]
     assert list(row) == ["graph", "arcs"] + stages
     assert (row["graph"], row["arcs"]) == ("K8", 56)
