@@ -5,15 +5,21 @@ For each embedding class the script runs the simulator with a single unit
 inflow, records the step-to-step residual ratio, and compares it with the
 spectral radius of the internal one-step map.  The decay is geometric, but
 its ratio is governed by that spectral radius, which sits well above the
-island amplitude |a| (about 0.95 for the Hadamard-type coin on K4).
+island amplitude |a| (about 0.95 for the Hadamard-type coin on K4).  It
+also prints the step count of ``run_to_stationary`` on the same inflow and
+its time per step (best of 3 runs).
+
+Run it as ``PYTHONPATH=src python scripts/walk_convergence.py``.
 """
+
+import time
 
 import numpy as np
 
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.graph_core import complete_graph
-from surfwalk.walk_dynamics import Coin, WaveState, step, step_matrix, step_residual
+from surfwalk.walk_dynamics import Coin, WaveState, run_to_stationary, step, step_matrix, step_residual
 
 
 def main():
@@ -37,10 +43,22 @@ def main():
             state = new
         # geometric mean over the asymptotic window, clear of underflow
         tail = float(np.exp(np.mean(np.log(ratios))))
+        steps, seconds = run_time(bg, coin, inflow)
         print(
             f"{cls.label:16}  spectral radius {radius:.6f}   "
-            f"observed residual ratio {tail:.6f}"
+            f"observed residual ratio {tail:.6f}   "
+            f"steps {steps}  {1e6 * seconds / steps:.2f} us/step"
         )
+
+
+def run_time(bg, coin, inflow, repeats=3):
+    """The step count of one ``run_to_stationary`` and its best time."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        state = run_to_stationary(bg, coin, inflow)
+        best = min(best, time.perf_counter() - start)
+    return state.steps, best
 
 
 if __name__ == "__main__":

@@ -10,11 +10,13 @@ strings and CSV uses two columns per complex entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -79,48 +81,89 @@ def _complex_texts(z: np.ndarray) -> np.ndarray:
 
 
 def _json_array(texts: np.ndarray, indent: str) -> str:
-    """``json.dumps(texts.tolist(), indent=2)`` for an array of strings that
-    need no escaping, nested at ``indent`` (the indent of its closing bracket)."""
-    if not len(texts):
-        return "[]"
+    """``json.dumps(texts.tolist(), indent=2)`` for a 1-D or 2-D array of
+    strings that need no escaping, nested at ``indent`` (the indent of its
+    closing bracket)."""
+    if not texts.size:
+        return json.dumps(texts.tolist(), indent=2).replace("\n", "\n" + indent)
     inner = indent + "  "
     if texts.ndim == 1:
-        body = '"' + ('",\n' + inner + '"').join(texts.tolist()) + '"'
-    else:
-        body = (",\n" + inner).join([_json_array(row, inner) for row in texts])
-    return "[\n" + inner + body + "\n" + indent + "]"
+        return "[\n" + inner + '"' + ('",\n' + inner + '"').join(texts.tolist()) + '"\n' + indent + "]"
+    # One join over a grid holding each cell after the text that precedes it.
+    cell = inner + "  "
+    grid = np.empty((texts.shape[0], 2 * texts.shape[1]), dtype=object)
+    grid[:, ::2] = '",\n' + cell + '"'
+    grid[:, 0] = '"\n' + inner + "],\n" + inner + "[\n" + cell + '"'
+    grid[0, 0] = "[\n" + inner + "[\n" + cell + '"'
+    grid[:, 1::2] = texts
+    cells = grid.ravel().tolist()
+    cells.append('"\n' + inner + "]\n" + indent + "]")
+    return "".join(cells)
 
 
-# json.dumps writes a slot string "\x00<i>" as "\u0000<i>"; no other string a
+class _TailLegend(NamedTuple):
+    """One record per tail, held as columns: the island arc it sits on,
+    the bridge feeding it and the base arc (origin, terminus) and sheet
+    underneath."""
+
+    tail: list[int]
+    bridge: list[int]
+    origin: list[int]
+    terminus: list[int]
+    sheet: list[int]
+
+
+# One legend record as json.dumps(indent=2) writes it at indent 0.
+_LEGEND_RECORD = '{\n  "tail": %d,\n  "bridge": %d,\n  "base_arc": [\n    %d,\n    %d\n  ],\n  "sheet": %d\n}'
+
+
+def _json_legend(legend: _TailLegend, indent: str) -> str:
+    """``json.dumps`` of the legend's records with indent=2, nested at
+    ``indent`` as :func:`_json_array` is."""
+    if not legend.tail:
+        return "[]"
+    inner = indent + "  "
+    record = _LEGEND_RECORD.replace("\n", "\n" + inner)
+    return "[\n" + inner + (",\n" + inner).join(map(record.__mod__, zip(*legend))) + "\n" + indent + "]"
+
+
+# json.dumps writes the slot string "\x00" as "\u0000"; no other string a
 # command exports holds a control character.
-_SLOT = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.M)
+_SLOT = '"\\u0000"'
 
 
-def _dumps(payload: dict) -> str:
+def _dumps(payload) -> str:
     """``json.dumps(payload, indent=2)`` for a payload whose arrays of
-    strings are numpy object arrays.
+    strings are numpy object arrays and whose tail legends are
+    :class:`_TailLegend` columns.
 
     With an indent, json.dumps runs the pure-Python encoder.  It renders
-    only the skeleton here, with a slot string in place of each array, and
-    each array's text is spliced into its slot in the same layout.
+    only the skeleton here, with a slot string in place of each array and
+    legend, and each one's text is spliced into its slot in the same
+    layout, at the indent of the line the slot is on.
     """
-    arrays = []
+    renders = []
 
     def slot(node):
         if isinstance(node, np.ndarray):
-            arrays.append(node)
-            return f"\x00{len(arrays) - 1}"
-        if isinstance(node, dict):
+            renders.append(functools.partial(_json_array, node))
+        elif isinstance(node, _TailLegend):
+            renders.append(functools.partial(_json_legend, node))
+        elif isinstance(node, dict):
             return {key: slot(value) for key, value in node.items()}
-        if isinstance(node, list):
+        elif isinstance(node, list):
             return [slot(value) for value in node]
-        return node
+        else:
+            return node
+        return "\x00"
 
-    def splice(m):
-        indent, head, i = m.groups()
-        return indent + head + _json_array(arrays[int(i)], indent)
-
-    return _SLOT.sub(splice, json.dumps(slot(payload), indent=2))
+    # The encoder visits the payload in the order slot() did.
+    parts = json.dumps(slot(payload), indent=2).split(_SLOT)
+    out = [parts[0]]
+    for before, render, after in zip(parts, renders, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        out += [render(line[: len(line) - len(line.lstrip(" "))]), after]
+    return "".join(out)
 
 
 def _parse_complex(text: str) -> complex:
@@ -185,23 +228,16 @@ def _emit(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
-def _tail_legend(bg) -> list[dict]:
-    """One record per tail: the island arc it sits on, the bridge feeding it
-    and the base arc/sheet underneath."""
+def _tail_legend(bg) -> _TailLegend:
     dc = bg.cover
     g = dc.base.graph
-    legend = []
-    for i in range(bg.size):
-        e = int(dc.proj[i])
-        legend.append(
-            {
-                "tail": i,
-                "bridge": int(bg.bar[i]),
-                "base_arc": [g.origin[e], g.terminus[e]],
-                "sheet": int(dc.sheet[i]),
-            }
-        )
-    return legend
+    return _TailLegend(
+        list(range(bg.size)),
+        bg.bar.tolist(),
+        np.take(g.origin, dc.proj).tolist(),
+        np.take(g.terminus, dc.proj).tolist(),
+        dc.sheet.tolist(),
+    )
 
 
 def _faces_payload(rs) -> dict:

@@ -132,15 +132,19 @@ def positive_coin_average(fd: FacialDecomposition, a: float) -> float:
     """
     if not 0.0 < a < 1.0:
         raise AssumptionError("this form is stated for 0 < a < 1")
-    b2 = 1.0 - a * a
+    # b^2 = 1 - a^2 and 1 - a^L are formed without subtracting from 1, which
+    # cancels as a -> 1.
+    b2 = (1.0 - a) * (1.0 + a)
+    log_a = math.log1p(a - 1.0)
     first = 0.0
     second = 0.0
     for face, hits in zip(fd.faces, fd.self_intersections):
         length = len(face)
-        first += length * (1.0 + a**length) / (1.0 - a**length)
+        one_minus = -math.expm1(length * log_a)
+        first += length * (1.0 + a**length) / one_minus
         if hits:
             arc_sum = sum(2.0 * (a**d1 + a**d2) for d1, d2 in hits.values())
-            second += arc_sum / (1.0 - a**length)
+            second += arc_sum / one_minus
     n_arcs = fd.rs.graph.arc_count
     return ((2.0 + b2) / b2 * first - 2.0 * a / b2 * second) / n_arcs
 

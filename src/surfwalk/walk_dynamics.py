@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -166,10 +166,7 @@ class WaveState:
 
     @classmethod
     def zero(cls, bg: BlowUpGraph, inflow: np.ndarray) -> "WaveState":
-        n = bg.size
-        inflow = np.asarray(inflow, dtype=complex)
-        if inflow.ndim not in (1, 2) or inflow.shape[0] != n:
-            raise AssumptionError(f"inflow must have shape ({n},) or ({n}, k), got {inflow.shape}")
+        inflow = _checked_inflow(bg, inflow)
         return cls(
             island_in=np.zeros_like(inflow),
             island_plus=np.zeros_like(inflow),
@@ -179,25 +176,53 @@ class WaveState:
         )
 
 
-def step(state: WaveState, bg: BlowUpGraph, coin: Coin) -> WaveState:
-    """One application of the walk operator with the tail boundary condition."""
+def _checked_inflow(bg: BlowUpGraph, inflow: np.ndarray) -> np.ndarray:
+    n = bg.size
+    inflow = np.asarray(inflow, dtype=complex)
+    if inflow.ndim not in (1, 2) or inflow.shape[0] != n:
+        raise AssumptionError(f"inflow must have shape ({n},) or ({n}, k), got {inflow.shape}")
+    return inflow
+
+
+def _stepper(bg: BlowUpGraph, coin: Coin, inflow: np.ndarray):
+    """The step rule for one graph, coin and inflow, as ``advance(z, new)``:
+    it writes into ``new`` the state one step after ``z``, both ``(3, n[,
+    k])`` stacks ``[island_in; island_plus; bridge]``.
+
+    Each product and sum is the scalar-by-array operation ``a * x + b * y``
+    performs, in its order, so the result is bit-identical to forming each
+    array anew.  The outflow is not formed here: it depends on ``z`` alone.
+    """
     a, b, c, d = coin.a, coin.b, coin.c, coin.d
     # Bridge signs broadcast over any trailing inflow axis.
-    sign = bg.bridge_sign.reshape((-1,) + (1,) * (state.inflow.ndim - 1))
-    feed_island = state.island_plus[bg.rot_inv]
-    feed_bridge = state.bridge[bg.bar]
+    sign = bg.bridge_sign.reshape((-1,) + (1,) * (inflow.ndim - 1))
+    b_inflow = b * inflow
+    rot_inv, bar = bg.rot_inv, bg.bar
 
-    island_in = a * feed_island + b * feed_bridge
-    bridge = sign * (c * feed_island + d * feed_bridge)
-    island_plus = a * state.island_in + b * state.inflow
-    outflow = c * state.island_in + d * state.inflow
+    def advance(z: np.ndarray, new: np.ndarray):
+        feed_island = z[1][rot_inv]
+        feed_bridge = z[2][bar]
+        island_in, island_plus, bridge = new
+        # island_plus is written last; until then it holds the b and d terms.
+        np.multiply(a, feed_island, out=island_in)
+        np.add(island_in, np.multiply(b, feed_bridge, out=island_plus), out=island_in)
+        np.multiply(c, feed_island, out=bridge)
+        np.add(bridge, np.multiply(d, feed_bridge, out=island_plus), out=bridge)
+        np.multiply(sign, bridge, out=bridge)
+        np.add(np.multiply(a, z[0], out=island_plus), b_inflow, out=island_plus)
 
+    return advance
+
+
+def step(state: WaveState, bg: BlowUpGraph, coin: Coin) -> WaveState:
+    """One application of the walk operator with the tail boundary condition."""
+    z = np.array([state.island_in, state.island_plus, state.bridge], dtype=complex)
+    new = np.empty_like(z)
+    _stepper(bg, coin, state.inflow)(z, new)
     return WaveState(
-        island_in=island_in,
-        island_plus=island_plus,
-        bridge=bridge,
+        *new,
         inflow=state.inflow,
-        outflow=outflow,
+        outflow=coin.c * state.island_in + coin.d * state.inflow,
         steps=state.steps + 1,
     )
 
@@ -246,18 +271,25 @@ def run_to_stationary(
         raise AssumptionError(f"tolerance must be finite and positive, got {tol}")
     if max_steps < 0:
         raise AssumptionError(f"max_steps must be non-negative, got {max_steps}")
-    state = WaveState.zero(bg, inflow)
+    inflow = _checked_inflow(bg, inflow)
+    advance = _stepper(bg, coin, inflow)
+    # Two state buffers swap roles each step: z is the current state.
+    z = np.zeros((3,) + inflow.shape, dtype=complex)
+    new = np.empty_like(z)
     res = math.inf
-    for _ in range(max_steps):
-        new = step(state, bg, coin)
-        res = step_residual(new, state)
-        state = new
+    steps = 0
+    for steps in range(1, max_steps + 1):
+        advance(z, new)
+        res = np.abs(new - z).max(initial=0.0)
+        z, new = new, z
         if res < tol:
-            return replace(state, residual=res)
+            # The outflow of the last step leaves from the state before it.
+            outflow = coin.c * new[0] + coin.d * inflow
+            return WaveState(*z, inflow=inflow, outflow=outflow, steps=steps, residual=res)
     raise ConvergenceError(
         f"no stationary state after {max_steps} steps (residual {res:.3e})",
         residual=res,
-        steps=state.steps,
+        steps=steps,
     )
 
 

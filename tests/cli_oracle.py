@@ -4,20 +4,38 @@ the vectorised renderer in ``surfwalk.cli``.
 Every complex entry is formatted on its own as f"{re:.17g},{im:.17g}", JSON
 is written by ``json.dumps(payload, indent=2)`` and CSV row by row, as the
 commands first did; every document ends with one newline.  The payloads
-are assembled here from the library; of the CLI only the tail legend is
-reused, and none of its text helpers.
+are assembled here from the library, the tail legend as a list of dicts;
+nothing of the CLI is reused.
 """
 
 import json
 
 import numpy as np
 
-from surfwalk.cli import _tail_legend
 from surfwalk.comfortability import comfortability
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.rotation_system import trace_faces
 from surfwalk.scattering import scattering_matrix, stationary_closed_form
 from surfwalk.walk_dynamics import internal_energy, run_to_stationary
+
+
+def tail_legend(bg) -> list[dict]:
+    """One record per tail: the island arc it sits on, the bridge feeding it
+    and the base arc/sheet underneath."""
+    dc = bg.cover
+    g = dc.base.graph
+    legend = []
+    for i in range(bg.size):
+        e = int(dc.proj[i])
+        legend.append(
+            {
+                "tail": i,
+                "bridge": int(bg.bar[i]),
+                "base_arc": [g.origin[e], g.terminus[e]],
+                "sheet": int(dc.sheet[i]),
+            }
+        )
+    return legend
 
 
 def fmt_complex(z) -> str:
@@ -30,7 +48,7 @@ def scatter_json(rs, coin) -> str:
     s = scattering_matrix(bg, coin)
     labels = trace_faces(rs).cover_base
     payload = {
-        "tails": _tail_legend(bg),
+        "tails": tail_legend(bg),
         "unitarity_defect": s.unitarity_defect(),
         "min_face_gap": s.min_gap,
         "blocks": [
@@ -71,7 +89,7 @@ def simulate_json(rs, coin, tail: int, tol: float) -> str:
         "steps": state.steps,
         "residual": state.residual,
         "energy": internal_energy(state),
-        "tails": _tail_legend(bg),
+        "tails": tail_legend(bg),
         "outflow": [fmt_complex(z) for z in state.outflow],
         "state": {
             "island_before_tail": [fmt_complex(z) for z in state.island_in],

@@ -136,17 +136,41 @@ def test_complex_texts_match_format_spec():
     assert cli._complex_texts(z).tolist() == expected
 
 
+def _plain(node):
+    """The payload as json.dumps takes it: lists for arrays, and a list of
+    records for a tail legend."""
+    if isinstance(node, cli._TailLegend):
+        return [
+            {"tail": t, "bridge": b, "base_arc": [o, d], "sheet": s}
+            for t, b, o, d, s in zip(node.tail, node.bridge, node.origin, node.terminus, node.sheet)
+        ]
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_plain(value) for value in node]
+    return node.tolist() if isinstance(node, np.ndarray) else node
+
+
 def test_dumps_matches_json_dumps():
     texts = np.array([["1,0", "-0,2"], ["3,nan", "inf,-inf"]], dtype=object)
-    payload = {
-        "n": 1.5,
-        "empty": np.array([], dtype=object),
-        "flat": texts[0],
-        "nested": [{"matrix": texts, "none": np.empty((0, 0), dtype=object)}, texts[1]],
-        "last": "x",
-    }
-    plain = json.loads(json.dumps(payload, default=lambda a: a.tolist()))
-    assert cli._dumps(payload) == json.dumps(plain, indent=2)
+    legend = cli._tail_legend(hedgehog(parse_rotation_system(PROJECTIVE_K4_FILE)))
+    one = cli._TailLegend(*(column[:1] for column in legend))
+    none = cli._TailLegend([], [], [], [], [])
+    payloads = [
+        {
+            "n": 1.5,
+            "empty": np.array([], dtype=object),
+            "flat": texts[0],
+            "nested": [{"matrix": texts, "none": np.empty((0, 0), dtype=object)}, texts[1]],
+            "last": "x",
+        },
+        legend,
+        {"tails": legend, "n": 3},
+        {"nested": [{"tails": one}, none, legend], "rows": np.empty((2, 0), dtype=object)},
+        {"n": 1, "last": one},
+    ]
+    for payload in payloads:
+        assert cli._dumps(payload) == json.dumps(_plain(payload), indent=2)
 
 
 def test_scatter_formats_each_distinct_float_once(tmp_path, monkeypatch):

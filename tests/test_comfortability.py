@@ -1,5 +1,6 @@
 import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,30 @@ def test_positive_coin_form_matches_general():
         coin = Coin.real_symmetric(a)
         assert abs(coin.omega - 1.0) < 1e-15
         assert abs(average_comfortability(fd, coin) - positive_coin_average(fd, a)) < 1e-12
+
+
+def _exact_positive_coin_average(fd, a: float) -> Fraction:
+    """The positive-coin form in exact rational arithmetic, the double
+    ``a`` taken as exact."""
+    a = Fraction(a)
+    b2 = 1 - a * a
+    first = second = Fraction(0)
+    for face, hits in zip(fd.faces, fd.self_intersections):
+        length = len(face)
+        first += length * (1 + a**length) / (1 - a**length)
+        second += sum(2 * (a**d1 + a**d2) for d1, d2 in hits.values()) / (1 - a**length)
+    return ((2 + b2) / b2 * first - 2 * a / b2 * second) / fd.rs.graph.arc_count
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_positive_coin_form_is_accurate_near_unit_a(k4_classes, k):
+    # Forming 1 - a^2 or 1 - a^L by subtraction from 1 loses up to about
+    # 4e-9 relative here.
+    a = 1.0 - 10.0**-k
+    for cls in k4_classes:
+        exact = _exact_positive_coin_average(cls.decomposition, a)
+        value = positive_coin_average(cls.decomposition, a)
+        assert abs(Fraction(value) - exact) <= 1e-14 * abs(exact), cls.label
 
 
 def test_small_a_average_is_three():

@@ -17,6 +17,8 @@ def test_walk_convergence_reports_every_k4_class(capsys):
             float, re.search(r"spectral radius (\S+)\s+observed residual ratio (\S+)", row).groups()
         )
         assert abs(radius - ratio) < 0.005, row
+        steps, us_per_step = re.search(r"steps (\d+)\s+(\S+) us/step$", row).groups()
+        assert int(steps) > 0 and float(us_per_step) > 0, row
 
 
 def test_front_end_timing_reports_every_stage():

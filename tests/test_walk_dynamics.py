@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -11,7 +12,9 @@ from conftest import (
     random_rotation_system,
 )
 from surfwalk.covering_blowup import hedgehog
+from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.errors import AssumptionError, ConvergenceError
+from surfwalk.graph_core import complete_graph
 from surfwalk.walk_dynamics import (
     Coin,
     WaveState,
@@ -268,3 +271,87 @@ def test_negative_max_steps_rejected():
     bg = hedgehog(projective_k4())
     with pytest.raises(AssumptionError, match="max_steps"):
         run_to_stationary(bg, Coin.hadamard_type(), unit_inflow(bg, 0), max_steps=-1)
+
+
+def _reference_step(state, bg, coin):
+    """One step as first written: each array formed anew from the last."""
+    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    sign = bg.bridge_sign.reshape((-1,) + (1,) * (state.inflow.ndim - 1))
+    feed_island = state.island_plus[bg.rot_inv]
+    feed_bridge = state.bridge[bg.bar]
+    return WaveState(
+        island_in=a * feed_island + b * feed_bridge,
+        island_plus=a * state.island_in + b * state.inflow,
+        bridge=sign * (c * feed_island + d * feed_bridge),
+        inflow=state.inflow,
+        outflow=c * state.island_in + d * state.inflow,
+        steps=state.steps + 1,
+    )
+
+
+def _reference_run(bg, coin, inflow, tol=1e-10, max_steps=10**6):
+    """The simulator loop as first written, one WaveState per step; the
+    last state carries the last residual whether or not it fell below tol."""
+    state = WaveState.zero(bg, inflow)
+    res = math.inf
+    for _ in range(max_steps):
+        new = _reference_step(state, bg, coin)
+        res = max(
+            np.abs(new.island_in - state.island_in).max(initial=0.0),
+            np.abs(new.island_plus - state.island_plus).max(initial=0.0),
+            np.abs(new.bridge - state.bridge).max(initial=0.0),
+        )
+        state = new
+        if res < tol:
+            break
+    return dataclasses.replace(state, residual=res)
+
+
+def _assert_same_bytes(state, reference):
+    for name in ("island_in", "island_plus", "bridge", "outflow"):
+        got, want = getattr(state, name), getattr(reference, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert state.steps == reference.steps
+    assert state.residual == reference.residual
+
+
+def _bit_identity_cases():
+    projective = hedgehog(projective_k4())
+    yield "projective K4 tail 5", projective, Coin.hadamard_type(), unit_inflow(projective, 5)
+    k4 = enumerate_embeddings(complete_graph(4))
+    for i in (0, len(k4) - 1):
+        bg = hedgehog(k4[i].representative)
+        yield f"K4 class {i} eye", bg, Coin.from_params(0.6, 0.3, 1.1), np.eye(bg.size)
+    k8 = hedgehog(random_rotation_system(np.random.default_rng(1), complete_graph(8)))
+    rng = np.random.default_rng(2024)
+    inflow = rng.normal(size=k8.size) + 1j * rng.normal(size=k8.size)
+    coins = {
+        "hadamard": Coin.hadamard_type(),
+        "real": Coin.real_symmetric(0.8),
+        "complex": Coin.from_params(0.7, 0.4, 1.3),
+    }
+    for name, coin in coins.items():
+        yield f"K8 {name}", k8, coin, inflow
+
+
+@pytest.mark.parametrize("case", list(_bit_identity_cases()), ids=lambda case: case[0])
+def test_run_is_bit_identical_to_the_reference_loop(case):
+    _, bg, coin, inflow = case
+    _assert_same_bytes(run_to_stationary(bg, coin, inflow), _reference_run(bg, coin, inflow))
+    # The public step applies the same rule.
+    state = WaveState.zero(bg, inflow)
+    reference = state
+    for _ in range(3):
+        state, reference = step(state, bg, coin), _reference_step(reference, bg, coin)
+    _assert_same_bytes(state, reference)
+
+
+@pytest.mark.parametrize("max_steps", [0, 1])
+def test_convergence_error_reports_the_reference_residual(max_steps):
+    bg = hedgehog(projective_k4())
+    coin = Coin.hadamard_type()
+    with pytest.raises(ConvergenceError) as err:
+        run_to_stationary(bg, coin, unit_inflow(bg, 0), max_steps=max_steps)
+    reference = _reference_run(bg, coin, unit_inflow(bg, 0), max_steps=max_steps)
+    assert (err.value.steps, err.value.residual) == (reference.steps, reference.residual)
