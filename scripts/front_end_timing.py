@@ -15,16 +15,27 @@ the file format and prints one JSON line with the best time in milliseconds of e
   that trace;
 - ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin.
 
+For n <= 20 it also times the dense export (a K32 export is on the order of
+100 MB):
+
+- ``blocks_ms``: the dense face blocks of a fresh scattering matrix;
+- ``unitarity_defect_ms``: ``unitarity_defect`` once those blocks are built;
+- ``scatter_json_ms`` and ``scatter_csv_ms``: the ``scatter`` command, from
+  the file to its ``--out`` file.
+
 Run it from the root of a checkout:
 
     PYTHONPATH=src python scripts/front_end_timing.py
 """
 
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
 
+from surfwalk import cli
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system
 from surfwalk.graph_core import SymmetricDigraph, complete_graph
@@ -35,6 +46,7 @@ from surfwalk.walk_dynamics import Coin
 SIZES = (8, 16, 32, 64, 128)
 SEED = 101
 REPEAT = 5  # calls per stage; the fastest is reported
+EXPORT_MAX_N = 20  # the dense export stages run up to K20
 
 
 def random_kn_system(n: int, rng) -> RotationSystem:
@@ -70,7 +82,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         return system
 
     bg = hedgehog(rs)
-    return {
+    row = {
         "graph": f"K{n}",
         "arcs": g.arc_count,
         "parse_ms": best_ms(parse_rotation_system, repeat, lambda: text),
@@ -82,6 +94,32 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         "hedgehog_ms": best_ms(hedgehog, repeat, traced),
         "scattering_matrix_ms": best_ms(lambda _: scattering_matrix(bg, coin), repeat),
     }
+    if n <= EXPORT_MAX_N:
+        row.update(export_times(text, bg, coin, repeat))
+    return row
+
+
+def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
+    def with_blocks():
+        s = scattering_matrix(bg, coin)
+        s.blocks
+        return s
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+        def scatter(fmt):
+            argv = ["scatter", path, "--format", fmt, "--out", os.path.join(tmp, "out")]
+            return best_ms(lambda _: cli.main(argv), repeat)
+
+        return {
+            "blocks_ms": best_ms(lambda s: s.blocks, repeat, lambda: scattering_matrix(bg, coin)),
+            "unitarity_defect_ms": best_ms(lambda s: s.unitarity_defect(), repeat, with_blocks),
+            "scatter_json_ms": scatter("json"),
+            "scatter_csv_ms": scatter("csv"),
+        }
 
 
 def main():

@@ -52,7 +52,7 @@ def _distinct_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The '%.17g' text of each distinct 64-bit pattern in a float array (an
     object array), and for every entry of ``x`` the index of its text.
 
-    Each pattern is formatted once: scattering blocks repeat few values.
+    Each pattern is formatted once: exported arrays repeat values.
     Patterns are compared, not values, so -0.0 keeps its sign next to 0.0.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -218,14 +218,16 @@ def _load_graph_or_kn(spec: str):
 
 def _emit(text: str, out: str | None):
     """Write ``text``, ended by one newline, to ``out`` or else to stdout:
-    the same bytes either way."""
-    if not text.endswith("\n"):
-        text += "\n"
+    the same bytes either way.  The newline goes out on its own, so a large
+    document is not copied to append it."""
+    end = "" if text.endswith("\n") else "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         click.echo(text, nl=False)
+        click.echo(end, nl=False)
 
 
 def _tail_legend(bg) -> _TailLegend:
@@ -313,6 +315,27 @@ def cmd_orientable(file, out):
     _emit(json.dumps(payload, indent=2), out)
 
 
+def _block_texts(s, render) -> list[np.ndarray]:
+    """The text of every entry of every face block of ``s``, one array per
+    face, gathered through the face's index grid (:meth:`face_tables`).
+
+    ``render`` maps a complex array to one text per entry, or to a row of
+    texts per entry; it runs once, over the table values that some entry
+    uses, on all faces together: O(sum q), not O(sum q^2), floats.
+    """
+    tables = list(s.face_tables())
+    used = [np.flatnonzero(np.bincount(index.ravel(), minlength=len(values))) for values, index in tables]
+    texts = render(np.concatenate([values[k] for (values, _), k in zip(tables, used)]))
+    out = []
+    start = 0
+    for (values, index), k in zip(tables, used):
+        slots = np.empty((len(values),) + texts.shape[1:], dtype=object)
+        slots[k] = texts[start : start + len(k)]
+        start += len(k)
+        out.append(slots[index])
+    return out
+
+
 @cli.command("scatter")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @_with_coin_options
@@ -325,12 +348,9 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
     labels = trace_faces(rs).cover_base
-    # One pass over every entry of every block, so that each distinct float
-    # is formatted once; block i's entries are flat[ends[i - 1]:ends[i]].
-    flat = np.concatenate([block.ravel() for _, block in s.blocks])
-    ends = np.cumsum([len(tails) ** 2 for tails, _ in s.blocks])[:-1]
+    tails = [t.tolist() for t in s.face_tails()]
     if fmt == "json":
-        matrices = np.split(_complex_texts(flat), ends)
+        matrices = _block_texts(s, _complex_texts)
         payload = {
             "tails": _tail_legend(bg),
             "unitarity_defect": s.unitarity_defect(),
@@ -339,20 +359,20 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
                 {
                     "face": labels[i][0],
                     "chiral_copy": labels[i][1],
-                    "tails": list(tails),
-                    "matrix": matrices[i].reshape(len(tails), len(tails)),
+                    "tails": tails[i],
+                    "matrix": matrices[i],
                 }
-                for i, (tails, _) in enumerate(s.blocks)
+                for i in range(len(tails))
             ],
         }
         _emit(_dumps(payload), out)
     else:
         # Two cells, re and im, per entry.
-        cells = np.split(_float_texts(flat.view(np.float64)), 2 * ends)
+        cells = _block_texts(s, lambda z: _float_texts(z[:, None].view(np.float64)))
         lines = []
-        for i, (tails, _) in enumerate(s.blocks):
+        for i, face_tails in enumerate(tails):
             face, copy = str(labels[i][0]), str(int(labels[i][1]))
-            for row_tail, row in zip(tails, cells[i].reshape(len(tails), 2 * len(tails)).tolist()):
+            for row_tail, row in zip(face_tails, cells[i].reshape(len(face_tails), -1).tolist()):
                 lines.append(",".join([face, copy, str(row_tail), *row]))
         _emit("\n".join(lines) + "\n", out)
 

@@ -9,14 +9,22 @@ being the product of the weights.  Hence
 
     (I - a P_f)^-1 = sum_{k<q} a^k P_f^k / (1 - a^q Pi_f),
 
-and every entry of S_f = bc P_f (I - a P_f)^-1 + d I is explicit: the entry
-from a tail to the tail k steps further round the face is
-bc a^(k-1) W / (1 - a^q Pi_f) (plus d on the diagonal), with W the product
-of the k weights in between.  :class:`ScatteringMatrix` keeps per face only
-the tails and their twist parities and the closing factor
-1 / (1 - a^q Pi_f); ``apply_q`` multiplies by Q = S - dI in O(q) per face,
-and the dense ``blocks``, ``matrix()`` and ``q_matrix()`` are export views
-built from the same entries.  No block is ever inverted.
+and every entry of S_f = bc P_f (I - a P_f)^-1 + d I is explicit.  With P_j
+the twist parity of the walk up to tail j, P = P_{q-1}, and
+
+    c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q Pi_f),   k = 1 ... q,
+
+the entry from tail m to tail j of Q_f = S_f - dI is
+
+    (-1)^(P_j + P_m + [j <= m] P) c_f[(j - m) mod q]      (residue 0 read as q):
+
+a circulant up to the diagonal similarity by (-1)^P_j, the wrap-around term
+[j <= m] P being the sign of Pi_f.  So each block holds at most 2q distinct
+entries, the values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the
+tails, their parities P_j, the closing factor 1 / (1 - a^q Pi_f) and the
+table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and the
+dense ``blocks``, ``matrix()`` and ``q_matrix()`` are export views gathered
+from the tables.  No block is ever inverted.
 
 Everything here is indexed by tail site (= island arc id); the
 bridge-labelled view used by the comfortability formulas is a relabelling
@@ -26,11 +34,11 @@ by the arc involution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .covering_blowup import BlowUpGraph
 from .errors import AssumptionError
@@ -50,11 +58,18 @@ class ScatteringMatrix:
     """Block-diagonal unitary mapping constant inflow to stationary outflow.
 
     Face ``i`` owns ``tails[offsets[i]:offsets[i + 1]]``, the islands of
-    ``bg.faces[i]`` in walk order; ``parity`` gives, per tail, the twist of
-    the bridge crossed from the previous tail of its face.  ``closing[i]``
-    is 1 / (1 - a^q Pi_f) (zero for a degenerate coin, whose Q vanishes)
-    and ``gaps[i]`` is |1 - a^q Pi_f|, the conditioning of the face as
-    |a| -> 1.
+    ``bg.faces[i]`` in walk order; ``parity`` gives, per tail, the twist
+    parity P_j of the bridges crossed from the face's first tail up to and
+    including tail j.  ``closing[i]`` is 1 / (1 - a^q Pi_f) (zero for a
+    degenerate coin, whose Q vanishes) and ``gaps[i]`` is |1 - a^q Pi_f|,
+    the conditioning of the face as |a| -> 1.
+
+    Each block is a signed circulant: ``table[offsets[i] + k - 1]`` holds
+    c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q Pi_f) for k = 1 ... q, and
+    entry (j, m) of Q_f is (-1)^(P_j + P_m + [j <= m] P) c_f[(j - m) mod q],
+    residue 0 read as q, P being the face's last P_j.  Every view of the
+    entries (``apply_q`` on one tail, ``face_q_block``, ``blocks``) gathers
+    from the table.
 
     ``blocks[i]`` pairs the ordered tail ids of face ``i`` with its q x q
     block.
@@ -68,46 +83,45 @@ class ScatteringMatrix:
     parity: np.ndarray = field(compare=False)
     closing: np.ndarray = field(compare=False)
     gaps: np.ndarray = field(compare=False)
+    table: np.ndarray = field(compare=False)
 
     @property
     def min_gap(self) -> float:
         """The smallest |1 - a^q Pi_f| over the faces."""
         return float(self.gaps.min())
 
+    def _signed(self, i: int) -> np.ndarray:
+        """c_f[1 ... q] and then their negatives: the 2q values any entry of
+        Q on face ``i`` takes."""
+        t = self.table[self.offsets[i] : self.offsets[i + 1]]
+        return np.concatenate((t, -t))
+
+    def _index(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """For the columns ``cols`` of Q on face ``i`` (rows are the face's
+        tails in walk order), the position of each entry in
+        :meth:`_signed`: (j - m - 1) mod q, plus q where the sign is -1."""
+        o, e = self.offsets[i], self.offsets[i + 1]
+        q = e - o
+        p = self.parity[o:e]
+        rows = np.arange(q)[:, None]
+        flip = p[:, None] ^ p[cols]
+        if p[-1]:
+            # Pi_f = -omega^q: the walk from tail m round to tail j <= m
+            # passes the face's start and picks up one more sign.
+            flip ^= rows <= cols
+        return (rows + (q - 1) - cols) % q + q * flip
+
     def _columns(self, i: int, cols: np.ndarray) -> np.ndarray:
         """Explicit columns of Q on face ``i``: rows are the face's tails in
-        walk order, one column per tail position in ``cols``.
-
-        With phi_j the product of the weights up to tail j, the weights
-        from tail m round to tail j multiply to phi_j / phi_m, times Pi_f
-        when the walk passes the face's start (j <= m).  So entry (j, m) is
-        bc / (1 - a^q Pi_f) * t[j - m] * phi_j / phi_m, where the Toeplitz
-        sequence t holds a^(k-1) for the k = j - m > 0 steps ahead and
-        Pi_f a^(k-1) for the k = q + j - m steps round the start.  A double
-        omega has unit modulus only to rounding, so conj(phi_m) would stand
-        in for 1 / phi_m with an error growing with the steps to tail m.
-        """
-        q = self.offsets[i + 1] - self.offsets[i]
-        coin = self.coin
-        # phi_j and a^k are accumulated in long double and rounded once:
-        # double powers drift by several ulps over a long face, and the
-        # energies' 1 / |bc|^2 magnifies that as |a| -> 1.
-        phase = self._phase(i).astype(complex)
-        a_pow = np.full(q, np.clongdouble(coin.a))
-        a_pow[:1] = 1
-        a_pow = np.cumprod(a_pow).astype(complex)
-        # t[d + q - 1] for d = j - m in (-q, q); window m, read backwards, is column m.
-        t = np.concatenate((phase[-1:] * a_pow, a_pow[:-1]))
-        toeplitz = sliding_window_view(t, q)[q - 1 - cols].T
-        scale = coin.b * coin.c * self.closing[i]
-        return (scale * phase)[:, None] * toeplitz / phase[cols]
+        walk order, one column per tail position in ``cols``."""
+        return self._signed(i)[self._index(i, cols)]
 
     def _phase(self, i: int) -> np.ndarray:
         """phi_j, the product of the weights of face ``i`` up to tail j (the
-        last one is Pi_f), in long double.  Weight w_j = (-1)^parity_j omega
-        is entry (j, j-1) of P_f(omega)."""
+        last one is Pi_f), in long double: (-1)^P_j omega^(j+1).  Weight
+        w_j = (-1)^(P_j - P_{j-1}) omega is entry (j, j-1) of P_f(omega)."""
         o, e = self.offsets[i], self.offsets[i + 1]
-        return np.cumprod((1 - 2 * self.parity[o:e]) * np.clongdouble(self.coin.omega))
+        return np.cumprod(np.full(e - o, np.clongdouble(self.coin.omega))) * (1 - 2 * self.parity[o:e])
 
     def _solve(self, i: int, v: np.ndarray) -> np.ndarray:
         """Q v on face ``i`` for a general inflow ``v`` (face order).
@@ -165,11 +179,30 @@ class ScatteringMatrix:
         q = self.offsets[i + 1] - self.offsets[i]
         return self._columns(i, np.arange(q))
 
+    def face_tables(self):
+        """Per face, the 2q values an entry of S_f can take and the index of
+        each entry's value: ``values[index]`` is the face's block in
+        :attr:`blocks`.
+
+        The values are those of :meth:`_signed` with d I added as
+        ``d * np.eye(q)`` adds it, d * 0 off the diagonal included, so the
+        block is ``face_q_block(i) + d * np.eye(q)`` bit for bit.  Residue
+        q, the diagonal's, is the one value no other entry uses.
+        """
+        off, on = self.coin.d * np.array([0.0, 1.0])
+        for i in range(len(self.offsets) - 1):
+            q = self.offsets[i + 1] - self.offsets[i]
+            signed = self._signed(i)
+            values = signed + off
+            diagonal = q - 1 + q * self.parity[self.offsets[i + 1] - 1]
+            values[diagonal] = signed[diagonal] + on
+            yield values, self._index(i, np.arange(q))
+
     @cached_property
     def blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         return tuple(
-            (tuple(map(int, tails)), self.face_q_block(i) + self.coin.d * np.eye(len(tails)))
-            for i, tails in enumerate(self.face_tails())
+            (tuple(map(int, tails)), values[index])
+            for tails, (values, index) in zip(self.face_tails(), self.face_tables())
         )
 
     def matrix(self) -> np.ndarray:
@@ -197,6 +230,11 @@ class ScatteringMatrix:
         return worst
 
 
+# log 2^-1023: half the least normal double, a margin for |omega| = 1 only
+# to rounding.
+_LOG_TINY = -1023 * math.log(2.0)
+
+
 def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     """S = sum of face blocks bc P_f(omega) (I - a P_f(omega))^-1 + d I,
     kept as explicit per-face data (O(total tails), no inverse)."""
@@ -205,20 +243,20 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
 
     # Every island carries a tail, so the tails of a face are its islands.
     tails = np.fromiter(itertools.chain.from_iterable(bg.faces), dtype=np.int64, count=bg.size)
-    parity = bg.bridge_twist[tails]
+    twist = bg.bridge_twist[tails]
     lengths = np.array([len(face) for face in bg.faces], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
+    start = np.repeat(offsets[:-1], lengths)
+    # P_j: the running twist count, less its value before the face's start.
+    run = np.cumsum(twist)
+    parity = (run - (run - twist)[start]) & 1
 
     # a^q Pi_f is formed in long double: as |a| -> 1 the gap 1 - a^q Pi_f
     # shrinks to ~q(1 - |a|), and the double rounding of the product,
     # divided by that gap, would cost every entry of the face a few hundred
     # ulps.
-    twists = np.add.reduceat(parity, offsets[:-1])
-    turn = (
-        np.power(np.clongdouble(a), lengths)
-        * (1 - 2 * (twists & 1))
-        * np.power(np.clongdouble(coin.omega), lengths)
-    )
+    omega = np.clongdouble(coin.omega)
+    turn = np.power(np.clongdouble(a), lengths) * (1 - 2 * parity[offsets[1:] - 1]) * np.power(omega, lengths)
     gaps = np.abs(1.0 - turn).astype(float)
     if not coin.degenerate and coin.unit_a:
         worst = int(np.argmin(gaps))
@@ -227,17 +265,34 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
             f"|1 - a^q Pi| is {gaps[worst]:.3e} (face {worst})"
         )
     if coin.degenerate:
-        closing = np.zeros(len(lengths), dtype=complex)
+        closing = np.zeros(len(lengths), dtype=np.clongdouble)
     else:
-        closing = (1.0 / (1.0 - turn)).astype(complex)
+        closing = 1.0 / (1.0 - turn)
+    # c_f[k] = bc omega (a omega)^(k-1) closing_f for every tail at once,
+    # in long double and rounded once: double powers drift by several ulps
+    # over a long face, and the energies' 1 / |bc|^2 magnifies that as
+    # |a| -> 1.
+    powers = np.full(lengths.max(initial=1), np.clongdouble(a) * omega)
+    powers[0] = 1
+    powers = np.cumprod(powers)
+    lead = np.clongdouble(coin.b) * np.clongdouble(coin.c) * omega * closing
+    # Entries below the normal double range are flushed to zero: from the
+    # power k at which |a|^k times the largest lead falls below 2^-1023,
+    # every entry does, and those powers are zeroed, as converting a long
+    # double below the normal double range takes a slow path per value.
+    top = float(np.abs(lead).max(initial=0.0))
+    if 0.0 < abs(a) < 1.0 and top > 0.0:
+        powers[max(0, int((_LOG_TINY - math.log(top)) / math.log(abs(a))) + 1) :] = 0
+    table = (np.repeat(lead, lengths) * powers[np.arange(bg.size) - start]).astype(complex)
     return ScatteringMatrix(
         bg=bg,
         coin=coin,
         tails=tails,
         offsets=offsets,
         parity=parity,
-        closing=closing,
+        closing=closing.astype(complex),
         gaps=gaps,
+        table=table,
     )
 
 

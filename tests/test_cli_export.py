@@ -190,3 +190,18 @@ def test_scatter_formats_each_distinct_float_once(tmp_path, monkeypatch):
         calls.clear()
         _run(["scatter", path, *flags, "--format", fmt], tmp_path / "out")
         assert 0 < len(calls) <= distinct
+
+
+def test_scatter_renders_only_table_values(tmp_path, monkeypatch):
+    # Every entry of a face block is one of its 2q + 1 table values, so the
+    # distinct-float pass sees O(sum q) floats, not the 2 sum q^2 of the blocks.
+    path, rs = _system_file(tmp_path, "k16")
+    flags, coin = _coin_args("complex")
+    lengths = [len(face) for face in hedgehog(rs).faces]
+    floats = []
+    distinct_texts = cli._distinct_texts
+    monkeypatch.setattr(cli, "_distinct_texts", lambda x: floats.append(np.size(x)) or distinct_texts(x))
+    for fmt in ("json", "csv"):
+        floats.clear()
+        _run(["scatter", path, *flags, "--format", fmt], tmp_path / "out")
+        assert 0 < sum(floats) <= 2 * sum(2 * q + 1 for q in lengths) < sum(q * q for q in lengths)

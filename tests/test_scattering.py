@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+import exact_oracle
 from conftest import (
     projective_k4,
     planar_k4,
@@ -458,3 +461,56 @@ def test_stationary_closed_form_rejects_scattering_of_another_coin_or_system():
     ):
         with pytest.raises(AssumptionError, match="scattering="):
             stationary_closed_form(bg, coin, inflow, scattering=other)
+
+
+def _odd_parity(bg):
+    """``bg`` with the bridge into its first face's first tail untwisted or
+    twisted, so that face has odd twist parity, Pi_f = -omega^q.  No
+    rotation system gives such a face (a face of the double cover closes on
+    its sheet), but the block formula holds for any weights, and only there
+    does its wrap-around sign act."""
+    twist = bg.bridge_twist.copy()
+    twist[bg.faces[0][0]] ^= 1
+    return dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
+
+
+_EXACT_COINS = {f"real_symmetric(1-1e-{k})": Coin.real_symmetric(1.0 - 10.0**-k) for k in range(2, 9)}
+_EXACT_COINS["from_params(0.7,0.4,1.3)"] = Coin.from_params(0.7, 0.4, 1.3)
+
+
+@pytest.mark.parametrize("coin", list(_EXACT_COINS.values()), ids=list(_EXACT_COINS))
+def test_blocks_match_exact_reference(coin, k4_classes):
+    # Each entry is within 4e-16 of its block's largest entry, plus the
+    # conditioning of the long-double gap 1 - a^q Pi_f: q roundings of a^q
+    # Pi_f, divided by the gap, which near |a| = 1 shrinks to q(1 - |a|).
+    eps = np.finfo(np.longdouble).eps
+    for rs in [projective_k4()] + [cls.representative for cls in k4_classes]:
+        for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
+            s = scattering_matrix(bg, coin)
+            exact = exact_oracle.face_blocks(bg, coin)
+            for i, ((tails, block), (exact_tails, exact_block)) in enumerate(zip(s.blocks, exact)):
+                assert list(tails) == exact_tails
+                bound = 4e-16 + len(tails) * eps / s.gaps[i]
+                assert exact_oracle.relative_error(block, exact_block) <= bound
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+def test_columns_face_blocks_and_blocks_share_one_table(k4_classes, rng):
+    systems = [cls.representative for cls in k4_classes]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (7, 10)]
+    for rs in systems:
+        for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
+            for coin in (Coin.hadamard_type(), random_d_real_coin(rng)):
+                s = scattering_matrix(bg, coin)
+                for i, (tails, block) in enumerate(s.blocks):
+                    q = len(tails)
+                    full = s.face_q_block(i)
+                    cols = rng.choice(q, size=int(rng.integers(1, q + 1)))
+                    assert np.array_equal(_bits(s._columns(i, cols)), _bits(full[:, cols]))
+                    assert np.array_equal(_bits(block), _bits(full + coin.d * np.eye(q)))
+                    # At most 2q + 1 distinct entries: +-c_f[k] and the diagonal.
+                    assert len(np.unique(_bits(block).reshape(-1, 2), axis=0)) <= 2 * q + 1
+                    assert np.all(np.diag(block) == block[0, 0])

@@ -25,6 +25,9 @@ def test_front_end_timing_reports_every_stage():
     script = runpy.run_path(str(SCRIPTS / "front_end_timing.py"))
     row = script["stage_times"](8, np.random.default_rng(script["SEED"]), 1)
     stages = ["parse_ms", "validation_ms", "trace_faces_ms", "hedgehog_ms", "scattering_matrix_ms"]
-    assert list(row) == ["graph", "arcs"] + stages
+    export = ["blocks_ms", "unitarity_defect_ms", "scatter_json_ms", "scatter_csv_ms"]
+    assert list(row) == ["graph", "arcs"] + stages + export
     assert (row["graph"], row["arcs"]) == ("K8", 56)
-    assert all(isinstance(row[k], float) and row[k] >= 0 for k in stages)
+    assert all(isinstance(row[k], float) and row[k] >= 0 for k in stages + export)
+    # The dense export is timed up to K20 only.
+    assert list(script["stage_times"](21, np.random.default_rng(script["SEED"]), 1)) == ["graph", "arcs"] + stages
