@@ -19,11 +19,13 @@ For n <= 20 it also times the dense export (a K32 export is on the order of
 100 MB):
 
 - ``blocks_ms``: the dense face blocks of a fresh scattering matrix;
-- ``unitarity_defect_ms``: ``unitarity_defect`` once those blocks are built;
+- ``unitarity_defect_ms``: ``unitarity_defect`` on a fresh scattering
+  matrix (it builds no dense block);
 - ``scatter_json_ms`` and ``scatter_csv_ms``: the ``scatter`` command, from
   the file to its ``--out`` file.
 
-Run it from the root of a checkout:
+BLAS runs on one thread, as in ``perfbench/run.py``, so the figures are
+comparable with the benchmark's.  Run it from the root of a checkout:
 
     PYTHONPATH=src python scripts/front_end_timing.py
 """
@@ -33,15 +35,20 @@ import os
 import tempfile
 import time
 
-import numpy as np
+if __name__ == "__main__":
+    # Before numpy is imported: BLAS reads these once, when it loads.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-from surfwalk import cli
-from surfwalk.covering_blowup import hedgehog
-from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system
-from surfwalk.graph_core import SymmetricDigraph, complete_graph
-from surfwalk.rotation_system import RotationSystem, trace_faces
-from surfwalk.scattering import scattering_matrix
-from surfwalk.walk_dynamics import Coin
+import numpy as np  # noqa: E402
+
+from surfwalk import cli  # noqa: E402
+from surfwalk.covering_blowup import hedgehog  # noqa: E402
+from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system  # noqa: E402
+from surfwalk.graph_core import SymmetricDigraph, complete_graph  # noqa: E402
+from surfwalk.rotation_system import RotationSystem, trace_faces  # noqa: E402
+from surfwalk.scattering import scattering_matrix  # noqa: E402
+from surfwalk.walk_dynamics import Coin  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128)
 SEED = 101
@@ -100,10 +107,8 @@ def stage_times(n: int, rng, repeat: int) -> dict:
 
 
 def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
-    def with_blocks():
-        s = scattering_matrix(bg, coin)
-        s.blocks
-        return s
+    def fresh():
+        return scattering_matrix(bg, coin)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "system.txt")
@@ -115,8 +120,8 @@ def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
             return best_ms(lambda _: cli.main(argv), repeat)
 
         return {
-            "blocks_ms": best_ms(lambda s: s.blocks, repeat, lambda: scattering_matrix(bg, coin)),
-            "unitarity_defect_ms": best_ms(lambda s: s.unitarity_defect(), repeat, with_blocks),
+            "blocks_ms": best_ms(lambda s: s.blocks, repeat, fresh),
+            "unitarity_defect_ms": best_ms(lambda s: s.unitarity_defect(), repeat, fresh),
             "scatter_json_ms": scatter("json"),
             "scatter_csv_ms": scatter("csv"),
         }

@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import click
 import numpy as np
@@ -81,24 +81,13 @@ def _complex_texts(z: np.ndarray) -> np.ndarray:
 
 
 def _json_array(texts: np.ndarray, indent: str) -> str:
-    """``json.dumps(texts.tolist(), indent=2)`` for a 1-D or 2-D array of
-    strings that need no escaping, nested at ``indent`` (the indent of its
-    closing bracket)."""
+    """``json.dumps(texts.tolist(), indent=2)`` for a 1-D array of strings
+    that need no escaping, nested at ``indent`` (the indent of its closing
+    bracket)."""
     if not texts.size:
-        return json.dumps(texts.tolist(), indent=2).replace("\n", "\n" + indent)
+        return "[]"
     inner = indent + "  "
-    if texts.ndim == 1:
-        return "[\n" + inner + '"' + ('",\n' + inner + '"').join(texts.tolist()) + '"\n' + indent + "]"
-    # One join over a grid holding each cell after the text that precedes it.
-    cell = inner + "  "
-    grid = np.empty((texts.shape[0], 2 * texts.shape[1]), dtype=object)
-    grid[:, ::2] = '",\n' + cell + '"'
-    grid[:, 0] = '"\n' + inner + "],\n" + inner + "[\n" + cell + '"'
-    grid[0, 0] = "[\n" + inner + "[\n" + cell + '"'
-    grid[:, 1::2] = texts
-    cells = grid.ravel().tolist()
-    cells.append('"\n' + inner + "]\n" + indent + "]")
-    return "".join(cells)
+    return "[\n" + inner + '"' + ('",\n' + inner + '"').join(texts.tolist()) + '"\n' + indent + "]"
 
 
 class _TailLegend(NamedTuple):
@@ -132,21 +121,25 @@ def _json_legend(legend: _TailLegend, indent: str) -> str:
 _SLOT = '"\\u0000"'
 
 
-def _dumps(payload) -> str:
-    """``json.dumps(payload, indent=2)`` for a payload whose arrays of
-    strings are numpy object arrays and whose tail legends are
-    :class:`_TailLegend` columns.
+def _iterdumps(payload) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2)``, in parts, for a
+    payload whose arrays of strings are 1-D numpy object arrays, whose tail
+    legends are :class:`_TailLegend` columns and whose other pre-rendered
+    values are callables taking their indent.
 
     With an indent, json.dumps runs the pure-Python encoder.  It renders
-    only the skeleton here, with a slot string in place of each array and
-    legend, and each one's text is spliced into its slot in the same
-    layout, at the indent of the line the slot is on.
+    only the skeleton here, with a slot string in place of each array,
+    legend and callable, and each one's text is spliced into its slot in
+    the same layout, at the indent of the line the slot is on.  The parts
+    are rendered as they are taken, so the whole text need never be held.
     """
     renders = []
 
     def slot(node):
         if isinstance(node, np.ndarray):
             renders.append(functools.partial(_json_array, node))
+        elif callable(node):
+            renders.append(node)
         elif isinstance(node, _TailLegend):
             renders.append(functools.partial(_json_legend, node))
         elif isinstance(node, dict):
@@ -159,11 +152,11 @@ def _dumps(payload) -> str:
 
     # The encoder visits the payload in the order slot() did.
     parts = json.dumps(slot(payload), indent=2).split(_SLOT)
-    out = [parts[0]]
+    yield parts[0]
     for before, render, after in zip(parts, renders, parts[1:]):
         line = before[before.rfind("\n") + 1 :]
-        out += [render(line[: len(line) - len(line.lstrip(" "))]), after]
-    return "".join(out)
+        yield render(line[: len(line) - len(line.lstrip(" "))])
+        yield after
 
 
 def _parse_complex(text: str) -> complex:
@@ -216,18 +209,25 @@ def _load_graph_or_kn(spec: str):
     return _load_system(spec).graph
 
 
-def _emit(text: str, out: str | None):
-    """Write ``text``, ended by one newline, to ``out`` or else to stdout:
-    the same bytes either way.  The newline goes out on its own, so a large
-    document is not copied to append it."""
-    end = "" if text.endswith("\n") else "\n"
+def _emit(text: str | Iterable[str], out: str | None):
+    """Write ``text``, a string or strings taken in turn, ended by one
+    newline, to ``out`` or else to stdout: the same bytes either way.  The
+    parts are written as they come and the newline on its own, so a large
+    document is never joined or copied whole."""
+
+    def write_all(write):
+        ended = False
+        for part in (text,) if isinstance(text, str) else text:
+            write(part)
+            ended = part.endswith("\n") if part else ended
+        if not ended:
+            write("\n")
+
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write(end)
+            write_all(fh.write)
     else:
-        click.echo(text, nl=False)
-        click.echo(end, nl=False)
+        write_all(functools.partial(click.echo, nl=False))
 
 
 def _tail_legend(bg) -> _TailLegend:
@@ -315,25 +315,71 @@ def cmd_orientable(file, out):
     _emit(json.dumps(payload, indent=2), out)
 
 
-def _block_texts(s, render) -> list[np.ndarray]:
-    """The text of every entry of every face block of ``s``, one array per
-    face, gathered through the face's index grid (:meth:`face_tables`).
+def _block_texts(s) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The 're,im' text of each table value of ``s`` that some entry of a
+    face block uses, on all faces together, and per face the grid of its
+    entries' positions in that array, gathered through the face's index
+    grid (:meth:`face_tables`).
 
-    ``render`` maps a complex array to one text per entry, or to a row of
-    texts per entry; it runs once, over the table values that some entry
-    uses, on all faces together: O(sum q), not O(sum q^2), floats.
+    The texts are rendered once: O(sum q), not O(sum q^2), floats.
     """
-    tables = list(s.face_tables())
-    used = [np.flatnonzero(np.bincount(index.ravel(), minlength=len(values))) for values, index in tables]
-    texts = render(np.concatenate([values[k] for (values, _), k in zip(tables, used)]))
-    out = []
-    start = 0
-    for (values, index), k in zip(tables, used):
-        slots = np.empty((len(values),) + texts.shape[1:], dtype=object)
-        slots[k] = texts[start : start + len(k)]
+    used, grids, start = [], [], 0
+    for values, index in s.face_tables():
+        k = np.flatnonzero(np.bincount(index.ravel(), minlength=len(values)))
+        where = np.zeros(len(values), dtype=np.intp)
+        where[k] = np.arange(start, start + len(k))
         start += len(k)
-        out.append(slots[index])
-    return out
+        used.append(values[k])
+        grids.append(where[index])
+    re_im = _float_texts(np.concatenate(used).view(np.float64))
+    return re_im[0::2] + "," + re_im[1::2], grids
+
+
+def _joined_cells(grid: np.ndarray, in_row: np.ndarray, row_end: np.ndarray) -> np.ndarray:
+    """Per entry of a face's grid, its value's text with what follows it:
+    ``in_row`` texts, and ``row_end`` ones in the last column."""
+    cells = in_row[grid]
+    cells[:, -1] = row_end[grid[:, -1]]
+    return cells
+
+
+def _json_blocks(texts: np.ndarray, grids: list[np.ndarray]) -> list:
+    """One renderer per face for :func:`_iterdumps`: given the indent of its
+    slot, the face's matrix as json.dumps(indent=2) writes a list of rows of
+    strings.
+
+    Each value text is joined, once for all faces, with what follows it
+    inside a row and at a row's end, so a face's matrix is one join over
+    its q^2 entries.
+    """
+
+    @functools.cache
+    def separated(indent):
+        inner = indent + "  "
+        cell = inner + "  "
+        return texts + ('",\n' + cell + '"'), texts + ('"\n' + inner + "],\n" + inner + "[\n" + cell + '"')
+
+    def render(grid, indent):
+        inner = indent + "  "
+        cells = _joined_cells(grid, *separated(indent))
+        # The last cell first: for q = 1 it is also the first.
+        cells[-1, -1] = texts[grid[-1, -1]] + '"\n' + inner + "]\n" + indent + "]"
+        cells[0, 0] = "[\n" + inner + "[\n" + inner + '  "' + cells[0, 0]
+        return "".join(cells.ravel().tolist())
+
+    return [functools.partial(render, grid) for grid in grids]
+
+
+def _csv_blocks(texts: np.ndarray, grids: list[np.ndarray], leads: list[list[str]]) -> Iterator[str]:
+    """Each face's CSV rows, one string per face: per row its lead cells
+    (``leads[i]``, one text per row, ended by a comma) and then two cells,
+    re and im, per entry.  As in :func:`_json_blocks`, the value texts are
+    joined with their separators once for all faces."""
+    in_row, row_end = texts + ",", texts + "\n"
+    for grid, lead in zip(grids, leads):
+        cells = _joined_cells(grid, in_row, row_end)
+        cells[:, 0] = np.array(lead, dtype=object) + cells[:, 0]
+        yield "".join(cells.ravel().tolist())
 
 
 @cli.command("scatter")
@@ -350,7 +396,7 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     labels = trace_faces(rs).cover_base
     tails = [t.tolist() for t in s.face_tails()]
     if fmt == "json":
-        matrices = _block_texts(s, _complex_texts)
+        matrices = _json_blocks(*_block_texts(s))
         payload = {
             "tails": _tail_legend(bg),
             "unitarity_defect": s.unitarity_defect(),
@@ -365,16 +411,10 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
                 for i in range(len(tails))
             ],
         }
-        _emit(_dumps(payload), out)
+        _emit(_iterdumps(payload), out)
     else:
-        # Two cells, re and im, per entry.
-        cells = _block_texts(s, lambda z: _float_texts(z[:, None].view(np.float64)))
-        lines = []
-        for i, face_tails in enumerate(tails):
-            face, copy = str(labels[i][0]), str(int(labels[i][1]))
-            for row_tail, row in zip(face_tails, cells[i].reshape(len(face_tails), -1).tolist()):
-                lines.append(",".join([face, copy, str(row_tail), *row]))
-        _emit("\n".join(lines) + "\n", out)
+        leads = [[f"{labels[i][0]},{int(labels[i][1])},{tail}," for tail in face] for i, face in enumerate(tails)]
+        _emit(_csv_blocks(*_block_texts(s), leads), out)
 
 
 def _parse_inflow(bg, spec: str) -> np.ndarray:
@@ -465,7 +505,7 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
             ),
             "energy_vs_formula": abs(internal_energy(state) - report.energy),
         }
-    _emit(_dumps(payload), out)
+    _emit(_iterdumps(payload), out)
 
 
 def _format_class_rows(rows, a_values):

@@ -26,6 +26,11 @@ table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and the
 dense ``blocks``, ``matrix()`` and ``q_matrix()`` are export views gathered
 from the tables.  No block is ever inverted.
 
+The same structure gives the unitarity defect without a dense block: S_f is
+D (T + dI) D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
+(P odd), so S_f^H S_f - I is again (nega)circulant and its largest entry is
+read off the FFT of one column, O(q log q) per face.
+
 Everything here is indexed by tail site (= island arc id); the
 bridge-labelled view used by the comfortability formulas is a relabelling
 by the arc involution.
@@ -221,12 +226,32 @@ class ScatteringMatrix:
         return s
 
     def unitarity_defect(self) -> float:
-        """max |S_f^H S_f - I| over the dense face blocks."""
+        """max |S_f^H S_f - I| over the faces, from each block's spectrum.
+
+        S_f = D H D with D = diag((-1)^P_j) and H = T + dI, T being
+        circulant for even P and negacyclic for odd P, with first column
+        c_f[q] (negated for odd P) and then c_f[1 ... q-1].  So
+        S_f^H S_f - I = D (H^H H - I) D is again (nega)circulant: every
+        entry has the modulus of an entry of its first column,
+        ifft(|fft(h zeta)|^2) / zeta - delta_0, where h is the first column
+        of H and zeta_j = exp(i pi j / q) for odd P, 1 for even.  As
+        |zeta_j| = 1, the division is left out.  Faces of one length and
+        parity share one FFT: O(q log q) per face, and no block is built.
+        """
+        lengths = np.diff(self.offsets)
+        odd = self.parity[self.offsets[1:] - 1]
+        key = 2 * lengths + odd
         worst = 0.0
-        for tails, block in self.blocks:
-            gram = block.conj().T @ block
-            gram.flat[:: len(tails) + 1] -= 1
-            worst = max(worst, np.abs(gram).max())
+        for k in dict.fromkeys(key.tolist()):
+            q, p = divmod(k, 2)
+            # Row per face: c_f[q], c_f[1], ..., c_f[q-1].
+            h = self.table[self.offsets[:-1][key == k, None] + (np.arange(q) - 1) % q]
+            h[:, 0] = (-1) ** p * h[:, 0] + self.coin.d
+            if p:
+                h *= np.exp(1j * np.pi / q * np.arange(q))
+            gram = np.fft.ifft(np.abs(np.fft.fft(h)) ** 2)
+            gram[:, 0] -= 1
+            worst = max(worst, float(np.abs(gram).max()))
         return worst
 
 
@@ -357,8 +382,10 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     the parity is always path independent, because every cycle of the
     double cover has even twist parity; grouping the antipodal islands is
     what makes the test discriminating.)  Vertex pairs not sharing a face
-    have no entries and are vacuously consistent.  Entries are read block
-    by block; the pair of base vertices indexes the running sign range.
+    have no entries and are vacuously consistent.  Entries are gathered one
+    face at a time from :meth:`ScatteringMatrix.face_tables`, so memory
+    follows the largest face; the pair of base vertices indexes the running
+    sign range.
     """
     coin, bg = s.coin, s.bg
     if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
@@ -369,10 +396,11 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     low = np.full(nv * nv, np.inf)
     high = np.full(nv * nv, -np.inf)
     base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
-    for tails, block in s.blocks:
+    for tails, (values, index) in zip(s.face_tails(), s.face_tables()):
+        block = values[index]
         if np.abs(block.imag).max() > 1e-8:
             raise AssumptionError("scattering entries are not real; check the coin")
-        vertex = base_of_tail[np.array(tails)]
+        vertex = base_of_tail[tails]
         pair = vertex[:, None] * nv + vertex[None, :]
         keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > Coin.AMPLITUDE_EPS)
         np.minimum.at(low, pair[keep], block.real[keep])

@@ -100,3 +100,9 @@ def energies(bg, coin, inflow):
     flipped = sigma_matrix(bg) @ q + coin.d * q
     bridge = np.vdot(flipped, flipped).real / (2.0 * abs(coin.b * coin.c) ** 2)
     return island, bridge
+
+
+def unitarity_defect(blocks):
+    """max |S_f^H S_f - I| over (tails, block) pairs, by the dense Gram of
+    each block."""
+    return max(np.abs(block.conj().T @ block - np.eye(len(tails))).max() for tails, block in blocks)

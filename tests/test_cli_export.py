@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import cli_oracle
+import dense_oracle
 from conftest import random_rotation_system
 from surfwalk import cli
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system
 from surfwalk.graph_core import complete_graph
-from surfwalk.scattering import scattering_matrix
+from surfwalk.scattering import ScatteringMatrix, scattering_matrix
 from surfwalk.walk_dynamics import Coin
 from test_cli import C4_PLANAR
 from test_fileformat import PROJECTIVE_K4_FILE
@@ -136,41 +137,47 @@ def test_complex_texts_match_format_spec():
     assert cli._complex_texts(z).tolist() == expected
 
 
-def _plain(node):
-    """The payload as json.dumps takes it: lists for arrays, and a list of
-    records for a tail legend."""
+def _plain(node, matrices):
+    """The payload as json.dumps takes it: lists for arrays, a list of
+    records for a tail legend, and for each matrix renderer the rows that
+    ``matrices`` holds for it."""
     if isinstance(node, cli._TailLegend):
         return [
             {"tail": t, "bridge": b, "base_arc": [o, d], "sheet": s}
             for t, b, o, d, s in zip(node.tail, node.bridge, node.origin, node.terminus, node.sheet)
         ]
     if isinstance(node, dict):
-        return {key: _plain(value) for key, value in node.items()}
+        return {key: _plain(value, matrices) for key, value in node.items()}
     if isinstance(node, list):
-        return [_plain(value) for value in node]
+        return [_plain(value, matrices) for value in node]
+    if callable(node):
+        return matrices[node]
     return node.tolist() if isinstance(node, np.ndarray) else node
 
 
 def test_dumps_matches_json_dumps():
-    texts = np.array([["1,0", "-0,2"], ["3,nan", "inf,-inf"]], dtype=object)
+    texts = np.array(["1,0", "-0,2", "3,nan", "inf,-inf"], dtype=object)
+    grids = [np.array([[0, 1], [2, 3]]), np.array([[3]]), np.array([[1, 1, 0], [0, 2, 2], [3, 3, 3]])]
+    two, one, three = renderers = cli._json_blocks(texts, grids)
+    matrices = {render: texts[grid].tolist() for render, grid in zip(renderers, grids)}
     legend = cli._tail_legend(hedgehog(parse_rotation_system(PROJECTIVE_K4_FILE)))
-    one = cli._TailLegend(*(column[:1] for column in legend))
+    first = cli._TailLegend(*(column[:1] for column in legend))
     none = cli._TailLegend([], [], [], [], [])
     payloads = [
         {
             "n": 1.5,
             "empty": np.array([], dtype=object),
-            "flat": texts[0],
-            "nested": [{"matrix": texts, "none": np.empty((0, 0), dtype=object)}, texts[1]],
+            "flat": texts,
+            "nested": [{"matrix": two, "single": one}, texts[1:]],
             "last": "x",
         },
         legend,
         {"tails": legend, "n": 3},
-        {"nested": [{"tails": one}, none, legend], "rows": np.empty((2, 0), dtype=object)},
-        {"n": 1, "last": one},
+        {"nested": [{"tails": first}, none, legend], "rows": [three, one]},
+        {"n": 1, "last": first, "matrix": three},
     ]
     for payload in payloads:
-        assert cli._dumps(payload) == json.dumps(_plain(payload), indent=2)
+        assert "".join(cli._iterdumps(payload)) == json.dumps(_plain(payload, matrices), indent=2)
 
 
 def test_scatter_formats_each_distinct_float_once(tmp_path, monkeypatch):
@@ -205,3 +212,22 @@ def test_scatter_renders_only_table_values(tmp_path, monkeypatch):
         floats.clear()
         _run(["scatter", path, *flags, "--format", fmt], tmp_path / "out")
         assert 0 < sum(floats) <= 2 * sum(2 * q + 1 for q in lengths) < sum(q * q for q in lengths)
+
+
+def test_scatter_builds_no_dense_block(tmp_path, monkeypatch):
+    # The export renders from the face tables and takes the unitarity defect
+    # from the circulant spectrum; a dense block would show up here.
+    path, rs = _system_file(tmp_path, "k16")
+    flags, coin = _coin_args("complex")
+    expected = {"json": cli_oracle.scatter_json(rs, coin), "csv": cli_oracle.scatter_csv(rs, coin)}
+    dense = dense_oracle.unitarity_defect(scattering_matrix(hedgehog(rs), coin).blocks)
+
+    def refuse(self):
+        raise AssertionError("a dense face block was built")
+
+    monkeypatch.setattr(ScatteringMatrix, "blocks", property(refuse))
+    for fmt, text in expected.items():
+        assert _run(["scatter", path, *flags, "--format", fmt], tmp_path / "out") == text
+    # The oracle reads the library's defect for that key; hold it to the
+    # dense Gram of the blocks.
+    assert abs(json.loads(expected["json"])["unitarity_defect"] - dense) <= 1e-12

@@ -236,8 +236,11 @@ def test_orientability_three_way_agreement(rng):
         bg = hedgehog(rs)
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
-        by_signs = orientability_from_scattering(scattering_matrix(bg, coin))
+        s = scattering_matrix(bg, coin)
+        by_signs = orientability_from_scattering(s)
         assert by_tree == by_cover == by_signs
+        # The sign test gathers one face at a time; no dense export is kept.
+        assert "blocks" not in vars(s)
 
 
 def test_detection_requires_positive_a():
@@ -246,24 +249,6 @@ def test_detection_requires_positive_a():
     s = scattering_matrix(bg, coin)
     with pytest.raises(AssumptionError):
         orientability_from_scattering(s)
-
-
-def test_unitarity_defect_is_the_dense_expression(k4_classes, rng):
-    # The in-place Gram form gives the same bits as max |S_f^H S_f - I|.
-    def dense_defect(s):
-        return max(
-            np.abs(block.conj().T @ block - np.eye(len(tails))).max()
-            for tails, block in s.blocks
-        )
-
-    systems = [cls.representative for cls in k4_classes]
-    systems += [random_rotation_system(rng, complete_graph(n)) for n in (8, 12, 16)]
-    coins = [Coin.hadamard_type(), random_d_real_coin(rng), random_d_real_coin(rng, max_a=0.99)]
-    for rs in systems:
-        bg = hedgehog(rs)
-        for coin in coins:
-            s = scattering_matrix(bg, coin)
-            assert s.unitarity_defect() == dense_defect(s)
 
 
 def test_outflow_map_three_random_coins(k4_classes, rng):
@@ -472,6 +457,56 @@ def _odd_parity(bg):
     twist = bg.bridge_twist.copy()
     twist[bg.faces[0][0]] ^= 1
     return dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
+
+
+def _parity_flipped(s, faces):
+    """``s`` with the twist parity of the last tail of each face in
+    ``faces`` flipped, so those faces read as odd-P (negacyclic) blocks of
+    the same table: hedgehog faces always have even P, and with the table
+    left as it is the blocks are far from unitary."""
+    parity = s.parity.copy()
+    parity[s.offsets[1:][faces] - 1] ^= 1
+    return dataclasses.replace(s, parity=parity)
+
+
+def test_unitarity_defect_matches_the_dense_gram(k4_classes, rng):
+    # The defect is read off each block's circulant spectrum; the dense Gram
+    # of the blocks is the oracle.  The two sum in different orders, so they
+    # agree to rounding, not bit for bit.
+    systems = [cls.representative for cls in k4_classes]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (8, 12, 16)]
+    coins = [Coin.hadamard_type(), random_d_real_coin(rng), random_d_real_coin(rng, max_a=0.99)]
+    shared, worst = 0, 0.0
+    for rs in systems:
+        for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
+            lengths = [len(face) for face in bg.faces]
+            shared += len(lengths) > len(set(lengths))
+            for coin in coins:
+                s = scattering_matrix(bg, coin)
+                faces = np.arange(len(lengths))
+                for variant in (s, _parity_flipped(s, faces[::2]), _parity_flipped(s, faces)):
+                    defect = variant.unitarity_defect()
+                    assert "blocks" not in vars(variant)
+                    assert abs(defect - dense_oracle.unitarity_defect(variant.blocks)) <= 1e-12
+                    assert variant is not s or defect < 1e-10
+                    worst = max(worst, defect)
+    # The flipped blocks are far from unitary, and faces of one length and
+    # parity, which share one FFT, occur in most systems.
+    assert worst > 0.1
+    assert shared > len(systems)
+
+
+def test_unitarity_defect_sees_a_scaled_table(k4_classes, rng):
+    systems = [k4_classes[0].representative, random_rotation_system(rng, complete_graph(12))]
+    for rs in systems:
+        bg = hedgehog(rs)
+        for coin in (Coin.hadamard_type(), Coin.from_params(0.7, 0.4, 1.3), Coin.real_symmetric(0.6)):
+            s = scattering_matrix(bg, coin)
+            scaled = dataclasses.replace(s, table=s.table * (1 + 1e-6))
+            defect = scaled.unitarity_defect()
+            dense = dense_oracle.unitarity_defect(scaled.blocks)
+            assert abs(defect - dense) <= 1e-9 * dense
+            assert defect > 1e-10
 
 
 _EXACT_COINS = {f"real_symmetric(1-1e-{k})": Coin.real_symmetric(1.0 - 10.0**-k) for k in range(2, 9)}
