@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -61,12 +61,6 @@ def _distinct_texts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return texts, inverse.reshape(x.shape)
 
 
-def _float_texts(x: np.ndarray) -> np.ndarray:
-    """The '%.17g' text of every entry of a float array, same shape."""
-    texts, inverse = _distinct_texts(x)
-    return texts[inverse]
-
-
 def _complex_texts(z: np.ndarray) -> np.ndarray:
     """The 're,im' text of every entry of a complex array, same shape.
 
@@ -80,40 +74,50 @@ def _complex_texts(z: np.ndarray) -> np.ndarray:
     return joined[pair_inverse.reshape(z.shape)]
 
 
-def _json_array(texts: np.ndarray, indent: str) -> str:
-    """``json.dumps(texts.tolist(), indent=2)`` for a 1-D array of strings
-    that need no escaping, nested at ``indent`` (the indent of its closing
-    bracket)."""
-    if not texts.size:
-        return "[]"
+def _frame(indent: str) -> tuple[str, str, str]:
+    """The opening, the item separator and the closing of a non-empty array
+    as json.dumps(indent=2) writes it with its closing bracket at
+    ``indent``."""
     inner = indent + "  "
-    return "[\n" + inner + '"' + ('",\n' + inner + '"').join(texts.tolist()) + '"\n' + indent + "]"
+    return "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
 
 
-class _TailLegend(NamedTuple):
-    """One record per tail, held as columns: the island arc it sits on,
-    the bridge feeding it and the base arc (origin, terminus) and sheet
-    underneath."""
-
-    tail: list[int]
-    bridge: list[int]
-    origin: list[int]
-    terminus: list[int]
-    sheet: list[int]
+def _json_array(items: list[str], indent: str, quote: str = '"') -> str:
+    """``json.dumps`` with indent=2 of a list, nested at ``indent``, whose
+    items are their ``items`` texts between ``quote``s: strings that need no
+    escaping, or with ``quote=""`` JSON texts (ints, or records already
+    indented to the items' depth)."""
+    if not items:
+        return "[]"
+    start, sep, end = _frame(indent)
+    return f"{start}{quote}{(quote + sep + quote).join(items)}{quote}{end}"
 
 
 # One legend record as json.dumps(indent=2) writes it at indent 0.
 _LEGEND_RECORD = '{\n  "tail": %d,\n  "bridge": %d,\n  "base_arc": [\n    %d,\n    %d\n  ],\n  "sheet": %d\n}'
 
 
-def _json_legend(legend: _TailLegend, indent: str) -> str:
-    """``json.dumps`` of the legend's records with indent=2, nested at
-    ``indent`` as :func:`_json_array` is."""
-    if not legend.tail:
-        return "[]"
-    inner = indent + "  "
-    record = _LEGEND_RECORD.replace("\n", "\n" + inner)
-    return "[\n" + inner + (",\n" + inner).join(map(record.__mod__, zip(*legend))) + "\n" + indent + "]"
+def _json_legend(bg):
+    """A renderer of the tail legend for :func:`_iterdumps`: one record per
+    tail, the island arc it sits on, the bridge feeding it and the base arc
+    (origin, terminus) and sheet underneath."""
+    dc = bg.cover
+    g = dc.base.graph
+    records = list(
+        zip(
+            range(bg.size),
+            bg.bar.tolist(),
+            np.take(g.origin, dc.proj).tolist(),
+            np.take(g.terminus, dc.proj).tolist(),
+            dc.sheet.tolist(),
+        )
+    )
+
+    def render(indent):
+        record = _LEGEND_RECORD.replace("\n", "\n" + indent + "  ")
+        return _json_array(list(map(record.__mod__, records)), indent, quote="")
+
+    return render
 
 
 # json.dumps writes the slot string "\x00" as "\u0000"; no other string a
@@ -123,32 +127,26 @@ _SLOT = '"\\u0000"'
 
 def _iterdumps(payload) -> Iterator[str]:
     """The text of ``json.dumps(payload, indent=2)``, in parts, for a
-    payload whose arrays of strings are 1-D numpy object arrays, whose tail
-    legends are :class:`_TailLegend` columns and whose other pre-rendered
-    values are callables taking their indent.
+    payload whose pre-rendered values are renderers: callables that take
+    the indent of their slot and return the value's text.
 
     With an indent, json.dumps runs the pure-Python encoder.  It renders
-    only the skeleton here, with a slot string in place of each array,
-    legend and callable, and each one's text is spliced into its slot in
-    the same layout, at the indent of the line the slot is on.  The parts
-    are rendered as they are taken, so the whole text need never be held.
+    only the skeleton here, with a slot string in place of each renderer,
+    and each one's text is spliced into its slot in the same layout, at the
+    indent of the line the slot is on.  The parts are rendered as they are
+    taken, so the whole text need never be held.
     """
     renders = []
 
     def slot(node):
-        if isinstance(node, np.ndarray):
-            renders.append(functools.partial(_json_array, node))
-        elif callable(node):
-            renders.append(node)
-        elif isinstance(node, _TailLegend):
-            renders.append(functools.partial(_json_legend, node))
-        elif isinstance(node, dict):
+        if isinstance(node, dict):
             return {key: slot(value) for key, value in node.items()}
-        elif isinstance(node, list):
+        if isinstance(node, list):
             return [slot(value) for value in node]
-        else:
-            return node
-        return "\x00"
+        if callable(node):
+            renders.append(node)
+            return "\x00"
+        return node
 
     # The encoder visits the payload in the order slot() did.
     parts = json.dumps(slot(payload), indent=2).split(_SLOT)
@@ -228,18 +226,6 @@ def _emit(text: str | Iterable[str], out: str | None):
             write_all(fh.write)
     else:
         write_all(functools.partial(click.echo, nl=False))
-
-
-def _tail_legend(bg) -> _TailLegend:
-    dc = bg.cover
-    g = dc.base.graph
-    return _TailLegend(
-        list(range(bg.size)),
-        bg.bar.tolist(),
-        np.take(g.origin, dc.proj).tolist(),
-        np.take(g.terminus, dc.proj).tolist(),
-        dc.sheet.tolist(),
-    )
 
 
 def _faces_payload(rs) -> dict:
@@ -331,8 +317,7 @@ def _block_texts(s) -> tuple[np.ndarray, list[np.ndarray]]:
         start += len(k)
         used.append(values[k])
         grids.append(where[index])
-    re_im = _float_texts(np.concatenate(used).view(np.float64))
-    return re_im[0::2] + "," + re_im[1::2], grids
+    return _complex_texts(np.concatenate(used)), grids
 
 
 def _joined_cells(grid: np.ndarray, in_row: np.ndarray, row_end: np.ndarray) -> np.ndarray:
@@ -354,17 +339,21 @@ def _json_blocks(texts: np.ndarray, grids: list[np.ndarray]) -> list:
     """
 
     @functools.cache
-    def separated(indent):
-        inner = indent + "  "
-        cell = inner + "  "
-        return texts + ('",\n' + cell + '"'), texts + ('"\n' + inner + "],\n" + inner + "[\n" + cell + '"')
+    def framed(indent):
+        """The value texts joined with what follows them in a row and at a
+        row's end, the opening of the first row and the closing of the last."""
+        start, sep, end = _frame(indent)
+        row_start, row_sep, row_end = _frame(indent + "  ")
+        in_row = texts + f'"{row_sep}"'
+        row_break = texts + f'"{row_end}{sep}{row_start}"'
+        return in_row, row_break, f'{start}{row_start}"', f'"{row_end}{end}'
 
     def render(grid, indent):
-        inner = indent + "  "
-        cells = _joined_cells(grid, *separated(indent))
+        in_row, row_break, first, last = framed(indent)
+        cells = _joined_cells(grid, in_row, row_break)
         # The last cell first: for q = 1 it is also the first.
-        cells[-1, -1] = texts[grid[-1, -1]] + '"\n' + inner + "]\n" + indent + "]"
-        cells[0, 0] = "[\n" + inner + "[\n" + inner + '  "' + cells[0, 0]
+        cells[-1, -1] = texts[grid[-1, -1]] + last
+        cells[0, 0] = first + cells[0, 0]
         return "".join(cells.ravel().tolist())
 
     return [functools.partial(render, grid) for grid in grids]
@@ -394,18 +383,18 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
     labels = trace_faces(rs).cover_base
-    tails = [t.tolist() for t in s.face_tails()]
+    tails = [list(map(str, t.tolist())) for t in s.face_tails()]
     if fmt == "json":
         matrices = _json_blocks(*_block_texts(s))
         payload = {
-            "tails": _tail_legend(bg),
+            "tails": _json_legend(bg),
             "unitarity_defect": s.unitarity_defect(),
             "min_face_gap": s.min_gap,
             "blocks": [
                 {
                     "face": labels[i][0],
                     "chiral_copy": labels[i][1],
-                    "tails": tails[i],
+                    "tails": functools.partial(_json_array, tails[i], quote=""),
                     "matrix": matrices[i],
                 }
                 for i in range(len(tails))
@@ -473,14 +462,15 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
     bg = hedgehog(rs)
     vec = _parse_inflow(bg, inflow)
     state = run_to_stationary(bg, coin, vec, tol=tol, max_steps=max_steps)
-    outflow, island_in, island_plus, bridge = _complex_texts(
-        np.stack([state.outflow, state.island_in, state.island_plus, state.bridge])
+    outflow, island_in, island_plus, bridge = (
+        functools.partial(_json_array, texts.tolist())
+        for texts in _complex_texts(np.stack([state.outflow, state.island_in, state.island_plus, state.bridge]))
     )
     payload = {
         "steps": state.steps,
         "residual": state.residual,
         "energy": internal_energy(state),
-        "tails": _tail_legend(bg),
+        "tails": _json_legend(bg),
         "outflow": outflow,
         "state": {
             "island_before_tail": island_in,

@@ -16,6 +16,7 @@ it and is reported alongside.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -95,25 +96,35 @@ def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
     The terms are summed in a canonical order, faces by (length, sorted
     hit distances) and each face's hits sorted, so embeddings with the same
     face data get bit-identical averages and rank ties stay exact.
+
+    With z = a omega = r e^(i theta), r = |a| (|omega| = 1), each 1 - r^x is
+    -expm1(x log r) and each |1 - z^L|^2 is (1 - r^L)^2 + 4 r^L
+    sin^2(L theta / 2), so neither is formed by a subtraction that cancels
+    as |a| -> 1.  theta is held in half turns, so that a real z has L theta
+    / 2 a multiple of pi / 2 exactly.
     """
     coin.require_closed_form()
-    a, d = coin.a, coin.d.real
-    z = a * coin.omega
-    abs_a = abs(a)
+    d = coin.d.real
+    z = coin.a * coin.omega
     b2 = abs(coin.b) ** 2
     c2 = abs(coin.c) ** 2
+    r = abs(coin.a)
+    log_r = math.log1p(r - 1.0) if r else -math.inf
+    half_turns = cmath.phase(z) / math.pi
 
     t1 = 0.0
     t2 = 0.0
     faces = zip(map(len, fd.faces), map(sorted, map(dict.values, fd.self_intersections)))
     for length, hits in sorted(faces):
-        denom = abs(1.0 - z**length) ** 2
-        t1 += length * (1.0 - abs_a ** (2 * length)) / denom
+        gap = -math.expm1(length * log_r)
+        sine = math.sin(math.pi / 2 * math.remainder(length * half_turns, 2.0))
+        denom = gap * gap + 4.0 * (1.0 - gap) * sine * sine
+        t1 += length * -math.expm1(2 * length * log_r) / denom
         if hits:
             inner = 0.0
             for d1, d2 in hits:
                 inner += 2.0 * (
-                    z**d1 * (1.0 - abs_a ** (2 * d2)) + z**d2 * (1.0 - abs_a ** (2 * d1))
+                    z**d1 * -math.expm1(2 * d2 * log_r) + z**d2 * -math.expm1(2 * d1 * log_r)
                 ).real
             t2 += inner / denom
     n_arcs = fd.rs.graph.arc_count

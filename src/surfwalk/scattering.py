@@ -22,9 +22,11 @@ a circulant up to the diagonal similarity by (-1)^P_j, the wrap-around term
 [j <= m] P being the sign of Pi_f.  So each block holds at most 2q distinct
 entries, the values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the
 tails, their parities P_j, the closing factor 1 / (1 - a^q Pi_f) and the
-table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and the
-dense ``blocks``, ``matrix()`` and ``q_matrix()`` are export views gathered
-from the tables.  No block is ever inverted.
+table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and
+``face_tables()`` gives each face's values and index grid, from which the
+CLI renders its export.  The dense ``blocks``, ``matrix()`` and
+``q_matrix()`` are views gathered from the tables for the tests and the
+benchmark; no CLI path reads them.  No block is ever inverted.
 
 The same structure gives the unitarity defect without a dense block: S_f is
 D (T + dI) D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
@@ -192,16 +194,17 @@ class ScatteringMatrix:
         The values are those of :meth:`_signed` with d I added as
         ``d * np.eye(q)`` adds it, d * 0 off the diagonal included, so the
         block is ``face_q_block(i) + d * np.eye(q)`` bit for bit.  Residue
-        q, the diagonal's, is the one value no other entry uses.
+        q, the diagonal's (at ``index[0, 0]``), is the one value no other
+        entry uses.
         """
         off, on = self.coin.d * np.array([0.0, 1.0])
         for i in range(len(self.offsets) - 1):
-            q = self.offsets[i + 1] - self.offsets[i]
             signed = self._signed(i)
+            index = self._index(i, np.arange(self.offsets[i + 1] - self.offsets[i]))
             values = signed + off
-            diagonal = q - 1 + q * self.parity[self.offsets[i + 1] - 1]
+            diagonal = index[0, 0]
             values[diagonal] = signed[diagonal] + on
-            yield values, self._index(i, np.arange(q))
+            yield values, index
 
     @cached_property
     def blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:

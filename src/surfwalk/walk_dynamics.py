@@ -36,7 +36,6 @@ __all__ = [
     "Coin",
     "WaveState",
     "step",
-    "step_residual",
     "step_matrix",
     "run_to_stationary",
     "internal_energy",
@@ -246,15 +245,6 @@ def internal_energy(state: WaveState):
         + np.vecdot(state.bridge, state.bridge, axis=0).real
     )
     return 0.5 * total
-
-
-def step_residual(new: WaveState, old: WaveState) -> float:
-    """The sup-norm change of one step, over every entry of every column."""
-    return max(
-        np.abs(new.island_in - old.island_in).max(initial=0.0),
-        np.abs(new.island_plus - old.island_plus).max(initial=0.0),
-        np.abs(new.bridge - old.bridge).max(initial=0.0),
-    )
 
 
 def run_to_stationary(

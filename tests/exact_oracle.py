@@ -1,15 +1,17 @@
-"""The face blocks of S in exact rational arithmetic, kept as a test oracle.
+"""The face blocks of S, and the average comfortability of a real coin, in
+exact rational arithmetic, kept as test oracles.
 
 A complex number is a pair of ``fractions.Fraction``.  The coin's double
 entries a, b, c, d and its double omega, the numbers the library computes
 from, are taken as exact, so the only error measured is that of evaluating
-the blocks.  Each block is summed as the geometric series of the weighted
+the formulas.  Each block is summed as the geometric series of the weighted
 shift, bc P_f (I - a P_f)^-1 = bc / (1 - a^q Pi_f) sum_{k<q} a^k P_f^(k+1),
 walking from each tail round the face and multiplying the weights one at a
 time; the closing factor 1 / (1 - a^q Pi_f) is exact.  Nothing here calls
-``surfwalk.scattering``.
+``surfwalk.scattering`` or ``surfwalk.comfortability``.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -67,3 +69,40 @@ def relative_error(block: np.ndarray, exact) -> float:
             worst = max(worst, abs(complex(float(Fraction(z.real) - re), float(Fraction(z.imag) - im))))
             largest = max(largest, abs(complex(float(re), float(im))))
     return worst / largest
+
+
+def real_coin_averages(decompositions, coin) -> list[Fraction]:
+    """The face form of the average comfortability of each facial
+    decomposition, for a coin whose a, d and omega are real, in exact
+    rational arithmetic:
+
+        ((2 + |b|^2) t1 + 2 d t2) / (|c|^2 |A|),
+        t1 = sum_f L (1 - a^(2L)) / (1 - z^L)^2,
+        t2 = sum_f sum_hits 2 (z^d1 (1 - a^(2 d2)) + z^d2 (1 - a^(2 d1))) / (1 - z^L)^2,
+
+    with z = a omega, L the length of base face f and (d1, d2) the two
+    distances of each edge it crosses twice.  The coin's doubles and its
+    double omega are taken as exact.  Each distinct face's term is
+    evaluated once for all decompositions.
+    """
+    (a, a_im), (d, d_im), (omega, omega_im) = map(_exact, (coin.a, coin.d, coin.omega))
+    if a_im or d_im or omega_im:
+        raise ValueError("the oracle is stated for real a, d and omega")
+    b2 = sum(x * x for x in _exact(coin.b))
+    c2 = sum(x * x for x in _exact(coin.c))
+    z = a * omega
+
+    @functools.cache
+    def crossing(d1, d2):
+        return 2 * (z**d1 * (1 - a ** (2 * d2)) + z**d2 * (1 - a ** (2 * d1)))
+
+    @functools.cache
+    def face_term(length, hits):
+        crossings = sum(crossing(d1, d2) for d1, d2 in hits)
+        return ((2 + b2) * length * (1 - a ** (2 * length)) + 2 * d * crossings) / (1 - z**length) ** 2
+
+    return [
+        sum(face_term(len(face), tuple(sorted(hits.values()))) for face, hits in zip(fd.faces, fd.self_intersections))
+        / (c2 * fd.rs.graph.arc_count)
+        for fd in decompositions
+    ]

@@ -1,9 +1,11 @@
 """The CLI's exported arrays: byte identity with the entry-by-entry oracle
 and the vectorised text helpers on their own."""
 
+import functools
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,62 +124,63 @@ ADVERSARIAL = np.array(
 )
 
 
-def test_float_texts_match_format_spec():
-    expected = [f"{x:.17g}" for x in ADVERSARIAL.tolist()]
-    assert cli._float_texts(ADVERSARIAL).tolist() == expected
-    assert cli._float_texts(ADVERSARIAL.reshape(4, 5)).tolist() == np.reshape(expected, (4, 5)).tolist()
-    assert cli._float_texts(np.zeros(0)).tolist() == []
-
-
 def test_complex_texts_match_format_spec():
     # Pair every adversarial float with every other, as (re, im) bit patterns.
     re_part, im_part = np.meshgrid(ADVERSARIAL, ADVERSARIAL)
     z = np.stack([re_part, im_part], axis=-1).view(complex)[..., 0]
     expected = [[f"{v.real:.17g},{v.imag:.17g}" for v in row] for row in z.tolist()]
     assert cli._complex_texts(z).tolist() == expected
+    assert cli._complex_texts(np.zeros(0, dtype=complex)).tolist() == []
 
 
-def _plain(node, matrices):
-    """The payload as json.dumps takes it: lists for arrays, a list of
-    records for a tail legend, and for each matrix renderer the rows that
-    ``matrices`` holds for it."""
-    if isinstance(node, cli._TailLegend):
-        return [
-            {"tail": t, "bridge": b, "base_arc": [o, d], "sheet": s}
-            for t, b, o, d, s in zip(node.tail, node.bridge, node.origin, node.terminus, node.sheet)
-        ]
+def _legend(bg, n):
+    """The CLI's legend renderer for the first ``n`` tails of ``bg``."""
+    dc = bg.cover
+    cover = SimpleNamespace(base=dc.base, proj=dc.proj[:n], sheet=dc.sheet[:n])
+    return cli._json_legend(SimpleNamespace(size=n, bar=bg.bar[:n], cover=cover))
+
+
+def _plain(node, values):
+    """The payload as json.dumps takes it: each renderer replaced by the
+    value ``values`` holds for it."""
     if isinstance(node, dict):
-        return {key: _plain(value, matrices) for key, value in node.items()}
+        return {key: _plain(value, values) for key, value in node.items()}
     if isinstance(node, list):
-        return [_plain(value, matrices) for value in node]
-    if callable(node):
-        return matrices[node]
-    return node.tolist() if isinstance(node, np.ndarray) else node
+        return [_plain(value, values) for value in node]
+    return values[node] if callable(node) else node
 
 
 def test_dumps_matches_json_dumps():
     texts = np.array(["1,0", "-0,2", "3,nan", "inf,-inf"], dtype=object)
     grids = [np.array([[0, 1], [2, 3]]), np.array([[3]]), np.array([[1, 1, 0], [0, 2, 2], [3, 3, 3]])]
-    two, one, three = renderers = cli._json_blocks(texts, grids)
-    matrices = {render: texts[grid].tolist() for render, grid in zip(renderers, grids)}
-    legend = cli._tail_legend(hedgehog(parse_rotation_system(PROJECTIVE_K4_FILE)))
-    first = cli._TailLegend(*(column[:1] for column in legend))
-    none = cli._TailLegend([], [], [], [], [])
+    two, one, three = matrices = cli._json_blocks(texts, grids)
+    values = {render: texts[grid].tolist() for render, grid in zip(matrices, grids)}
+
+    def array(items, quote='"'):
+        render = functools.partial(cli._json_array, [str(x) for x in items], quote=quote)
+        values[render] = list(items)
+        return render
+
+    bg = hedgehog(parse_rotation_system(PROJECTIVE_K4_FILE))
+    legend, first, none = (_legend(bg, n) for n in (bg.size, 1, 0))
+    values.update({legend: cli_oracle.tail_legend(bg), first: cli_oracle.tail_legend(bg)[:1], none: []})
     payloads = [
         {
             "n": 1.5,
-            "empty": np.array([], dtype=object),
-            "flat": texts,
-            "nested": [{"matrix": two, "single": one}, texts[1:]],
+            "empty": array([]),
+            "flat": array(texts),
+            "nested": [{"matrix": two, "single": one}, array(texts[1:])],
+            "tails": array([7, 0, 12], quote=""),
             "last": "x",
         },
         legend,
+        array([3], quote=""),
         {"tails": legend, "n": 3},
-        {"nested": [{"tails": first}, none, legend], "rows": [three, one]},
+        {"nested": [{"tails": first}, none, legend], "rows": [three, one], "ints": [array([], quote="")]},
         {"n": 1, "last": first, "matrix": three},
     ]
     for payload in payloads:
-        assert "".join(cli._iterdumps(payload)) == json.dumps(_plain(payload, matrices), indent=2)
+        assert "".join(cli._iterdumps(payload)) == json.dumps(_plain(payload, values), indent=2)
 
 
 def test_scatter_formats_each_distinct_float_once(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+import exact_oracle
 from conftest import projective_k4, planar_k4, random_d_real_coin
 from surfwalk.comfortability import (
     average_by_enumeration,
@@ -161,6 +162,54 @@ def test_positive_coin_form_is_accurate_near_unit_a(k4_classes, k):
         exact = _exact_positive_coin_average(cls.decomposition, a)
         value = positive_coin_average(cls.decomposition, a)
         assert abs(Fraction(value) - exact) <= 1e-14 * abs(exact), cls.label
+
+
+def _distinct_face_data(classes):
+    """One decomposition per distinct (face length, hit distances) data
+    set: the average depends on nothing else."""
+    distinct = {}
+    for cls in classes:
+        fd = cls.decomposition
+        data = sorted((len(face), sorted(hits.values())) for face, hits in zip(fd.faces, fd.self_intersections))
+        distinct.setdefault(repr(data), fd)
+    return list(distinct.values())
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_average_is_accurate_near_unit_a(k4_classes, k5_classes, k):
+    # Where the a -> 1 limit vanishes (one-face orientable classes) the
+    # leading terms cancel, and the bound widens by 1 / (1 - a).  Forming
+    # 1 - |a|^x or |1 - z^L|^2 by subtraction from 1 loses up to 2e-9
+    # relative on the other classes, and up to 4 on these.
+    a = 1.0 - 10.0**-k
+    coin = Coin.real_symmetric(a)
+    decompositions = _distinct_face_data([*k4_classes, *k5_classes])
+    # Rounding the exact value adds at most 1.2e-16 relative.
+    for fd, exact in zip(decompositions, map(float, exact_oracle.real_coin_averages(decompositions, coin))):
+        bound = 1e-14 if limit_comfortability(fd) else 1e-15 / (1.0 - a)
+        assert abs(average_comfortability(fd, coin) - exact) <= bound * exact
+
+
+@pytest.mark.parametrize("k", [2, 6, 10])
+def test_average_is_accurate_near_minus_one(k4_classes, k):
+    # z = a is negative: |1 - z^L|^2 takes sin^2(L pi / 2), which is 0 or 1
+    # exactly when the angle is held in half turns.
+    coin = Coin.real_symmetric(10.0**-k - 1.0)
+    decompositions = _distinct_face_data(k4_classes)
+    for fd, exact in zip(decompositions, map(float, exact_oracle.real_coin_averages(decompositions, coin))):
+        assert abs(average_comfortability(fd, coin) - exact) <= 1e-14 * exact
+
+
+def test_k5_order_near_unit_a_is_exact(k5_classes):
+    # Every adjacent pair of the exact order that is separated by more than
+    # 1e-14 relative keeps its order; subtracting from 1 misordered 193.
+    coin = Coin.real_symmetric(1.0 - 1e-6)
+    decompositions = _distinct_face_data(k5_classes)
+    exact = exact_oracle.real_coin_averages(decompositions, coin)
+    pairs = sorted(zip(exact, (average_comfortability(fd, coin) for fd in decompositions)))
+    separated = [(low, high) for low, high in zip(pairs, pairs[1:]) if high[0] - low[0] > 1e-14 * high[0]]
+    assert len(pairs) == 830 and len(separated) == 713
+    assert all(low[1] < high[1] for low, high in separated)
 
 
 def test_small_a_average_is_three():
