@@ -43,8 +43,10 @@ EXIT_CONVERGENCE = 4
 EXIT_BUDGET = 5
 
 
-# Every float the CLI exports is written by this one call, as '%.17g' (the
-# same bytes as f"{x:.17g}"), which round-trips.
+# Every float of an exported array or matrix is written by this one call, as
+# '%.17g' (the same bytes as f"{x:.17g}"), which round-trips.  Scalars, in
+# JSON and in the enumerate/rank CSV, are written as json.dumps writes them,
+# by float.__repr__, which round-trips too.
 _format_float = "%.17g".__mod__
 
 
@@ -500,7 +502,7 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
 
 def _format_class_rows(rows, a_values):
     header = ["label", "orientable", "genus", "faces", "self_intersections", "orbit_size", "limit"]
-    header += [f"avg_a={a:g}" for a in a_values]
+    header += ["avg_a=" + float.__repr__(a) for a in a_values]
     lines = [",".join(header)]
     for cls, limit, avgs in rows:
         faces = " ".join(str(x) for x in cls.face_lengths)
@@ -512,9 +514,9 @@ def _format_class_rows(rows, a_values):
             faces,
             prof,
             str(cls.orbit_size),
-            f"{limit:.12g}",
+            float.__repr__(limit),
         ]
-        cells += [f"{v:.12g}" for v in avgs]
+        cells += map(float.__repr__, avgs)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

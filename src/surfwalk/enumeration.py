@@ -14,11 +14,12 @@ edge mask; a graph automorphism conjugates every local order (a table per
 vertex) and permutes the twist bits.  The global mirror (invert every
 rotation, keep the twists) is the flip of every vertex, so it adds no
 generator.  Orbits under the flips and a generating set of the automorphisms
-are found by min-label propagation over integer arrays.  Classes are listed
-in the order of their smallest raw index and represented by their
-lexicographically minimal (rot, twist), so deduplication is exact.  One
-RotationSystem and one face trace are built per class, none per raw system;
-time and memory are linear in the raw count, which the budget bounds.
+are found by min-label propagation over integer arrays, which leaves on
+every raw index the smallest raw index of its orbit, the orbit root.  Each
+class is represented by its root, so deduplication is exact and the raw
+index is the only order.  One RotationSystem and one face trace are built
+per class, none per raw system; time and memory are linear in the raw
+count, which the budget bounds.
 """
 
 from __future__ import annotations
@@ -191,14 +192,14 @@ class _RawIndex:
             rot_map += np.array(table)[self.digits[x]] * self.stride[y]
         return rot_map, self.move_bits([arc_edge(amap[2 * k]) for k in range(g.edge_count)])
 
-    def rotation_rows(self) -> np.ndarray:
-        """``rows[r]`` is the ``rot`` tuple of rotation index ``r``."""
-        rows = np.zeros((self.rotations, self.g.arc_count), dtype=np.int64)
-        for x, orders in enumerate(self.orders):
-            ax = self.g.incoming_arcs(x)
-            succ = np.array([[o[(o.index(e) + 1) % len(o)] for e in ax] for o in orders])
-            rows[:, ax] = succ[self.digits[x]]
-        return rows
+    def rotation(self, r: int) -> tuple[int, ...]:
+        """The ``rot`` tuple of rotation index ``r``."""
+        rot = [0] * self.g.arc_count
+        for orders, stride in zip(self.orders, self.stride):
+            o = orders[r // stride % len(orders)]
+            for e, f in zip(o, o[1:] + o[:1]):
+                rot[e] = f
+        return tuple(rot)
 
     def move_bits(self, targets: list[int]) -> np.ndarray:
         """The word map that moves bit k of every word to bit ``targets[k]``."""
@@ -233,15 +234,35 @@ def _orbit_labels(index: _RawIndex, moves) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingClass:
-    """One embedding up to vertex flips, mirror and graph automorphisms."""
+    """One embedding up to vertex flips, mirror and graph automorphisms: the
+    faces of its representative, the orbit member of smallest raw index, and
+    the orbit size.  Every other attribute is read from the faces."""
 
-    representative: RotationSystem
     decomposition: FacialDecomposition
-    orientable: bool
-    genus: int
-    face_lengths: tuple[int, ...]
-    self_intersection_profile: tuple[tuple[int, int], ...]
     orbit_size: int
+
+    @property
+    def representative(self) -> RotationSystem:
+        return self.decomposition.rs
+
+    @property
+    def orientable(self) -> bool:
+        return self.decomposition.orientable
+
+    @property
+    def genus(self) -> int:
+        return self.decomposition.genus
+
+    @property
+    def face_lengths(self) -> tuple[int, ...]:
+        return self.decomposition.face_lengths
+
+    @property
+    def self_intersection_profile(self) -> tuple[tuple[int, int], ...]:
+        """(face length, number of self-intersections) per face, descending."""
+        fd = self.decomposition
+        pairs = ((len(f), len(hits)) for f, hits in zip(fd.faces, fd.self_intersections))
+        return tuple(sorted(pairs, reverse=True))
 
     @property
     def surface_label(self) -> str:
@@ -253,26 +274,12 @@ class EmbeddingClass:
         return f"{self.surface_label} [{faces}]"
 
 
-def _class_of(rs: RotationSystem, orbit_size: int) -> EmbeddingClass:
-    fd = trace_faces(rs)
-    profile = tuple(
-        sorted(((len(f), len(fd.self_intersections[i])) for i, f in enumerate(fd.faces)), reverse=True)
-    )
-    return EmbeddingClass(
-        representative=rs,
-        decomposition=fd,
-        orientable=fd.orientable,
-        genus=fd.genus,
-        face_lengths=fd.face_lengths,
-        self_intersection_profile=profile,
-        orbit_size=orbit_size,
-    )
-
-
 def enumerate_embeddings(
     g: SymmetricDigraph, budget: int | None = None
 ) -> list[EmbeddingClass]:
-    """All embedding classes of ``g``, most faces first.
+    """All embedding classes of ``g``: orientable first, then by genus, face
+    lengths and self-intersection profile (each ascending), ties in the
+    raw-index order of their representatives.
 
     Raises :class:`BudgetError` when the raw count Prod (deg-1)! * 2^|E|
     exceeds the budget (override with the EW_BUDGET environment variable).
@@ -292,7 +299,8 @@ def enumerate_embeddings(
     moves += [index.automorphism(p) for p in _generating_set(graph_automorphisms(g))]
     label = _orbit_labels(index, moves)
 
-    # Number the orbits in discovery order (by their smallest raw index).
+    # Each class is represented by its orbit root, the smallest raw index of
+    # its orbit; the roots are numbered in order to count the orbit sizes.
     n = label.size
     roots = np.flatnonzero(label == np.arange(n, dtype=label.dtype))
     class_of = np.zeros(n, dtype=label.dtype)
@@ -301,27 +309,11 @@ def enumerate_embeddings(
     del label
     sizes = np.bincount(class_of, minlength=len(roots))
 
-    # Each class's representative is its member of smallest rank, where rank
-    # orders the (rot, twist) tuples: rotation rows by one lexsort, twist
-    # tuples as their words with the bits reversed (edge 0 most significant).
-    rows = index.rotation_rows()
-    rot_order = np.lexsort(rows.T[::-1])
-    reverse = index.move_bits(list(range(g.edge_count - 1, -1, -1)))
-    by_rank = class_of.reshape(index.rotations, index.words)[rot_order[:, None], reverse].reshape(-1)
-    del class_of
-    first = np.full(len(roots), n, dtype=by_rank.dtype)
-    np.minimum.at(first, by_rank, np.arange(n, dtype=by_rank.dtype))
-
     classes = []
-    for rank, size in zip(first.tolist(), sizes.tolist()):
-        r, word = divmod(rank, index.words)
-        word = int(reverse[word])
-        rep = RotationSystem(
-            g,
-            tuple(rows[rot_order[r]].tolist()),
-            tuple((word >> k) & 1 for k in range(g.edge_count)),
-        )
-        classes.append(_class_of(rep, size))
+    for root, size in zip(roots.tolist(), sizes.tolist()):
+        r, word = divmod(root, index.words)
+        twist = tuple((word >> k) & 1 for k in range(g.edge_count))
+        classes.append(EmbeddingClass(trace_faces(RotationSystem(g, index.rotation(r), twist)), size))
 
     classes.sort(key=lambda c: (not c.orientable, c.genus, c.face_lengths, c.self_intersection_profile))
     return classes

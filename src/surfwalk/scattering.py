@@ -387,8 +387,8 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     what makes the test discriminating.)  Vertex pairs not sharing a face
     have no entries and are vacuously consistent.  Entries are gathered one
     face at a time from :meth:`ScatteringMatrix.face_tables`, so memory
-    follows the largest face; the pair of base vertices indexes the running
-    sign range.
+    follows the largest face; ``seen[sign, pair]`` records which signs each
+    pair of base vertices has shown.
     """
     coin, bg = s.coin, s.bg
     if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
@@ -396,8 +396,7 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     coin.require_d_real()
 
     nv = bg.cover.base.graph.vertex_count
-    low = np.full(nv * nv, np.inf)
-    high = np.full(nv * nv, -np.inf)
+    seen = np.zeros((2, nv * nv), dtype=bool)
     base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
     for tails, (values, index) in zip(s.face_tails(), s.face_tables()):
         block = values[index]
@@ -406,6 +405,5 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
         vertex = base_of_tail[tails]
         pair = vertex[:, None] * nv + vertex[None, :]
         keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > Coin.AMPLITUDE_EPS)
-        np.minimum.at(low, pair[keep], block.real[keep])
-        np.maximum.at(high, pair[keep], block.real[keep])
-    return not np.any((low < 0) & (high > 0))
+        seen[(block.real[keep] > 0).astype(np.intp), pair[keep]] = True
+    return not (seen[0] & seen[1]).any()

@@ -1,9 +1,10 @@
 """The orbit-BFS census, kept as a test oracle for the integer-indexed one.
 
-Every raw system is a (rot, twist) key generated as tuples; each orbit is
-found by a BFS that builds a validated RotationSystem per key and applies
-every vertex flip, the mirror and every graph automorphism (found by brute
-force over all vertex permutations).  Nothing here calls
+Every raw system is a (rot, twist) key generated as tuples in raw-index
+order; each orbit is found by a BFS that builds a validated RotationSystem
+per key and applies every vertex flip, the mirror and every graph
+automorphism (found by brute force over all vertex permutations), and is
+represented by its first key in that order.  Nothing here calls
 ``surfwalk.enumeration``.
 """
 
@@ -60,7 +61,9 @@ def all_keys(g):
 
 def census(g):
     """One record per class, in the library's order: (representative,
-    orbit size, orientable, genus, face lengths, self-intersection profile)."""
+    orbit size, orientable, genus, face lengths, self-intersection profile).
+    The representative is the orbit's first key in :func:`all_keys` order,
+    the key its BFS starts from."""
     autos = brute_force_automorphisms(g)
     seen = set()
     records = []
@@ -81,7 +84,7 @@ def census(g):
                     orbit.add(nxt)
                     stack.append(nxt)
         seen |= orbit
-        rep = RotationSystem(g, *min(orbit))
+        rep = RotationSystem(g, *key)
         fd = trace_faces(rep)
         profile = tuple(
             sorted(((len(f), len(hits)) for f, hits in zip(fd.faces, fd.self_intersections)), reverse=True)

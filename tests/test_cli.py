@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from surfwalk.cli import main
+from surfwalk.enumeration import enumerate_embeddings, rank_by_comfortability
+from surfwalk.graph_core import complete_graph
 from test_fileformat import HUGE_VERTEX_COUNT_FILE, PROJECTIVE_K4_FILE
 
 C4_PLANAR = """\
@@ -217,6 +219,22 @@ def test_rank_k4_endpoints(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1].startswith("g=0 [3 3 3 3]")
     assert lines[-1].startswith("k=3 [12]")
+
+
+def test_class_csv_floats_read_back_exactly(capsys):
+    # Near a = 1 the averages are of order 1e11: a fixed count of significant
+    # digits prints distinct classes alike, and a short header repeats "1".
+    ranked = rank_by_comfortability(enumerate_embeddings(complete_graph(4)), 0.999999)
+    assert main(["rank", "K4", "--a", "0.999999"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].endswith(",limit,avg_a=0.999999")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(float(r[6]), float(r[7])) for r in rows] == [(c.limit, c.average) for c in ranked]
+    k1 = [r[7] for r in rows if r[0] in ("k=1 [6 3 3]", "k=1 [4 4 4]")]
+    assert len(k1) == 2 and k1[0] != k1[1]
+    assert main(["enumerate", "K4", "--a", "0.9999999", "--a", "0.99999999"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.endswith(",limit,avg_a=0.9999999,avg_a=0.99999999")
 
 
 def test_enumerate_budget_exit():

@@ -6,7 +6,7 @@ import pytest
 
 import enum_oracle
 from conftest import random_rotation_system
-from surfwalk.comfortability import average_comfortability, comfortability
+from surfwalk.comfortability import average_comfortability, comfortability, limit_comfortability
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import (
     check_budget,
@@ -70,22 +70,32 @@ def test_rejects_disconnected_and_degree_one_graphs():
         enumerate_embeddings(SymmetricDigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
 
 
+def _face_data(fd):
+    return sorted((len(face), sorted(hits.values())) for face, hits in zip(fd.faces, fd.self_intersections))
+
+
 def test_equivalence_moves_preserve_invariants(rng):
-    for _ in range(60):
-        rs = random_rotation_system(rng, max_vertices=5)
+    # Every CSV cell of a class is read from one member's faces, so each move
+    # must keep the face data, and the limit and averages to the bit.
+    coins = [Coin.real_symmetric(a) for a in (0.5, 0.98, 1 - 1e-6)]
+    for _ in range(200):
+        rs = random_rotation_system(rng)
+        g = rs.graph
         fd = trace_faces(rs)
-        move = rng.integers(0, 2)
-        if move == 0:
-            other = flip_vertex(rs, int(rng.integers(rs.graph.vertex_count)))
-        else:
-            other = mirror(rs)
-        fd2 = trace_faces(other)
-        assert fd.face_lengths == fd2.face_lengths
-        assert (fd.orientable, fd.genus) == (fd2.orientable, fd2.genus)
-        prof = lambda f: sorted(
-            (len(face), len(hits)) for face, hits in zip(f.faces, f.self_intersections)
-        )
-        assert prof(fd) == prof(fd2)
+        autos = enum_oracle.brute_force_automorphisms(g)
+        perm = autos[int(rng.integers(len(autos)))]
+        for other in [
+            flip_vertex(rs, int(rng.integers(g.vertex_count))),
+            mirror(rs),
+            RotationSystem(g, *enum_oracle.apply_automorphism(g, (rs.rot, rs.twist), perm)),
+        ]:
+            fd2 = trace_faces(other)
+            assert fd.face_lengths == fd2.face_lengths
+            assert (fd.orientable, fd.genus) == (fd2.orientable, fd2.genus)
+            assert _face_data(fd) == _face_data(fd2)
+            assert limit_comfortability(fd) == limit_comfortability(fd2)
+            for coin in coins:
+                assert average_comfortability(fd, coin) == average_comfortability(fd2, coin)
 
 
 def test_single_inflow_energy_constant_on_orbit(k4_classes, rng):
@@ -254,9 +264,7 @@ def test_equal_face_data_ties_exactly_and_keeps_enumeration_order():
     coin = Coin.real_symmetric(0.98)
     averages = collections.defaultdict(set)
     for c in classes:
-        fd = c.decomposition
-        data = sorted((len(f), sorted(h.values())) for f, h in zip(fd.faces, fd.self_intersections))
-        averages[repr(data)].add(average_comfortability(fd, coin))
+        averages[repr(_face_data(c.decomposition))].add(average_comfortability(c.decomposition, coin))
     assert len(averages) == 32
     assert all(len(values) == 1 for values in averages.values())
     position = {id(c): i for i, c in enumerate(classes)}
