@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 file parse error, 3 invariant or coin-assumption
-violation, 4 non-convergence, 5 enumeration budget exceeded.
+Exit codes: 0 success, 2 file parse error or bad option (an ``--out`` that
+cannot be opened among them), 3 invariant or coin-assumption violation, 4
+non-convergence, 5 enumeration budget exceeded.
 
 Complex numbers cross the boundary as ``re,im`` pairs: coin flags accept
 ``0.7`` or ``0.5,-0.5``; JSON matrices are row-major arrays of such
@@ -224,7 +225,11 @@ def _emit(text: str | Iterable[str], out: str | None):
             write("\n")
 
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise click.BadParameter(f"cannot open {out!r}: {exc.strerror}", param_hint="'--out'") from exc
+        with fh:
             write_all(fh.write)
     else:
         write_all(functools.partial(click.echo, nl=False))
@@ -500,6 +505,12 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
     _emit(_iterdumps(payload), out)
 
 
+def _require_unit_interval(a_values):
+    """Reject an ``--a`` outside (0, 1) before any census work."""
+    if not all(0.0 < a < 1.0 for a in a_values):
+        raise AssumptionError("--a needs 0 < a < 1")
+
+
 def _format_class_rows(rows, a_values):
     header = ["label", "orientable", "genus", "faces", "self_intersections", "orbit_size", "limit"]
     header += ["avg_a=" + float.__repr__(a) for a in a_values]
@@ -527,8 +538,7 @@ def _format_class_rows(rows, a_values):
 @click.option("--out", type=click.Path(dir_okay=False))
 def cmd_enumerate(graph, a_values, out):
     """All embedding classes of a graph ('K4' or a rotation-system file)."""
-    if not all(0.0 < a < 1.0 for a in a_values):
-        raise AssumptionError("--a needs 0 < a < 1")
+    _require_unit_interval(a_values)
     coins = [Coin.real_symmetric(a) for a in a_values]
     g = _load_graph_or_kn(graph)
     rows = []
@@ -544,6 +554,7 @@ def cmd_enumerate(graph, a_values, out):
 @click.option("--out", type=click.Path(dir_okay=False))
 def cmd_rank(graph, a_value, out):
     """Embedding classes sorted by average comfortability (best first)."""
+    _require_unit_interval([a_value])
     g = _load_graph_or_kn(graph)
     ranked = rank_by_comfortability(enumerate_embeddings(g), a_value)
     rows = [(r.embedding, r.limit, [r.average]) for r in ranked]

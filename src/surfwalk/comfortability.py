@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covering_blowup import hedgehog
+from .covering_blowup import BlowUpGraph, hedgehog
 from .errors import AssumptionError, BudgetError, GraphError
 from .rotation_system import FacialDecomposition
 from .scattering import ScatteringMatrix, _require_built_for, scattering_matrix
@@ -44,15 +44,15 @@ __all__ = [
     "KnGenera",
 ]
 
-def _energy_parts(q: np.ndarray, q_bar: np.ndarray, sign: np.ndarray, coin: Coin):
+def _energy_parts(bg: BlowUpGraph, q: np.ndarray, coin: Coin):
     """Island and bridge energy of the stationary state with Q inflow = q.
 
-    ``q_bar`` holds q at the partner tail of each entry and ``sign`` the
-    bridge sign there, so sign * q_bar is the twist-signed flip-flop sigma q.
-    Columns of a 2-D ``q`` are separate inflows.
+    ``q`` is tail indexed; the twist-signed flip-flop sigma q holds at each
+    tail the bridge sign times q at its partner tail.  Columns of a 2-D
+    ``q`` are separate inflows.
     """
     island = (q.conj() * q).real.sum(axis=0) / abs(coin.c) ** 2
-    flipped = sign * q_bar + coin.d * q
+    flipped = (bg.bridge_sign * q[bg.bar].T).T + coin.d * q
     bridge = (flipped.conj() * flipped).real.sum(axis=0) / (2.0 * abs(coin.b * coin.c) ** 2)
     return island, bridge
 
@@ -78,14 +78,9 @@ def comfortability(
 ) -> ComfortReport:
     """Energy stored by the stationary state with the given inflow, from S alone."""
     coin.require_closed_form()
-    if scattering is None:
-        s = scattering_matrix(hedgehog(fd.rs), coin)
-    else:
-        s = scattering
-        _require_built_for(s, coin, fd.rs)
-    bg = s.bg
-    q = s.apply_q(inflow)
-    island, bridge = map(float, _energy_parts(q, q[bg.bar], bg.bridge_sign, coin))
+    s = scattering_matrix(hedgehog(fd.rs), coin) if scattering is None else scattering
+    _require_built_for(s, coin, fd.rs)
+    island, bridge = map(float, _energy_parts(s.bg, s.apply_q(inflow), coin))
     return ComfortReport(energy=island + bridge, island=island, bridge=bridge)
 
 
@@ -165,27 +160,14 @@ def average_by_enumeration(fd: FacialDecomposition, coin: Coin) -> float:
     the explicit face blocks of S, a face at a time."""
     coin.require_closed_form()
     s = scattering_matrix(hedgehog(fd.rs), coin)
-    bg = s.bg
     # A single-tail inflow excites one face: its Q inflow is a column of
     # that face's explicit block, so each face yields all its energies at
-    # once, on its tails and their bridge partners.
-    faces = s.face_tails()
-    face_of = np.empty(bg.size, dtype=np.int64)
-    for i, tails in enumerate(faces):
-        face_of[tails] = i
-    local = np.empty(bg.size, dtype=np.int64)
+    # once.
     total = 0.0
-    for i, tails in enumerate(faces):
-        if not len(tails):
-            continue
-        partners = bg.bar[tails]
-        rows = np.concatenate((tails, partners[face_of[partners] != i]))
-        local[rows] = np.arange(len(rows))
-        q = np.zeros((len(rows), len(tails)), dtype=complex)
-        q[: len(tails)] = s.face_q_block(i)
-        island, bridge = _energy_parts(
-            q, q[local[bg.bar[rows]]], bg.bridge_sign[rows, None], coin
-        )
+    for i, tails in enumerate(s.face_tails()):
+        q = np.zeros((s.bg.size, len(tails)), dtype=complex)
+        q[tails] = s.face_q_block(i)
+        island, bridge = _energy_parts(s.bg, q, coin)
         total += float(island.sum() + bridge.sum())
     return total / fd.rs.graph.arc_count
 

@@ -340,18 +340,13 @@ def stationary_closed_form(
 
     Writing q = Q inflow (tail indexed): the quay before a tail holds
     q / c, the quay after it holds the next face step of the same thing and
-    a bridge superposes its two endpoint values weighted by d.
+    a bridge superposes its two endpoint values weighted by d.  The coin
+    must satisfy :attr:`Coin.has_closed_form`; for any other, use the
+    simulator.
     """
-    coin.require_d_real()
-    if coin.degenerate:
-        raise AssumptionError(
-            "a degenerate coin (b = 0 or c = 0) has no eta; use the simulator"
-        )
-    if scattering is None:
-        s = scattering_matrix(bg, coin)
-    else:
-        s = scattering
-        _require_built_for(s, coin, bg.cover.base)
+    coin.require_closed_form()
+    s = scattering_matrix(bg, coin) if scattering is None else scattering
+    _require_built_for(s, coin, bg.cover.base)
     inflow = np.asarray(inflow, dtype=complex)
     q = s.apply_q(inflow)
 
@@ -393,7 +388,6 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     coin, bg = s.coin, s.bg
     if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
         raise AssumptionError("orientability detection needs a real coin entry a > 0")
-    coin.require_d_real()
 
     nv = bg.cover.base.graph.vertex_count
     seen = np.zeros((2, nv * nv), dtype=bool)

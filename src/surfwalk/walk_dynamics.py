@@ -112,9 +112,9 @@ class Coin:
         """Raise :class:`AssumptionError` unless :attr:`has_closed_form`."""
         self.require_d_real()
         if self.degenerate:
-            raise AssumptionError("comfortability formulas need b, c != 0")
+            raise AssumptionError("closed forms need b, c != 0; use the simulator")
         if self.unit_a:
-            raise AssumptionError("comfortability formulas need |a| < 1")
+            raise AssumptionError("closed forms need |a| < 1")
 
     @classmethod
     def hadamard_type(cls) -> "Coin":

@@ -317,3 +317,83 @@ def test_k8_face_labels_match_golden_file(tmp_path, capsys):
     assert main(["scatter", str(path), "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert [",".join(row.split(",")[:3]) for row in rows] == golden["scatter_csv"]
+
+
+def test_rank_rejects_a_bad_a_before_the_census(monkeypatch, capsys):
+    # K5 has 7,962,624 raw systems: the option is checked before any of
+    # them is enumerated.
+    def no_census(graph):
+        raise AssertionError("the census ran before --a was checked")
+
+    monkeypatch.setattr("surfwalk.cli.enumerate_embeddings", no_census)
+    assert main(["rank", "K5", "--a", "1.5"]) == 3
+    assert "--a needs 0 < a < 1" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2_without_a_traceback(projective_file, tmp_path, capsys):
+    out = tmp_path / "absent" / "x.json"
+    assert main(["genus", projective_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'--out'" in captured.err and str(out) in captured.err
+    assert "No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def planar_file(tmp_path):
+    path = tmp_path / "planar.txt"
+    path.write_text(PROJECTIVE_K4_FILE.replace("edge 0 1 1", "edge 0 1 0"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "system, genus, orientable",
+    [
+        ("projective_file", {"orientable": False, "genus": 1, "surface": "k=1", "face_count": 3},
+         {"orientable": False, "double_cover_components": 1, "agreement": True}),
+        ("planar_file", {"orientable": True, "genus": 0, "surface": "g=0", "face_count": 4},
+         {"orientable": True, "double_cover_components": 2, "agreement": True}),
+    ],
+    ids=["projective-k4", "planar-k4"],
+)
+def test_genus_and_orientable_documents(system, genus, orientable, request, tmp_path, capsys):
+    path = request.getfixturevalue(system)
+    for command, expected in (("genus", genus), ("orientable", orientable)):
+        assert main([command, path]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(expected, indent=2) + "\n"
+        out = tmp_path / f"{command}.json"
+        assert main([command, path, "--out", str(out)]) == 0
+        assert out.read_text() == text
+
+
+def test_simulate_uniform_inflow(projective_file, capsys):
+    code, payload = run_json(capsys, "simulate", projective_file, "--inflow", "uniform", "--tol", "1e-11")
+    assert code == 0
+    assert len(payload["outflow"]) == 24
+    cmp = payload["comparison"]
+    assert max(cmp.values()) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["comfort", "--inflow", "1e3"], "--inflow takes a tail id or 'uniform', got '1e3'"),
+        (["scatter", "--a", "0.5,x"], "complex values read 're' or 're,im', got '0.5,x'"),
+    ],
+    ids=["comfort-inflow-1e3", "scatter-a-0.5,x"],
+)
+def test_malformed_option_values_exit_3(projective_file, argv, message, capsys):
+    assert main([argv[0], projective_file, *argv[1:]]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_enumerate_takes_the_graph_from_a_file(projective_file, capsys):
+    # The file's graph is K4, whatever its rotations and twists.
+    assert main(["enumerate", projective_file, "--a", "0.98"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["enumerate", "K4", "--a", "0.98"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert len(from_file.splitlines()) == 12

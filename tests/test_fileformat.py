@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import projective_k4, random_rotation_system
+from surfwalk.cli import main
 from surfwalk.errors import ParseError
 from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system
 
@@ -97,3 +98,53 @@ def test_non_integer_field_is_named_with_its_line(old, new, field):
         parse_rotation_system(text)
     assert err.value.line == lineno
     assert str(err.value) == f"line {lineno}: expected an integer in field {field}"
+
+
+# Each malformed file: the text, the message and the line it names (None for
+# a fault of the file as a whole).
+MALFORMED = {
+    "edge-3-fields": (
+        PROJECTIVE_K4_FILE.replace("edge 0 2 0", "edge 0 2"),
+        "edge lines read: edge <u> <v> <twist>",
+        4,
+    ),
+    "rotation-x": (
+        PROJECTIVE_K4_FILE.replace("rotation 1: 0 3 2", "rotation x: 0 3 2"),
+        "bad vertex 'x'",
+        10,
+    ),
+    "duplicate-rotation": (
+        PROJECTIVE_K4_FILE + "rotation 2: 0 1 3\n",
+        "duplicate rotation line for vertex 2",
+        13,
+    ),
+    "duplicate-vertices": (PROJECTIVE_K4_FILE + "vertices 4\n", "duplicate vertices line", 13),
+    "no-vertices": (PROJECTIVE_K4_FILE.replace("vertices 4\n", ""), "missing vertices line", None),
+    "no-edges": ("vertices 1\nrotation 0:\n", "no edges", None),
+    "rotation-7-of-4": (
+        PROJECTIVE_K4_FILE + "rotation 7: 0 1\n",
+        "rotation lines for unknown vertices [7]",
+        None,
+    ),
+    "vertices-4-5": (
+        PROJECTIVE_K4_FILE.replace("vertices 4", "vertices 4 5"),
+        "expected 2 fields, got 3",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message, line", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_names_its_fault(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_rotation_system(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_malformed_file_exits_2(tmp_path, capsys):
+    text, message, line = MALFORMED["duplicate-rotation"]
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["faces", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: line {line}: {message}\n"
