@@ -308,23 +308,27 @@ def cmd_orientable(file, out):
     _emit(json.dumps(payload, indent=2), out)
 
 
-def _block_texts(s) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The 're,im' text of each table value of ``s`` that some entry of a
-    face block uses, on all faces together, and per face the grid of its
-    entries' positions in that array, gathered through the face's index
-    grid (:meth:`face_tables`).
+def _block_texts(s) -> tuple[np.ndarray, list[np.ndarray], list[list[str]]]:
+    """The 're,im' text of each value of S that some entry of a face block
+    uses, on all faces together; per face the grid of its entries' positions
+    in that array, gathered through the face's index grid
+    (:meth:`face_tables`); and per face its tail ids as texts.
 
-    The texts are rendered once: O(sum q), not O(sum q^2), floats.
+    S_f is Q_f plus d on the diagonal, whose value (at ``index[0, 0]``) no
+    other entry uses.  The texts are rendered once: O(sum q), not
+    O(sum q^2), floats.
     """
-    used, grids, start = [], [], 0
-    for values, index in s.face_tables():
+    used, grids, tails, start = [], [], [], 0
+    for face, values, index in s.face_tables():
+        values = values + s.coin.d * (np.arange(len(values)) == index[0, 0])
         k = np.flatnonzero(np.bincount(index.ravel(), minlength=len(values)))
         where = np.zeros(len(values), dtype=np.intp)
         where[k] = np.arange(start, start + len(k))
         start += len(k)
         used.append(values[k])
         grids.append(where[index])
-    return _complex_texts(np.concatenate(used)), grids
+        tails.append(list(map(str, face.tolist())))
+    return _complex_texts(np.concatenate(used)), grids, tails
 
 
 def _joined_cells(grid: np.ndarray, in_row: np.ndarray, row_end: np.ndarray) -> np.ndarray:
@@ -390,9 +394,9 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
     labels = trace_faces(rs).cover_base
-    tails = [list(map(str, t.tolist())) for t in s.face_tails()]
+    texts, grids, tails = _block_texts(s)
     if fmt == "json":
-        matrices = _json_blocks(*_block_texts(s))
+        matrices = _json_blocks(texts, grids)
         payload = {
             "tails": _json_legend(bg),
             "unitarity_defect": s.unitarity_defect(),
@@ -410,7 +414,7 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
         _emit(_iterdumps(payload), out)
     else:
         leads = [[f"{labels[i][0]},{int(labels[i][1])},{tail}," for tail in face] for i, face in enumerate(tails)]
-        _emit(_csv_blocks(*_block_texts(s), leads), out)
+        _emit(_csv_blocks(texts, grids, leads), out)
 
 
 def _parse_inflow(bg, spec: str) -> np.ndarray:

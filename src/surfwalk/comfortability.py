@@ -164,9 +164,9 @@ def average_by_enumeration(fd: FacialDecomposition, coin: Coin) -> float:
     # that face's explicit block, so each face yields all its energies at
     # once.
     total = 0.0
-    for i, tails in enumerate(s.face_tails()):
+    for tails, values, index in s.face_tables():
         q = np.zeros((s.bg.size, len(tails)), dtype=complex)
-        q[tails] = s.face_q_block(i)
+        q[tails] = values[index]
         island, bridge = _energy_parts(s.bg, q, coin)
         total += float(island.sum() + bridge.sum())
     return total / fd.rs.graph.arc_count

@@ -23,10 +23,12 @@ a circulant up to the diagonal similarity by (-1)^P_j, the wrap-around term
 entries, the values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the
 tails, their parities P_j, the closing factor 1 / (1 - a^q Pi_f) and the
 table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and
-``face_tables()`` gives each face's values and index grid, from which the
-CLI renders its export.  The dense ``blocks``, ``matrix()`` and
-``q_matrix()`` are views gathered from the tables for the tests and the
-benchmark; no CLI path reads them.  No block is ever inverted.
+``face_tables()`` is the one per-face view: each face's tails, its 2q
+values and the index grid that gathers Q_f from them.  The CLI export, the
+sign test and the enumerated average read it; the dense ``blocks``,
+``matrix()`` and ``q_matrix()`` are formed from it on each call for the
+tests and the benchmark, and S keeps none of them.  No block is ever
+inverted.
 
 The same structure gives the unitarity defect without a dense block: S_f is
 D (T + dI) D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
@@ -43,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +76,11 @@ class ScatteringMatrix:
     c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q Pi_f) for k = 1 ... q, and
     entry (j, m) of Q_f is (-1)^(P_j + P_m + [j <= m] P) c_f[(j - m) mod q],
     residue 0 read as q, P being the face's last P_j.  Every view of the
-    entries (``apply_q`` on one tail, ``face_q_block``, ``blocks``) gathers
-    from the table.
+    entries (``apply_q`` on one tail, :meth:`face_tables`, ``blocks``)
+    gathers from the table, and none is stored.
 
     ``blocks[i]`` pairs the ordered tail ids of face ``i`` with its q x q
-    block.
+    block S_f, built anew on each read.
     """
 
     bg: BlowUpGraph
@@ -117,11 +118,6 @@ class ScatteringMatrix:
             # passes the face's start and picks up one more sign.
             flip ^= rows <= cols
         return (rows + (q - 1) - cols) % q + q * flip
-
-    def _columns(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """Explicit columns of Q on face ``i``: rows are the face's tails in
-        walk order, one column per tail position in ``cols``."""
-        return self._signed(i)[self._index(i, cols)]
 
     def _phase(self, i: int) -> np.ndarray:
         """phi_j, the product of the weights of face ``i`` up to tail j (the
@@ -171,46 +167,25 @@ class ScatteringMatrix:
             o, e = self.offsets[i], self.offsets[i + 1]
             hit = live[faces == i]
             if len(hit) == 1:
-                column = self._columns(i, hit - o)[:, 0]
+                column = self._signed(i)[self._index(i, hit - o)[:, 0]]
                 out[self.tails[o:e]] = v[self.tails[hit[0]]] * column
             else:
                 out[self.tails[o:e]] = self._solve(i, v[self.tails[o:e]])
         return out
 
-    def face_tails(self) -> list[np.ndarray]:
-        """The tail ids of each face, in walk order."""
-        return np.split(self.tails, self.offsets[1:-1])
-
-    def face_q_block(self, i: int) -> np.ndarray:
-        """Q restricted to face ``i`` (q x q, tails in walk order)."""
-        q = self.offsets[i + 1] - self.offsets[i]
-        return self._columns(i, np.arange(q))
-
     def face_tables(self):
-        """Per face, the 2q values an entry of S_f can take and the index of
-        each entry's value: ``values[index]`` is the face's block in
-        :attr:`blocks`.
+        """Per face, in walk order: its tail ids, the 2q values an entry of
+        Q_f takes (:meth:`_signed`) and the index grid of its entries, so
+        that ``values[index]`` is Q_f.  Residue q, the diagonal's (at
+        ``index[0, 0]``), is the one value no other entry uses."""
+        for i, tails in enumerate(np.split(self.tails, self.offsets[1:-1])):
+            yield tails, self._signed(i), self._index(i, np.arange(len(tails)))
 
-        The values are those of :meth:`_signed` with d I added as
-        ``d * np.eye(q)`` adds it, d * 0 off the diagonal included, so the
-        block is ``face_q_block(i) + d * np.eye(q)`` bit for bit.  Residue
-        q, the diagonal's (at ``index[0, 0]``), is the one value no other
-        entry uses.
-        """
-        off, on = self.coin.d * np.array([0.0, 1.0])
-        for i in range(len(self.offsets) - 1):
-            signed = self._signed(i)
-            index = self._index(i, np.arange(self.offsets[i + 1] - self.offsets[i]))
-            values = signed + off
-            diagonal = index[0, 0]
-            values[diagonal] = signed[diagonal] + on
-            yield values, index
-
-    @cached_property
+    @property
     def blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         return tuple(
-            (tuple(map(int, tails)), values[index])
-            for tails, (values, index) in zip(self.face_tails(), self.face_tables())
+            (tuple(map(int, tails)), values[index] + self.coin.d * np.eye(len(tails)))
+            for tails, values, index in self.face_tables()
         )
 
     def matrix(self) -> np.ndarray:
@@ -381,9 +356,10 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     double cover has even twist parity; grouping the antipodal islands is
     what makes the test discriminating.)  Vertex pairs not sharing a face
     have no entries and are vacuously consistent.  Entries are gathered one
-    face at a time from :meth:`ScatteringMatrix.face_tables`, so memory
-    follows the largest face; ``seen[sign, pair]`` records which signs each
-    pair of base vertices has shown.
+    face at a time as Q_f from :meth:`ScatteringMatrix.face_tables`, so
+    memory follows the largest face; Q_f differs from S_f only on the
+    diagonal, a same-vertex pair the test skips.  ``seen[sign, pair]``
+    records which signs each pair of base vertices has shown.
     """
     coin, bg = s.coin, s.bg
     if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
@@ -392,7 +368,7 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     nv = bg.cover.base.graph.vertex_count
     seen = np.zeros((2, nv * nv), dtype=bool)
     base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
-    for tails, (values, index) in zip(s.face_tails(), s.face_tables()):
+    for tails, values, index in s.face_tables():
         block = values[index]
         if np.abs(block.imag).max() > 1e-8:
             raise AssumptionError("scattering entries are not real; check the coin")

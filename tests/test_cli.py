@@ -270,6 +270,12 @@ def test_budget_env_override(monkeypatch):
     assert main(["enumerate", "K4"]) == 5
 
 
+def test_non_integer_budget_exits_5(monkeypatch, capsys):
+    monkeypatch.setenv("EW_BUDGET", "1e6")
+    assert main(["enumerate", "K4"]) == 5
+    assert capsys.readouterr().err == "budget exceeded: EW_BUDGET='1e6' is not an integer\n"
+
+
 def test_cli_round_trip_outputs(projective_file, tmp_path, capsys):
     out = tmp_path / "faces.json"
     assert main(["faces", projective_file, "--out", str(out)]) == 0

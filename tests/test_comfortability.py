@@ -455,3 +455,22 @@ def test_comfortability_rejects_scattering_of_another_coin_or_system():
     ):
         with pytest.raises(AssumptionError, match="scattering="):
             comfortability(fd, coin, inflow, scattering=other)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: positive_coin_average(trace_faces(planar_k4()), 1.0),
+            AssumptionError,
+            "this form is stated for 0 < a < 1",
+        ),
+        (lambda: kn_best_worst(2), GraphError, "K_n needs n >= 3"),
+    ],
+    ids=["positive-coin-a-1", "kn-best-worst-2"],
+)
+def test_invalid_input_raises(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert err.type is error
+    assert str(err.value) == message

@@ -10,6 +10,7 @@ from surfwalk.comfortability import average_comfortability, comfortability, limi
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import (
     check_budget,
+    default_budget,
     enumerate_embeddings,
     graph_automorphisms,
     min_max_genus,
@@ -273,3 +274,12 @@ def test_equal_face_data_ties_exactly_and_keeps_enumeration_order():
         assert first.average >= second.average
         if first.average == second.average:
             assert position[id(first.embedding)] < position[id(second.embedding)]
+
+
+@pytest.mark.parametrize("raw", ["1e6", "ten", "10.5"])
+def test_non_integer_budget_raises_budget_error(raw, monkeypatch):
+    monkeypatch.setenv("EW_BUDGET", raw)
+    with pytest.raises(BudgetError) as err:
+        default_budget()
+    assert err.type is BudgetError
+    assert str(err.value) == f"EW_BUDGET={raw!r} is not an integer"

@@ -142,3 +142,21 @@ def test_permutation_cycles_start_at_their_smallest_element():
     for bad in ([1, 1, 0], [1, 2, 1]):
         with pytest.raises(GraphError, match="not a permutation"):
             permutation_cycles(bad)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SymmetricDigraph(0, (), ()), "graph needs at least one vertex"),
+        (lambda: SymmetricDigraph(2, (0, 1, 0), (1, 0, 1)), "arcs must come in reverse pairs"),
+        (lambda: path_graph(3).arc_between(0, 2), "no edge between 0 and 2"),
+        (lambda: cycle_graph(2), "cycle_graph requires n >= 3"),
+        (lambda: path_graph(1), "path_graph requires n >= 2"),
+    ],
+    ids=["no-vertex", "odd-arc-count", "missing-edge", "short-cycle", "short-path"],
+)
+def test_invalid_input_raises_graph_error(build, message):
+    with pytest.raises(GraphError) as err:
+        build()
+    assert err.type is GraphError
+    assert str(err.value) == message

@@ -418,3 +418,20 @@ def test_first_bad_vertex_is_named(case):
     with pytest.raises(GraphError) as err:
         RotationSystem(g, rot, (0,) * g.edge_count)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda rs: flip_vertex(rs, 4), "unknown vertex 4"),
+        (lambda rs: RotationSystem(rs.graph, rs.rot[:-1], rs.twist), "rotation must cover every arc"),
+        (lambda rs: RotationSystem(rs.graph, rs.rot, rs.twist[:-1]), "twist must cover every edge"),
+        (lambda rs: RotationSystem(rs.graph, rs.rot, (2,) + rs.twist[1:]), "twists must be 0 or 1"),
+    ],
+    ids=["flip-unknown-vertex", "short-rot", "short-twist", "twist-of-2"],
+)
+def test_invalid_input_raises_graph_error(build, message):
+    with pytest.raises(GraphError) as err:
+        build(planar_k4())
+    assert err.type is GraphError
+    assert str(err.value) == message

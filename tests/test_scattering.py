@@ -229,8 +229,22 @@ def test_orientability_detection_sphere_and_projective():
     assert not orientability_from_scattering(scattering_matrix(bg1, coin))
 
 
-def test_orientability_three_way_agreement(rng):
+def _refuse_dense_blocks(monkeypatch):
+    """Make reading ``ScatteringMatrix.blocks`` fail for the rest of the
+    test, and return the real getter for oracle use."""
+    dense = ScatteringMatrix.blocks.fget
+
+    def refuse(self):
+        raise AssertionError("a dense face block was built")
+
+    monkeypatch.setattr(ScatteringMatrix, "blocks", property(refuse))
+    return dense
+
+
+def test_orientability_three_way_agreement(rng, monkeypatch):
     coin = Coin.hadamard_type()
+    # The sign test gathers one face at a time; no dense block is built.
+    _refuse_dense_blocks(monkeypatch)
     for _ in range(30):
         rs = random_rotation_system(rng)
         bg = hedgehog(rs)
@@ -239,8 +253,6 @@ def test_orientability_three_way_agreement(rng):
         s = scattering_matrix(bg, coin)
         by_signs = orientability_from_scattering(s)
         assert by_tree == by_cover == by_signs
-        # The sign test gathers one face at a time; no dense export is kept.
-        assert "blocks" not in vars(s)
 
 
 def test_detection_requires_positive_a():
@@ -348,6 +360,18 @@ def _assert_matches_oracle(bg, coin, rng, tol=1e-10):
     return s
 
 
+def test_q_matrix_matches_the_dense_oracle(k4_classes, rng):
+    systems = [cls.representative for cls in k4_classes]
+    systems.append(random_rotation_system(rng, complete_graph(8)))
+    coins = [Coin.hadamard_type(), Coin.real_symmetric(0.6), random_d_real_coin(rng)]
+    for rs in systems:
+        bg = hedgehog(rs)
+        for coin in coins:
+            q = scattering_matrix(bg, coin).q_matrix()
+            assert q.shape == (bg.size, bg.size)
+            assert np.abs(q - dense_oracle.q_matrix(bg, coin)).max() < 1e-10
+
+
 def _coin_of_kind(kind, rng):
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     if kind == "degenerate":
@@ -418,6 +442,8 @@ def test_closed_form_pipeline_never_goes_dense(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(ScatteringMatrix, "matrix", refuse)
     monkeypatch.setattr(ScatteringMatrix, "q_matrix", refuse)
+    # Nothing on the path needs the dense per-face export either.
+    monkeypatch.setattr(ScatteringMatrix, "blocks", property(refuse))
     s = scattering_matrix(bg, coin)
     inflow = np.zeros(bg.size, dtype=complex)
     inflow[int(rng.integers(bg.size))] = 1.0
@@ -426,8 +452,6 @@ def test_closed_form_pipeline_never_goes_dense(monkeypatch, rng):
     average = average_by_enumeration(fd, coin)
     assert np.isfinite([report.energy, average]).all()
     assert np.abs(state.outflow).max() > 0
-    # Nothing on the path needed the dense per-face export either.
-    assert "blocks" not in vars(s)
 
 
 def test_stationary_closed_form_rejects_scattering_of_another_coin_or_system():
@@ -469,10 +493,11 @@ def _parity_flipped(s, faces):
     return dataclasses.replace(s, parity=parity)
 
 
-def test_unitarity_defect_matches_the_dense_gram(k4_classes, rng):
-    # The defect is read off each block's circulant spectrum; the dense Gram
-    # of the blocks is the oracle.  The two sum in different orders, so they
-    # agree to rounding, not bit for bit.
+def test_unitarity_defect_matches_the_dense_gram(k4_classes, rng, monkeypatch):
+    # The defect is read off each block's circulant spectrum, building no
+    # block; the dense Gram of the blocks is the oracle.  The two sum in
+    # different orders, so they agree to rounding, not bit for bit.
+    dense_blocks = _refuse_dense_blocks(monkeypatch)
     systems = [cls.representative for cls in k4_classes]
     systems += [random_rotation_system(rng, complete_graph(n)) for n in (8, 12, 16)]
     coins = [Coin.hadamard_type(), random_d_real_coin(rng), random_d_real_coin(rng, max_a=0.99)]
@@ -486,8 +511,7 @@ def test_unitarity_defect_matches_the_dense_gram(k4_classes, rng):
                 faces = np.arange(len(lengths))
                 for variant in (s, _parity_flipped(s, faces[::2]), _parity_flipped(s, faces)):
                     defect = variant.unitarity_defect()
-                    assert "blocks" not in vars(variant)
-                    assert abs(defect - dense_oracle.unitarity_defect(variant.blocks)) <= 1e-12
+                    assert abs(defect - dense_oracle.unitarity_defect(dense_blocks(variant))) <= 1e-12
                     assert variant is not s or defect < 1e-10
                     worst = max(worst, defect)
     # The flipped blocks are far from unitary, and faces of one length and
@@ -540,12 +564,21 @@ def test_columns_face_blocks_and_blocks_share_one_table(k4_classes, rng):
         for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
             for coin in (Coin.hadamard_type(), random_d_real_coin(rng)):
                 s = scattering_matrix(bg, coin)
-                for i, (tails, block) in enumerate(s.blocks):
+                faces = list(s.face_tables())
+                assert len(faces) == len(bg.faces)
+                for (tails, values, index), (block_tails, block), face in zip(faces, s.blocks, bg.faces):
                     q = len(tails)
-                    full = s.face_q_block(i)
-                    cols = rng.choice(q, size=int(rng.integers(1, q + 1)))
-                    assert np.array_equal(_bits(s._columns(i, cols)), _bits(full[:, cols]))
-                    assert np.array_equal(_bits(block), _bits(full + coin.d * np.eye(q)))
+                    assert list(tails) == list(block_tails) == list(face)
+                    assert values.shape == (2 * q,) and index.shape == (q, q)
+                    q_block = values[index]
+                    # A single-tail inflow's Q column is the face's column.
+                    m = int(rng.integers(q))
+                    v = np.zeros(bg.size, dtype=complex)
+                    v[tails[m]] = 1.0
+                    column = s.apply_q(v)
+                    assert np.array_equal(_bits(column[tails]), _bits(q_block[:, m]))
+                    assert not np.delete(column, tails).any()
+                    assert np.array_equal(_bits(block), _bits(q_block + coin.d * np.eye(q)))
                     # At most 2q + 1 distinct entries: +-c_f[k] and the diagonal.
                     assert len(np.unique(_bits(block).reshape(-1, 2), axis=0)) <= 2 * q + 1
                     assert np.all(np.diag(block) == block[0, 0])

@@ -355,3 +355,26 @@ def test_convergence_error_reports_the_reference_residual(max_steps):
         run_to_stationary(bg, coin, unit_inflow(bg, 0), max_steps=max_steps)
     reference = _reference_run(bg, coin, unit_inflow(bg, 0), max_steps=max_steps)
     assert (err.value.steps, err.value.residual) == (reference.steps, reference.residual)
+
+
+def _two_tail_check():
+    rs = projective_k4()
+    inflow = np.zeros(hedgehog(rs).size, dtype=complex)
+    inflow[[0, 5]] = 1.0
+    return check_unitary_equivalence(rs, 0, Coin.hadamard_type(), inflow)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Coin.real_symmetric(1.0), "real_symmetric coin needs -1 < a < 1"),
+        (lambda: Coin.from_params(-1.0, 0, 0), "from_params needs -1 < s < 1"),
+        (_two_tail_check, "unitary-equivalence check expects a single-tail inflow"),
+    ],
+    ids=["real-symmetric-a-1", "from-params-s-minus-1", "two-tail-inflow"],
+)
+def test_invalid_input_raises_assumption_error(build, message):
+    with pytest.raises(AssumptionError) as err:
+        build()
+    assert err.type is AssumptionError
+    assert str(err.value) == message
