@@ -13,7 +13,9 @@ the file format and prints one JSON line with the best time in milliseconds of e
   double cover;
 - ``hedgehog_ms``: ``hedgehog`` on the same system afterwards, which reads
   that trace;
-- ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin.
+- ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin;
+- ``orientability_ms``: ``orientability_from_scattering`` on that S, the
+  sign test read from its tables.
 
 For n <= 20 it also times the dense export (a K32 export is on the order of
 100 MB):
@@ -47,7 +49,7 @@ from surfwalk.covering_blowup import hedgehog  # noqa: E402
 from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system  # noqa: E402
 from surfwalk.graph_core import SymmetricDigraph, complete_graph  # noqa: E402
 from surfwalk.rotation_system import RotationSystem, trace_faces  # noqa: E402
-from surfwalk.scattering import scattering_matrix  # noqa: E402
+from surfwalk.scattering import orientability_from_scattering, scattering_matrix  # noqa: E402
 from surfwalk.walk_dynamics import Coin  # noqa: E402
 
 SIZES = (8, 16, 32, 64, 128)
@@ -89,6 +91,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         return system
 
     bg = hedgehog(rs)
+    s = scattering_matrix(bg, coin)
     row = {
         "graph": f"K{n}",
         "arcs": g.arc_count,
@@ -100,6 +103,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         "trace_faces_ms": best_ms(trace_faces, repeat, fresh),
         "hedgehog_ms": best_ms(hedgehog, repeat, traced),
         "scattering_matrix_ms": best_ms(lambda _: scattering_matrix(bg, coin), repeat),
+        "orientability_ms": best_ms(orientability_from_scattering, repeat, lambda: s),
     }
     if n <= EXPORT_MAX_N:
         row.update(export_times(text, bg, coin, repeat))

@@ -309,26 +309,23 @@ def cmd_orientable(file, out):
 
 
 def _block_texts(s) -> tuple[np.ndarray, list[np.ndarray], list[list[str]]]:
-    """The 're,im' text of each value of S that some entry of a face block
-    uses, on all faces together; per face the grid of its entries' positions
-    in that array, gathered through the face's index grid
-    (:meth:`face_tables`); and per face its tail ids as texts.
+    """The 're,im' text of the 2q values of each face, face after face;
+    per face the grid of its entries' positions in that array (its index
+    grid from :meth:`face_tables`, offset by the values of the faces
+    before); and per face its tail ids as texts.
 
     S_f is Q_f plus d on the diagonal, whose value (at ``index[0, 0]``) no
     other entry uses.  The texts are rendered once: O(sum q), not
     O(sum q^2), floats.
     """
-    used, grids, tails, start = [], [], [], 0
-    for face, values, index in s.face_tables():
-        values = values + s.coin.d * (np.arange(len(values)) == index[0, 0])
-        k = np.flatnonzero(np.bincount(index.ravel(), minlength=len(values)))
-        where = np.zeros(len(values), dtype=np.intp)
-        where[k] = np.arange(start, start + len(k))
-        start += len(k)
-        used.append(values[k])
-        grids.append(where[index])
+    values, grids, tails, start = [], [], [], 0
+    for face, v, index in s.face_tables():
+        # The sum also turns each -0.0 imaginary part into 0.0, as exported.
+        values.append(v + s.coin.d * (np.arange(len(v)) == index[0, 0]))
+        grids.append(index + start)
+        start += len(v)
         tails.append(list(map(str, face.tolist())))
-    return _complex_texts(np.concatenate(used)), grids, tails
+    return _complex_texts(np.concatenate(values)), grids, tails
 
 
 def _joined_cells(grid: np.ndarray, in_row: np.ndarray, row_end: np.ndarray) -> np.ndarray:

@@ -299,10 +299,6 @@ class KnGenera:
     worst: str
     formula_caveat: bool
 
-    @property
-    def betti(self) -> int:
-        return self.nonorientable_max
-
 
 def kn_best_worst(n: int) -> KnGenera:
     """Genus formulas for K_n and the best/worst embedding classes for a

@@ -24,11 +24,13 @@ entries, the values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the
 tails, their parities P_j, the closing factor 1 / (1 - a^q Pi_f) and the
 table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and
 ``face_tables()`` is the one per-face view: each face's tails, its 2q
-values and the index grid that gathers Q_f from them.  The CLI export, the
-sign test and the enumerated average read it; the dense ``blocks``,
-``matrix()`` and ``q_matrix()`` are formed from it on each call for the
-tests and the benchmark, and S keeps none of them.  No block is ever
-inverted.
+values and the index grid that gathers Q_f from them.  The CLI export and
+the enumerated average read it; the dense ``blocks``, ``matrix()`` and
+``q_matrix()`` are formed from it on each call for the tests and the
+benchmark, and S keeps none of them.  No block is ever inverted.  The sign
+test reads P_j and the K_f residues kept above ``AMPLITUDE_EPS`` instead:
+O(q) memory and O(q K_f) time per face.  It needs a > 0 and omega = 1,
+which make every c_f[k] real and positive.
 
 The same structure gives the unitarity defect without a dense block: S_f is
 D (T + dI) D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
@@ -347,33 +349,31 @@ def stationary_closed_form(
 def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     """Sign test of the scattering entries between distinct islands.
 
-    With a > 0 (and d real) every nonzero cross-island entry is real with
-    sign the twist parity between the two tails.  The two islands covering
-    one vertex of the underlying graph are read together: a twisted surface
-    couples a vertex pair through both sheet combinations and their parities
-    disagree, so some pair sees both signs.  (Between single cover islands
-    the parity is always path independent, because every cycle of the
-    double cover has even twist parity; grouping the antipodal islands is
-    what makes the test discriminating.)  Vertex pairs not sharing a face
-    have no entries and are vacuously consistent.  Entries are gathered one
-    face at a time as Q_f from :meth:`ScatteringMatrix.face_tables`, so
-    memory follows the largest face; Q_f differs from S_f only on the
-    diagonal, a same-vertex pair the test skips.  ``seen[sign, pair]``
-    records which signs each pair of base vertices has shown.
+    It needs a real a > 0 and omega = 1, under which entry (j, m) has the
+    sign (-1)^(P_j + P_m + [j <= m] P) of the twist parity between its
+    tails.  The two islands covering one vertex of the underlying graph are
+    read together: a twisted surface couples a vertex pair through both
+    sheet combinations and their parities disagree, so some pair sees both
+    signs.  (Between single cover islands the parity is always path
+    independent, because every cycle of the double cover has even twist
+    parity; grouping the antipodal islands is what makes the test
+    discriminating.)  Pairs not sharing a face are vacuously consistent and
+    same-vertex pairs are skipped.  The signs are read from the stored
+    layout in O(q) memory and O(q K_f) time per face: each residue r with
+    |c_f[r + 1]| > ``AMPLITUDE_EPS`` pairs every tail j with m = (j - r - 1) mod q.
     """
-    coin, bg = s.coin, s.bg
-    if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
-        raise AssumptionError("orientability detection needs a real coin entry a > 0")
+    coin, bg, a = s.coin, s.bg, complex(s.coin.a)
+    if abs(a.imag) > Coin.AMPLITUDE_EPS or a.real <= 0 or abs(coin.omega - 1) > Coin.AMPLITUDE_EPS:
+        raise AssumptionError("orientability detection needs a real coin entry a > 0 and omega = 1")
 
     nv = bg.cover.base.graph.vertex_count
     seen = np.zeros((2, nv * nv), dtype=bool)
-    base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
-    for tails, values, index in s.face_tables():
-        block = values[index]
-        if np.abs(block.imag).max() > 1e-8:
-            raise AssumptionError("scattering entries are not real; check the coin")
-        vertex = base_of_tail[tails]
-        pair = vertex[:, None] * nv + vertex[None, :]
-        keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > Coin.AMPLITUDE_EPS)
-        seen[(block.real[keep] > 0).astype(np.intp), pair[keep]] = True
+    vertex = np.array(bg.cover.base.graph.terminus)[bg.cover.proj][s.tails]
+    for o, q in zip(s.offsets[:-1].tolist(), np.diff(s.offsets).tolist()):
+        v, p = vertex[o : o + q], s.parity[o : o + q]
+        # m is entry k + j, k = q - 1 - r, of the doubled face; its first copy holds the m >= j.
+        vm, pm = np.tile(v, 2), np.concatenate((p ^ p[-1], p))
+        for k in q - 1 - np.flatnonzero(np.abs(s.table[o : o + q]) > Coin.AMPLITUDE_EPS):
+            seen[p ^ pm[k : k + q], v * nv + vm[k : k + q]] = True
+    seen[:, :: nv + 1] = False
     return not (seen[0] & seen[1]).any()

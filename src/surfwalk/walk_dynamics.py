@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .covering_blowup import BlowUpGraph, DoubleCover, double_cover, hedgehog
+from .covering_blowup import BlowUpGraph, double_cover, hedgehog
 from .errors import AssumptionError, ConvergenceError
 from .rotation_system import RotationSystem, flip_vertex
 
@@ -291,17 +291,13 @@ def outflow_map(bg: BlowUpGraph, coin: Coin, tol: float = 1e-10, max_steps: int 
 
 def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.ndarray]:
     """The flipped system at ``x`` and the island/bridge relabelling that
-    identifies the two blow-ups (sheets of the flipped vertex swap)."""
+    identifies the two blow-ups: for each cover arc of ``rs``, the flipped
+    system's cover arc over the same base arc, with the sheet swapped where
+    its terminus is ``x``."""
     flipped = flip_vertex(rs, x)
-    return flipped, _flip_relabelling(double_cover(rs), double_cover(flipped), x)
-
-
-def _flip_relabelling(dc1: DoubleCover, dc2: DoubleCover, x: int) -> np.ndarray:
-    """Cover arc of ``dc2`` for each cover arc of ``dc1``: the same base
-    arc, with the sheet swapped where its terminus is ``x``."""
-    proj = dc1.proj
-    sheet = dc1.sheet ^ (np.array(dc1.base.graph.terminus)[proj] == x)
-    return dc2.lift[2 * proj + sheet]
+    dc = double_cover(rs)
+    sheet = dc.sheet ^ (np.array(rs.graph.terminus)[dc.proj] == x)
+    return flipped, double_cover(flipped).lift[2 * dc.proj + sheet]
 
 
 @dataclass(frozen=True)
@@ -330,9 +326,8 @@ def check_unitary_equivalence(
     moduli match entrywise within ``check_tol``."""
     if np.count_nonzero(inflow) != 1:
         raise AssumptionError("unitary-equivalence check expects a single-tail inflow")
-    bg1 = hedgehog(rs)
-    bg2 = hedgehog(flip_vertex(rs, x))
-    phi = _flip_relabelling(bg1.cover, bg2.cover, x)
+    flipped, phi = flip_correspondence(rs, x)
+    bg1, bg2 = hedgehog(rs), hedgehog(flipped)
 
     inflow2 = np.zeros_like(inflow)
     inflow2[phi] = inflow

@@ -3,10 +3,14 @@
 Each face block is built as the paper states it, bc P_f (I - a P_f)^-1 + d I,
 with P_f built here from the face's bridge twists and the resolvent
 inverted by numpy; sigma is the dense twist-signed flip-flop on the tail
-space.  Nothing here calls ``surfwalk.scattering`` or ``surfwalk.comfortability``.
+space.  The sign test reads the gathered blocks of a given S.  Nothing here
+calls ``surfwalk.scattering`` or ``surfwalk.comfortability``.
 """
 
 import numpy as np
+
+from surfwalk.errors import AssumptionError
+from surfwalk.walk_dynamics import Coin
 
 
 def face_shift(bg, face):
@@ -106,3 +110,26 @@ def unitarity_defect(blocks):
     """max |S_f^H S_f - I| over (tails, block) pairs, by the dense Gram of
     each block."""
     return max(np.abs(block.conj().T @ block - np.eye(len(tails))).max() for tails, block in blocks)
+
+
+def orientable_by_signs(s):
+    """The scattering sign test on gathered blocks: every entry of
+    ``s.blocks`` between tails over distinct base vertices whose modulus
+    exceeds ``Coin.AMPLITUDE_EPS`` records its sign against that vertex
+    pair, and the system is orientable unless some pair shows both signs.
+    O(q^2) memory per face.  Only a real a > 0 is checked, and complex
+    entries are refused."""
+    coin, bg = s.coin, s.bg
+    if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
+        raise AssumptionError("orientability detection needs a real coin entry a > 0")
+    nv = bg.cover.base.graph.vertex_count
+    seen = np.zeros((2, nv * nv), dtype=bool)
+    base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
+    for tails, block in s.blocks:
+        if np.abs(block.imag).max() > 1e-8:
+            raise AssumptionError("scattering entries are not real; check the coin")
+        vertex = base_of_tail[list(tails)]
+        pair = vertex[:, None] * nv + vertex[None, :]
+        keep = (vertex[:, None] != vertex[None, :]) & (np.abs(block.real) > Coin.AMPLITUDE_EPS)
+        seen[(block.real[keep] > 0).astype(np.intp), pair[keep]] = True
+    return not (seen[0] & seen[1]).any()

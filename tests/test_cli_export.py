@@ -185,13 +185,15 @@ def test_dumps_matches_json_dumps():
 
 def test_scatter_formats_each_distinct_float_once(tmp_path, monkeypatch):
     # A structural guard against a per-entry renderer: the one formatting
-    # call site runs at most once per distinct bit pattern of the blocks.
+    # call site runs once for each distinct bit pattern of the blocks and
+    # never twice for one pattern.  Table values no entry uses may be
+    # formatted too; test_scatter_renders_only_table_values bounds those.
     path, rs = _system_file(tmp_path, "k16")
     flags, coin = _coin_args("complex")
     blocks = scattering_matrix(hedgehog(rs), coin).blocks
     bits = np.concatenate([block.ravel() for _, block in blocks]).view(np.int64)
-    distinct = len(np.unique(bits))
-    assert distinct < bits.size
+    distinct = set(np.unique(bits).tolist())
+    assert len(distinct) < bits.size
 
     calls = []
     format_float = cli._format_float
@@ -199,7 +201,9 @@ def test_scatter_formats_each_distinct_float_once(tmp_path, monkeypatch):
     for fmt in ("json", "csv"):
         calls.clear()
         _run(["scatter", path, *flags, "--format", fmt], tmp_path / "out")
-        assert 0 < len(calls) <= distinct
+        formatted = np.array(calls, dtype=np.float64).view(np.int64).tolist()
+        assert len(set(formatted)) == len(formatted)
+        assert distinct <= set(formatted)
 
 
 def test_scatter_renders_only_table_values(tmp_path, monkeypatch):

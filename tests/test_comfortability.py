@@ -417,7 +417,7 @@ def test_kn_formulas():
     assert k7.nonorientable_min == 3  # the exceptional surface
     k4 = kn_best_worst(4)
     assert (k4.orientable_min, k4.orientable_max) == (0, 1)
-    assert k4.nonorientable_max == k4.betti == 3
+    assert k4.nonorientable_max == 3
     assert kn_best_worst(5).orientable_min == 1
     assert kn_best_worst(8).orientable_min == math.ceil(5 * 4 / 12)
     assert kn_best_worst(3).orientable_max == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,73 @@ def test_detection_requires_positive_a():
     s = scattering_matrix(bg, coin)
     with pytest.raises(AssumptionError):
         orientability_from_scattering(s)
+
+
+SIGN_TEST_COINS = [Coin.real_symmetric(a) for a in (0.1, 0.6, 0.95, 0.999)] + [Coin.hadamard_type()]
+
+
+def _verdict(test, s):
+    """A sign test's verdict on ``s``, or the type of the error it raised."""
+    try:
+        return test(s)
+    except AssumptionError as err:
+        return type(err)
+
+
+def test_sign_test_matches_the_gathering_oracle(k4_classes):
+    for cls in k4_classes:
+        bg = hedgehog(cls.representative)
+        for coin in SIGN_TEST_COINS:
+            s = scattering_matrix(bg, coin)
+            verdict = orientability_from_scattering(s)
+            assert verdict == dense_oracle.orientable_by_signs(s) == trace_faces(cls.representative).orientable
+    # A hedgehog face has even twist parity, and a surface's signs repeat
+    # its twisting many times over, so on these systems the verdict hangs
+    # on neither the wrap-around sign, the same-vertex skip nor the residue
+    # cutoff.  Each system is also read with its first face made odd and
+    # nine in ten residues zeroed, where the verdict rests on few entries.
+    rng = np.random.default_rng(2111)
+    graphs = [complete_graph(n) for n in range(4, 9)]
+    coins = SIGN_TEST_COINS + [Coin.real_symmetric(-0.6)]
+    for i in range(1000):
+        rs = random_rotation_system(rng, graph=graphs[int(rng.integers(len(graphs)))])
+        bg, coin = hedgehog(rs), coins[i % len(coins)]
+        odd = scattering_matrix(_odd_parity(bg), coin)
+        thinned = dataclasses.replace(odd, table=odd.table * (rng.random(bg.size) < 0.1))
+        for s in (scattering_matrix(bg, coin), thinned):
+            assert _verdict(orientability_from_scattering, s) == _verdict(dense_oracle.orientable_by_signs, s)
+
+
+@pytest.mark.parametrize("coin", [Coin(0.6, -0.8, 0.8, 0.6)] + [Coin.from_params(0.5, 0.0, beta) for beta in (0, 0.3, 2)])
+def test_sign_test_refuses_omega_other_than_one(k4_classes, coin):
+    # a and d real and positive: a rotation coin, omega = -1.  Under it the
+    # gathered signs call 6 of the 11 K4 classes wrongly.
+    assert abs(coin.omega + 1) < 1e-12
+    for cls in k4_classes:
+        with pytest.raises(AssumptionError, match="omega"):
+            orientability_from_scattering(scattering_matrix(hedgehog(cls.representative), coin))
+
+
+def _sign_test_peak(n):
+    """The tracemalloc peak of the sign test on a seeded random K_n system
+    under the Hadamard coin, and the number of tails."""
+    rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
+    s = scattering_matrix(hedgehog(rs), Coin.hadamard_type())
+    tracemalloc.start()
+    try:
+        orientability_from_scattering(s)
+        return tracemalloc.get_traced_memory()[1], s.bg.size
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_test_memory_follows_the_tails():
+    (peak16, tails16), (peak32, tails32) = _sign_test_peak(16), _sign_test_peak(32)
+    assert (tails16, tails32) == (480, 1984)
+    assert peak32 <= 2 * peak16 * tails32 / tails16
+    # A K64 system has faces of some 2,500 tails: a q x q gather is 100 MB.
+    peak64, _ = _sign_test_peak(64)
+    assert peak64 < 4e6
 
 
 def test_outflow_map_three_random_coins(k4_classes, rng):
