@@ -11,11 +11,15 @@ the file format and prints one JSON line with the best time in milliseconds of e
   ``RotationSystem`` from their arrays;
 - ``trace_faces_ms``: ``trace_faces`` on a fresh system, which traces the
   double cover;
-- ``hedgehog_ms``: ``hedgehog`` on the same system afterwards, which reads
-  that trace;
-- ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin;
+- ``hedgehog_ms``: ``hedgehog`` on a fresh system that ``trace_faces`` has
+  traced, so it reads that trace; a repeated ``hedgehog`` call on one
+  system is a memo read, so each call gets a system of its own;
+- ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin,
+  on a hedgehog whose coin-free face layout is already built;
 - ``orientability_ms``: ``orientability_from_scattering`` on that S, the
-  sign test read from its tables.
+  sign test read from its tables;
+- ``average_by_enumeration_ms``: ``average_by_enumeration`` under the
+  Hadamard coin, which builds its own S and reads each face's Gram column.
 
 For n <= 20 it also times the dense export (a K32 export is on the order of
 100 MB):
@@ -45,6 +49,7 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from surfwalk import cli  # noqa: E402
+from surfwalk.comfortability import average_by_enumeration  # noqa: E402
 from surfwalk.covering_blowup import hedgehog  # noqa: E402
 from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system  # noqa: E402
 from surfwalk.graph_core import SymmetricDigraph, complete_graph  # noqa: E402
@@ -90,6 +95,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         trace_faces(system)
         return system
 
+    fd = trace_faces(rs)
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
     row = {
@@ -104,6 +110,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         "hedgehog_ms": best_ms(hedgehog, repeat, traced),
         "scattering_matrix_ms": best_ms(lambda _: scattering_matrix(bg, coin), repeat),
         "orientability_ms": best_ms(orientability_from_scattering, repeat, lambda: s),
+        "average_by_enumeration_ms": best_ms(lambda fd: average_by_enumeration(fd, coin), repeat, lambda: fd),
     }
     if n <= EXPORT_MAX_N:
         row.update(export_times(text, bg, coin, repeat))

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covering_blowup import BlowUpGraph, hedgehog
+from .covering_blowup import hedgehog
 from .errors import AssumptionError, BudgetError, GraphError
 from .rotation_system import FacialDecomposition
 from .scattering import ScatteringMatrix, _require_built_for, scattering_matrix
@@ -43,18 +43,6 @@ __all__ = [
     "kn_best_worst",
     "KnGenera",
 ]
-
-def _energy_parts(bg: BlowUpGraph, q: np.ndarray, coin: Coin):
-    """Island and bridge energy of the stationary state with Q inflow = q.
-
-    ``q`` is tail indexed; the twist-signed flip-flop sigma q holds at each
-    tail the bridge sign times q at its partner tail.  Columns of a 2-D
-    ``q`` are separate inflows.
-    """
-    island = (q.conj() * q).real.sum(axis=0) / abs(coin.c) ** 2
-    flipped = (bg.bridge_sign * q[bg.bar].T).T + coin.d * q
-    bridge = (flipped.conj() * flipped).real.sum(axis=0) / (2.0 * abs(coin.b * coin.c) ** 2)
-    return island, bridge
 
 
 @dataclass(frozen=True)
@@ -76,11 +64,20 @@ def comfortability(
     inflow: np.ndarray,
     scattering: ScatteringMatrix | None = None,
 ) -> ComfortReport:
-    """Energy stored by the stationary state with the given inflow, from S alone."""
+    """Energy stored by the stationary state with the given inflow, from S alone.
+
+    With q = Q inflow (tail indexed), the island part is |q|^2 / |c|^2 and
+    the bridge part |sigma q + d q|^2 / (2 |bc|^2), where the twist-signed
+    flip-flop sigma q holds at each tail the bridge sign times q at its
+    partner tail.
+    """
     coin.require_closed_form()
     s = scattering_matrix(hedgehog(fd.rs), coin) if scattering is None else scattering
     _require_built_for(s, coin, fd.rs)
-    island, bridge = map(float, _energy_parts(s.bg, s.apply_q(inflow), coin))
+    q = s.apply_q(inflow)
+    flipped = s.bg.bridge_sign * q[s.bg.bar] + coin.d * q
+    island = float((q.conj() * q).real.sum()) / abs(coin.c) ** 2
+    bridge = float((flipped.conj() * flipped).real.sum()) / (2.0 * abs(coin.b * coin.c) ** 2)
     return ComfortReport(energy=island + bridge, island=island, bridge=bridge)
 
 
@@ -155,21 +152,49 @@ def positive_coin_average(fd: FacialDecomposition, a: float) -> float:
     return ((2.0 + b2) / b2 * first - 2.0 * a / b2 * second) / n_arcs
 
 
-def average_by_enumeration(fd: FacialDecomposition, coin: Coin) -> float:
+def average_by_enumeration(
+    fd: FacialDecomposition, coin: Coin, scattering: ScatteringMatrix | None = None
+) -> float:
     """Sum of single-tail energies over every tail, divided by |A|, from
-    the explicit face blocks of S, a face at a time."""
+    the Gram columns of S's face blocks.
+
+    The inflow on tail m excites one face, and its Q inflow is column m of
+    that face's block Q_f, so the energies of :func:`comfortability` sum
+    over m to traces of Q Q^H: the island parts to N / |c|^2 and the
+    bridge parts to ((1 + d^2) N + 2 d X) / (2 |bc|^2).  With Q_f =
+    D T_f D and g_f the Gram column of T_f (:meth:`ScatteringMatrix._gram`),
+    N = sum_f q_f g_f[0] is the squared Frobenius norm of Q, and X sums
+    sign_t (-1)^(P_j + P_j') Re (T_f T_f^H)[j, j'] over the tails t, at j,
+    whose partner ``bar[t]``, at j', lies on the same face; other tails add
+    nothing to X.  Every entry is read off g_f: O(q log q) per face and no
+    block.
+    """
     coin.require_closed_form()
-    s = scattering_matrix(hedgehog(fd.rs), coin)
-    # A single-tail inflow excites one face: its Q inflow is a column of
-    # that face's explicit block, so each face yields all its energies at
-    # once.
-    total = 0.0
-    for tails, values, index in s.face_tables():
-        q = np.zeros((s.bg.size, len(tails)), dtype=complex)
-        q[tails] = values[index]
-        island, bridge = _energy_parts(s.bg, q, coin)
-        total += float(island.sum() + bridge.sum())
-    return total / fd.rs.graph.arc_count
+    s = scattering_matrix(hedgehog(fd.rs), coin) if scattering is None else scattering
+    _require_built_for(s, coin, fd.rs)
+    bg, tails, offsets, parity = s.bg, s.tails, s.offsets, s.parity
+    lengths = np.diff(offsets)
+    gram = s._gram(0.0)
+    norm = float(lengths @ gram[offsets[:-1]].real)
+
+    # Slots u of the layout whose tail's partner sits in slot v of the same
+    # face, j - j' = u - v apart.
+    slot = np.empty(bg.size, dtype=np.int64)
+    slot[tails] = np.arange(bg.size)
+    face = np.repeat(np.arange(len(lengths)), lengths)
+    partner = slot[bg.bar[tails]]
+    u = np.flatnonzero(face[partner] == face)
+    v, f = partner[u], face[u]
+    lag, q = u - v, lengths[f]
+    # On an odd face T T^H is negacyclic: zeta_j^-1 zeta_j' = exp(-i pi (j - j') / q).
+    odd = parity[offsets[f + 1] - 1]
+    entry = gram[offsets[f] + lag % q] * np.exp(-1j * np.pi * (odd * lag) / q)
+    cross = float(bg.bridge_sign[tails[u]] * (1 - 2 * (parity[u] ^ parity[v])) @ entry.real)
+
+    d = coin.d.real
+    island = norm / abs(coin.c) ** 2
+    bridge = ((1.0 + d * d) * norm + 2.0 * d * cross) / (2.0 * abs(coin.b * coin.c) ** 2)
+    return (island + bridge) / fd.rs.graph.arc_count
 
 
 def limit_comfortability(fd: FacialDecomposition) -> float:

@@ -16,11 +16,13 @@ Every island arc carries a hedgehog tail, cut in at a boundary vertex; a
 tail is identified by the island arc it sits on, so tails and islands share
 the ids ``0 .. size - 1``, and the bijection with bridges is
 ``phi(bridge g) = tail on island g-bar``.  :func:`hedgehog` is the one path
-from a rotation system to that tailed blow-up.
+from a rotation system to that tailed blow-up; it is built once per system
+and shared, so its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -123,6 +125,29 @@ class BlowUpGraph:
         """Number of blow-up vertices = islands = bridges = tails."""
         return len(self.rot)
 
+    @cached_property
+    def face_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coin-free layout every scattering matrix of this graph shares:
+        ``tails``, the islands of every face in walk order, face after face;
+        ``offsets``, face ``i`` owning ``tails[offsets[i]:offsets[i + 1]]``;
+        and ``parity``, per tail, the twist parity P_j of the bridges crossed
+        from the face's first tail up to and including tail j.
+
+        Derived on first read from this instance's ``faces`` and
+        ``bridge_twist`` and kept out of ``==``; the arrays are read-only.
+        """
+        # Every island carries a tail, so the tails of a face are its islands.
+        tails = np.fromiter(itertools.chain.from_iterable(self.faces), dtype=np.int64, count=self.size)
+        twist = self.bridge_twist[tails]
+        lengths = np.fromiter(map(len, self.faces), dtype=np.int64, count=len(self.faces))
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        # P_j: the running twist count, less its value before the face's start.
+        run = np.cumsum(twist)
+        parity = (run - (run - twist)[np.repeat(offsets[:-1], lengths)]) & 1
+        for a in (tails, offsets, parity):
+            a.flags.writeable = False
+        return tails, offsets, parity
+
 
 def blow_up(dc: DoubleCover) -> BlowUpGraph:
     """Blow up the double cover, with a tail on every island arc."""
@@ -138,6 +163,9 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
     # bridge crossed between them is bar(successor).  They are the walks
     # the base system traced once for trace_faces.
     faces = dc.base._walks[0]
+    # A hedgehog is shared by every caller of hedgehog(rs).
+    for a in (rot_inv, bar, twist, sign):
+        a.flags.writeable = False
 
     return BlowUpGraph(
         cover=dc,
@@ -158,5 +186,6 @@ def attach_hedgehog(bg: BlowUpGraph) -> BlowUpGraph:
 
 def hedgehog(rs: RotationSystem) -> BlowUpGraph:
     """The hedgehog system of ``rs``: its double cover, blown up, with a
-    tail on every island arc."""
-    return blow_up(double_cover(rs))
+    tail on every island arc.  Built once per system and kept on it, so
+    every call on ``rs`` returns the same read-only graph."""
+    return rs._hedgehog

@@ -39,9 +39,10 @@ class RotationSystem:
     ``e`` among the arcs into t(e); ``twist[k]`` is tau of edge ``k``.
 
     The double cover is traced at most once per system: ``_cover`` and
-    ``_walks`` hold the cover arcs and the walks on them, computed on first
-    read, kept out of ``==``, ``hash``, ``repr`` and pickles, and read only:
-    their lists are never changed.
+    ``_walks`` hold the cover arcs and the walks on them, and ``_hedgehog``
+    the tailed blow-up built from them, each computed on first read, kept
+    out of ``==``, ``hash``, ``repr`` and pickles, and read only: their
+    lists are never changed and the blow-up's arrays are not writeable.
     """
 
     graph: SymmetricDigraph
@@ -81,7 +82,7 @@ class RotationSystem:
                 raise GraphError(f"rotation at vertex {x} is not a single cycle")
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks")}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks", "_hedgehog")}
 
     @cached_property
     def _cover(self) -> tuple[list[int], list[int], list[int]]:
@@ -94,6 +95,13 @@ class RotationSystem:
         each arc's walk and position, as :func:`permutation_cycles` lists them."""
         walks, walk_of, position = permutation_cycles([c ^ 1 for c in self._cover[0]])
         return tuple(map(tuple, walks)), walk_of, position
+
+    @cached_property
+    def _hedgehog(self):
+        """The blow-up :func:`surfwalk.covering_blowup.hedgehog` returns."""
+        from .covering_blowup import blow_up, double_cover
+
+        return blow_up(double_cover(self))
 
     @classmethod
     def from_neighbor_orders(

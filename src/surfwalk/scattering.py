@@ -22,20 +22,23 @@ a circulant up to the diagonal similarity by (-1)^P_j, the wrap-around term
 [j <= m] P being the sign of Pi_f.  So each block holds at most 2q distinct
 entries, the values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the
 tails, their parities P_j, the closing factor 1 / (1 - a^q Pi_f) and the
-table c_f; ``apply_q`` multiplies by Q = S - dI in O(q) per face, and
-``face_tables()`` is the one per-face view: each face's tails, its 2q
-values and the index grid that gathers Q_f from them.  The CLI export and
-the enumerated average read it; the dense ``blocks``, ``matrix()`` and
-``q_matrix()`` are formed from it on each call for the tests and the
-benchmark, and S keeps none of them.  No block is ever inverted.  The sign
-test reads P_j and the K_f residues kept above ``AMPLITUDE_EPS`` instead:
-O(q) memory and O(q K_f) time per face.  It needs a > 0 and omega = 1,
+table c_f; the tails and parities are the graph's ``face_layout``, built
+once per hedgehog and shared by every S on it.  ``apply_q`` multiplies by
+Q = S - dI in O(q) per face, and ``face_tables()`` is the one per-face view
+of the entries: each face's tails, its 2q values and the index grid that
+gathers Q_f from them.  The CLI export reads it; the dense ``blocks``,
+``matrix()`` and ``q_matrix()`` are formed from it on each call for the
+tests and the benchmark, and S keeps none of them.  No block is ever
+inverted.  The sign test reads P_j and the K_f residues kept above
+``AMPLITUDE_EPS`` instead: O(q) memory and O(q K_f) time per face.  It needs a > 0 and omega = 1,
 which make every c_f[k] real and positive.
 
-The same structure gives the unitarity defect without a dense block: S_f is
-D (T + dI) D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
-(P odd), so S_f^H S_f - I is again (nega)circulant and its largest entry is
-read off the FFT of one column, O(q log q) per face.
+The same structure gives Gram matrices without a dense block: Q_f is
+D T D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
+(P odd), so (T + xI)^H (T + xI) is again (nega)circulant and every entry is
+read off the FFT of one column, O(q log q) per face.  The unitarity defect
+(x = d) and the enumerated average of :mod:`surfwalk.comfortability`
+(x = 0) both read it.
 
 Everything here is indexed by tail site (= island arc id); the
 bridge-labelled view used by the comfortability formulas is a relabelling
@@ -44,7 +47,6 @@ by the arc involution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,8 +69,9 @@ __all__ = [
 class ScatteringMatrix:
     """Block-diagonal unitary mapping constant inflow to stationary outflow.
 
-    Face ``i`` owns ``tails[offsets[i]:offsets[i + 1]]``, the islands of
-    ``bg.faces[i]`` in walk order; ``parity`` gives, per tail, the twist
+    ``tails``, ``offsets`` and ``parity`` are ``bg.face_layout``: face ``i``
+    owns ``tails[offsets[i]:offsets[i + 1]]``, the islands of
+    ``bg.faces[i]`` in walk order, and ``parity`` gives, per tail, the twist
     parity P_j of the bridges crossed from the face's first tail up to and
     including tail j.  ``closing[i]`` is 1 / (1 - a^q Pi_f) (zero for a
     degenerate coin, whose Q vanishes) and ``gaps[i]`` is |1 - a^q Pi_f|,
@@ -205,34 +208,44 @@ class ScatteringMatrix:
         s.flat[:: self.bg.size + 1] -= self.coin.d
         return s
 
-    def unitarity_defect(self) -> float:
-        """max |S_f^H S_f - I| over the faces, from each block's spectrum.
+    def _gram(self, shift: complex) -> np.ndarray:
+        """Per face, the first column g_f of H_f^H H_f, laid out as ``tails``.
 
-        S_f = D H D with D = diag((-1)^P_j) and H = T + dI, T being
-        circulant for even P and negacyclic for odd P, with first column
-        c_f[q] (negated for odd P) and then c_f[1 ... q-1].  So
-        S_f^H S_f - I = D (H^H H - I) D is again (nega)circulant: every
-        entry has the modulus of an entry of its first column,
-        ifft(|fft(h zeta)|^2) / zeta - delta_0, where h is the first column
-        of H and zeta_j = exp(i pi j / q) for odd P, 1 for even.  As
-        |zeta_j| = 1, the division is left out.  Faces of one length and
-        parity share one FFT: O(q log q) per face, and no block is built.
+        Q_f = D T_f D with D = diag((-1)^P_j) and T_f circulant for even P,
+        negacyclic for odd P, with first column c_f[q] (negated for odd P)
+        and then c_f[1 ... q-1]; H_f = T_f + shift I.  A (nega)circulant is
+        normal, so H^H H = H H^H, and it is (nega)circulant too: with
+        zeta_j = exp(i pi j / q) for odd P and 1 for even, its entry
+        (j, j') is zeta_j^-1 zeta_j' g[(j - j') mod q], where
+        g = ifft(|fft(h zeta)|^2) and h is the first column of H.  Faces of
+        one length and parity share one FFT: O(q log q) per face, and no
+        block is built.
         """
         lengths = np.diff(self.offsets)
         odd = self.parity[self.offsets[1:] - 1]
         key = 2 * lengths + odd
-        worst = 0.0
+        gram = np.empty(len(self.table), dtype=complex)
         for k in dict.fromkeys(key.tolist()):
             q, p = divmod(k, 2)
+            starts = self.offsets[:-1][key == k, None]
             # Row per face: c_f[q], c_f[1], ..., c_f[q-1].
-            h = self.table[self.offsets[:-1][key == k, None] + (np.arange(q) - 1) % q]
-            h[:, 0] = (-1) ** p * h[:, 0] + self.coin.d
+            h = self.table[starts + (np.arange(q) - 1) % q]
+            h[:, 0] = (-1) ** p * h[:, 0] + shift
             if p:
                 h *= np.exp(1j * np.pi / q * np.arange(q))
-            gram = np.fft.ifft(np.abs(np.fft.fft(h)) ** 2)
-            gram[:, 0] -= 1
-            worst = max(worst, float(np.abs(gram).max()))
-        return worst
+            gram[starts + np.arange(q)] = np.fft.ifft(np.abs(np.fft.fft(h)) ** 2)
+        return gram
+
+    def unitarity_defect(self) -> float:
+        """max |S_f^H S_f - I| over the faces, from each block's spectrum.
+
+        S_f = D (T_f + dI) D, so S_f^H S_f - I = D (H^H H - I) D with
+        H = T_f + dI: every entry has the modulus of an entry of the
+        :meth:`_gram` column g_f less delta_0.
+        """
+        gram = self._gram(self.coin.d)
+        gram[self.offsets[:-1]] -= 1
+        return float(np.abs(gram).max())
 
 
 # log 2^-1023: half the least normal double, a margin for |omega| = 1 only
@@ -246,15 +259,8 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     coin.require_d_real()
     a = coin.a
 
-    # Every island carries a tail, so the tails of a face are its islands.
-    tails = np.fromiter(itertools.chain.from_iterable(bg.faces), dtype=np.int64, count=bg.size)
-    twist = bg.bridge_twist[tails]
-    lengths = np.array([len(face) for face in bg.faces], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    start = np.repeat(offsets[:-1], lengths)
-    # P_j: the running twist count, less its value before the face's start.
-    run = np.cumsum(twist)
-    parity = (run - (run - twist)[start]) & 1
+    tails, offsets, parity = bg.face_layout
+    lengths = np.diff(offsets)
 
     # a^q Pi_f is formed in long double: as |a| -> 1 the gap 1 - a^q Pi_f
     # shrinks to ~q(1 - |a|), and the double rounding of the product,
@@ -288,6 +294,7 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     top = float(np.abs(lead).max(initial=0.0))
     if 0.0 < abs(a) < 1.0 and top > 0.0:
         powers[max(0, int((_LOG_TINY - math.log(top)) / math.log(abs(a))) + 1) :] = 0
+    start = np.repeat(offsets[:-1], lengths)
     table = (np.repeat(lead, lengths) * powers[np.arange(bg.size) - start]).astype(complex)
     return ScatteringMatrix(
         bg=bg,
@@ -346,6 +353,11 @@ def stationary_closed_form(
     )
 
 
+# Entries the sign test marks in one numpy pass: with its index
+# temporaries, about 0.4 MB.
+_SIGN_CELLS = 1 << 14
+
+
 def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     """Sign test of the scattering entries between distinct islands.
 
@@ -361,19 +373,35 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     same-vertex pairs are skipped.  The signs are read from the stored
     layout in O(q) memory and O(q K_f) time per face: each residue r with
     |c_f[r + 1]| > ``AMPLITUDE_EPS`` pairs every tail j with m = (j - r - 1) mod q.
+    Faces of one length are read together, as many (face, residue) pairs
+    per numpy pass as fit in ``_SIGN_CELLS`` entries, so a small system
+    costs a few passes rather than one per residue.
     """
     coin, bg, a = s.coin, s.bg, complex(s.coin.a)
     if abs(a.imag) > Coin.AMPLITUDE_EPS or a.real <= 0 or abs(coin.omega - 1) > Coin.AMPLITUDE_EPS:
         raise AssumptionError("orientability detection needs a real coin entry a > 0 and omega = 1")
 
     nv = bg.cover.base.graph.vertex_count
-    seen = np.zeros((2, nv * nv), dtype=bool)
+    nv2 = nv * nv
     vertex = np.array(bg.cover.base.graph.terminus)[bg.cover.proj][s.tails]
-    for o, q in zip(s.offsets[:-1].tolist(), np.diff(s.offsets).tolist()):
-        v, p = vertex[o : o + q], s.parity[o : o + q]
+    # Entry (j, m) is marked at (P_j + P_m') nv^2 + v_j nv + v_m, P_m' carrying
+    # the wrap sign: planes 0 and 2 are the same sign.
+    seen = np.zeros(3 * nv2, dtype=bool)
+    lengths = np.diff(s.offsets)
+    for q in dict.fromkeys(lengths.tolist()):
+        # One row per face of length q, and its kept (face, residue) pairs.
+        at = s.offsets[:-1][lengths == q, None] + np.arange(q)
+        v, p = vertex[at], s.parity[at]
+        face, r = np.nonzero(np.abs(s.table[at]) > Coin.AMPLITUDE_EPS)
+        row = p * nv2 + v * nv
         # m is entry k + j, k = q - 1 - r, of the doubled face; its first copy holds the m >= j.
-        vm, pm = np.tile(v, 2), np.concatenate((p ^ p[-1], p))
-        for k in q - 1 - np.flatnonzero(np.abs(s.table[o : o + q]) > Coin.AMPLITUDE_EPS):
-            seen[p ^ pm[k : k + q], v * nv + vm[k : k + q]] = True
+        col = np.concatenate(((p ^ p[:, -1:]) * nv2 + v, p * nv2 + v), axis=1)
+        window = np.lib.stride_tricks.sliding_window_view(col, q, axis=1)
+        # A pass marks about _SIGN_CELLS entries, so memory stays O(q).
+        step = max(1, _SIGN_CELLS // q)
+        for i in range(0, len(face), step):
+            f = face[i : i + step]
+            seen[row[f] + window[f, q - 1 - r[i : i + step]]] = True
+    seen = seen.reshape(3, nv2)
     seen[:, :: nv + 1] = False
-    return not (seen[0] & seen[1]).any()
+    return not ((seen[0] | seen[2]) & seen[1]).any()

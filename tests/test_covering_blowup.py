@@ -1,6 +1,8 @@
+import dataclasses
 import pickle
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import projective_k4, planar_k4, random_rotation_system
@@ -13,6 +15,8 @@ from surfwalk.covering_blowup import (
 )
 from surfwalk.graph_core import SymmetricDigraph, arc_edge
 from surfwalk.rotation_system import detect_orientability, trace_faces
+from surfwalk.scattering import scattering_matrix
+from surfwalk.walk_dynamics import Coin
 
 
 def test_cover_counts():
@@ -77,6 +81,40 @@ def test_blow_up_counts():
     bg = blow_up(double_cover(planar_k4()))
     assert bg.size == 24  # vertices = islands = bridges = tails
     assert attach_hedgehog(bg) is bg
+
+
+def test_hedgehog_is_built_once_and_read_only():
+    rs = projective_k4()
+    bg = hedgehog(rs)
+    assert hedgehog(rs) is bg
+    # A fresh system gets its own graph, equal to the shared one.
+    fresh = hedgehog(projective_k4())
+    assert fresh is not bg and fresh == bg
+    arrays = [bg.rot, bg.rot_inv, bg.bar, bg.bridge_twist, bg.bridge_sign, *bg.face_layout]
+    arrays += [blow_up(double_cover(rs)).bar]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+def test_face_layout_is_shared_and_follows_the_twists():
+    bg = hedgehog(projective_k4())
+    tails, offsets, parity = bg.face_layout
+    assert bg.face_layout[0] is tails
+    assert sorted(tails.tolist()) == list(range(bg.size))
+    assert [len(face) for face in bg.faces] == np.diff(offsets).tolist()
+    assert tails.tolist() == [t for face in bg.faces for t in face]
+    # P_j: the twist parity along each face, restarted at its first tail.
+    expected = [int(sum(bg.bridge_twist[list(face[: j + 1])]) % 2) for face in bg.faces for j in range(len(face))]
+    assert parity.tolist() == expected
+    for coin in (Coin.hadamard_type(), Coin.real_symmetric(0.3)):
+        s = scattering_matrix(bg, coin)
+        assert s.tails is tails and s.offsets is offsets and s.parity is parity
+    # A graph rebuilt with other twists derives its own layout.
+    twist = bg.bridge_twist.copy()
+    twist[bg.faces[0][0]] ^= 1
+    other = dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
+    assert other.face_layout[2][len(bg.faces[0]) - 1] != parity[len(bg.faces[0]) - 1]
 
 
 def test_blow_up_compares_and_hashes_by_its_cover():

@@ -551,6 +551,55 @@ def _odd_parity(bg):
     return dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
 
 
+def test_average_by_enumeration_takes_a_built_scattering(k4_classes, rng):
+    rs = projective_k4()
+    fd, bg = trace_faces(rs), hedgehog(rs)
+    coin = Coin.real_symmetric(0.3)
+    s = scattering_matrix(bg, coin)
+    assert average_by_enumeration(fd, coin, scattering=s) == average_by_enumeration(fd, coin)
+    for other in (
+        scattering_matrix(bg, Coin.hadamard_type()),
+        scattering_matrix(hedgehog(planar_k4()), coin),
+        scattering_matrix(hedgehog(flip_vertex(rs, 1)), coin),
+    ):
+        with pytest.raises(AssumptionError, match="scattering="):
+            average_by_enumeration(fd, coin, scattering=other)
+    # No hedgehog face has odd twist parity, so only an S built on one made
+    # odd reaches the negacyclic Gram columns.
+    systems = [cls.representative for cls in k4_classes]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (5, 7)]
+    for rs in systems:
+        fd, odd = trace_faces(rs), _odd_parity(hedgehog(rs))
+        for coin in (Coin.hadamard_type(), random_d_real_coin(rng), Coin.from_params(0.999, 0.4, 1.3)):
+            s = scattering_matrix(odd, coin)
+            assert s.parity[s.offsets[1] - 1] == 1
+            island, bridge = dense_oracle.energies(odd, coin, np.eye(odd.size))
+            total = (island + bridge) / rs.graph.arc_count
+            assert abs(average_by_enumeration(fd, coin, scattering=s) - total) <= 1e-10 * total
+
+
+def _enumeration_peak(n):
+    """The tracemalloc peak of the enumerated average on a seeded random K_n
+    system under the Hadamard coin, S included, and the number of tails."""
+    rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
+    fd, bg = trace_faces(rs), hedgehog(rs)
+    tracemalloc.start()
+    try:
+        average_by_enumeration(fd, Coin.hadamard_type())
+        return tracemalloc.get_traced_memory()[1], bg.size
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerated_average_memory_follows_the_tails():
+    (peak16, tails16), (peak32, tails32) = _enumeration_peak(16), _enumeration_peak(32)
+    assert (tails16, tails32) == (480, 1984)
+    assert peak32 <= 2 * peak16 * tails32 / tails16
+    # Scoring the longest face's 2,465 columns on all 8,064 tail rows takes 318 MB.
+    peak64, _ = _enumeration_peak(64)
+    assert peak64 < 4e6
+
+
 def _parity_flipped(s, faces):
     """``s`` with the twist parity of the last tail of each face in
     ``faces`` flipped, so those faces read as odd-P (negacyclic) blocks of

@@ -24,7 +24,15 @@ def test_walk_convergence_reports_every_k4_class(capsys):
 def test_front_end_timing_reports_every_stage():
     script = runpy.run_path(str(SCRIPTS / "front_end_timing.py"))
     row = script["stage_times"](8, np.random.default_rng(script["SEED"]), 1)
-    stages = ["parse_ms", "validation_ms", "trace_faces_ms", "hedgehog_ms", "scattering_matrix_ms", "orientability_ms"]
+    stages = [
+        "parse_ms",
+        "validation_ms",
+        "trace_faces_ms",
+        "hedgehog_ms",
+        "scattering_matrix_ms",
+        "orientability_ms",
+        "average_by_enumeration_ms",
+    ]
     export = ["blocks_ms", "unitarity_defect_ms", "scatter_json_ms", "scatter_csv_ms"]
     assert list(row) == ["graph", "arcs"] + stages + export
     assert (row["graph"], row["arcs"]) == ("K8", 56)
