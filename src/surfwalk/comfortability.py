@@ -162,9 +162,9 @@ def average_by_enumeration(
     that face's block Q_f, so the energies of :func:`comfortability` sum
     over m to traces of Q Q^H: the island parts to N / |c|^2 and the
     bridge parts to ((1 + d^2) N + 2 d X) / (2 |bc|^2).  With Q_f =
-    D T_f D and g_f the Gram column of T_f (:meth:`ScatteringMatrix._gram`),
+    D C_f D and g_f the Gram column of C_f (:meth:`ScatteringMatrix._gram`),
     N = sum_f q_f g_f[0] is the squared Frobenius norm of Q, and X sums
-    sign_t (-1)^(P_j + P_j') Re (T_f T_f^H)[j, j'] over the tails t, at j,
+    sign_t (-1)^(P_j + P_j') Re g_f[(j - j') mod q] over the tails t, at j,
     whose partner ``bar[t]``, at j', lies on the same face; other tails add
     nothing to X.  Every entry is read off g_f: O(q log q) per face and no
     block.
@@ -185,10 +185,7 @@ def average_by_enumeration(
     partner = slot[bg.bar[tails]]
     u = np.flatnonzero(face[partner] == face)
     v, f = partner[u], face[u]
-    lag, q = u - v, lengths[f]
-    # On an odd face T T^H is negacyclic: zeta_j^-1 zeta_j' = exp(-i pi (j - j') / q).
-    odd = parity[offsets[f + 1] - 1]
-    entry = gram[offsets[f] + lag % q] * np.exp(-1j * np.pi * (odd * lag) / q)
+    entry = gram[offsets[f] + (u - v) % lengths[f]]
     cross = float(bg.bridge_sign[tails[u]] * (1 - 2 * (parity[u] ^ parity[v])) @ entry.real)
 
     d = coin.d.real

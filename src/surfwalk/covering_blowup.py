@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import GraphError
 from .graph_core import SymmetricDigraph, bfs_forest
 from .rotation_system import RotationSystem
 
@@ -133,8 +134,12 @@ class BlowUpGraph:
         and ``parity``, per tail, the twist parity P_j of the bridges crossed
         from the face's first tail up to and including tail j.
 
-        Derived on first read from this instance's ``faces`` and
-        ``bridge_twist`` and kept out of ``==``; the arrays are read-only.
+        An extended facial walk is a closed walk on the double cover: it
+        ends on the sheet it started on, so it crosses an even number of
+        twisted bridges and its last P_j is 0.  A face that breaks this
+        raises :class:`GraphError`.  Derived on first read from this
+        instance's ``faces`` and ``bridge_twist`` and kept out of ``==``;
+        the arrays are read-only.
         """
         # Every island carries a tail, so the tails of a face are its islands.
         tails = np.fromiter(itertools.chain.from_iterable(self.faces), dtype=np.int64, count=self.size)
@@ -144,6 +149,9 @@ class BlowUpGraph:
         # P_j: the running twist count, less its value before the face's start.
         run = np.cumsum(twist)
         parity = (run - (run - twist)[np.repeat(offsets[:-1], lengths)]) & 1
+        odd = np.flatnonzero(parity[offsets[1:] - 1])
+        if len(odd):
+            raise GraphError(f"face {odd[0]} crosses an odd number of twisted bridges: it does not close on its sheet")
         for a in (tails, offsets, parity):
             a.flags.writeable = False
         return tails, offsets, parity

@@ -3,42 +3,43 @@
 The scattering matrix is block diagonal over the extended facial walks.
 A face of length q visits q islands, each carrying a tail, and P_f(omega)
 is the weighted cyclic shift that moves amplitude from one tail to the
-next, picking up omega per island hop and a sign per twisted bridge: its
-weights w_j have unit modulus and P_f^q is Pi_f times the identity, Pi_f
-being the product of the weights.  Hence
+next, picking up omega per island hop and a sign per twisted bridge.  An
+extended facial walk is a closed walk on the double cover, so it ends on
+the sheet it started on and crosses an even number of twisted bridges:
+the signs cancel round the face and P_f^q = omega^q I.  Hence
 
-    (I - a P_f)^-1 = sum_{k<q} a^k P_f^k / (1 - a^q Pi_f),
+    (I - a P_f)^-1 = sum_{k<q} a^k P_f^k / (1 - a^q omega^q),
 
 and every entry of S_f = bc P_f (I - a P_f)^-1 + d I is explicit.  With P_j
-the twist parity of the walk up to tail j, P = P_{q-1}, and
+the twist parity of the walk up to tail j and
 
-    c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q Pi_f),   k = 1 ... q,
+    c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q omega^q),   k = 1 ... q,
 
 the entry from tail m to tail j of Q_f = S_f - dI is
 
-    (-1)^(P_j + P_m + [j <= m] P) c_f[(j - m) mod q]      (residue 0 read as q):
+    (-1)^(P_j + P_m) c_f[(j - m) mod q]      (residue 0 read as q):
 
-a circulant up to the diagonal similarity by (-1)^P_j, the wrap-around term
-[j <= m] P being the sign of Pi_f.  So each block holds at most 2q distinct
-entries, the values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the
-tails, their parities P_j, the closing factor 1 / (1 - a^q Pi_f) and the
+Q_f = D C_f D with D = diag((-1)^P_j) and C_f circulant, the one form of
+every face block.  So each block holds at most 2q distinct entries, the
+values +-c_f[k].  :class:`ScatteringMatrix` keeps per face the tails,
+their parities P_j, the closing factor 1 / (1 - a^q omega^q) and the
 table c_f; the tails and parities are the graph's ``face_layout``, built
-once per hedgehog and shared by every S on it.  ``apply_q`` multiplies by
-Q = S - dI in O(q) per face, and ``face_tables()`` is the one per-face view
-of the entries: each face's tails, its 2q values and the index grid that
-gathers Q_f from them.  The CLI export reads it; the dense ``blocks``,
-``matrix()`` and ``q_matrix()`` are formed from it on each call for the
-tests and the benchmark, and S keeps none of them.  No block is ever
-inverted.  The sign test reads P_j and the K_f residues kept above
-``AMPLITUDE_EPS`` instead: O(q) memory and O(q K_f) time per face.  It needs a > 0 and omega = 1,
-which make every c_f[k] real and positive.
+once per hedgehog and shared by every S on it, which refuses a face of
+odd parity.  ``apply_q`` multiplies by Q = S - dI in O(q) per face, and
+``face_tables()`` is the one per-face view of the entries: each face's
+tails, its 2q values and the index grid that gathers Q_f from them.  The
+CLI export reads it; the dense ``blocks``, ``matrix()`` and
+``q_matrix()`` are formed from it on each call for the tests and the
+benchmark, and S keeps none of them.  No block is ever inverted.  The
+sign test reads P_j and the K_f residues kept above ``AMPLITUDE_EPS``
+instead: O(q) memory and O(q K_f) time per face.  It needs a > 0 and
+omega = 1, which make every c_f[k] real and positive.
 
-The same structure gives Gram matrices without a dense block: Q_f is
-D T D with D = diag((-1)^P_j) and T circulant (P even) or negacyclic
-(P odd), so (T + xI)^H (T + xI) is again (nega)circulant and every entry is
-read off the FFT of one column, O(q log q) per face.  The unitarity defect
-(x = d) and the enumerated average of :mod:`surfwalk.comfortability`
-(x = 0) both read it.
+The same structure gives Gram matrices without a dense block: with
+H_f = C_f + xI, (D H_f D)^H (D H_f D) = D H_f^H H_f D and H_f^H H_f is
+again circulant, so every entry is read off the FFT of one column,
+O(q log q) per face.  The unitarity defect (x = d) and the enumerated
+average of :mod:`surfwalk.comfortability` (x = 0) both read it.
 
 Everything here is indexed by tail site (= island arc id); the
 bridge-labelled view used by the comfortability formulas is a relabelling
@@ -73,16 +74,17 @@ class ScatteringMatrix:
     owns ``tails[offsets[i]:offsets[i + 1]]``, the islands of
     ``bg.faces[i]`` in walk order, and ``parity`` gives, per tail, the twist
     parity P_j of the bridges crossed from the face's first tail up to and
-    including tail j.  ``closing[i]`` is 1 / (1 - a^q Pi_f) (zero for a
-    degenerate coin, whose Q vanishes) and ``gaps[i]`` is |1 - a^q Pi_f|,
-    the conditioning of the face as |a| -> 1.
+    including tail j; the last P_j of a face is 0.  ``closing[i]`` is
+    1 / (1 - a^q omega^q) (zero for a degenerate coin, whose Q vanishes)
+    and ``gaps[i]`` is |1 - a^q omega^q|, the conditioning of the face as
+    |a| -> 1.
 
     Each block is a signed circulant: ``table[offsets[i] + k - 1]`` holds
-    c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q Pi_f) for k = 1 ... q, and
-    entry (j, m) of Q_f is (-1)^(P_j + P_m + [j <= m] P) c_f[(j - m) mod q],
-    residue 0 read as q, P being the face's last P_j.  Every view of the
-    entries (``apply_q`` on one tail, :meth:`face_tables`, ``blocks``)
-    gathers from the table, and none is stored.
+    c_f[k] = bc omega (a omega)^(k-1) / (1 - a^q omega^q) for k = 1 ... q,
+    and entry (j, m) of Q_f is (-1)^(P_j + P_m) c_f[(j - m) mod q], residue
+    0 read as q.  Every view of the entries (``apply_q`` on one tail,
+    :meth:`face_tables`, ``blocks``) gathers from the table, and none is
+    stored.
 
     ``blocks[i]`` pairs the ordered tail ids of face ``i`` with its q x q
     block S_f, built anew on each read.
@@ -100,7 +102,7 @@ class ScatteringMatrix:
 
     @property
     def min_gap(self) -> float:
-        """The smallest |1 - a^q Pi_f| over the faces."""
+        """The smallest |1 - a^q omega^q| over the faces."""
         return float(self.gaps.min())
 
     def _signed(self, i: int) -> np.ndarray:
@@ -116,17 +118,11 @@ class ScatteringMatrix:
         o, e = self.offsets[i], self.offsets[i + 1]
         q = e - o
         p = self.parity[o:e]
-        rows = np.arange(q)[:, None]
-        flip = p[:, None] ^ p[cols]
-        if p[-1]:
-            # Pi_f = -omega^q: the walk from tail m round to tail j <= m
-            # passes the face's start and picks up one more sign.
-            flip ^= rows <= cols
-        return (rows + (q - 1) - cols) % q + q * flip
+        return (np.arange(q)[:, None] + (q - 1) - cols) % q + q * (p[:, None] ^ p[cols])
 
     def _phase(self, i: int) -> np.ndarray:
         """phi_j, the product of the weights of face ``i`` up to tail j (the
-        last one is Pi_f), in long double: (-1)^P_j omega^(j+1).  Weight
+        last one is omega^q), in long double: (-1)^P_j omega^(j+1).  Weight
         w_j = (-1)^(P_j - P_{j-1}) omega is entry (j, j-1) of P_f(omega)."""
         o, e = self.offsets[i], self.offsets[i + 1]
         return np.cumprod(np.full(e - o, np.clongdouble(self.coin.omega))) * (1 - 2 * self.parity[o:e])
@@ -136,7 +132,7 @@ class ScatteringMatrix:
 
         The cyclic recurrence x_j = v_j + a w_j x_{j-1}, Q v = bc P x, is
         solved for y_j = x_j / phi_j: y_j = v_j / phi_j + a y_{j-1} with
-        y_{-1} = Pi_f y_{q-1}, and entry j of Q v is bc phi_j y_{j-1}.
+        y_{-1} = omega^q y_{q-1}, and entry j of Q v is bc phi_j y_{j-1}.
         Only a multiplies in the loop, so no rounded product a w_j is
         raised to the q-th power round the face; the loop runs in long
         double, as near |a| = 1 each step's rounding travels round the whole
@@ -146,7 +142,7 @@ class ScatteringMatrix:
         phase = self._phase(i)
         a = np.clongdouble(coin.a)
         us = list(v / phase)
-        # One pass from zero gives (1 - a^q Pi) y_{q-1}.
+        # One pass from zero gives (1 - a^q omega^q) y_{q-1}.
         y = np.clongdouble(0)
         for u in us:
             y = u + a * y
@@ -211,36 +207,28 @@ class ScatteringMatrix:
     def _gram(self, shift: complex) -> np.ndarray:
         """Per face, the first column g_f of H_f^H H_f, laid out as ``tails``.
 
-        Q_f = D T_f D with D = diag((-1)^P_j) and T_f circulant for even P,
-        negacyclic for odd P, with first column c_f[q] (negated for odd P)
-        and then c_f[1 ... q-1]; H_f = T_f + shift I.  A (nega)circulant is
-        normal, so H^H H = H H^H, and it is (nega)circulant too: with
-        zeta_j = exp(i pi j / q) for odd P and 1 for even, its entry
-        (j, j') is zeta_j^-1 zeta_j' g[(j - j') mod q], where
-        g = ifft(|fft(h zeta)|^2) and h is the first column of H.  Faces of
-        one length and parity share one FFT: O(q log q) per face, and no
-        block is built.
+        Q_f = D C_f D with D = diag((-1)^P_j) and C_f circulant, with first
+        column c_f[q] and then c_f[1 ... q-1]; H_f = C_f + shift I.  A
+        circulant is normal, so H^H H = H H^H, and it is circulant too: its
+        entry (j, j') is g[(j - j') mod q], where g = ifft(|fft(h)|^2) and h
+        is the first column of H.  Faces of one length share one FFT:
+        O(q log q) per face, and no block is built.
         """
         lengths = np.diff(self.offsets)
-        odd = self.parity[self.offsets[1:] - 1]
-        key = 2 * lengths + odd
         gram = np.empty(len(self.table), dtype=complex)
-        for k in dict.fromkeys(key.tolist()):
-            q, p = divmod(k, 2)
-            starts = self.offsets[:-1][key == k, None]
+        for q in dict.fromkeys(lengths.tolist()):
+            starts = self.offsets[:-1][lengths == q, None]
             # Row per face: c_f[q], c_f[1], ..., c_f[q-1].
             h = self.table[starts + (np.arange(q) - 1) % q]
-            h[:, 0] = (-1) ** p * h[:, 0] + shift
-            if p:
-                h *= np.exp(1j * np.pi / q * np.arange(q))
+            h[:, 0] += shift
             gram[starts + np.arange(q)] = np.fft.ifft(np.abs(np.fft.fft(h)) ** 2)
         return gram
 
     def unitarity_defect(self) -> float:
         """max |S_f^H S_f - I| over the faces, from each block's spectrum.
 
-        S_f = D (T_f + dI) D, so S_f^H S_f - I = D (H^H H - I) D with
-        H = T_f + dI: every entry has the modulus of an entry of the
+        S_f = D (C_f + dI) D, so S_f^H S_f - I = D (H^H H - I) D with
+        H = C_f + dI: every entry has the modulus of an entry of the
         :meth:`_gram` column g_f less delta_0.
         """
         gram = self._gram(self.coin.d)
@@ -262,18 +250,18 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     tails, offsets, parity = bg.face_layout
     lengths = np.diff(offsets)
 
-    # a^q Pi_f is formed in long double: as |a| -> 1 the gap 1 - a^q Pi_f
-    # shrinks to ~q(1 - |a|), and the double rounding of the product,
-    # divided by that gap, would cost every entry of the face a few hundred
-    # ulps.
+    # a^q omega^q is formed in long double: as |a| -> 1 the gap
+    # 1 - a^q omega^q shrinks to ~q(1 - |a|), and the double rounding of
+    # the product, divided by that gap, would cost every entry of the face
+    # a few hundred ulps.
     omega = np.clongdouble(coin.omega)
-    turn = np.power(np.clongdouble(a), lengths) * (1 - 2 * parity[offsets[1:] - 1]) * np.power(omega, lengths)
+    turn = np.power(np.clongdouble(a), lengths) * np.power(omega, lengths)
     gaps = np.abs(1.0 - turn).astype(float)
     if not coin.degenerate and coin.unit_a:
         worst = int(np.argmin(gaps))
         raise AssumptionError(
             "face blocks need |a| < 1 to be invertible; the smallest gap "
-            f"|1 - a^q Pi| is {gaps[worst]:.3e} (face {worst})"
+            f"|1 - a^q omega^q| is {gaps[worst]:.3e} (face {worst})"
         )
     if coin.degenerate:
         closing = np.zeros(len(lengths), dtype=np.clongdouble)
@@ -362,14 +350,13 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     """Sign test of the scattering entries between distinct islands.
 
     It needs a real a > 0 and omega = 1, under which entry (j, m) has the
-    sign (-1)^(P_j + P_m + [j <= m] P) of the twist parity between its
-    tails.  The two islands covering one vertex of the underlying graph are
-    read together: a twisted surface couples a vertex pair through both
-    sheet combinations and their parities disagree, so some pair sees both
-    signs.  (Between single cover islands the parity is always path
-    independent, because every cycle of the double cover has even twist
-    parity; grouping the antipodal islands is what makes the test
-    discriminating.)  Pairs not sharing a face are vacuously consistent and
+    sign (-1)^(P_j + P_m) of the twist parity between its tails.  The two
+    islands covering one vertex of the underlying graph are read together:
+    a twisted surface couples a vertex pair through both sheet combinations
+    and their parities disagree, so some pair sees both signs.  (Between
+    single cover islands the parity is always path independent, because
+    every cycle of the double cover has even twist parity; grouping the
+    antipodal islands is what makes the test discriminating.)  Pairs not sharing a face are vacuously consistent and
     same-vertex pairs are skipped.  The signs are read from the stored
     layout in O(q) memory and O(q K_f) time per face: each residue r with
     |c_f[r + 1]| > ``AMPLITUDE_EPS`` pairs every tail j with m = (j - r - 1) mod q.
@@ -384,8 +371,8 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
     nv = bg.cover.base.graph.vertex_count
     nv2 = nv * nv
     vertex = np.array(bg.cover.base.graph.terminus)[bg.cover.proj][s.tails]
-    # Entry (j, m) is marked at (P_j + P_m') nv^2 + v_j nv + v_m, P_m' carrying
-    # the wrap sign: planes 0 and 2 are the same sign.
+    # Entry (j, m) is marked at (P_j + P_m) nv^2 + v_j nv + v_m: planes 0
+    # and 2 are the same sign.
     seen = np.zeros(3 * nv2, dtype=bool)
     lengths = np.diff(s.offsets)
     for q in dict.fromkeys(lengths.tolist()):
@@ -394,9 +381,8 @@ def orientability_from_scattering(s: ScatteringMatrix) -> bool:
         v, p = vertex[at], s.parity[at]
         face, r = np.nonzero(np.abs(s.table[at]) > Coin.AMPLITUDE_EPS)
         row = p * nv2 + v * nv
-        # m is entry k + j, k = q - 1 - r, of the doubled face; its first copy holds the m >= j.
-        col = np.concatenate(((p ^ p[:, -1:]) * nv2 + v, p * nv2 + v), axis=1)
-        window = np.lib.stride_tricks.sliding_window_view(col, q, axis=1)
+        # m is entry k + j, k = q - 1 - r, of the face written twice.
+        window = np.lib.stride_tricks.sliding_window_view(np.tile(p * nv2 + v, 2), q, axis=1)
         # A pass marks about _SIGN_CELLS entries, so memory stays O(q).
         step = max(1, _SIGN_CELLS // q)
         for i in range(0, len(face), step):

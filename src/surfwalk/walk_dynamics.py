@@ -324,10 +324,14 @@ def check_unitary_equivalence(
     """Run (G, rho, tau) and its vertex flip at ``x`` with the corresponding
     single inflow; raise unless the stored energies agree and the outflow
     moduli match entrywise within ``check_tol``."""
+    bg1 = hedgehog(rs)
+    inflow = _checked_inflow(bg1, inflow)
+    if inflow.ndim != 1:
+        raise AssumptionError(f"unitary-equivalence check expects one inflow of shape ({bg1.size},), got {inflow.shape}")
     if np.count_nonzero(inflow) != 1:
         raise AssumptionError("unitary-equivalence check expects a single-tail inflow")
     flipped, phi = flip_correspondence(rs, x)
-    bg1, bg2 = hedgehog(rs), hedgehog(flipped)
+    bg2 = hedgehog(flipped)
 
     inflow2 = np.zeros_like(inflow)
     inflow2[phi] = inflow

@@ -13,6 +13,7 @@ from surfwalk.covering_blowup import (
     double_cover,
     hedgehog,
 )
+from surfwalk.errors import GraphError
 from surfwalk.graph_core import SymmetricDigraph, arc_edge
 from surfwalk.rotation_system import detect_orientability, trace_faces
 from surfwalk.scattering import scattering_matrix
@@ -110,11 +111,17 @@ def test_face_layout_is_shared_and_follows_the_twists():
     for coin in (Coin.hadamard_type(), Coin.real_symmetric(0.3)):
         s = scattering_matrix(bg, coin)
         assert s.tails is tails and s.offsets is offsets and s.parity is parity
-    # A graph rebuilt with other twists derives its own layout.
+    # A graph rebuilt with the bridges into the first two tails of face 0
+    # flipped derives its own layout: P_0 flips and the face stays even.
     twist = bg.bridge_twist.copy()
-    twist[bg.faces[0][0]] ^= 1
+    twist[list(bg.faces[0][:2])] ^= 1
     other = dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
-    assert other.face_layout[2][len(bg.faces[0]) - 1] != parity[len(bg.faces[0]) - 1]
+    assert other.face_layout[2].tolist() == [1 - parity[0]] + parity[1:].tolist()
+    # With one of them flipped, face 0 has odd twist parity and is refused.
+    twist[bg.faces[0][1]] ^= 1
+    odd = dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
+    with pytest.raises(GraphError, match="face 0 crosses an odd number"):
+        odd.face_layout
 
 
 def test_blow_up_compares_and_hashes_by_its_cover():

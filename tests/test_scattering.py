@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,9 @@ from conftest import (
     random_rotation_system,
 )
 from surfwalk.covering_blowup import double_cover, hedgehog
-from surfwalk.errors import AssumptionError
+from surfwalk.errors import AssumptionError, GraphError
 from surfwalk.rotation_system import detect_orientability, flip_vertex, trace_faces
-from surfwalk.comfortability import average_by_enumeration, comfortability
+from surfwalk.comfortability import average_by_enumeration, average_comfortability, comfortability
 from surfwalk.graph_core import complete_graph, cycle_graph
 from surfwalk.rotation_system import RotationSystem
 from surfwalk.scattering import (
@@ -282,20 +283,19 @@ def test_sign_test_matches_the_gathering_oracle(k4_classes):
             s = scattering_matrix(bg, coin)
             verdict = orientability_from_scattering(s)
             assert verdict == dense_oracle.orientable_by_signs(s) == trace_faces(cls.representative).orientable
-    # A hedgehog face has even twist parity, and a surface's signs repeat
-    # its twisting many times over, so on these systems the verdict hangs
-    # on neither the wrap-around sign, the same-vertex skip nor the residue
-    # cutoff.  Each system is also read with its first face made odd and
-    # nine in ten residues zeroed, where the verdict rests on few entries.
+    # A surface's signs repeat its twisting many times over, so on these
+    # systems the verdict hangs on neither the same-vertex skip nor the
+    # residue cutoff.  Each system is also read with nine in ten residues
+    # zeroed, where the verdict rests on few entries and a test without
+    # either one disagrees with the oracle.
     rng = np.random.default_rng(2111)
     graphs = [complete_graph(n) for n in range(4, 9)]
     coins = SIGN_TEST_COINS + [Coin.real_symmetric(-0.6)]
     for i in range(1000):
         rs = random_rotation_system(rng, graph=graphs[int(rng.integers(len(graphs)))])
-        bg, coin = hedgehog(rs), coins[i % len(coins)]
-        odd = scattering_matrix(_odd_parity(bg), coin)
-        thinned = dataclasses.replace(odd, table=odd.table * (rng.random(bg.size) < 0.1))
-        for s in (scattering_matrix(bg, coin), thinned):
+        full = scattering_matrix(hedgehog(rs), coins[i % len(coins)])
+        thinned = dataclasses.replace(full, table=full.table * (rng.random(full.bg.size) < 0.1))
+        for s in (full, thinned):
             assert _verdict(orientability_from_scattering, s) == _verdict(dense_oracle.orientable_by_signs, s)
 
 
@@ -309,26 +309,61 @@ def test_sign_test_refuses_omega_other_than_one(k4_classes, coin):
             orientability_from_scattering(scattering_matrix(hedgehog(cls.representative), coin))
 
 
-def _sign_test_peak(n):
-    """The tracemalloc peak of the sign test on a seeded random K_n system
-    under the Hadamard coin, and the number of tails."""
+def _peak(n, path):
+    """The tracemalloc peak of one call on a seeded random K_n system under
+    the Hadamard coin, and the number of tails.  ``path(fd, s)`` returns
+    the call; S and the call's arguments are built before tracing, and the
+    call runs once untraced first, as numpy's FFT allocates on first use."""
     rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
     s = scattering_matrix(hedgehog(rs), Coin.hadamard_type())
+    call = path(trace_faces(rs), s)
+    call()
     tracemalloc.start()
     try:
-        orientability_from_scattering(s)
+        call()
         return tracemalloc.get_traced_memory()[1], s.bg.size
     finally:
         tracemalloc.stop()
 
 
-def test_sign_test_memory_follows_the_tails():
-    (peak16, tails16), (peak32, tails32) = _sign_test_peak(16), _sign_test_peak(32)
+def _assert_memory_follows_the_tails(path):
+    """From K16 to K32 the peak grows at most twice as fast as the tails,
+    and at K64 it stays under 4 MB."""
+    (peak16, tails16), (peak32, tails32) = _peak(16, path), _peak(32, path)
     assert (tails16, tails32) == (480, 1984)
     assert peak32 <= 2 * peak16 * tails32 / tails16
-    # A K64 system has faces of some 2,500 tails: a q x q gather is 100 MB.
-    peak64, _ = _sign_test_peak(64)
+    peak64, _ = _peak(64, path)
     assert peak64 < 4e6
+
+
+def test_sign_test_memory_follows_the_tails():
+    # A K64 system has faces of some 2,500 tails: a q x q gather is 100 MB.
+    _assert_memory_follows_the_tails(lambda fd, s: functools.partial(orientability_from_scattering, s))
+
+
+def _one_tail(s):
+    inflow = np.zeros(s.bg.size, dtype=complex)
+    inflow[s.bg.size // 2] = 1.0
+    return inflow
+
+
+_CLOSED_FORM_PATHS = {
+    "scattering_matrix": lambda fd, s: functools.partial(scattering_matrix, s.bg, s.coin),
+    "unitarity_defect": lambda fd, s: s.unitarity_defect,
+    "stationary_one_tail": lambda fd, s: functools.partial(
+        stationary_closed_form, s.bg, s.coin, _one_tail(s), scattering=s
+    ),
+    "stationary_uniform": lambda fd, s: functools.partial(
+        stationary_closed_form, s.bg, s.coin, np.ones(s.bg.size, dtype=complex), scattering=s
+    ),
+    "comfortability": lambda fd, s: functools.partial(comfortability, fd, s.coin, _one_tail(s), scattering=s),
+    "average_comfortability": lambda fd, s: functools.partial(average_comfortability, fd, s.coin),
+}
+
+
+@pytest.mark.parametrize("path", list(_CLOSED_FORM_PATHS.values()), ids=list(_CLOSED_FORM_PATHS))
+def test_closed_form_memory_follows_the_tails(path):
+    _assert_memory_follows_the_tails(path)
 
 
 def test_outflow_map_three_random_coins(k4_classes, rng):
@@ -377,7 +412,8 @@ def test_flip_conjugation_preserves_moduli_and_spectra(rng):
 
 
 def _closing_turn(bg, face, coin):
-    """a^q Pi_f from the oracle's shift: P_f^q = Pi_f I."""
+    """a^q times the product of the face's weights, read from the oracle's
+    shift as an entry of P_f^q."""
     tails, shift = dense_oracle.face_shift(bg, face)
     p = shift(coin.omega)
     return coin.a ** len(tails) * np.linalg.matrix_power(p, len(tails))[0, 0]
@@ -542,16 +578,34 @@ def test_stationary_closed_form_rejects_scattering_of_another_coin_or_system():
 
 def _odd_parity(bg):
     """``bg`` with the bridge into its first face's first tail untwisted or
-    twisted, so that face has odd twist parity, Pi_f = -omega^q.  No
-    rotation system gives such a face (a face of the double cover closes on
-    its sheet), but the block formula holds for any weights, and only there
-    does its wrap-around sign act."""
+    twisted, so that face has odd twist parity.  No rotation system gives
+    such a face: a face of the double cover closes on its sheet."""
     twist = bg.bridge_twist.copy()
     twist[bg.faces[0][0]] ^= 1
     return dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
 
 
-def test_average_by_enumeration_takes_a_built_scattering(k4_classes, rng):
+def test_every_hedgehog_face_has_even_twist_parity():
+    # The block formula Q_f = D C_f D holds only for faces of even twist
+    # parity; every rotation system gives those alone, and the layout
+    # refuses a graph fabricated with an odd face.
+    rng = np.random.default_rng(2311)
+    systems = [random_rotation_system(rng, max_vertices=8) for _ in range(40)]
+    systems += [random_rotation_system(rng, graph=complete_graph(n)) for n in range(4, 10)]
+    # The same rotations untwisted: orientable systems.
+    systems += [RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count) for rs in systems]
+    assert {trace_faces(rs).orientable for rs in systems} == {False, True}
+    coin = Coin.hadamard_type()
+    for rs in systems:
+        bg = hedgehog(rs)
+        assert all(bg.bridge_twist[list(face)].sum() % 2 == 0 for face in bg.faces)
+        _, offsets, parity = bg.face_layout
+        assert not parity[offsets[1:] - 1].any()
+        with pytest.raises(GraphError, match="face 0 crosses an odd number of twisted bridges"):
+            scattering_matrix(_odd_parity(bg), coin)
+
+
+def test_average_by_enumeration_takes_a_built_scattering():
     rs = projective_k4()
     fd, bg = trace_faces(rs), hedgehog(rs)
     coin = Coin.real_symmetric(0.3)
@@ -564,50 +618,13 @@ def test_average_by_enumeration_takes_a_built_scattering(k4_classes, rng):
     ):
         with pytest.raises(AssumptionError, match="scattering="):
             average_by_enumeration(fd, coin, scattering=other)
-    # No hedgehog face has odd twist parity, so only an S built on one made
-    # odd reaches the negacyclic Gram columns.
-    systems = [cls.representative for cls in k4_classes]
-    systems += [random_rotation_system(rng, complete_graph(n)) for n in (5, 7)]
-    for rs in systems:
-        fd, odd = trace_faces(rs), _odd_parity(hedgehog(rs))
-        for coin in (Coin.hadamard_type(), random_d_real_coin(rng), Coin.from_params(0.999, 0.4, 1.3)):
-            s = scattering_matrix(odd, coin)
-            assert s.parity[s.offsets[1] - 1] == 1
-            island, bridge = dense_oracle.energies(odd, coin, np.eye(odd.size))
-            total = (island + bridge) / rs.graph.arc_count
-            assert abs(average_by_enumeration(fd, coin, scattering=s) - total) <= 1e-10 * total
-
-
-def _enumeration_peak(n):
-    """The tracemalloc peak of the enumerated average on a seeded random K_n
-    system under the Hadamard coin, S included, and the number of tails."""
-    rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
-    fd, bg = trace_faces(rs), hedgehog(rs)
-    tracemalloc.start()
-    try:
-        average_by_enumeration(fd, Coin.hadamard_type())
-        return tracemalloc.get_traced_memory()[1], bg.size
-    finally:
-        tracemalloc.stop()
 
 
 def test_enumerated_average_memory_follows_the_tails():
-    (peak16, tails16), (peak32, tails32) = _enumeration_peak(16), _enumeration_peak(32)
-    assert (tails16, tails32) == (480, 1984)
-    assert peak32 <= 2 * peak16 * tails32 / tails16
     # Scoring the longest face's 2,465 columns on all 8,064 tail rows takes 318 MB.
-    peak64, _ = _enumeration_peak(64)
-    assert peak64 < 4e6
-
-
-def _parity_flipped(s, faces):
-    """``s`` with the twist parity of the last tail of each face in
-    ``faces`` flipped, so those faces read as odd-P (negacyclic) blocks of
-    the same table: hedgehog faces always have even P, and with the table
-    left as it is the blocks are far from unitary."""
-    parity = s.parity.copy()
-    parity[s.offsets[1:][faces] - 1] ^= 1
-    return dataclasses.replace(s, parity=parity)
+    _assert_memory_follows_the_tails(
+        lambda fd, s: functools.partial(average_by_enumeration, fd, s.coin, scattering=s)
+    )
 
 
 def test_unitarity_defect_matches_the_dense_gram(k4_classes, rng, monkeypatch):
@@ -620,19 +637,19 @@ def test_unitarity_defect_matches_the_dense_gram(k4_classes, rng, monkeypatch):
     coins = [Coin.hadamard_type(), random_d_real_coin(rng), random_d_real_coin(rng, max_a=0.99)]
     shared, worst = 0, 0.0
     for rs in systems:
-        for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
-            lengths = [len(face) for face in bg.faces]
-            shared += len(lengths) > len(set(lengths))
-            for coin in coins:
-                s = scattering_matrix(bg, coin)
-                faces = np.arange(len(lengths))
-                for variant in (s, _parity_flipped(s, faces[::2]), _parity_flipped(s, faces)):
-                    defect = variant.unitarity_defect()
-                    assert abs(defect - dense_oracle.unitarity_defect(dense_blocks(variant))) <= 1e-12
-                    assert variant is not s or defect < 1e-10
-                    worst = max(worst, defect)
-    # The flipped blocks are far from unitary, and faces of one length and
-    # parity, which share one FFT, occur in most systems.
+        bg = hedgehog(rs)
+        lengths = [len(face) for face in bg.faces]
+        shared += len(lengths) - len(set(lengths))
+        for coin in coins:
+            s = scattering_matrix(bg, coin)
+            perturbed = dataclasses.replace(s, table=s.table * rng.uniform(0.5, 1.5, s.table.size))
+            for variant in (s, perturbed):
+                defect = variant.unitarity_defect()
+                assert abs(defect - dense_oracle.unitarity_defect(dense_blocks(variant))) <= 1e-12
+                assert variant is not s or defect < 1e-10
+                worst = max(worst, defect)
+    # The perturbed blocks are far from unitary, and faces that share one
+    # FFT with a face of the same length before them are many.
     assert worst > 0.1
     assert shared > len(systems)
 
@@ -657,17 +674,18 @@ _EXACT_COINS["from_params(0.7,0.4,1.3)"] = Coin.from_params(0.7, 0.4, 1.3)
 @pytest.mark.parametrize("coin", list(_EXACT_COINS.values()), ids=list(_EXACT_COINS))
 def test_blocks_match_exact_reference(coin, k4_classes):
     # Each entry is within 4e-16 of its block's largest entry, plus the
-    # conditioning of the long-double gap 1 - a^q Pi_f: q roundings of a^q
-    # Pi_f, divided by the gap, which near |a| = 1 shrinks to q(1 - |a|).
+    # conditioning of the long-double gap 1 - a^q omega^q: q roundings of
+    # a^q omega^q, divided by the gap, which near |a| = 1 shrinks to
+    # q(1 - |a|).
     eps = np.finfo(np.longdouble).eps
     for rs in [projective_k4()] + [cls.representative for cls in k4_classes]:
-        for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
-            s = scattering_matrix(bg, coin)
-            exact = exact_oracle.face_blocks(bg, coin)
-            for i, ((tails, block), (exact_tails, exact_block)) in enumerate(zip(s.blocks, exact)):
-                assert list(tails) == exact_tails
-                bound = 4e-16 + len(tails) * eps / s.gaps[i]
-                assert exact_oracle.relative_error(block, exact_block) <= bound
+        bg = hedgehog(rs)
+        s = scattering_matrix(bg, coin)
+        exact = exact_oracle.face_blocks(bg, coin)
+        for i, ((tails, block), (exact_tails, exact_block)) in enumerate(zip(s.blocks, exact)):
+            assert list(tails) == exact_tails
+            bound = 4e-16 + len(tails) * eps / s.gaps[i]
+            assert exact_oracle.relative_error(block, exact_block) <= bound
 
 
 def _bits(z):
@@ -678,24 +696,24 @@ def test_columns_face_blocks_and_blocks_share_one_table(k4_classes, rng):
     systems = [cls.representative for cls in k4_classes]
     systems += [random_rotation_system(rng, complete_graph(n)) for n in (7, 10)]
     for rs in systems:
-        for bg in (hedgehog(rs), _odd_parity(hedgehog(rs))):
-            for coin in (Coin.hadamard_type(), random_d_real_coin(rng)):
-                s = scattering_matrix(bg, coin)
-                faces = list(s.face_tables())
-                assert len(faces) == len(bg.faces)
-                for (tails, values, index), (block_tails, block), face in zip(faces, s.blocks, bg.faces):
-                    q = len(tails)
-                    assert list(tails) == list(block_tails) == list(face)
-                    assert values.shape == (2 * q,) and index.shape == (q, q)
-                    q_block = values[index]
-                    # A single-tail inflow's Q column is the face's column.
-                    m = int(rng.integers(q))
-                    v = np.zeros(bg.size, dtype=complex)
-                    v[tails[m]] = 1.0
-                    column = s.apply_q(v)
-                    assert np.array_equal(_bits(column[tails]), _bits(q_block[:, m]))
-                    assert not np.delete(column, tails).any()
-                    assert np.array_equal(_bits(block), _bits(q_block + coin.d * np.eye(q)))
-                    # At most 2q + 1 distinct entries: +-c_f[k] and the diagonal.
-                    assert len(np.unique(_bits(block).reshape(-1, 2), axis=0)) <= 2 * q + 1
-                    assert np.all(np.diag(block) == block[0, 0])
+        bg = hedgehog(rs)
+        for coin in (Coin.hadamard_type(), random_d_real_coin(rng)):
+            s = scattering_matrix(bg, coin)
+            faces = list(s.face_tables())
+            assert len(faces) == len(bg.faces)
+            for (tails, values, index), (block_tails, block), face in zip(faces, s.blocks, bg.faces):
+                q = len(tails)
+                assert list(tails) == list(block_tails) == list(face)
+                assert values.shape == (2 * q,) and index.shape == (q, q)
+                q_block = values[index]
+                # A single-tail inflow's Q column is the face's column.
+                m = int(rng.integers(q))
+                v = np.zeros(bg.size, dtype=complex)
+                v[tails[m]] = 1.0
+                column = s.apply_q(v)
+                assert np.array_equal(_bits(column[tails]), _bits(q_block[:, m]))
+                assert not np.delete(column, tails).any()
+                assert np.array_equal(_bits(block), _bits(q_block + coin.d * np.eye(q)))
+                # At most 2q + 1 distinct entries: +-c_f[k] and the diagonal.
+                assert len(np.unique(_bits(block).reshape(-1, 2), axis=0)) <= 2 * q + 1
+                assert np.all(np.diag(block) == block[0, 0])

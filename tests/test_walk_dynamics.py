@@ -378,3 +378,18 @@ def test_invalid_input_raises_assumption_error(build, message):
         build()
     assert err.type is AssumptionError
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "shape, match",
+    [((1, 0), "inflow must have shape"), ((0, 1), "one inflow of shape"), ((0, 2), "one inflow of shape")],
+    ids=["one-entry-too-many", "one-column", "two-columns"],
+)
+def test_unitary_equivalence_refuses_malformed_inflows(shape, match):
+    # Each inflow has one nonzero entry, which the single-tail count alone passed.
+    rs = projective_k4()
+    extra, columns = shape
+    inflow = np.zeros((hedgehog(rs).size + extra,) + ((columns,) if columns else ()), dtype=complex)
+    inflow.flat[0] = 1.0
+    with pytest.raises(AssumptionError, match=match):
+        check_unitary_equivalence(rs, 0, Coin.hadamard_type(), inflow)
