@@ -17,7 +17,10 @@ the file format and prints one JSON line with the best time in milliseconds of e
 - ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin,
   on a hedgehog whose coin-free face layout is already built;
 - ``orientability_ms``: ``orientability_from_scattering`` on that S, the
-  sign test read from its tables;
+  sign test read from its face layout; a twisted system usually returns
+  at its first face with a vertex of both parities;
+- ``orientability_untwisted_ms``: the same on the system with every twist
+  cleared, which is orientable, so every face's vertex pairs are marked;
 - ``average_by_enumeration_ms``: ``average_by_enumeration`` under the
   Hadamard coin, which builds its own S and reads each face's Gram column.
 
@@ -98,6 +101,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
     fd = trace_faces(rs)
     bg = hedgehog(rs)
     s = scattering_matrix(bg, coin)
+    untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
     row = {
         "graph": f"K{n}",
         "arcs": g.arc_count,
@@ -110,6 +114,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         "hedgehog_ms": best_ms(hedgehog, repeat, traced),
         "scattering_matrix_ms": best_ms(lambda _: scattering_matrix(bg, coin), repeat),
         "orientability_ms": best_ms(orientability_from_scattering, repeat, lambda: s),
+        "orientability_untwisted_ms": best_ms(orientability_from_scattering, repeat, lambda: untwisted),
         "average_by_enumeration_ms": best_ms(lambda fd: average_by_enumeration(fd, coin), repeat, lambda: fd),
     }
     if n <= EXPORT_MAX_N:

@@ -31,9 +31,9 @@ tails, its 2q values and the index grid that gathers Q_f from them.  The
 CLI export reads it; the dense ``blocks``, ``matrix()`` and
 ``q_matrix()`` are formed from it on each call for the tests and the
 benchmark, and S keeps none of them.  No block is ever inverted.  The
-sign test reads P_j and the K_f residues kept above ``AMPLITUDE_EPS``
-instead: O(q) memory and O(q K_f) time per face.  It needs a > 0 and
-omega = 1, which make every c_f[k] real and positive.
+sign test reads the layout alone: a > 0, omega = 1 and b, c != 0 make
+every c_f[k] bc times a positive number, so entry (j, m) has the sign
+(-1)^(P_j + P_m) against bc however small it is.
 
 The same structure gives Gram matrices without a dense block: with
 H_f = C_f + xI, (D H_f D)^H (D H_f D) = D H_f^H H_f D and H_f^H H_f is
@@ -341,53 +341,49 @@ def stationary_closed_form(
     )
 
 
-# Entries the sign test marks in one numpy pass: with its index
-# temporaries, about 0.4 MB.
-_SIGN_CELLS = 1 << 14
-
-
 def orientability_from_scattering(s: ScatteringMatrix) -> bool:
-    """Sign test of the scattering entries between distinct islands.
+    """Sign test of the scattering entries between distinct vertices.
 
-    It needs a real a > 0 and omega = 1, under which entry (j, m) has the
-    sign (-1)^(P_j + P_m) of the twist parity between its tails.  The two
-    islands covering one vertex of the underlying graph are read together:
-    a twisted surface couples a vertex pair through both sheet combinations
+    Under a real a > 0, omega = 1 and b, c != 0, every c_f[k] =
+    bc a^(k-1) / (1 - a^q) is bc times a positive number, so entry (j, m)
+    of Q_f is nonzero with sign (-1)^(P_j + P_m) against bc: the signs are
+    fixed by the layout (``tails``, ``offsets``, ``parity``) and ``table``,
+    whose entries underflow as a -> 0, is not read.  The two islands
+    covering one vertex of the underlying graph are read together: a
+    twisted surface couples a vertex pair through both sheet combinations
     and their parities disagree, so some pair sees both signs.  (Between
     single cover islands the parity is always path independent, because
     every cycle of the double cover has even twist parity; grouping the
-    antipodal islands is what makes the test discriminating.)  Pairs not sharing a face are vacuously consistent and
-    same-vertex pairs are skipped.  The signs are read from the stored
-    layout in O(q) memory and O(q K_f) time per face: each residue r with
-    |c_f[r + 1]| > ``AMPLITUDE_EPS`` pairs every tail j with m = (j - r - 1) mod q.
-    Faces of one length are read together, as many (face, residue) pairs
-    per numpy pass as fit in ``_SIGN_CELLS`` entries, so a small system
-    costs a few passes rather than one per residue.
+    antipodal islands is what makes the test discriminating.)
+
+    A face whose tails at one vertex show both parities couples it with
+    both signs to every other vertex of the face.  Otherwise each (face,
+    vertex) has one parity p and a pair (v, w) of the face the sign of
+    p_v + p_w; faces with k distinct vertices are marked together, O(k^2)
+    per face after an O(q log q) sort.
     """
     coin, bg, a = s.coin, s.bg, complex(s.coin.a)
-    if abs(a.imag) > Coin.AMPLITUDE_EPS or a.real <= 0 or abs(coin.omega - 1) > Coin.AMPLITUDE_EPS:
-        raise AssumptionError("orientability detection needs a real coin entry a > 0 and omega = 1")
+    if coin.degenerate or abs(a.imag) > Coin.AMPLITUDE_EPS or a.real <= 0 or abs(coin.omega - 1) > Coin.AMPLITUDE_EPS:
+        raise AssumptionError("orientability detection needs a real coin entry a > 0, omega = 1 and b, c != 0")
 
     nv = bg.cover.base.graph.vertex_count
-    nv2 = nv * nv
     vertex = np.array(bg.cover.base.graph.terminus)[bg.cover.proj][s.tails]
-    # Entry (j, m) is marked at (P_j + P_m) nv^2 + v_j nv + v_m: planes 0
-    # and 2 are the same sign.
-    seen = np.zeros(3 * nv2, dtype=bool)
     lengths = np.diff(s.offsets)
-    for q in dict.fromkeys(lengths.tolist()):
-        # One row per face of length q, and its kept (face, residue) pairs.
-        at = s.offsets[:-1][lengths == q, None] + np.arange(q)
-        v, p = vertex[at], s.parity[at]
-        face, r = np.nonzero(np.abs(s.table[at]) > Coin.AMPLITUDE_EPS)
-        row = p * nv2 + v * nv
-        # m is entry k + j, k = q - 1 - r, of the face written twice.
-        window = np.lib.stride_tricks.sliding_window_view(np.tile(p * nv2 + v, 2), q, axis=1)
-        # A pass marks about _SIGN_CELLS entries, so memory stays O(q).
-        step = max(1, _SIGN_CELLS // q)
-        for i in range(0, len(face), step):
-            f = face[i : i + step]
-            seen[row[f] + window[f, q - 1 - r[i : i + step]]] = True
-    seen = seen.reshape(3, nv2)
-    seen[:, :: nv + 1] = False
-    return not ((seen[0] | seen[2]) & seen[1]).any()
+    # Each (face, vertex, parity) that occurs, sorted, so a face's vertices
+    # are contiguous and a vertex's two parities adjacent.
+    key = np.sort((np.repeat(np.arange(len(lengths)) * nv, lengths) + vertex) * 2 + s.parity)
+    key = key[np.diff(key, prepend=-1) != 0]
+    face_vertex = key >> 1
+    if (face_vertex[1:] == face_vertex[:-1]).any():
+        return False
+    v, p = face_vertex % nv, key & 1
+    k = np.bincount(face_vertex // nv)
+    starts = np.cumsum(k) - k
+    # Pair (v, w) of a face is marked at (p_v ^ p_w) nv^2 + v nv + w.
+    seen = np.zeros(2 * nv * nv, dtype=bool)
+    for size in dict.fromkeys(k.tolist()):
+        at = starts[k == size, None] + np.arange(size)
+        fv, fp = v[at], p[at]
+        seen[(fp[:, :, None] ^ fp[:, None, :]) * nv * nv + fv[:, :, None] * nv + fv[:, None, :]] = True
+    seen = seen.reshape(2, nv * nv)
+    return not (seen[0] & seen[1]).any()

@@ -283,20 +283,41 @@ def test_sign_test_matches_the_gathering_oracle(k4_classes):
             s = scattering_matrix(bg, coin)
             verdict = orientability_from_scattering(s)
             assert verdict == dense_oracle.orientable_by_signs(s) == trace_faces(cls.representative).orientable
-    # A surface's signs repeat its twisting many times over, so on these
-    # systems the verdict hangs on neither the same-vertex skip nor the
-    # residue cutoff.  Each system is also read with nine in ten residues
-    # zeroed, where the verdict rests on few entries and a test without
-    # either one disagrees with the oracle.
     rng = np.random.default_rng(2111)
     graphs = [complete_graph(n) for n in range(4, 9)]
     coins = SIGN_TEST_COINS + [Coin.real_symmetric(-0.6)]
     for i in range(1000):
         rs = random_rotation_system(rng, graph=graphs[int(rng.integers(len(graphs)))])
-        full = scattering_matrix(hedgehog(rs), coins[i % len(coins)])
-        thinned = dataclasses.replace(full, table=full.table * (rng.random(full.bg.size) < 0.1))
-        for s in (full, thinned):
-            assert _verdict(orientability_from_scattering, s) == _verdict(dense_oracle.orientable_by_signs, s)
+        s = scattering_matrix(hedgehog(rs), coins[i % len(coins)])
+        assert _verdict(orientability_from_scattering, s) == _verdict(dense_oracle.orientable_by_signs, s)
+
+
+def test_sign_test_reads_no_table(k4_classes):
+    # As a -> 0 the residues past the first underflow, but every entry
+    # keeps its sign: the verdict holds at a = 1e-12, and with the table
+    # zeroed it does not change.
+    tiny = Coin.real_symmetric(1e-12)
+    rng = np.random.default_rng(2411)
+    drawn = [random_rotation_system(rng, graph=complete_graph(n)) for n in range(4, 13) for _ in range(3)]
+    drawn += [RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count) for rs in drawn[::3]]
+    assert {trace_faces(rs).orientable for rs in drawn} == {False, True}
+    systems = [cls.representative for cls in k4_classes] + drawn
+    for rs in systems:
+        s = scattering_matrix(hedgehog(rs), tiny)
+        assert orientability_from_scattering(s) == trace_faces(rs).orientable
+    for coin in SIGN_TEST_COINS:
+        for rs in systems:
+            s = scattering_matrix(hedgehog(rs), coin)
+            zeroed = dataclasses.replace(s, table=np.zeros_like(s.table))
+            assert orientability_from_scattering(zeroed) == orientability_from_scattering(s)
+
+
+def test_sign_test_refuses_a_degenerate_coin(k4_classes):
+    # a = 1 > 0 and omega = 1, but b = c = 0: S = dI has no signs to read.
+    coin = Coin(1, 0, 0, -1)
+    for cls in k4_classes:
+        with pytest.raises(AssumptionError, match="omega"):
+            orientability_from_scattering(scattering_matrix(hedgehog(cls.representative), coin))
 
 
 @pytest.mark.parametrize("coin", [Coin(0.6, -0.8, 0.8, 0.6)] + [Coin.from_params(0.5, 0.0, beta) for beta in (0, 0.3, 2)])
@@ -309,12 +330,15 @@ def test_sign_test_refuses_omega_other_than_one(k4_classes, coin):
             orientability_from_scattering(scattering_matrix(hedgehog(cls.representative), coin))
 
 
-def _peak(n, path):
-    """The tracemalloc peak of one call on a seeded random K_n system under
-    the Hadamard coin, and the number of tails.  ``path(fd, s)`` returns
-    the call; S and the call's arguments are built before tracing, and the
-    call runs once untraced first, as numpy's FFT allocates on first use."""
+def _peak(n, path, untwisted=False):
+    """The tracemalloc peak of one call on a seeded random K_n system (with
+    every twist cleared if ``untwisted``) under the Hadamard coin, and the
+    number of tails.  ``path(fd, s)`` returns the call; S and the call's
+    arguments are built before tracing, and the call runs once untraced
+    first, as numpy's FFT allocates on first use."""
     rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
+    if untwisted:
+        rs = RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count)
     s = scattering_matrix(hedgehog(rs), Coin.hadamard_type())
     call = path(trace_faces(rs), s)
     call()
@@ -326,19 +350,22 @@ def _peak(n, path):
         tracemalloc.stop()
 
 
-def _assert_memory_follows_the_tails(path):
+def _assert_memory_follows_the_tails(path, untwisted=False):
     """From K16 to K32 the peak grows at most twice as fast as the tails,
     and at K64 it stays under 4 MB."""
-    (peak16, tails16), (peak32, tails32) = _peak(16, path), _peak(32, path)
+    (peak16, tails16), (peak32, tails32) = _peak(16, path, untwisted), _peak(32, path, untwisted)
     assert (tails16, tails32) == (480, 1984)
     assert peak32 <= 2 * peak16 * tails32 / tails16
-    peak64, _ = _peak(64, path)
+    peak64, _ = _peak(64, path, untwisted)
     assert peak64 < 4e6
 
 
 def test_sign_test_memory_follows_the_tails():
     # A K64 system has faces of some 2,500 tails: a q x q gather is 100 MB.
-    _assert_memory_follows_the_tails(lambda fd, s: functools.partial(orientability_from_scattering, s))
+    # The seeded systems are twisted and return at the first face with a
+    # vertex of both parities; their untwisted copies mark every face.
+    for untwisted in (False, True):
+        _assert_memory_follows_the_tails(lambda fd, s: functools.partial(orientability_from_scattering, s), untwisted)
 
 
 def _one_tail(s):

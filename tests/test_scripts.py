@@ -31,6 +31,7 @@ def test_front_end_timing_reports_every_stage():
         "hedgehog_ms",
         "scattering_matrix_ms",
         "orientability_ms",
+        "orientability_untwisted_ms",
         "average_by_enumeration_ms",
     ]
     export = ["blocks_ms", "unitarity_defect_ms", "scatter_json_ms", "scatter_csv_ms"]
