@@ -3,7 +3,10 @@
 
 For each n in 8, 16, 32, 64 and 128 the script draws a seeded random
 rotation system on K_n (uniform cyclic orders, fair twists), writes it in
-the file format and prints one JSON line with the best time in milliseconds of each stage:
+the file format and prints one JSON line with the best time in milliseconds of each stage.
+A K4 line comes first, drawn from a generator of its own with the same
+seed, so the larger sizes keep their systems; it records the constant
+cost of each stage on a small system.  The stages:
 
 - ``parse_ms``: ``parse_rotation_system`` on the file text (validation
   included);
@@ -60,6 +63,7 @@ from surfwalk.rotation_system import RotationSystem, trace_faces  # noqa: E402
 from surfwalk.scattering import orientability_from_scattering, scattering_matrix  # noqa: E402
 from surfwalk.walk_dynamics import Coin  # noqa: E402
 
+SMALL = 4  # timed first, from its own generator
 SIZES = (8, 16, 32, 64, 128)
 SEED = 101
 REPEAT = 5  # calls per stage; the fastest is reported
@@ -144,6 +148,7 @@ def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
 
 
 def main():
+    print(json.dumps(stage_times(SMALL, np.random.default_rng(SEED), REPEAT)), flush=True)
     rng = np.random.default_rng(SEED)
     for n in SIZES:
         print(json.dumps(stage_times(n, rng, REPEAT)), flush=True)

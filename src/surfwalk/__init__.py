@@ -52,6 +52,7 @@ from .rotation_system import (
     detect_orientability,
     flip_vertex,
     mirror,
+    trace_batch,
     trace_faces,
 )
 from .scattering import (

@@ -9,8 +9,9 @@ incidence maps are array lookups.  Cover arcs carry the one numbering of
 :mod:`surfwalk.rotation_system`, so the extended facial walks ``faces`` are
 the walks ``trace_faces`` reports as ``cover_faces``, in the same order, and
 its ``cover_base[i]`` names the base face of ``faces[i]``.  The cover is
-held as index arrays over that numbering, converted once; only the
-orientability cross-check builds it as a validated graph.
+held as the read-only index arrays the rotation system's array tracer
+built over that numbering, not copied; only the orientability cross-check
+builds it as a validated graph.
 
 Every island arc carries a hedgehog tail, cut in at a boundary vertex; a
 tail is identified by the island arc it sits on, so tails and islands share
@@ -55,9 +56,10 @@ class DoubleCover:
     its terminus; ``lift[2e + s]`` is the cover arc over base arc ``e``
     ending on sheet ``s``.  The blow-up reads these arrays and takes its
     faces from the walks the base system traced once (``base._walks``), so
-    a DoubleCover must come from :func:`double_cover`, whose ``rot`` is
-    ``base._cover``'s.  The cover as a validated graph and its component
-    count are built on first read, for the orientability cross-check.
+    a DoubleCover must come from :func:`double_cover`, whose ``rot`` and
+    ``lift`` are ``base._cover``'s own arrays.  Building it traces no walk.
+    The cover as a validated graph and its component count are built on
+    first read, for the orientability cross-check.
     """
 
     base: RotationSystem
@@ -87,9 +89,9 @@ class DoubleCover:
 
 
 def double_cover(rs: RotationSystem) -> DoubleCover:
-    rot, lift, state = (np.array(a, dtype=np.int64) for a in rs._cover)
+    rot, lift, state = rs._cover
     proj, sheet = state >> 1, state & 1
-    for a in (rot, lift, proj, sheet):
+    for a in (proj, sheet):
         a.flags.writeable = False
     return DoubleCover(base=rs, rot=rot, lift=lift, proj=proj, sheet=sheet)
 
@@ -170,7 +172,7 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
     # Extended facial walks: successor of island g is bar(rot(g)); the
     # bridge crossed between them is bar(successor).  They are the walks
     # the base system traced once for trace_faces.
-    faces = dc.base._walks[0]
+    faces = dc.base._walks.faces[0]
     # A hedgehog is shared by every caller of hedgehog(rs).
     for a in (rot_inv, bar, twist, sign):
         a.flags.writeable = False

@@ -17,9 +17,12 @@ generator.  Orbits under the flips and a generating set of the automorphisms
 are found by min-label propagation over integer arrays, which leaves on
 every raw index the smallest raw index of its orbit, the orbit root.  Each
 class is represented by its root, so deduplication is exact and the raw
-index is the only order.  One RotationSystem and one face trace are built
-per class, none per raw system; time and memory are linear in the raw
-count, which the budget bounds.
+index is the only order.  The roots are decoded into rotation and twist
+arrays together, one RotationSystem is built and validated per class and
+none per raw system, and every class of the graph is traced in one
+:func:`~surfwalk.rotation_system.trace_batch` call, which keeps no trace on
+the systems; time and memory are linear in the raw count, which the budget
+bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .comfortability import average_comfortability, limit_comfortability
 from .errors import AssumptionError, BudgetError, GraphError
 from .graph_core import SymmetricDigraph, arc_edge, is_connected
-from .rotation_system import FacialDecomposition, RotationSystem, trace_faces
+from .rotation_system import FacialDecomposition, RotationSystem, trace_batch
 from .walk_dynamics import Coin
 
 __all__ = [
@@ -192,14 +195,16 @@ class _RawIndex:
             rot_map += np.array(table)[self.digits[x]] * self.stride[y]
         return rot_map, self.move_bits([arc_edge(amap[2 * k]) for k in range(g.edge_count)])
 
-    def rotation(self, r: int) -> tuple[int, ...]:
-        """The ``rot`` tuple of rotation index ``r``."""
-        rot = [0] * self.g.arc_count
-        for orders, stride in zip(self.orders, self.stride):
-            o = orders[r // stride % len(orders)]
-            for e, f in zip(o, o[1:] + o[:1]):
-                rot[e] = f
-        return tuple(rot)
+    def rotation_rows(self, r: np.ndarray) -> np.ndarray:
+        """The ``rot`` rows of the rotation indices ``r``, one per index."""
+        rot = np.empty((len(r), self.g.arc_count), dtype=np.int64)
+        for x, (orders, stride) in enumerate(zip(self.orders, self.stride)):
+            # table[j, i]: the successor of the i-th arc of A_x in order j.
+            successors = [dict(zip(o, o[1:] + o[:1])) for o in orders]
+            ax = self.g.incoming_arcs(x)
+            table = np.array([[succ[e] for e in ax] for succ in successors])
+            rot[:, ax] = table[r // stride % len(orders)]
+        return rot
 
     def move_bits(self, targets: list[int]) -> np.ndarray:
         """The word map that moves bit k of every word to bit ``targets[k]``."""
@@ -309,11 +314,10 @@ def enumerate_embeddings(
     del label
     sizes = np.bincount(class_of, minlength=len(roots))
 
-    classes = []
-    for root, size in zip(roots.tolist(), sizes.tolist()):
-        r, word = divmod(root, index.words)
-        twist = tuple((word >> k) & 1 for k in range(g.edge_count))
-        classes.append(EmbeddingClass(trace_faces(RotationSystem(g, index.rotation(r), twist)), size))
+    rot = index.rotation_rows(roots // index.words)
+    twist = (roots % index.words)[:, None] >> np.arange(g.edge_count) & 1
+    systems = [RotationSystem(g, tuple(r), tuple(t)) for r, t in zip(rot.tolist(), twist.tolist())]
+    classes = [EmbeddingClass(fd, size) for fd, size in zip(trace_batch(systems), sizes.tolist())]
 
     classes.sort(key=lambda c: (not c.orientable, c.genus, c.face_lengths, c.self_intersection_profile))
     return classes

@@ -5,15 +5,18 @@ surface: ``rho`` is the cyclic order of incoming arcs at each vertex and
 ``tau`` marks twisted (type-1) edges.  Face tracing runs on the arcs of
 the tau-double-cover, whose numbering is fixed here once (see
 :func:`_cover_arcs`); traced walks come in chiral pairs and each pair is
-one face of the embedding.
+one face of the embedding.  One array routine traces a batch of systems
+on one graph together (:func:`trace_batch`, as the census does with every
+class of a graph); :func:`trace_faces` is the batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import GraphError
 from .graph_core import (
@@ -27,6 +30,7 @@ __all__ = [
     "RotationSystem",
     "FacialDecomposition",
     "trace_faces",
+    "trace_batch",
     "detect_orientability",
     "flip_vertex",
     "mirror",
@@ -42,7 +46,8 @@ class RotationSystem:
     ``_walks`` hold the cover arcs and the walks on them, and ``_hedgehog``
     the tailed blow-up built from them, each computed on first read, kept
     out of ``==``, ``hash``, ``repr`` and pickles, and read only: their
-    lists are never changed and the blow-up's arrays are not writeable.
+    arrays are not writeable and their tuples and lists are never changed.
+    :func:`trace_batch` fills none of them.
     """
 
     graph: SymmetricDigraph
@@ -85,16 +90,18 @@ class RotationSystem:
         return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks", "_hedgehog")}
 
     @cached_property
-    def _cover(self) -> tuple[list[int], list[int], list[int]]:
-        """The cover rotation, ``lift`` and ``state`` of :func:`_cover_arcs`."""
-        return _cover_arcs(self)
+    def _cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cover rotation, ``lift`` and ``state`` of :func:`_cover_arcs`,
+        as read-only int64 arrays."""
+        cover = _cover_arcs(np.array([self.rot]), np.array([self.twist]))
+        for a in cover:
+            a.flags.writeable = False
+        return cover
 
     @cached_property
-    def _walks(self) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
-        """The cycles of the face successor ``rot[c] ^ 1`` on cover arcs, with
-        each arc's walk and position, as :func:`permutation_cycles` lists them."""
-        walks, walk_of, position = permutation_cycles([c ^ 1 for c in self._cover[0]])
-        return tuple(map(tuple, walks)), walk_of, position
+    def _walks(self) -> _Walks:
+        """The walks of :func:`_cover_walks` on the cover, a batch of one."""
+        return _cover_walks(self._cover[0], len(self._cover[0]))
 
     @cached_property
     def _hedgehog(self):
@@ -188,31 +195,97 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 # arc on the other sheet, c ^ 3 the chiral reverse (the reversed walk on the
 # opposite sheet) and c >> 2 the base edge.  A state is 2 * base arc + sheet;
 # sheet 0 carries rho and sheet 1 rho^-1.
+#
+# A batch of systems on one graph is traced at once, on flat int64 arrays
+# over the cover arcs of all of them: cover arc c of system s is
+# s * 4|E| + c there, and so are the states.  _cover_arcs builds the covers,
+# _cover_walks finds the walks by pointer doubling, and _decompose reads the
+# faces, self-intersections and orientability off them, with one Python
+# pass per system for the tuples of its FacialDecomposition.  A single
+# system is the batch of one, traced through its memos.
 # --------------------------------------------------------------------------
 
+# Cover arcs 4k .. 4k+3 lie over base arcs 2k, 2k + 1, 2k, 2k + 1 and carry
+# states 4k + (0, 2, 1, 3) + tau_k * (1, 0, -1, 0); state 4k + j lifts to
+# cover arc 4k + (0, 2, 1, 3)[j] + tau_k * (2, -2, 0, 0)[j].
+_UNTWISTED = np.array([0, 2, 1, 3])
+_STATE_TWIST = np.array([1, 0, -1, 0])
+_LIFT_TWIST = np.array([2, -2, 0, 0])
+for _a in (_UNTWISTED, _STATE_TWIST, _LIFT_TWIST):
+    _a.flags.writeable = False
 
-def _cover_arcs(rs: RotationSystem) -> tuple[list[int], list[int], list[int]]:
-    """The double cover's rotation, ``lift`` (the cover arc of each state)
-    and ``state`` (the state of each cover arc)."""
-    n = 4 * len(rs.twist)
-    # Cover arcs 4k .. 4k+3 lie over base arcs 2k, 2k + 1, 2k, 2k + 1 and
-    # carry states 4k + tau_k, 4k + 2, 4k + 1 - tau_k, 4k + 3.
-    state = list(range(n))
-    state[0::4] = map(add, range(0, n, 4), rs.twist)
-    state[1::4] = range(2, n, 4)
-    state[2::4] = map(sub, range(1, n, 4), rs.twist)
-    lift = [0] * n
-    for c, s in enumerate(state):
-        lift[s] = c
+
+def _cover_arcs(rot: np.ndarray, twist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The double covers of a batch: from ``rot`` (systems x 2|E|) and
+    ``twist`` (systems x |E|), the cover rotation, ``lift`` (the cover arc
+    of each state) and ``state`` (the state of each cover arc), as flat
+    int64 arrays numbered across the batch."""
+    untwisted = np.arange(0, 4 * twist.size, 4)[:, None] + _UNTWISTED
+    tau = twist.reshape(-1, 1)
+    state = (untwisted + tau * _STATE_TWIST).ravel()
+    lift = (untwisted + tau * _LIFT_TWIST).ravel()
     # Sheet 0 turns the lift of e to the lift of rho(e); sheet 1 turns the
     # lift of rho(e) back to the lift of e.
     up, down = lift[0::2], lift[1::2]
-    cover_rot = [0] * n
-    for c, d in zip(up, map(up.__getitem__, rs.rot)):
-        cover_rot[c] = d
-    for c, d in zip(map(down.__getitem__, rs.rot), down):
-        cover_rot[c] = d
+    rot = (rot + np.arange(0, rot.size, rot.shape[1])[:, None]).ravel()
+    cover_rot = np.empty_like(lift)
+    cover_rot[up] = up[rot]
+    cover_rot[down[rot]] = down
     return cover_rot, lift, state
+
+
+class _Walks(NamedTuple):
+    """The walks of a batch of covers (arcs numbered as by
+    :func:`_cover_arcs`), numbered system after system, each system's in
+    order of their smallest cover arc."""
+
+    walk_of: np.ndarray  # the walk of each arc
+    position: np.ndarray  # each arc's place on its walk, from its smallest arc
+    offsets: np.ndarray  # walk w is arcs[offsets[w]:offsets[w + 1]]
+    lengths: np.ndarray  # the length of each walk
+    arcs: np.ndarray  # every walk's arcs in walk order, walk after walk
+    first: list[int]  # system s owns walks first[s] .. first[s + 1] - 1
+    faces: list[tuple[tuple[int, ...], ...]]  # per system, its walks as tuples of its cover arcs
+
+
+def _cover_walks(cover_rot: np.ndarray, n: int) -> _Walks:
+    """The cycles of the face successor ``rot[c] ^ 1`` of every cover in a
+    batch of covers with ``n`` arcs each, each from its smallest cover arc,
+    as :func:`permutation_cycles` lists them."""
+    arc = np.arange(len(cover_rot))
+    succ = cover_rot ^ 1
+    # Min-label pointer doubling on key = 2n * label + distance.  After the
+    # round of span s, the label of arc c is the smallest arc among the s
+    # arcs from c on, and the distance how far along the first of them lies
+    # (a label met again further on loses on the larger distance); the
+    # distance stays below 2n, so the keys order by label first.  Every
+    # walk has a chiral partner of its length other than itself (see
+    # _decompose), so no walk is longer than n / 2 and the rounds stop at
+    # that span.
+    key, jump, span = 2 * n * arc, succ, 1
+    while 2 * span < n:
+        key = np.minimum(key, key[jump] + span)
+        jump = jump[jump]
+        span *= 2
+    label, distance = np.divmod(key, 2 * n)
+    # A walk starts at the arc at distance 0 from its label.
+    heads = (distance == 0).nonzero()[0]
+    number = np.empty_like(arc)
+    number[heads] = np.arange(len(heads))
+    walk_of = number[label]
+    lengths = distance[succ[heads]] + 1
+    position = lengths[walk_of] - distance
+    position[heads] = 0
+    offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.add.accumulate(lengths, out=offsets[1:])
+    arcs = np.empty_like(arc)
+    arcs[offsets[walk_of] + position] = arc
+
+    flat, bounds = (arcs % n).tolist(), offsets.tolist()
+    walks = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+    first = heads.searchsorted(arc[::n]).tolist() + [len(heads)]
+    faces = [tuple(walks[a:b]) for a, b in zip(first, first[1:])]
+    return _Walks(walk_of, position, offsets, lengths, arcs, first, faces)
 
 
 @dataclass(frozen=True)
@@ -245,90 +318,151 @@ class FacialDecomposition:
 
 
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
-    """Trace every facial walk and derive genus and orientability."""
-    g = rs.graph
+    """Trace every facial walk and derive genus and orientability: the batch
+    of one, read from the cover and walks ``rs`` traces once."""
     _, lift, state = rs._cover
-    walks, walk_of, position = rs._walks
+    return _decompose([rs], np.array([rs.twist]), lift, state, rs._walks)[0]
 
-    # A walk is read from its smallest state; the key (arc sequence, that
-    # state) picks the representative of each chiral pair and orders them.
-    starts = [lift[min(map(state.__getitem__, walk))] for walk in walks]
-    read = [walk[position[c0]:] + walk[: position[c0]] for walk, c0 in zip(walks, starts)]
-    proj = [s >> 1 for s in state]
-    arcs = [tuple(map(proj.__getitem__, walk)) for walk in read]
-    key = [(a, state[c0]) for a, c0 in zip(arcs, starts)]
 
-    # Pair each walk with its chiral partner; a self-paired walk would break
-    # the face count and is rejected loudly.
-    partner = [walk_of[walk[0] ^ 3] for walk in walks]
-    reps = [i if key[i] <= key[j] else j for i, j in enumerate(partner) if i < j]
-    if 2 * len(reps) != len(walks):
-        raise GraphError("facial walk equals its own chiral reverse")
-    reps.sort(key=key.__getitem__)
+def trace_batch(systems: Sequence[RotationSystem]) -> list[FacialDecomposition]:
+    """:func:`trace_faces` of every system of a batch on one graph, traced
+    together; the systems keep no trace of their own."""
+    if not systems:
+        return []
+    g = systems[0].graph
+    if any(rs.graph != g for rs in systems):
+        raise GraphError("a batch traces systems of one graph")
+    twist = np.array([rs.twist for rs in systems])
+    cover_rot, lift, state = _cover_arcs(np.array([rs.rot for rs in systems]), twist)
+    return _decompose(systems, twist, lift, state, _cover_walks(cover_rot, 4 * g.edge_count))
 
-    cover_base: list[tuple[int, bool]] = [(-1, False)] * len(walks)
-    for base, i in enumerate(reps):
-        cover_base[i] = (base, False)
-        cover_base[partner[i]] = (base, True)
+
+def _decompose(
+    systems: Sequence[RotationSystem], twist: np.ndarray, lift: np.ndarray, state: np.ndarray, walks: _Walks
+) -> list[FacialDecomposition]:
+    """The FacialDecomposition of each system of a batch, from the covers'
+    ``lift`` and ``state`` and the walks on them."""
+    g = systems[0].graph
+    n = 4 * g.edge_count
+    walk_of, position, offsets, lengths, arcs, first, cover_faces = walks
+    heads = offsets[:-1]
+    arc = np.arange(len(arcs))
+
+    # A walk is read from its smallest state: slot[c] is the place of arc c
+    # in the reads, laid out as the walks are.
+    start_state = np.minimum.reduceat(state[arcs], heads)
+    length = lengths[walk_of]
+    slot = offsets[walk_of] + (position - position[lift[start_state]][walk_of]) % length
+    read = np.empty_like(arcs)
+    read[slot] = arc
+    slot_walk = walk_of[read]
+    proj = (state[read] % n) >> 1
+
+    # The key (arc sequence, start state) picks the representative of each
+    # chiral pair.  Partners have one length, so their reads are compared
+    # slot by slot: at the first slot where they differ, or else by their
+    # start states.  A self-paired walk is no representative, which the face
+    # count below rejects.  No rotation system has one: it would hold an arc
+    # c followed by c ^ 3, so the cover rotation would send c to c ^ 2,
+    # across the sheets it keeps apart.
+    partner = walk_of[arcs[heads] ^ 3]
+    theirs = proj[arc + (offsets[partner] - heads)[slot_walk]]
+    last = len(arc) - 1
+    stop = np.minimum.reduceat(np.where(proj != theirs, arc, last + 1), heads)
+    is_rep = np.where(stop <= last, (proj < theirs)[np.minimum(stop, last)], start_state < start_state[partner])
+    reps = is_rep.nonzero()[0]
 
     # Self-intersections: cover arc c meets its reverse c ^ 1 on the same
-    # walk; record per edge the forward/backward distances.
-    self_int: list[dict[int, tuple[int, int]]] = []
-    for i in reps:
-        r = len(walks[i])
-        hits: dict[int, tuple[int, int]] = {}
-        for c in read[i]:
-            if walk_of[c ^ 1] == i:
-                d1 = (position[c ^ 1] - position[c]) % r
-                hits[c >> 2] = (min(d1, r - d1), max(d1, r - d1))
-        self_int.append(hits)
+    # walk; record per edge, at the first of the two in read order, the
+    # forward/backward distances.
+    back = read ^ 1
+    ahead = slot[back] - arc
+    hit = ((walk_of[back] == slot_walk) & (ahead > 0)).nonzero()[0]
+    c, d1 = read[hit], ahead[hit]
+    r = length[c]
+    near = np.minimum(d1, r - d1)
+    edge, distances = ((c % n) >> 2).tolist(), list(zip(near.tolist(), (r - near).tolist()))
+    hit_bounds = hit.searchsorted(offsets).tolist()
 
-    orientable, _ = _tree_flips(rs)
-    n_faces = len(reps)
-    chi_euler = g.vertex_count - g.edge_count + n_faces
-    if orientable:
-        if (2 - chi_euler) % 2:
-            raise GraphError("Euler characteristic is odd on an orientable surface")
-        genus = (2 - chi_euler) // 2
-    else:
-        genus = 2 - chi_euler
+    orientable = _tree_flips(g, twist)[0].tolist()
+    rep_bounds = reps.searchsorted(first).tolist()
+    proj, bounds, reps = proj.tolist(), offsets.tolist(), reps.tolist()
+    start_state, partner = start_state.tolist(), partner.tolist()
+    decompositions = []
+    for s, rs in enumerate(systems):
+        lo, hi = first[s], first[s + 1]
+        ranked = sorted(
+            (tuple(proj[bounds[w] : bounds[w + 1]]), start_state[w], w) for w in reps[rep_bounds[s] : rep_bounds[s + 1]]
+        )
+        if 2 * len(ranked) != hi - lo:
+            raise GraphError("facial walk equals its own chiral reverse")
+        cover_base: list[tuple[int, bool]] = [(-1, False)] * (hi - lo)
+        self_int = []
+        for base, (_, _, w) in enumerate(ranked):
+            cover_base[w - lo] = (base, False)
+            cover_base[partner[w] - lo] = (base, True)
+            a, b = hit_bounds[w], hit_bounds[w + 1]
+            self_int.append(dict(zip(edge[a:b], distances[a:b])) if a < b else {})
 
-    return FacialDecomposition(
-        rs=rs,
-        cover_faces=walks,
-        faces=tuple(arcs[i] for i in reps),
-        self_intersections=tuple(self_int),
-        orientable=orientable,
-        genus=genus,
-        cover_base=tuple(cover_base),
-    )
+        chi_euler = g.vertex_count - g.edge_count + len(ranked)
+        if orientable[s]:
+            if (2 - chi_euler) % 2:
+                raise GraphError("Euler characteristic is odd on an orientable surface")
+            genus = (2 - chi_euler) // 2
+        else:
+            genus = 2 - chi_euler
+        decompositions.append(
+            FacialDecomposition(
+                rs=rs,
+                cover_faces=cover_faces[s],
+                faces=tuple(face for face, _, _ in ranked),
+                self_intersections=tuple(self_int),
+                orientable=orientable[s],
+                genus=genus,
+                cover_base=tuple(cover_base),
+            )
+        )
+    return decompositions
 
 
-def _tree_flips(rs: RotationSystem) -> tuple[bool, list[int]]:
-    """Twist normalisation along a BFS spanning tree, from the twist bits.
+def _tree_flips(g: SymmetricDigraph, twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twist normalisation along a BFS spanning tree, for a batch of twist
+    rows (systems x |E|) on one graph.
 
     Walking the tree in discovery order, a child is flipped iff its tree
-    edge, after the flip of its parent, is still twisted.  An edge then ends
-    up twisted iff its own twist and the flips of its two ends disagree; the
-    surface is non-orientable iff such an edge survives (only non-tree edges
-    can).  Returns (orientable, flip bit per vertex).
+    edge, after the flip of its parent, is still twisted, so a vertex is
+    flipped iff its tree path to the root carries an odd twist.  An edge
+    then ends up twisted iff its own twist and the flips of its two ends
+    disagree; the surface is non-orientable iff such an edge survives (only
+    non-tree edges can).  Returns (orientable, flip bit per vertex), a row
+    per system.
     """
-    g = rs.graph
     tree = bfs_forest(g)
     if len(tree) != g.vertex_count - 1:
         raise GraphError("orientability and genus need a connected graph")
-    flip = [0] * g.vertex_count
-    for parent, child in tree:
-        flip[child] = flip[parent] ^ rs.twist[arc_edge(g.arc_between(parent, child))]
-    orientable = all(
-        t == flip[u] ^ flip[v] for t, u, v in zip(rs.twist, g.origin[::2], g.terminus[::2])
-    )
-    return orientable, flip
+    # Each vertex's parent and tree edge; the root, vertex 0, is its own
+    # parent, over edge 0, whose twist it then drops.
+    parent, edge, depth = list(range(g.vertex_count)), [0] * g.vertex_count, [0] * g.vertex_count
+    for p, c in tree:
+        parent[c], edge[c], depth[c] = p, arc_edge(g.arc_between(p, c)), depth[p] + 1
+    flip = twist.take(edge, axis=1)
+    flip[:, 0] = 0
+    # Pointer jumping: after the round of span s, flip[v] is the parity of
+    # the twists on the s tree edges above v (on all of them if the root is
+    # nearer) and above[v] the vertex s edges up (or the root).
+    above, span, height = np.array(parent), 1, max(depth)
+    while span < height:
+        flip ^= flip.take(above, axis=1)
+        above = above[above]
+        span *= 2
+    # Arc 2k runs from one end of edge k and arc 2k + 1 from the other.
+    ends = flip.take(g.origin, axis=1)
+    return ~(twist ^ ends[:, 0::2] ^ ends[:, 1::2]).any(axis=1), flip
 
 
 def detect_orientability(rs: RotationSystem) -> tuple[bool, RotationSystem]:
     """Normalize twists along a spanning tree by vertex flips; the surface is
     non-orientable iff a twisted edge survives outside the tree.  The
     normalized system is built once, with every tree flip applied together."""
-    orientable, flip = _tree_flips(rs)
-    return orientable, _flipped(rs, flip)
+    orientable, flip = _tree_flips(rs.graph, np.array([rs.twist]))
+    return bool(orientable[0]), _flipped(rs, flip[0].tolist())

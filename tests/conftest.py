@@ -53,6 +53,20 @@ def random_rotation_system(rng, graph=None, max_vertices=6):
     return RotationSystem(g, tuple(rot), twist)
 
 
+def decomposition_fields(fd):
+    """Every field of a FacialDecomposition, each self-intersection dict as
+    its item list, so that item order counts."""
+    return (
+        fd.rs,
+        fd.cover_faces,
+        fd.faces,
+        [list(hits.items()) for hits in fd.self_intersections],
+        fd.orientable,
+        fd.genus,
+        fd.cover_base,
+    )
+
+
 def random_d_real_coin(rng, max_a=0.9):
     s = float(rng.uniform(0.05, max_a)) * (1 if rng.random() < 0.5 else -1)
     return Coin.from_params(s, float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, 2 * np.pi)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import projective_k4, planar_k4, random_rotation_system
-from surfwalk import graph_core, rotation_system
+from surfwalk import rotation_system
 from surfwalk.covering_blowup import (
     attach_hedgehog,
     blow_up,
@@ -239,7 +239,7 @@ def _count_calls(monkeypatch, name, original):
 
 def _count_traces(monkeypatch):
     covers = _count_calls(monkeypatch, "_cover_arcs", rotation_system._cover_arcs)
-    walks = _count_calls(monkeypatch, "permutation_cycles", graph_core.permutation_cycles)
+    walks = _count_calls(monkeypatch, "_cover_walks", rotation_system._cover_walks)
     return covers, walks
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import enum_oracle
-from conftest import random_rotation_system
+from conftest import decomposition_fields, random_rotation_system
 from surfwalk.comfortability import average_comfortability, comfortability, limit_comfortability
 from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import (
@@ -193,6 +193,29 @@ def test_census_matches_bfs_oracle(g):
         for c in enumerate_embeddings(g)
     ]
     assert got == enum_oracle.census(g)
+
+
+def _assert_batch_is_per_system(classes):
+    # The census traces a graph's classes in one batch and keeps no trace on
+    # their systems; tracing each system alone must give the same fields.
+    for c in classes:
+        rs = c.representative
+        assert "_cover" not in vars(rs) and "_walks" not in vars(rs)
+        alone = trace_faces(RotationSystem(rs.graph, rs.rot, rs.twist))
+        assert decomposition_fields(c.decomposition) == decomposition_fields(alone)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(n) for n in (3, 4, 5, 6)] + [complete_graph(4), K4_MINUS_EDGE, K23, THETA6, DUMBBELL],
+    ids=["C3", "C4", "C5", "C6", "K4", "K4-e", "K23", "theta6", "dumbbell"],
+)
+def test_census_batch_trace_is_the_per_system_trace(g):
+    _assert_batch_is_per_system(enumerate_embeddings(g))
+
+
+def test_k5_census_batch_trace_is_the_per_system_trace(k5_classes):
+    _assert_batch_is_per_system(k5_classes)
 
 
 @pytest.mark.parametrize(

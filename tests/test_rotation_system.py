@@ -1,19 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import face_oracle
-from conftest import projective_k4, planar_k4, random_rotation_system
+from conftest import decomposition_fields, projective_k4, planar_k4, random_rotation_system
 from surfwalk.covering_blowup import double_cover, hedgehog
 from surfwalk.errors import GraphError
 from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph, path_graph
 from surfwalk.rotation_system import (
     RotationSystem,
+    _cover_walks,
+    _decompose,
     _flipped,
     detect_orientability,
     flip_vertex,
     mirror,
+    trace_batch,
     trace_faces,
 )
 
@@ -186,6 +191,92 @@ def test_trace_faces_matches_state_oracle():
     assert count == 500
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_batch_trace_is_the_per_system_trace(n):
+    rng = np.random.default_rng(4000 + n)
+    systems = [random_rotation_system(rng, complete_graph(n)) for _ in range(12)]
+    # Some untwisted copies, so orientable and non-orientable rows mix.
+    systems += [RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count) for rs in systems[:4]]
+    batch = trace_batch(systems)
+    # The batch fills no trace memo of its systems.
+    assert not any("_cover" in vars(rs) or "_walks" in vars(rs) for rs in systems)
+    assert [fd.rs for fd in batch] == systems
+    fields = [decomposition_fields(fd) for fd in batch]
+    assert fields == [decomposition_fields(trace_faces(rs)) for rs in systems]
+    for fd in batch:
+        expect = face_oracle.trace(fd.rs)
+        assert (list(fd.faces), fd.orientable, fd.genus) == (expect["faces"], expect["orientable"], expect["genus"])
+    # A system's trace does not depend on the rest of its batch.
+    assert [decomposition_fields(fd) for fd in trace_batch(systems[::-1])] == fields[::-1]
+    assert [decomposition_fields(fd) for fd in trace_batch(systems[3:4])] == fields[3:4]
+
+
+def test_empty_batch_traces_nothing():
+    assert trace_batch([]) == []
+
+
+def test_batch_rejects_systems_of_two_graphs():
+    with pytest.raises(GraphError, match="^a batch traces systems of one graph$"):
+        trace_batch([planar_k4(), random_rotation_system(np.random.default_rng(5), complete_graph(5))])
+
+
+def test_batch_rejects_a_disconnected_graph_as_the_single_trace_does():
+    g = SymmetricDigraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    rot = tuple(unique_cycle_rotation(g))
+    systems = [RotationSystem(g, rot, (0,) * 6), RotationSystem(g, rot, (1, 0, 0, 0, 0, 1))]
+    message = "^orientability and genus need a connected graph$"
+    with pytest.raises(GraphError, match=message):
+        trace_faces(systems[1])
+    with pytest.raises(GraphError, match=message):
+        trace_batch(systems)
+
+
+def test_a_self_paired_walk_is_rejected():
+    # No rotation system has a walk that is its own chiral reverse: such a
+    # walk would hold an arc c whose successor is c ^ 3, so the cover
+    # rotation would send c to c ^ 2, across the sheets it keeps apart.  So
+    # the guard is driven with a doctored walk set: one walk of planar K4
+    # joined to its chiral partner into one cycle.
+    rs = planar_k4()
+    walks = list(trace_faces(rs).cover_faces)
+    first = walks.pop(0)
+    partner = next(w for w in walks if first[0] ^ 3 in w)
+    walks.remove(partner)
+    succ = list(range(rs.graph.arc_count * 2))
+    for walk in walks + [first + partner]:
+        for c, d in zip(walk, walk[1:] + walk[:1]):
+            succ[c] = d
+    _, lift, state = rs._cover
+    doctored = _cover_walks(np.array(succ) ^ 1, len(succ))
+    with pytest.raises(GraphError, match="^facial walk equals its own chiral reverse$"):
+        _decompose([rs], np.array([rs.twist]), lift, state, doctored)
+
+
+def _trace_peak(n):
+    """The tracemalloc peak of trace_faces on a fresh copy of a seeded random
+    K_n system, and its arc count; one untraced trace runs first."""
+    rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
+    trace_faces(RotationSystem(rs.graph, rs.rot, rs.twist))
+    fresh = RotationSystem(rs.graph, rs.rot, rs.twist)
+    tracemalloc.start()
+    try:
+        trace_faces(fresh)
+        return tracemalloc.get_traced_memory()[1], rs.graph.arc_count
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_follows_the_arcs():
+    # Pointer doubling keeps one key and one jump array per round, not one
+    # per round: from K16 to K32 the peak grows at most twice as fast as the
+    # arcs, and at K64 (4,032 arcs) it stays under 4 MB.
+    (peak16, arcs16), (peak32, arcs32) = _trace_peak(16), _trace_peak(32)
+    assert (arcs16, arcs32) == (240, 992)
+    assert peak32 <= 2 * peak16 * arcs32 / arcs16
+    peak64, _ = _trace_peak(64)
+    assert peak64 < 4e6
+
+
 def test_chiral_tie_goes_to_the_smaller_state():
     # Two faces of this triangle share the arc sequence (0, 4, 3); the one
     # read from the smaller state is face 0.
@@ -248,6 +339,29 @@ def test_detect_orientability_matches_flip_by_flip(rng):
                 assert (orientable, normalized) == _flip_by_flip(system)
                 assert orientable == trace_faces(system).orientable
                 assert orientable == (double_cover(system).components == 2)
+            assert detect_orientability(disguised)[0]
+
+
+def _grid(m):
+    """The m x m grid graph: every vertex has degree 2 to 4."""
+    edges = [(m * i + j, m * i + j + 1) for i in range(m) for j in range(m - 1)]
+    edges += [(m * i + j, m * (i + 1) + j) for i in range(m - 1) for j in range(m)]
+    return SymmetricDigraph.from_edges(m * m, edges)
+
+
+def test_detect_orientability_matches_flip_by_flip_on_deep_trees(rng):
+    # Breadth-first trees of depth 2 to 12, so the flips take several
+    # rounds of pointer jumping.
+    for g in [cycle_graph(n) for n in (5, 9, 16, 25)] + [_grid(m) for m in (3, 5, 7)]:
+        for _ in range(4):
+            rs = random_rotation_system(rng, graph=g)
+            disguised = RotationSystem(g, rs.rot, (0,) * g.edge_count)
+            for x in rng.choice(g.vertex_count, size=g.vertex_count // 2, replace=False):
+                disguised = flip_vertex(disguised, int(x))
+            for system in (rs, disguised):
+                orientable, normalized = detect_orientability(system)
+                assert (orientable, normalized) == _flip_by_flip(system)
+                assert orientable == trace_faces(system).orientable == face_oracle.orientable(system)
             assert detect_orientability(disguised)[0]
 
 

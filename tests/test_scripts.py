@@ -40,3 +40,8 @@ def test_front_end_timing_reports_every_stage():
     assert all(isinstance(row[k], float) and row[k] >= 0 for k in stages + export)
     # The dense export is timed up to K20 only.
     assert list(script["stage_times"](21, np.random.default_rng(script["SEED"]), 1)) == ["graph", "arcs"] + stages
+    # The small-system row comes first, from a generator of its own.
+    assert script["SMALL"] == 4 and script["SIZES"][0] == 8
+    small = script["stage_times"](script["SMALL"], np.random.default_rng(script["SEED"]), 1)
+    assert list(small) == ["graph", "arcs"] + stages + export
+    assert (small["graph"], small["arcs"]) == ("K4", 12)
