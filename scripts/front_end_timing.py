@@ -17,15 +17,20 @@ cost of each stage on a small system.  The stages:
 - ``hedgehog_ms``: ``hedgehog`` on a fresh system that ``trace_faces`` has
   traced, so it reads that trace; a repeated ``hedgehog`` call on one
   system is a memo read, so each call gets a system of its own;
+- ``face_index_ms``: the one-time derivation of every coin-free index
+  array a hedgehog keeps for its scattering matrices (``face_layout``,
+  ``face_index``, ``gram_index``, ``same_face_pairs``) on a fresh hedgehog;
 - ``scattering_matrix_ms``: ``scattering_matrix`` under the Hadamard coin,
-  on a hedgehog whose coin-free face layout is already built;
+  on a hedgehog whose coin-free indices are already built, so only the
+  coin arithmetic is timed;
 - ``orientability_ms``: ``orientability_from_scattering`` on that S, the
   sign test read from its face layout; a twisted system usually returns
   at its first face with a vertex of both parities;
 - ``orientability_untwisted_ms``: the same on the system with every twist
   cleared, which is orientable, so every face's vertex pairs are marked;
 - ``average_by_enumeration_ms``: ``average_by_enumeration`` under the
-  Hadamard coin, which builds its own S and reads each face's Gram column.
+  Hadamard coin on that hedgehog, which builds its own S and reads each
+  face's Gram column through the built indices.
 
 For n <= 20 it also times the dense export (a K32 export is on the order of
 100 MB):
@@ -88,6 +93,11 @@ def best_ms(run, repeat: int, prepare=lambda: None) -> float:
     return 1e3 * min(times)
 
 
+def face_indices(bg):
+    """Every coin-free index array of ``bg``, derived on first read."""
+    return bg.face_layout, bg.face_index, bg.gram_index, bg.same_face_pairs
+
+
 def stage_times(n: int, rng, repeat: int) -> dict:
     rs = random_kn_system(n, rng)
     g = rs.graph
@@ -104,6 +114,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
 
     fd = trace_faces(rs)
     bg = hedgehog(rs)
+    face_indices(bg)
     s = scattering_matrix(bg, coin)
     untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
     row = {
@@ -116,6 +127,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         ),
         "trace_faces_ms": best_ms(trace_faces, repeat, fresh),
         "hedgehog_ms": best_ms(hedgehog, repeat, traced),
+        "face_index_ms": best_ms(face_indices, repeat, lambda: hedgehog(traced())),
         "scattering_matrix_ms": best_ms(lambda _: scattering_matrix(bg, coin), repeat),
         "orientability_ms": best_ms(orientability_from_scattering, repeat, lambda: s),
         "orientability_untwisted_ms": best_ms(orientability_from_scattering, repeat, lambda: untwisted),

@@ -165,28 +165,17 @@ def average_by_enumeration(
     D C_f D and g_f the Gram column of C_f (:meth:`ScatteringMatrix._gram`),
     N = sum_f q_f g_f[0] is the squared Frobenius norm of Q, and X sums
     sign_t (-1)^(P_j + P_j') Re g_f[(j - j') mod q] over the tails t, at j,
-    whose partner ``bar[t]``, at j', lies on the same face; other tails add
-    nothing to X.  Every entry is read off g_f: O(q log q) per face and no
-    block.
+    whose partner ``bar[t]``, at j', lies on the same face (the hedgehog's
+    ``same_face_pairs``); other tails add nothing to X.  Every entry is
+    read off g_f: O(q log q) per face and no block.
     """
     coin.require_closed_form()
     s = scattering_matrix(hedgehog(fd.rs), coin) if scattering is None else scattering
     _require_built_for(s, coin, fd.rs)
-    bg, tails, offsets, parity = s.bg, s.tails, s.offsets, s.parity
-    lengths = np.diff(offsets)
     gram = s._gram(0.0)
-    norm = float(lengths @ gram[offsets[:-1]].real)
-
-    # Slots u of the layout whose tail's partner sits in slot v of the same
-    # face, j - j' = u - v apart.
-    slot = np.empty(bg.size, dtype=np.int64)
-    slot[tails] = np.arange(bg.size)
-    face = np.repeat(np.arange(len(lengths)), lengths)
-    partner = slot[bg.bar[tails]]
-    u = np.flatnonzero(face[partner] == face)
-    v, f = partner[u], face[u]
-    entry = gram[offsets[f] + (u - v) % lengths[f]]
-    cross = float(bg.bridge_sign[tails[u]] * (1 - 2 * (parity[u] ^ parity[v])) @ entry.real)
+    norm = float(s.bg.face_index[0] @ gram[s.offsets[:-1]].real)
+    entry, sign = s.bg.same_face_pairs
+    cross = float(sign @ gram[entry].real)
 
     d = coin.d.real
     island = norm / abs(coin.c) ** 2

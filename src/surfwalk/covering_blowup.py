@@ -88,11 +88,15 @@ class DoubleCover:
         return self.graph.vertex_count - len(bfs_forest(self.graph))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def double_cover(rs: RotationSystem) -> DoubleCover:
     rot, lift, state = rs._cover
-    proj, sheet = state >> 1, state & 1
-    for a in (proj, sheet):
-        a.flags.writeable = False
+    proj, sheet = _read_only(state >> 1, state & 1)
     return DoubleCover(base=rs, rot=rot, lift=lift, proj=proj, sheet=sheet)
 
 
@@ -112,6 +116,14 @@ class BlowUpGraph:
     g is ``rot_inv[g]`` and the one out of it is ``g``.  The bijection phi
     from bridges to tails is ``bar`` as well: bridge g feeds the tail on
     island ``bar[g]``, and tail i is fed by bridge ``bar[i]``.
+
+    The coin-free arrays every scattering matrix on the graph reads live
+    here, each derived from ``faces`` on first read, read-only and kept out
+    of ``==``: ``face_layout`` (tails in walk order, face offsets, twist
+    parities), ``face_index`` (face lengths, each slot's face and place),
+    ``gram_index`` (the Gram gathers and scatters per face length) and
+    ``same_face_pairs`` (the tails whose partner is on their own face).  A
+    caller pays only for those it reads; S itself does only coin arithmetic.
     """
 
     cover: DoubleCover
@@ -129,6 +141,15 @@ class BlowUpGraph:
         return len(self.rot)
 
     @cached_property
+    def face_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``lengths``, per face its length, and per slot of the layout
+        (``tails`` order) ``face``, the number of its face, and ``place``,
+        its place on that face from 0."""
+        lengths = np.fromiter(map(len, self.faces), dtype=np.int64, count=len(self.faces))
+        face = np.repeat(np.arange(len(lengths)), lengths)
+        return _read_only(lengths, face, np.arange(self.size) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+
+    @cached_property
     def face_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The coin-free layout every scattering matrix of this graph shares:
         ``tails``, the islands of every face in walk order, face after face;
@@ -139,24 +160,49 @@ class BlowUpGraph:
         An extended facial walk is a closed walk on the double cover: it
         ends on the sheet it started on, so it crosses an even number of
         twisted bridges and its last P_j is 0.  A face that breaks this
-        raises :class:`GraphError`.  Derived on first read from this
-        instance's ``faces`` and ``bridge_twist`` and kept out of ``==``;
-        the arrays are read-only.
+        raises :class:`GraphError`.
         """
         # Every island carries a tail, so the tails of a face are its islands.
         tails = np.fromiter(itertools.chain.from_iterable(self.faces), dtype=np.int64, count=self.size)
         twist = self.bridge_twist[tails]
-        lengths = np.fromiter(map(len, self.faces), dtype=np.int64, count=len(self.faces))
+        lengths, face, _ = self.face_index
         offsets = np.concatenate(([0], np.cumsum(lengths)))
         # P_j: the running twist count, less its value before the face's start.
         run = np.cumsum(twist)
-        parity = (run - (run - twist)[np.repeat(offsets[:-1], lengths)]) & 1
+        parity = (run - (run - twist)[offsets[face]]) & 1
         odd = np.flatnonzero(parity[offsets[1:] - 1])
         if len(odd):
             raise GraphError(f"face {odd[0]} crosses an odd number of twisted bridges: it does not close on its sheet")
-        for a in (tails, offsets, parity):
-            a.flags.writeable = False
-        return tails, offsets, parity
+        return _read_only(tails, offsets, parity)
+
+    @cached_property
+    def gram_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per distinct face length q, a row per face of that length: the
+        gather of its first circulant column c_f[q], c_f[1 ... q-1] from the
+        layout, and the scatter of its Gram column back into the layout
+        (``ScatteringMatrix._gram``)."""
+        lengths, offsets = self.face_index[0], self.face_layout[1]
+        index = []
+        for q in dict.fromkeys(lengths.tolist()):
+            scatter = offsets[:-1][lengths == q, None] + np.arange(q)
+            index.append(_read_only(np.roll(scatter, 1, axis=1), scatter))
+        return tuple(index)
+
+    @cached_property
+    def same_face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each slot u (at j) of the layout whose tail t has its partner
+        ``bar[t]`` on the same face (at j'): the slot of the face's Gram
+        column entry (j - j') mod q, and the sign sign_t (-1)^(P_j + P_j')
+        (``comfortability.average_by_enumeration``)."""
+        tails, offsets, parity = self.face_layout
+        lengths, face, _ = self.face_index
+        slot = np.empty(self.size, dtype=np.int64)
+        slot[tails] = np.arange(self.size)
+        partner = slot[self.bar[tails]]
+        u = np.flatnonzero(face[partner] == face)
+        v, f = partner[u], face[u]
+        sign = self.bridge_sign[tails[u]] * (1 - 2 * (parity[u] ^ parity[v]))
+        return _read_only(offsets[f] + (u - v) % lengths[f], sign)
 
 
 def blow_up(dc: DoubleCover) -> BlowUpGraph:
@@ -174,8 +220,7 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
     # the base system traced once for trace_faces.
     faces = dc.base._walks.faces[0]
     # A hedgehog is shared by every caller of hedgehog(rs).
-    for a in (rot_inv, bar, twist, sign):
-        a.flags.writeable = False
+    _read_only(rot_inv, bar, twist, sign)
 
     return BlowUpGraph(
         cover=dc,

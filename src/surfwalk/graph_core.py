@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import GraphError
 
@@ -24,7 +24,6 @@ __all__ = [
     "path_graph",
     "bfs_forest",
     "is_connected",
-    "permutation_cycles",
 ]
 
 
@@ -159,30 +158,3 @@ def bfs_forest(g: SymmetricDigraph) -> list[tuple[int, int]]:
 
 def is_connected(g: SymmetricDigraph) -> bool:
     return len(bfs_forest(g)) == g.vertex_count - 1
-
-
-def permutation_cycles(succ: Sequence[int]) -> tuple[list[list[int]], list[int], list[int]]:
-    """The cycles of the permutation ``succ`` of ``0 .. n-1``.
-
-    Cycles are listed in order of their smallest element and each starts
-    there.  Also returns, per element, the index of its cycle and its
-    position on it, so ``cycles[cycle_of[x]][position[x]] == x``.
-    """
-    n = len(succ)
-    cycle_of = [-1] * n
-    position = [0] * n
-    cycles: list[list[int]] = []
-    for start in range(n):
-        if cycle_of[start] >= 0:
-            continue
-        cycle = []
-        x = start
-        while cycle_of[x] < 0:
-            cycle_of[x] = len(cycles)
-            position[x] = len(cycle)
-            cycle.append(x)
-            x = succ[x]
-        if x != start:
-            raise GraphError("successor map is not a permutation")
-        cycles.append(cycle)
-    return cycles, cycle_of, position

@@ -19,12 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import (
-    SymmetricDigraph,
-    arc_edge,
-    bfs_forest,
-    permutation_cycles,
-)
+from .graph_core import SymmetricDigraph, arc_edge, bfs_forest
 
 __all__ = [
     "RotationSystem",
@@ -139,13 +134,15 @@ class RotationSystem:
         return cls(graph, tuple(rot), tuple(twists))
 
     def neighbor_orders(self) -> list[list[int]]:
-        """Inverse of :meth:`from_neighbor_orders` (starts at the smallest arc)."""
-        g = self.graph
-        cycles, cycle_of, _ = permutation_cycles(self.rot)
-        return [
-            [g.origin[e] for e in cycles[cycle_of[g.incoming_arcs(x)[0]]]]
-            for x in range(g.vertex_count)
-        ]
+        """Inverse of :meth:`from_neighbor_orders`: rho walked from each
+        vertex's smallest incoming arc."""
+        g, orders = self.graph, []
+        for x in range(g.vertex_count):
+            e = first = g.incoming_arcs(x)[0]
+            orders.append([g.origin[e]])
+            while (e := self.rot[e]) != first:
+                orders[-1].append(g.origin[e])
+        return orders
 
     def rot_inverse(self) -> tuple[int, ...]:
         inv = [0] * len(self.rot)
@@ -251,7 +248,7 @@ class _Walks(NamedTuple):
 def _cover_walks(cover_rot: np.ndarray, n: int) -> _Walks:
     """The cycles of the face successor ``rot[c] ^ 1`` of every cover in a
     batch of covers with ``n`` arcs each, each from its smallest cover arc,
-    as :func:`permutation_cycles` lists them."""
+    in order of those arcs."""
     arc = np.arange(len(cover_rot))
     succ = cover_rot ^ 1
     # Min-label pointer doubling on key = 2n * label + distance.  After the

@@ -5,28 +5,42 @@ A trace state is 2*e + s: arc e together with the parity s of the twist
 sum accumulated up to and including e.  The successor applies rho (s = 0)
 or rho^-1 (s = 1), flips to the inverse arc and absorbs the new edge's
 twist into the parity.  The chiral involution (reverse the walk on the
-opposite sheet) is chi(e, s) = (e-bar, s + tau(e) + 1).  Orbits start at
-their smallest state; the representative of a chiral pair is the orbit with
-the lexicographically smaller arc sequence, and representatives are sorted
-by it.  Orientability is a twist 2-colouring of the vertices found by a
+opposite sheet) is chi(e, s) = (e-bar, s + tau(e) + 1).  Orbits are the
+cycles of :func:`permutation_cycles`, each from its smallest state; the
+representative of a chiral pair is the orbit with the lexicographically
+smaller arc sequence, and representatives are sorted by it.
+Orientability is a twist 2-colouring of the vertices found by a
 depth-first search of its own.
 """
 
+from surfwalk.errors import GraphError
 
-def orbits_of(succ: list[int]) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
-    """Orbits of a permutation by smallest element, each starting there,
-    with the orbit and position of every element."""
-    orbits, orbit_of, position = [], {}, {}
-    for start in range(len(succ)):
-        if start in orbit_of:
+
+def permutation_cycles(succ) -> tuple[list[list[int]], list[int], list[int]]:
+    """The cycles of the permutation ``succ`` of ``0 .. n-1``.
+
+    Cycles are listed in order of their smallest element and each starts
+    there.  Also returns, per element, the index of its cycle and its
+    position on it, so ``cycles[cycle_of[x]][position[x]] == x``.
+    """
+    n = len(succ)
+    cycle_of = [-1] * n
+    position = [0] * n
+    cycles: list[list[int]] = []
+    for start in range(n):
+        if cycle_of[start] >= 0:
             continue
-        orbit, x = [], start
-        while x not in orbit_of:
-            orbit_of[x], position[x] = len(orbits), len(orbit)
-            orbit.append(x)
+        cycle = []
+        x = start
+        while cycle_of[x] < 0:
+            cycle_of[x] = len(cycles)
+            position[x] = len(cycle)
+            cycle.append(x)
             x = succ[x]
-        orbits.append(orbit)
-    return orbits, orbit_of, position
+        if x != start:
+            raise GraphError("successor map is not a permutation")
+        cycles.append(cycle)
+    return cycles, cycle_of, position
 
 
 def successor_table(rs) -> list[int]:
@@ -70,7 +84,7 @@ def orientable(rs) -> bool:
 def trace(rs) -> dict:
     """Orbits on trace states with (base face, is_chiral_copy) per orbit,
     faces, self-intersections (in walk order), orientability and genus."""
-    orbits, orbit_of, position = orbits_of(successor_table(rs))
+    orbits, orbit_of, position = permutation_cycles(successor_table(rs))
     partner = [orbit_of[chi(rs, orbit[0])] for orbit in orbits]
     arcs = [tuple(s >> 1 for s in orbit) for orbit in orbits]
     reps = [i if arcs[i] <= arcs[j] else j for i, j in enumerate(partner) if i < j]

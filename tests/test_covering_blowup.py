@@ -7,6 +7,7 @@ import pytest
 
 from conftest import projective_k4, planar_k4, random_rotation_system
 from surfwalk import rotation_system
+from surfwalk.comfortability import average_by_enumeration
 from surfwalk.covering_blowup import (
     attach_hedgehog,
     blow_up,
@@ -84,6 +85,11 @@ def test_blow_up_counts():
     assert attach_hedgehog(bg) is bg
 
 
+def _arrays(x) -> list[np.ndarray]:
+    """The arrays of a nest of tuples, in order."""
+    return [x] if isinstance(x, np.ndarray) else [a for y in x for a in _arrays(y)]
+
+
 def test_hedgehog_is_built_once_and_read_only():
     rs = projective_k4()
     bg = hedgehog(rs)
@@ -91,11 +97,12 @@ def test_hedgehog_is_built_once_and_read_only():
     # A fresh system gets its own graph, equal to the shared one.
     fresh = hedgehog(projective_k4())
     assert fresh is not bg and fresh == bg
-    arrays = [bg.rot, bg.rot_inv, bg.bar, bg.bridge_twist, bg.bridge_sign, *bg.face_layout]
+    arrays = [bg.rot, bg.rot_inv, bg.bar, bg.bridge_twist, bg.bridge_sign]
+    arrays += _arrays([bg.face_layout, bg.face_index, bg.gram_index, bg.same_face_pairs])
     arrays += [blow_up(double_cover(rs)).bar]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[1]
+            array[..., 0] = 0
 
 
 def test_face_layout_is_shared_and_follows_the_twists():
@@ -272,3 +279,33 @@ def test_traced_system_compares_hashes_and_pickles_as_before():
     again = pickle.loads(pickle.dumps(rs))
     assert again == rs and hash(again) == hash(rs)
     assert trace_faces(again) == trace_faces(rs)
+
+
+def test_face_indices_are_shared_and_derived_per_graph():
+    rs = projective_k4()
+    bg, fd = hedgehog(rs), trace_faces(rs)
+    names = ("face_layout", "face_index", "gram_index", "same_face_pairs")
+    seen = []
+    for coin in (Coin.hadamard_type(), Coin.real_symmetric(0.3)):
+        s = scattering_matrix(bg, coin)
+        s.unitarity_defect()
+        average_by_enumeration(fd, coin, scattering=s)
+        seen.append(_arrays([getattr(bg, name) for name in names]))
+    # Both scattering matrices read the very same arrays.
+    assert len(seen[0]) == len(seen[1]) > 8
+    for first, second in zip(*seen):
+        assert first is second
+    # A rebuilt graph derives its own, equal to the shared ones.
+    other = dataclasses.replace(bg)
+    assert other == bg
+    for mine, shared in zip(_arrays([getattr(other, name) for name in names]), seen[0], strict=True):
+        assert mine is not shared and np.array_equal(mine, shared)
+
+
+def test_one_scattering_matrix_derives_only_the_indices_it_reads():
+    bg = hedgehog(projective_k4())
+    s = scattering_matrix(bg, Coin.hadamard_type())
+    assert {"face_layout", "face_index"} <= vars(bg).keys()
+    assert "gram_index" not in vars(bg) and "same_face_pairs" not in vars(bg)
+    s.unitarity_defect()
+    assert "gram_index" in vars(bg) and "same_face_pairs" not in vars(bg)

@@ -10,7 +10,6 @@ from surfwalk.graph_core import (
     cycle_graph,
     is_connected,
     path_graph,
-    permutation_cycles,
 )
 
 
@@ -131,17 +130,6 @@ def test_first_bad_edge_is_named(first, second):
     with pytest.raises(GraphError) as err:
         _digraph(arcs)
     assert str(err.value) == message.format(k=1)
-
-
-def test_permutation_cycles_start_at_their_smallest_element():
-    succ = [3, 0, 2, 4, 1, 6, 5]
-    cycles, cycle_of, position = permutation_cycles(succ)
-    assert cycles == [[0, 3, 4, 1], [2], [5, 6]]
-    for x in range(len(succ)):
-        assert cycles[cycle_of[x]][position[x]] == x
-    for bad in ([1, 1, 0], [1, 2, 1]):
-        with pytest.raises(GraphError, match="not a permutation"):
-            permutation_cycles(bad)
 
 
 @pytest.mark.parametrize(

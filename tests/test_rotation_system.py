@@ -168,6 +168,25 @@ def _oracle_systems():
         yield from (random_rotation_system(rng, complete_graph(n)) for _ in range(20))
 
 
+def test_permutation_cycles_start_at_their_smallest_element():
+    succ = [3, 0, 2, 4, 1, 6, 5]
+    cycles, cycle_of, position = face_oracle.permutation_cycles(succ)
+    assert cycles == [[0, 3, 4, 1], [2], [5, 6]]
+    for x in range(len(succ)):
+        assert cycles[cycle_of[x]][position[x]] == x
+    for bad in ([1, 1, 0], [1, 2, 1]):
+        with pytest.raises(GraphError, match="not a permutation"):
+            face_oracle.permutation_cycles(bad)
+
+
+def test_neighbor_orders_start_each_rho_cycle_at_the_smallest_arc(rng):
+    for rs in [planar_k4(), projective_k4()] + [random_rotation_system(rng) for _ in range(40)]:
+        g = rs.graph
+        cycles, cycle_of, _ = face_oracle.permutation_cycles(rs.rot)
+        expect = [[g.origin[e] for e in cycles[cycle_of[min(g.incoming_arcs(x))]]] for x in range(g.vertex_count)]
+        assert rs.neighbor_orders() == expect
+
+
 def test_trace_faces_matches_state_oracle():
     # The library traces cover arcs and the oracle trace states; the two
     # must agree face by face once the oracle's orbits are lifted.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 import exact_oracle
+import index_oracle
 from conftest import (
     projective_k4,
     planar_k4,
@@ -744,3 +745,27 @@ def test_columns_face_blocks_and_blocks_share_one_table(k4_classes, rng):
                 # At most 2q + 1 distinct entries: +-c_f[k] and the diagonal.
                 assert len(np.unique(_bits(block).reshape(-1, 2), axis=0)) <= 2 * q + 1
                 assert np.all(np.diag(block) == block[0, 0])
+
+
+def test_cached_face_indices_match_the_per_call_derivation(k4_classes):
+    """S, its unitarity defect and the enumerated average read the
+    hedgehog's cached coin-free indices; the per-call derivation they
+    replace (``tests/index_oracle.py``) must give the same bits."""
+    rng = np.random.default_rng(2026)
+    systems = [c.decomposition.rs for c in k4_classes]
+    for _ in range(10):
+        rs = random_rotation_system(rng, max_vertices=8)
+        systems += [rs, RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count)]
+    assert any(any(rs.twist) for rs in systems) and any(not any(rs.twist) for rs in systems)
+    coins = [Coin.hadamard_type(), Coin.real_symmetric(0.3), Coin.real_symmetric(-0.6)]
+    coins += [Coin.real_symmetric(1 - 1e-6), Coin.from_params(0.7, 0.4, 1.3), Coin.from_params(-0.2, 2.1, -0.5)]
+    for rs in systems:
+        fd, bg = trace_faces(rs), hedgehog(rs)
+        for coin in coins:
+            s = scattering_matrix(bg, coin)
+            table, closing, gaps = index_oracle.scattering_parts(bg, coin)
+            assert s.table.tobytes() == table.tobytes()
+            assert s.closing.tobytes() == closing.tobytes()
+            assert s.gaps.tobytes() == gaps.tobytes()
+            assert s.unitarity_defect() == index_oracle.unitarity_defect(bg, coin)
+            assert average_by_enumeration(fd, coin) == index_oracle.average_by_enumeration(fd, coin)

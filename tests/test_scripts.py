@@ -29,6 +29,7 @@ def test_front_end_timing_reports_every_stage():
         "validation_ms",
         "trace_faces_ms",
         "hedgehog_ms",
+        "face_index_ms",
         "scattering_matrix_ms",
         "orientability_ms",
         "orientability_untwisted_ms",
