@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Time the front end of the closed-form pipeline, stage by stage, on K_n.
+"""Time the front end of the closed-form pipeline, stage by stage, on K_n
+and on grids.
 
 For each n in 8, 16, 32, 64 and 128 the script draws a seeded random
 rotation system on K_n (uniform cyclic orders, fair twists), writes it in
 the file format and prints one JSON line with the best time in milliseconds of each stage.
 A K4 line comes first, drawn from a generator of its own with the same
 seed, so the larger sizes keep their systems; it records the constant
-cost of each stage on a small system.  The stages:
+cost of each stage on a small system.  The 30 x 30 and 60 x 60 grid
+lines come last, from a third generator with that seed.  A grid is
+sparse: its vertex count grows like its arcs, where K_n's grows like
+their square root, so a path that is quadratic in the vertex count looks
+linear along K_n and shows only on the grids.  The stages:
 
 - ``parse_ms``: ``parse_rotation_system`` on the file text (validation
   included);
@@ -24,15 +29,15 @@ cost of each stage on a small system.  The stages:
   on a hedgehog whose coin-free indices are already built, so only the
   coin arithmetic is timed;
 - ``orientability_ms``: ``orientability_from_scattering`` on that S, the
-  sign test read from its face layout; a twisted system usually returns
-  at its first face with a vertex of both parities;
+  sign test read from its face layout: one sign per tail, set on the base
+  edge it is entered over, and the spanning-tree balance check;
 - ``orientability_untwisted_ms``: the same on the system with every twist
-  cleared, which is orientable, so every face's vertex pairs are marked;
+  cleared, which is orientable;
 - ``average_by_enumeration_ms``: ``average_by_enumeration`` under the
   Hadamard coin on that hedgehog, which builds its own S and reads each
   face's Gram column through the built indices.
 
-For n <= 20 it also times the dense export (a K32 export is on the order of
+Up to 20 vertices it also times the dense export (a K32 export is on the order of
 100 MB):
 
 - ``blocks_ms``: the dense face blocks of a fresh scattering matrix;
@@ -70,14 +75,24 @@ from surfwalk.walk_dynamics import Coin  # noqa: E402
 
 SMALL = 4  # timed first, from its own generator
 SIZES = (8, 16, 32, 64, 128)
+GRIDS = (30, 60)  # n x n grids, timed last, from their own generator
 SEED = 101
 REPEAT = 5  # calls per stage; the fastest is reported
-EXPORT_MAX_N = 20  # the dense export stages run up to K20
+EXPORT_MAX_N = 20  # the dense export stages run up to 20 vertices
 
 
-def random_kn_system(n: int, rng) -> RotationSystem:
-    g = complete_graph(n)
-    orders = [[int(u) for u in rng.permutation([u for u in range(n) if u != x])] for x in range(n)]
+def grid_graph(n: int) -> SymmetricDigraph:
+    """The n x n grid graph; vertex i n + j sits at row i, column j."""
+    edges = [(i * n + j, i * n + j + 1) for i in range(n) for j in range(n - 1)]
+    edges += [(i * n + j, (i + 1) * n + j) for i in range(n - 1) for j in range(n)]
+    return SymmetricDigraph.from_edges(n * n, edges)
+
+
+def random_system(g: SymmetricDigraph, rng) -> RotationSystem:
+    """Each vertex's neighbours, in increasing order, uniformly permuted,
+    and a fair twist per edge."""
+    neighbours = [sorted(g.origin[e] for e in g.incoming_arcs(x)) for x in range(g.vertex_count)]
+    orders = [[int(u) for u in rng.permutation(around)] for around in neighbours]
     twists = [int(t) for t in rng.integers(0, 2, g.edge_count)]
     return RotationSystem.from_neighbor_orders(g, orders, twists)
 
@@ -98,9 +113,8 @@ def face_indices(bg):
     return bg.face_layout, bg.face_index, bg.gram_index, bg.same_face_pairs
 
 
-def stage_times(n: int, rng, repeat: int) -> dict:
-    rs = random_kn_system(n, rng)
-    g = rs.graph
+def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
+    rs = random_system(g, rng)
     text = serialize_rotation_system(rs)
     coin = Coin.hadamard_type()
 
@@ -118,7 +132,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
     s = scattering_matrix(bg, coin)
     untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
     row = {
-        "graph": f"K{n}",
+        "graph": name,
         "arcs": g.arc_count,
         "parse_ms": best_ms(parse_rotation_system, repeat, lambda: text),
         "validation_ms": best_ms(
@@ -133,7 +147,7 @@ def stage_times(n: int, rng, repeat: int) -> dict:
         "orientability_untwisted_ms": best_ms(orientability_from_scattering, repeat, lambda: untwisted),
         "average_by_enumeration_ms": best_ms(lambda fd: average_by_enumeration(fd, coin), repeat, lambda: fd),
     }
-    if n <= EXPORT_MAX_N:
+    if g.vertex_count <= EXPORT_MAX_N:
         row.update(export_times(text, bg, coin, repeat))
     return row
 
@@ -160,10 +174,13 @@ def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
 
 
 def main():
-    print(json.dumps(stage_times(SMALL, np.random.default_rng(SEED), REPEAT)), flush=True)
+    print(json.dumps(stage_times(f"K{SMALL}", complete_graph(SMALL), np.random.default_rng(SEED), REPEAT)), flush=True)
     rng = np.random.default_rng(SEED)
     for n in SIZES:
-        print(json.dumps(stage_times(n, rng, REPEAT)), flush=True)
+        print(json.dumps(stage_times(f"K{n}", complete_graph(n), rng, REPEAT)), flush=True)
+    rng = np.random.default_rng(SEED)
+    for n in GRIDS:
+        print(json.dumps(stage_times(f"grid{n}x{n}", grid_graph(n), rng, REPEAT)), flush=True)
 
 
 if __name__ == "__main__":

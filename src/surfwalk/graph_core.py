@@ -133,11 +133,13 @@ def path_graph(n: int) -> SymmetricDigraph:
     return SymmetricDigraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def bfs_forest(g: SymmetricDigraph) -> list[tuple[int, int]]:
-    """A breadth-first spanning forest as (parent, child) pairs in discovery
-    order.  Each tree is rooted at its smallest vertex and neighbours are
-    visited in incoming-arc order, so the tree of vertex 0 comes first; the
-    forest has ``vertex_count`` minus the number of components pairs."""
+def bfs_forest(g: SymmetricDigraph) -> list[int]:
+    """A breadth-first spanning forest as its tree arcs in discovery order:
+    arc ``e`` runs from the child ``origin[e]`` to its parent
+    ``terminus[e]``.  Each tree is rooted at its smallest vertex and
+    neighbours are visited in incoming-arc order, so the tree of vertex 0
+    comes first; the forest has ``vertex_count`` minus the number of
+    components arcs."""
     seen = [False] * g.vertex_count
     forest = []
     for root in range(g.vertex_count):
@@ -151,7 +153,7 @@ def bfs_forest(g: SymmetricDigraph) -> list[tuple[int, int]]:
                 y = g.origin[e]
                 if not seen[y]:
                     seen[y] = True
-                    forest.append((x, y))
+                    forest.append(e)
                     queue.append(y)
     return forest
 

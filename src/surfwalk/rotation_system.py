@@ -437,21 +437,22 @@ def _tree_flips(g: SymmetricDigraph, twist: np.ndarray) -> tuple[np.ndarray, np.
     tree = bfs_forest(g)
     if len(tree) != g.vertex_count - 1:
         raise GraphError("orientability and genus need a connected graph")
-    # Each vertex's parent and tree edge; the root, vertex 0, is its own
-    # parent, over edge 0, whose twist it then drops.
-    parent, edge, depth = list(range(g.vertex_count)), [0] * g.vertex_count, [0] * g.vertex_count
-    for p, c in tree:
-        parent[c], edge[c], depth[c] = p, arc_edge(g.arc_between(p, c)), depth[p] + 1
+    # Each vertex's parent and tree edge, read off its tree arc; the root,
+    # vertex 0, is its own parent, over edge 0, whose twist it then drops.
+    parent, edge = [0] * g.vertex_count, [0] * g.vertex_count
+    for e in tree:
+        c = g.origin[e]
+        parent[c], edge[c] = g.terminus[e], arc_edge(e)
     flip = twist.take(edge, axis=1)
     flip[:, 0] = 0
     # Pointer jumping: after the round of span s, flip[v] is the parity of
     # the twists on the s tree edges above v (on all of them if the root is
-    # nearer) and above[v] the vertex s edges up (or the root).
-    above, span, height = np.array(parent), 1, max(depth)
-    while span < height:
+    # nearer) and above[v] the vertex s edges up (or the root), until every
+    # vertex sees the root.
+    above = np.array(parent)
+    while above.any():
         flip ^= flip.take(above, axis=1)
         above = above[above]
-        span *= 2
     # Arc 2k runs from one end of edge k and arc 2k + 1 from the other.
     ends = flip.take(g.origin, axis=1)
     return ~(twist ^ ends[:, 0::2] ^ ends[:, 1::2]).any(axis=1), flip

@@ -35,8 +35,10 @@ CLI export reads it; the dense ``blocks``, ``matrix()`` and
 ``q_matrix()`` are formed from it on each call for the tests and the
 benchmark, and S keeps none of them.  No block is ever inverted.  The
 sign test reads the layout alone: a > 0, omega = 1 and b, c != 0 make
-every c_f[k] bc times a positive number, so entry (j, m) has the sign
-(-1)^(P_j + P_m) against bc however small it is.
+every c_f[k] bc times a positive number, so entry (j, j-1) has the sign
+(-1)^(P_j + P_(j-1)) against bc however small it is.  That sign is the
+twist of the base edge tail j is entered over, so S spells out a signed
+graph, and the surface is orientable iff it is balanced.
 
 The same structure gives Gram matrices without a dense block: with
 H_f = C_f + xI, (D H_f D)^H (D H_f D) = D H_f^H H_f D and H_f^H H_f is
@@ -58,7 +60,7 @@ import numpy as np
 
 from .covering_blowup import BlowUpGraph
 from .errors import AssumptionError
-from .rotation_system import RotationSystem
+from .rotation_system import RotationSystem, _tree_flips
 from .walk_dynamics import Coin, WaveState
 
 __all__ = [
@@ -345,47 +347,27 @@ def stationary_closed_form(
 
 
 def orientability_from_scattering(s: ScatteringMatrix) -> bool:
-    """Sign test of the scattering entries between distinct vertices.
+    """Balance of the signed graph that S's entries spell out.
 
     Under a real a > 0, omega = 1 and b, c != 0, every c_f[k] =
-    bc a^(k-1) / (1 - a^q) is bc times a positive number, so entry (j, m)
-    of Q_f is nonzero with sign (-1)^(P_j + P_m) against bc: the signs are
-    fixed by the layout (``tails``, ``offsets``, ``parity``) and ``table``,
-    whose entries underflow as a -> 0, is not read.  The two islands
-    covering one vertex of the underlying graph are read together: a
-    twisted surface couples a vertex pair through both sheet combinations
-    and their parities disagree, so some pair sees both signs.  (Between
-    single cover islands the parity is always path independent, because
-    every cycle of the double cover has even twist parity; grouping the
-    antipodal islands is what makes the test discriminating.)
-
-    A face whose tails at one vertex show both parities couples it with
-    both signs to every other vertex of the face.  Otherwise each (face,
-    vertex) has one parity p and a pair (v, w) of the face the sign of
-    p_v + p_w; faces with k distinct vertices are marked together, O(k^2)
-    per face after an O(q log q) sort.
+    bc a^(k-1) / (1 - a^q) is bc times a positive number, so entry
+    (j, j-1) of Q_f is nonzero with sign (-1)^(P_j + P_(j-1)) against bc,
+    the tail before a face's first one being its last.  Tail j is entered
+    over the bridge of base edge ``tails[j] >> 2``, so that sign is the
+    edge's twist: the signs are fixed by the layout (``tails``,
+    ``offsets``, ``parity``), and ``table``, whose entries underflow as
+    a -> 0, is not read.  The surface is orientable iff this signed graph
+    is balanced, which the spanning-tree normalisation of
+    :func:`surfwalk.rotation_system.detect_orientability` decides, in
+    O(tails) memory.
     """
     coin, bg, a = s.coin, s.bg, complex(s.coin.a)
     if coin.degenerate or abs(a.imag) > Coin.AMPLITUDE_EPS or a.real <= 0 or abs(coin.omega - 1) > Coin.AMPLITUDE_EPS:
         raise AssumptionError("orientability detection needs a real coin entry a > 0, omega = 1 and b, c != 0")
 
-    nv = bg.cover.base.graph.vertex_count
-    vertex = np.array(bg.cover.base.graph.terminus)[bg.cover.proj][s.tails]
-    # Each (face, vertex, parity) that occurs, sorted, so a face's vertices
-    # are contiguous and a vertex's two parities adjacent.
-    key = np.sort((bg.face_index[1] * nv + vertex) * 2 + s.parity)
-    key = key[np.diff(key, prepend=-1) != 0]
-    face_vertex = key >> 1
-    if (face_vertex[1:] == face_vertex[:-1]).any():
-        return False
-    v, p = face_vertex % nv, key & 1
-    k = np.bincount(face_vertex // nv)
-    starts = np.cumsum(k) - k
-    # Pair (v, w) of a face is marked at (p_v ^ p_w) nv^2 + v nv + w.
-    seen = np.zeros(2 * nv * nv, dtype=bool)
-    for size in dict.fromkeys(k.tolist()):
-        at = starts[k == size, None] + np.arange(size)
-        fv, fp = v[at], p[at]
-        seen[(fp[:, :, None] ^ fp[:, None, :]) * nv * nv + fv[:, :, None] * nv + fv[:, None, :]] = True
-    seen = seen.reshape(2, nv * nv)
-    return not (seen[0] & seen[1]).any()
+    lengths, face, place = bg.face_index
+    before = s.offsets[face] + (place - 1) % lengths[face]
+    graph = bg.cover.base.graph
+    twist = np.zeros(graph.edge_count, dtype=np.int64)
+    twist[s.tails >> 2] = s.parity ^ s.parity[before]
+    return bool(_tree_flips(graph, twist[None])[0][0])

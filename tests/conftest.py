@@ -21,6 +21,25 @@ def projective_k4():
     return planar_k4([1, 0, 0, 0, 0, 0])
 
 
+def grid_graph(n):
+    """The n x n grid graph; vertex i n + j sits at row i, column j."""
+    edges = [(i * n + j, i * n + j + 1) for i in range(n) for j in range(n - 1)]
+    edges += [(i * n + j, (i + 1) * n + j) for i in range(n - 1) for j in range(n)]
+    return SymmetricDigraph.from_edges(n * n, edges)
+
+
+def planar_grid(n):
+    """The n x n grid drawn in the plane, every twist cleared: each vertex
+    lists its neighbours counterclockwise, so the faces are the unit
+    squares and the outer cycle, on the sphere."""
+    orders = []
+    for i in range(n):
+        for j in range(n):
+            around = [(i, j + 1), (i - 1, j), (i, j - 1), (i + 1, j)]
+            orders.append([r * n + c for r, c in around if 0 <= r < n and 0 <= c < n])
+    return RotationSystem.from_neighbor_orders(grid_graph(n), orders)
+
+
 def random_simple_graph(rng, max_vertices=6):
     """A connected simple graph with minimum degree 2 (rotation-ready)."""
     while True:

@@ -112,20 +112,21 @@ def unitarity_defect(blocks):
     return max(np.abs(block.conj().T @ block - np.eye(len(tails))).max() for tails, block in blocks)
 
 
-def orientable_by_signs(s):
+def orientable_by_signs(s, blocks=None):
     """The scattering sign test on gathered blocks: every entry of
-    ``s.blocks`` between tails over distinct base vertices whose modulus
-    exceeds ``Coin.AMPLITUDE_EPS`` records its sign against that vertex
-    pair, and the system is orientable unless some pair shows both signs.
-    O(q^2) memory per face.  Only a real a > 0 is checked, and complex
-    entries are refused."""
+    ``s.blocks`` (or of ``blocks``, its (tails, block) pairs) between tails
+    over distinct base vertices whose modulus exceeds
+    ``Coin.AMPLITUDE_EPS`` records its sign against that vertex pair, and
+    the system is orientable unless some pair shows both signs.  O(q^2)
+    memory per face, and no spanning tree.  Only a real a > 0 is checked,
+    and complex entries are refused."""
     coin, bg = s.coin, s.bg
     if abs(complex(coin.a).imag) > Coin.AMPLITUDE_EPS or complex(coin.a).real <= 0:
         raise AssumptionError("orientability detection needs a real coin entry a > 0")
     nv = bg.cover.base.graph.vertex_count
     seen = np.zeros((2, nv * nv), dtype=bool)
     base_of_tail = np.array(bg.cover.base.graph.terminus)[bg.cover.proj]
-    for tails, block in s.blocks:
+    for tails, block in s.blocks if blocks is None else blocks:
         if np.abs(block.imag).max() > 1e-8:
             raise AssumptionError("scattering entries are not real; check the coin")
         vertex = base_of_tail[list(tails)]

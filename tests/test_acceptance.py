@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from conftest import (
     projective_k4,
     random_d_real_coin,
@@ -184,10 +185,10 @@ def test_criterion_08_orientability_three_way(k4_classes, rng):
     for rs in systems:
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
-        bg = hedgehog(rs)
-        by_signs = orientability_from_scattering(scattering_matrix(bg, coin))
-        assert by_tree == by_cover == by_signs
-    _report(8, "spanning tree = double cover = scattering signs on 11 + 100 systems")
+        s = scattering_matrix(hedgehog(rs), coin)
+        by_signs = orientability_from_scattering(s)
+        assert by_tree == by_cover == by_signs == dense_oracle.orientable_by_signs(s)
+    _report(8, "spanning tree = double cover = scattering signs (balance and vertex pairs) on 11 + 100 systems")
 
 
 def test_criterion_09_unitary_equivalence_invariance(rng):

@@ -11,6 +11,7 @@ import dense_oracle
 import exact_oracle
 import index_oracle
 from conftest import (
+    planar_grid,
     projective_k4,
     planar_k4,
     random_d_real_coin,
@@ -20,7 +21,7 @@ from surfwalk.covering_blowup import double_cover, hedgehog
 from surfwalk.errors import AssumptionError, GraphError
 from surfwalk.rotation_system import detect_orientability, flip_vertex, trace_faces
 from surfwalk.comfortability import average_by_enumeration, average_comfortability, comfortability
-from surfwalk.graph_core import complete_graph, cycle_graph
+from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph
 from surfwalk.rotation_system import RotationSystem
 from surfwalk.scattering import (
     ScatteringMatrix,
@@ -246,8 +247,9 @@ def _refuse_dense_blocks(monkeypatch):
 
 def test_orientability_three_way_agreement(rng, monkeypatch):
     coin = Coin.hadamard_type()
-    # The sign test gathers one face at a time; no dense block is built.
-    _refuse_dense_blocks(monkeypatch)
+    # The sign test reads S's layout; no dense block is built, except by
+    # the oracle, through the real getter.
+    dense = _refuse_dense_blocks(monkeypatch)
     for _ in range(30):
         rs = random_rotation_system(rng)
         bg = hedgehog(rs)
@@ -255,7 +257,34 @@ def test_orientability_three_way_agreement(rng, monkeypatch):
         by_cover = double_cover(rs).components == 2
         s = scattering_matrix(bg, coin)
         by_signs = orientability_from_scattering(s)
-        assert by_tree == by_cover == by_signs
+        by_pairs = dense_oracle.orientable_by_signs(s, dense(s))
+        assert by_tree == by_cover == by_signs == by_pairs
+
+
+def test_scattering_entries_give_back_the_twist(k4_classes):
+    # Entry (j, j-1) of Q_f, read from the oracle's inverted blocks, has the
+    # sign (-1)^tau against bc, tau the twist of the base edge whose bridge
+    # enters tail j: the four tails over an edge read one sign, its twist.
+    coin = Coin.real_symmetric(0.6)
+    bc = coin.b * coin.c
+    rng = np.random.default_rng(2711)
+    systems = [cls.representative for cls in k4_classes]
+    systems += [random_rotation_system(rng, max_vertices=8) for _ in range(20)]
+    for rs in systems:
+        signs = {}
+        for tails, block in dense_oracle.blocks(hedgehog(rs), coin):
+            for j, tail in enumerate(tails):
+                signs.setdefault(tail >> 2, set()).add(int((block[j, j - 1] / bc).real < 0))
+        assert signs == {k: {tau} for k, tau in enumerate(rs.twist)}
+
+
+def test_sign_test_needs_a_connected_graph():
+    g = SymmetricDigraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    rs = RotationSystem.from_neighbor_orders(g, [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]])
+    s = scattering_matrix(hedgehog(rs), Coin.hadamard_type())
+    for test in (lambda: trace_faces(rs), lambda: orientability_from_scattering(s)):
+        with pytest.raises(GraphError, match="connected graph"):
+            test()
 
 
 def test_detection_requires_positive_a():
@@ -334,12 +363,18 @@ def test_sign_test_refuses_omega_other_than_one(k4_classes, coin):
 def _peak(n, path, untwisted=False):
     """The tracemalloc peak of one call on a seeded random K_n system (with
     every twist cleared if ``untwisted``) under the Hadamard coin, and the
-    number of tails.  ``path(fd, s)`` returns the call; S and the call's
-    arguments are built before tracing, and the call runs once untraced
-    first, as numpy's FFT allocates on first use."""
+    number of tails (:func:`_peak_on`)."""
     rs = random_rotation_system(np.random.default_rng(101), graph=complete_graph(n))
     if untwisted:
         rs = RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count)
+    return _peak_on(rs, path)
+
+
+def _peak_on(rs, path):
+    """The tracemalloc peak of one call on ``rs`` under the Hadamard coin,
+    and the number of tails.  ``path(fd, s)`` returns the call; S and the
+    call's arguments are built before tracing, and the call runs once
+    untraced first, as numpy's FFT allocates on first use."""
     s = scattering_matrix(hedgehog(rs), Coin.hadamard_type())
     call = path(trace_faces(rs), s)
     call()
@@ -361,12 +396,25 @@ def _assert_memory_follows_the_tails(path, untwisted=False):
     assert peak64 < 4e6
 
 
+def _sign_test(fd, s):
+    return functools.partial(orientability_from_scattering, s)
+
+
 def test_sign_test_memory_follows_the_tails():
     # A K64 system has faces of some 2,500 tails: a q x q gather is 100 MB.
-    # The seeded systems are twisted and return at the first face with a
-    # vertex of both parities; their untwisted copies mark every face.
+    # Seeded systems are twisted; their untwisted copies are orientable.
     for untwisted in (False, True):
-        _assert_memory_follows_the_tails(lambda fd, s: functools.partial(orientability_from_scattering, s), untwisted)
+        _assert_memory_follows_the_tails(_sign_test, untwisted)
+
+
+def test_sign_test_memory_follows_the_tails_on_grids():
+    # On K_n the vertex count is about the square root of the tails, so an
+    # nv x nv array grows like them; on a grid it grows like their square.
+    (peak30, tails30), (peak60, tails60) = (_peak_on(planar_grid(n), _sign_test) for n in (30, 60))
+    assert (tails30, tails60) == (6960, 28320)
+    assert peak60 <= 2 * peak30 * tails60 / tails30
+    assert peak60 < 4e6
+    assert orientability_from_scattering(scattering_matrix(hedgehog(planar_grid(30)), Coin.hadamard_type()))
 
 
 def _one_tail(s):
@@ -413,8 +461,9 @@ def test_three_way_agreement_on_k5(rng):
         bg = hedgehog(rs)
         by_tree, _ = detect_orientability(rs)
         by_cover = double_cover(rs).components == 2
-        by_signs = orientability_from_scattering(scattering_matrix(bg, coin))
-        assert by_tree == by_cover == by_signs
+        s = scattering_matrix(bg, coin)
+        by_signs = orientability_from_scattering(s)
+        assert by_tree == by_cover == by_signs == dense_oracle.orientable_by_signs(s)
 
 
 def test_flip_conjugation_preserves_moduli_and_spectra(rng):

@@ -23,7 +23,8 @@ def test_walk_convergence_reports_every_k4_class(capsys):
 
 def test_front_end_timing_reports_every_stage():
     script = runpy.run_path(str(SCRIPTS / "front_end_timing.py"))
-    row = script["stage_times"](8, np.random.default_rng(script["SEED"]), 1)
+    complete_graph, seed = script["complete_graph"], script["SEED"]
+    row = script["stage_times"]("K8", complete_graph(8), np.random.default_rng(seed), 1)
     stages = [
         "parse_ms",
         "validation_ms",
@@ -39,10 +40,17 @@ def test_front_end_timing_reports_every_stage():
     assert list(row) == ["graph", "arcs"] + stages + export
     assert (row["graph"], row["arcs"]) == ("K8", 56)
     assert all(isinstance(row[k], float) and row[k] >= 0 for k in stages + export)
-    # The dense export is timed up to K20 only.
-    assert list(script["stage_times"](21, np.random.default_rng(script["SEED"]), 1)) == ["graph", "arcs"] + stages
+    # The dense export is timed up to 20 vertices only.
+    k21 = script["stage_times"]("K21", complete_graph(21), np.random.default_rng(seed), 1)
+    assert list(k21) == ["graph", "arcs"] + stages
     # The small-system row comes first, from a generator of its own.
     assert script["SMALL"] == 4 and script["SIZES"][0] == 8
-    small = script["stage_times"](script["SMALL"], np.random.default_rng(script["SEED"]), 1)
+    small = script["stage_times"]("K4", complete_graph(script["SMALL"]), np.random.default_rng(seed), 1)
     assert list(small) == ["graph", "arcs"] + stages + export
     assert (small["graph"], small["arcs"]) == ("K4", 12)
+    # The grids come last: 30 x 30 has 2 * 30 * 29 edges.
+    assert script["GRIDS"] == (30, 60)
+    grid = script["stage_times"]("grid30x30", script["grid_graph"](30), np.random.default_rng(seed), 1)
+    assert list(grid) == ["graph", "arcs"] + stages
+    assert (grid["graph"], grid["arcs"]) == ("grid30x30", 3480)
+    assert all(isinstance(grid[k], float) and grid[k] >= 0 for k in stages)
