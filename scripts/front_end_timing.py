@@ -35,7 +35,14 @@ linear along K_n and shows only on the grids.  The stages:
   cleared, which is orientable;
 - ``average_by_enumeration_ms``: ``average_by_enumeration`` under the
   Hadamard coin on that hedgehog, which builds its own S and reads each
-  face's Gram column through the built indices.
+  face's Gram column through the built indices;
+- ``average_comfortability_ms``: ``average_comfortability`` under the
+  Hadamard coin, the face/self-intersection sum over the decomposition's
+  face data, sorted once before the timing;
+- ``stationary_closed_form_ms`` and ``comfortability_ms``:
+  ``stationary_closed_form`` and ``comfortability`` under the Hadamard
+  coin with a unit inflow on tail 0, each building its own S on that
+  hedgehog.
 
 Up to 20 vertices it also times the dense export (a K32 export is on the order of
 100 MB):
@@ -65,12 +72,16 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from surfwalk import cli  # noqa: E402
-from surfwalk.comfortability import average_by_enumeration  # noqa: E402
+from surfwalk.comfortability import average_by_enumeration, average_comfortability, comfortability  # noqa: E402
 from surfwalk.covering_blowup import hedgehog  # noqa: E402
 from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system  # noqa: E402
 from surfwalk.graph_core import SymmetricDigraph, complete_graph  # noqa: E402
 from surfwalk.rotation_system import RotationSystem, trace_faces  # noqa: E402
-from surfwalk.scattering import orientability_from_scattering, scattering_matrix  # noqa: E402
+from surfwalk.scattering import (  # noqa: E402
+    orientability_from_scattering,
+    scattering_matrix,
+    stationary_closed_form,
+)
 from surfwalk.walk_dynamics import Coin  # noqa: E402
 
 SMALL = 4  # timed first, from its own generator
@@ -130,6 +141,9 @@ def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
     bg = hedgehog(rs)
     face_indices(bg)
     s = scattering_matrix(bg, coin)
+    average_comfortability(fd, coin)
+    one_tail = np.zeros(bg.size, dtype=complex)
+    one_tail[0] = 1.0
     untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
     row = {
         "graph": name,
@@ -146,6 +160,9 @@ def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
         "orientability_ms": best_ms(orientability_from_scattering, repeat, lambda: s),
         "orientability_untwisted_ms": best_ms(orientability_from_scattering, repeat, lambda: untwisted),
         "average_by_enumeration_ms": best_ms(lambda fd: average_by_enumeration(fd, coin), repeat, lambda: fd),
+        "average_comfortability_ms": best_ms(lambda fd: average_comfortability(fd, coin), repeat, lambda: fd),
+        "stationary_closed_form_ms": best_ms(lambda _: stationary_closed_form(bg, coin, one_tail), repeat),
+        "comfortability_ms": best_ms(lambda fd: comfortability(fd, coin, one_tail), repeat, lambda: fd),
     }
     if g.vertex_count <= EXPORT_MAX_N:
         row.update(export_times(text, bg, coin, repeat))

@@ -72,8 +72,11 @@ def comfortability(
     partner tail.
     """
     coin.require_closed_form()
-    s = scattering_matrix(hedgehog(fd.rs), coin) if scattering is None else scattering
-    _require_built_for(s, coin, fd.rs)
+    if scattering is None:
+        s = scattering_matrix(hedgehog(fd.rs), coin)
+    else:
+        s = scattering
+        _require_built_for(s, coin, fd.rs)
     q = s.apply_q(inflow)
     flipped = s.bg.bridge_sign * q[s.bg.bar] + coin.d * q
     island = float((q.conj() * q).real.sum()) / abs(coin.c) ** 2
@@ -87,7 +90,9 @@ def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
 
     The terms are summed in a canonical order, faces by (length, sorted
     hit distances) and each face's hits sorted, so embeddings with the same
-    face data get bit-identical averages and rank ties stay exact.
+    face data get bit-identical averages and rank ties stay exact.  That
+    order is the decomposition's ``_face_data``, sorted once per embedding,
+    so a coin sweep does only coin arithmetic.
 
     With z = a omega = r e^(i theta), r = |a| (|omega| = 1), each 1 - r^x is
     -expm1(x log r) and each |1 - z^L|^2 is (1 - r^L)^2 + 4 r^L
@@ -106,8 +111,7 @@ def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
 
     t1 = 0.0
     t2 = 0.0
-    faces = zip(map(len, fd.faces), map(sorted, map(dict.values, fd.self_intersections)))
-    for length, hits in sorted(faces):
+    for length, hits in fd._face_data:
         gap = -math.expm1(length * log_r)
         sine = math.sin(math.pi / 2 * math.remainder(length * half_turns, 2.0))
         denom = gap * gap + 4.0 * (1.0 - gap) * sine * sine
@@ -170,8 +174,11 @@ def average_by_enumeration(
     read off g_f: O(q log q) per face and no block.
     """
     coin.require_closed_form()
-    s = scattering_matrix(hedgehog(fd.rs), coin) if scattering is None else scattering
-    _require_built_for(s, coin, fd.rs)
+    if scattering is None:
+        s = scattering_matrix(hedgehog(fd.rs), coin)
+    else:
+        s = scattering
+        _require_built_for(s, coin, fd.rs)
     gram = s._gram(0.0)
     norm = float(s.bg.face_index[0] @ gram[s.offsets[:-1]].real)
     entry, sign = s.bg.same_face_pairs

@@ -23,7 +23,6 @@ and shared, so its arrays are read-only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -118,12 +117,14 @@ class BlowUpGraph:
     island ``bar[g]``, and tail i is fed by bridge ``bar[i]``.
 
     The coin-free arrays every scattering matrix on the graph reads live
-    here, each derived from ``faces`` on first read, read-only and kept out
-    of ``==``: ``face_layout`` (tails in walk order, face offsets, twist
-    parities), ``face_index`` (face lengths, each slot's face and place),
-    ``gram_index`` (the Gram gathers and scatters per face length) and
-    ``same_face_pairs`` (the tails whose partner is on their own face).  A
-    caller pays only for those it reads; S itself does only coin arithmetic.
+    here, each derived on first read from the walk arrays the base system
+    traced (``cover.base._walks``, whose tuples are ``faces``), read-only
+    and kept out of ``==``: ``face_layout`` (tails in walk order, face
+    offsets, twist parities), ``face_index`` (face lengths, each slot's
+    face and place), ``gram_index`` (the Gram gathers and scatters per face
+    length) and ``same_face_pairs`` (the tails whose partner is on their own
+    face).  A caller pays only for those it reads; S itself does only coin
+    arithmetic.
     """
 
     cover: DoubleCover
@@ -145,9 +146,10 @@ class BlowUpGraph:
         """``lengths``, per face its length, and per slot of the layout
         (``tails`` order) ``face``, the number of its face, and ``place``,
         its place on that face from 0."""
-        lengths = np.fromiter(map(len, self.faces), dtype=np.int64, count=len(self.faces))
+        walks = self.cover.base._walks
+        lengths = walks.lengths.view()
         face = np.repeat(np.arange(len(lengths)), lengths)
-        return _read_only(lengths, face, np.arange(self.size) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+        return _read_only(lengths, face, np.arange(self.size) - np.repeat(walks.offsets[:-1], lengths))
 
     @cached_property
     def face_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,11 +164,13 @@ class BlowUpGraph:
         twisted bridges and its last P_j is 0.  A face that breaks this
         raises :class:`GraphError`.
         """
-        # Every island carries a tail, so the tails of a face are its islands.
-        tails = np.fromiter(itertools.chain.from_iterable(self.faces), dtype=np.int64, count=self.size)
+        # Every island carries a tail, so the tails of a face are its islands:
+        # the walk arrays the base system traced, in the order of ``faces``,
+        # each read through a view, so every graph keeps its own arrays.
+        walks = self.cover.base._walks
+        tails, offsets = walks.arcs.view(), walks.offsets.view()
         twist = self.bridge_twist[tails]
-        lengths, face, _ = self.face_index
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        face = self.face_index[1]
         # P_j: the running twist count, less its value before the face's start.
         run = np.cumsum(twist)
         parity = (run - (run - twist)[offsets[face]]) & 1

@@ -95,8 +95,12 @@ class RotationSystem:
 
     @cached_property
     def _walks(self) -> _Walks:
-        """The walks of :func:`_cover_walks` on the cover, a batch of one."""
-        return _cover_walks(self._cover[0], len(self._cover[0]))
+        """The walks of :func:`_cover_walks` on the cover, a batch of one,
+        their arrays read-only."""
+        walks = _cover_walks(self._cover[0], len(self._cover[0]))
+        for a in (walks.walk_of, walks.position, walks.offsets, walks.lengths, walks.arcs):
+            a.flags.writeable = False
+        return walks
 
     @cached_property
     def _hedgehog(self):
@@ -299,6 +303,11 @@ class FacialDecomposition:
     (G, rho, tau), each face reported once and sorted by arc sequence.
     Self-intersections are the edges a face crosses in both directions,
     stored with the two distances between the crossings along the walk.
+
+    ``_face_data``, the faces' canonical data that
+    :func:`surfwalk.comfortability.average_comfortability` sums over, is
+    sorted on first read and, like ``RotationSystem._cover``, kept out of
+    ``==``, ``hash``, ``repr`` and pickles.
     """
 
     rs: RotationSystem
@@ -309,9 +318,18 @@ class FacialDecomposition:
     genus: int
     cover_base: tuple[tuple[int, bool], ...] = field(repr=False, compare=False, default=())
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_face_data"}
+
     @property
     def face_lengths(self) -> tuple[int, ...]:
         return tuple(sorted((len(f) for f in self.faces), reverse=True))
+
+    @cached_property
+    def _face_data(self) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Per face, its length and its hit distance pairs sorted, the faces
+        in increasing order of those; read only, never changed."""
+        return sorted(zip(map(len, self.faces), map(sorted, map(dict.values, self.self_intersections))))
 
 
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:

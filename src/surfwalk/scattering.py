@@ -220,11 +220,14 @@ class ScatteringMatrix:
         entry (j, j') is g[(j - j') mod q], where g = ifft(|fft(h)|^2) and h
         is the first column of H.  Faces of one length share one FFT, through
         the graph's ``gram_index``: O(q log q) per face, and no block is built.
+        A zero shift is not added: only |fft(h)| is read, which adding zero
+        leaves as it is.
         """
         gram = np.empty(len(self.table), dtype=complex)
         for gather, scatter in self.bg.gram_index:
             h = self.table[gather]
-            h[:, 0] += shift
+            if shift:
+                h[:, 0] += shift
             gram[scatter] = np.fft.ifft(np.abs(np.fft.fft(h)) ** 2)
         return gram
 
@@ -249,7 +252,8 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     """S = sum of face blocks bc P_f(omega) (I - a P_f(omega))^-1 + d I,
     kept as explicit per-face data (O(total tails), no inverse)."""
     coin.require_d_real()
-    a = coin.a
+    degenerate = coin.degenerate
+    a = np.clongdouble(coin.a)
 
     tails, offsets, parity = bg.face_layout
     lengths, face, place = bg.face_index
@@ -259,33 +263,35 @@ def scattering_matrix(bg: BlowUpGraph, coin: Coin) -> ScatteringMatrix:
     # the product, divided by that gap, would cost every entry of the face
     # a few hundred ulps.
     omega = np.clongdouble(coin.omega)
-    turn = np.power(np.clongdouble(a), lengths) * np.power(omega, lengths)
-    gaps = np.abs(1.0 - turn).astype(float)
-    if not coin.degenerate and coin.unit_a:
+    one_minus = 1.0 - np.power(a, lengths) * np.power(omega, lengths)
+    gaps = np.abs(one_minus).astype(float)
+    if not degenerate and coin.unit_a:
         worst = int(np.argmin(gaps))
         raise AssumptionError(
             "face blocks need |a| < 1 to be invertible; the smallest gap "
             f"|1 - a^q omega^q| is {gaps[worst]:.3e} (face {worst})"
         )
-    if coin.degenerate:
+    if degenerate:
         closing = np.zeros(len(lengths), dtype=np.clongdouble)
     else:
-        closing = 1.0 / (1.0 - turn)
+        closing = 1.0 / one_minus
     # c_f[k] = bc omega (a omega)^(k-1) closing_f for every tail at once,
     # in long double and rounded once: double powers drift by several ulps
     # over a long face, and the energies' 1 / |bc|^2 magnifies that as
     # |a| -> 1.
-    powers = np.full(lengths.max(initial=1), np.clongdouble(a) * omega)
+    powers = np.empty(lengths.max(initial=1), dtype=np.clongdouble)
+    powers.fill(a * omega)
     powers[0] = 1
-    powers = np.cumprod(powers)
+    np.multiply.accumulate(powers, out=powers)
     lead = np.clongdouble(coin.b) * np.clongdouble(coin.c) * omega * closing
     # Entries below the normal double range are flushed to zero: from the
     # power k at which |a|^k times the largest lead falls below 2^-1023,
     # every entry does, and those powers are zeroed, as converting a long
     # double below the normal double range takes a slow path per value.
     top = float(np.abs(lead).max(initial=0.0))
-    if 0.0 < abs(a) < 1.0 and top > 0.0:
-        powers[max(0, int((_LOG_TINY - math.log(top)) / math.log(abs(a))) + 1) :] = 0
+    r = abs(coin.a)
+    if 0.0 < r < 1.0 and top > 0.0:
+        powers[max(0, int((_LOG_TINY - math.log(top)) / math.log(r)) + 1) :] = 0
     # take: a long-double gather through an index array is about 1.5x
     # faster than fancy indexing.
     table = (lead.take(face) * powers.take(place)).astype(complex)
@@ -322,8 +328,11 @@ def stationary_closed_form(
     simulator.
     """
     coin.require_closed_form()
-    s = scattering_matrix(bg, coin) if scattering is None else scattering
-    _require_built_for(s, coin, bg.cover.base)
+    if scattering is None:
+        s = scattering_matrix(bg, coin)
+    else:
+        s = scattering
+        _require_built_for(s, coin, bg.cover.base)
     inflow = np.asarray(inflow, dtype=complex)
     q = s.apply_q(inflow)
 

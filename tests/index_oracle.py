@@ -2,13 +2,16 @@
 for the ones a ``BlowUpGraph`` derives once (``face_index``,
 ``gram_index`` and ``same_face_pairs``).
 
-Each function starts from the hedgehog's ``face_layout`` alone and derives
-its lengths, per-slot face starts, Gram gathers and same-face partners
-afresh, in the order and arithmetic the library used before it kept them,
-so the library's S, Gram columns and enumerated average must equal these
-bit for bit.
+Each other function starts from the hedgehog's ``face_layout`` alone and
+derives its lengths, per-slot face starts, Gram gathers and same-face
+partners afresh, in the order and arithmetic the library used before it
+kept them, so the library's S, Gram columns and enumerated average must
+equal these bit for bit.  :func:`layout_from_tuples` flattens the layout
+itself from the face tuples, as the library did before it read the
+traced walk arrays.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +19,19 @@ import numpy as np
 from surfwalk.covering_blowup import hedgehog
 
 _LOG_TINY = -1023 * math.log(2.0)
+
+
+def layout_from_tuples(bg):
+    """``tails``, ``offsets`` and ``parity`` (``face_layout``), and
+    ``lengths``, ``face`` and ``place`` (``face_index``), from the tuples
+    of ``bg.faces`` and the bridge twists alone."""
+    tails = np.fromiter(itertools.chain.from_iterable(bg.faces), dtype=np.int64, count=bg.size)
+    lengths = np.fromiter(map(len, bg.faces), dtype=np.int64, count=len(bg.faces))
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    parity = np.concatenate([np.cumsum(bg.bridge_twist[list(f)]) & 1 for f in bg.faces])
+    face = np.repeat(np.arange(len(lengths)), lengths)
+    place = np.arange(bg.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return tails, offsets, parity, lengths, face, place
 
 
 def scattering_parts(bg, coin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
+import cmath
 import importlib
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 import exact_oracle
-from conftest import projective_k4, planar_k4, random_d_real_coin
+from conftest import projective_k4, planar_k4, random_d_real_coin, random_rotation_system
 from surfwalk.comfortability import (
     average_by_enumeration,
     average_comfortability,
@@ -130,6 +132,78 @@ def test_simulator_average_never_builds_scattering(monkeypatch):
     )
     expected = per_tail / rs.graph.arc_count
     assert abs(simulated_average(fd, coin) - expected) < 1e-8 * expected
+
+
+def _sorted_per_call_average(fd, coin):
+    """:func:`average_comfortability` as formed before the face data was
+    kept on the decomposition: the faces sorted afresh on every call."""
+    d = coin.d.real
+    z = coin.a * coin.omega
+    b2 = abs(coin.b) ** 2
+    c2 = abs(coin.c) ** 2
+    r = abs(coin.a)
+    log_r = math.log1p(r - 1.0) if r else -math.inf
+    half_turns = cmath.phase(z) / math.pi
+
+    t1 = 0.0
+    t2 = 0.0
+    faces = zip(map(len, fd.faces), map(sorted, map(dict.values, fd.self_intersections)))
+    for length, hits in sorted(faces):
+        gap = -math.expm1(length * log_r)
+        sine = math.sin(math.pi / 2 * math.remainder(length * half_turns, 2.0))
+        denom = gap * gap + 4.0 * (1.0 - gap) * sine * sine
+        t1 += length * -math.expm1(2 * length * log_r) / denom
+        if hits:
+            inner = 0.0
+            for d1, d2 in hits:
+                inner += 2.0 * (
+                    z**d1 * -math.expm1(2 * d2 * log_r) + z**d2 * -math.expm1(2 * d1 * log_r)
+                ).real
+            t2 += inner / denom
+    return ((2.0 + b2) / c2 * t1 + 2.0 * d / c2 * t2) / fd.rs.graph.arc_count
+
+
+_SWEEP_COINS = [Coin.hadamard_type(), Coin.from_params(0.6, 0.9, -1.7), Coin.from_params(-0.4, 2.2, 0.3)]
+_SWEEP_COINS += [Coin.real_symmetric(a) for a in (0.0, 0.3, 0.98, 1 - 1e-9, -0.7)]
+
+
+def test_average_matches_the_per_call_sort_bit_for_bit(k4_classes, k5_classes):
+    rng = np.random.default_rng(2029)
+    decompositions = [c.decomposition for c in k4_classes + k5_classes]
+    decompositions += [trace_faces(random_rotation_system(rng, max_vertices=8)) for _ in range(20)]
+    # Faces that tie on length and differ in their hits, and faces with
+    # hits, so that the order of the terms is exercised.
+    assert any(len(set(map(len, fd.faces))) < len(fd.faces) for fd in decompositions)
+    assert sum(any(fd.self_intersections) for fd in decompositions) > 10
+    for fd in decompositions:
+        for coin in _SWEEP_COINS:
+            assert average_comfortability(fd, coin) == _sorted_per_call_average(fd, coin)
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as error:
+        return repr(error)
+
+
+def test_face_data_memo_is_not_part_of_the_decomposition(k4_classes):
+    for cls in k4_classes:
+        fd = trace_faces(cls.representative)
+        # A decomposition holds its self-intersections as dicts, so hashing
+        # it raises; it must raise the same way with the memo read.
+        before = (pickle.dumps(fd), repr(fd), _hash_or_error(fd))
+        first = average_comfortability(fd, Coin.real_symmetric(0.6))
+        memo = fd._face_data
+        assert vars(fd)["_face_data"] is memo
+        assert (pickle.dumps(fd), repr(fd), _hash_or_error(fd)) == before
+        assert fd == trace_faces(cls.representative) == fd
+        again = pickle.loads(pickle.dumps(fd))
+        assert "_face_data" not in vars(again) and again == fd
+        assert average_comfortability(again, Coin.real_symmetric(0.6)) == first
+        # Another coin reads the memo; it sorts nothing again.
+        average_comfortability(fd, Coin.hadamard_type())
+        assert fd._face_data is memo
 
 
 def test_positive_coin_form_matches_general():

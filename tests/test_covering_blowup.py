@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import projective_k4, planar_k4, random_rotation_system
+import index_oracle
+from conftest import grid_graph, planar_grid, projective_k4, planar_k4, random_rotation_system
 from surfwalk import rotation_system
 from surfwalk.comfortability import average_by_enumeration
 from surfwalk.covering_blowup import (
@@ -15,7 +16,7 @@ from surfwalk.covering_blowup import (
     hedgehog,
 )
 from surfwalk.errors import GraphError
-from surfwalk.graph_core import SymmetricDigraph, arc_edge
+from surfwalk.graph_core import SymmetricDigraph, arc_edge, complete_graph
 from surfwalk.rotation_system import detect_orientability, trace_faces
 from surfwalk.scattering import scattering_matrix
 from surfwalk.walk_dynamics import Coin
@@ -129,6 +130,22 @@ def test_face_layout_is_shared_and_follows_the_twists():
     odd = dataclasses.replace(bg, bridge_twist=twist, bridge_sign=1.0 - 2.0 * twist)
     with pytest.raises(GraphError, match="face 0 crosses an odd number"):
         odd.face_layout
+
+
+def test_face_layout_reads_the_traced_walks(k4_classes):
+    rng = np.random.default_rng(29)
+    systems = [c.representative for c in k4_classes]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (5, 8, 12)]
+    systems += [random_rotation_system(rng, grid_graph(6)), planar_grid(5)]
+    for rs in systems:
+        bg = hedgehog(rs)
+        arrays = bg.face_layout + bg.face_index
+        for mine, expected in zip(arrays, index_oracle.layout_from_tuples(bg), strict=True):
+            assert mine.dtype == expected.dtype and np.array_equal(mine, expected)
+        # The walk arrays are the system's trace, read, not copied.
+        walks = rs._walks
+        assert np.shares_memory(bg.face_layout[0], walks.arcs)
+        assert np.shares_memory(bg.face_index[0], walks.lengths)
 
 
 def test_blow_up_compares_and_hashes_by_its_cover():

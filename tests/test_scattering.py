@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -818,3 +819,90 @@ def test_cached_face_indices_match_the_per_call_derivation(k4_classes):
             assert s.gaps.tobytes() == gaps.tobytes()
             assert s.unitarity_defect() == index_oracle.unitarity_defect(bg, coin)
             assert average_by_enumeration(fd, coin) == index_oracle.average_by_enumeration(fd, coin)
+
+
+def _untrimmed(bg, coin):
+    """S's ``table``, ``closing`` and ``gaps``, its layout's ``offsets`` and
+    the enumerated average's same-face ``entry`` and ``sign``, formed as
+    the closed-form layer formed them before it was trimmed to coin
+    arithmetic: the layout is flattened from the face tuples, 1 - a^q omega^q
+    is formed twice and the power table goes through ``np.full`` and
+    ``np.cumprod``."""
+    tails, offsets, parity, lengths, face, place = index_oracle.layout_from_tuples(bg)
+    a = coin.a
+    omega = np.clongdouble(coin.omega)
+    turn = np.power(np.clongdouble(a), lengths) * np.power(omega, lengths)
+    gaps = np.abs(1.0 - turn).astype(float)
+    if coin.degenerate:
+        closing = np.zeros(len(lengths), dtype=np.clongdouble)
+    else:
+        closing = 1.0 / (1.0 - turn)
+    powers = np.full(lengths.max(initial=1), np.clongdouble(a) * omega)
+    powers[0] = 1
+    powers = np.cumprod(powers)
+    lead = np.clongdouble(coin.b) * np.clongdouble(coin.c) * omega * closing
+    top = float(np.abs(lead).max(initial=0.0))
+    if 0.0 < abs(a) < 1.0 and top > 0.0:
+        powers[max(0, int((-1023 * math.log(2.0) - math.log(top)) / math.log(abs(a))) + 1) :] = 0
+    table = (lead.take(face) * powers.take(place)).astype(complex)
+
+    slot = np.empty(bg.size, dtype=np.int64)
+    slot[tails] = np.arange(bg.size)
+    partner = slot[bg.bar[tails]]
+    u = np.flatnonzero(face[partner] == face)
+    v, f = partner[u], face[u]
+    entry = offsets[f] + (u - v) % lengths[f]
+    sign = bg.bridge_sign[tails[u]] * (1 - 2 * (parity[u] ^ parity[v]))
+    return table, closing.astype(complex), gaps, offsets, entry, sign
+
+
+def _untrimmed_average_by_enumeration(fd, coin, table, offsets, entry, sign):
+    """The enumerated average from :func:`_untrimmed`'s parts, the Gram
+    columns formed with the zero shift added."""
+    gram = index_oracle.gram(table, offsets, 0.0)
+    norm = float(np.diff(offsets) @ gram[offsets[:-1]].real)
+    cross = float(sign @ gram[entry].real)
+    d = coin.d.real
+    island = norm / abs(coin.c) ** 2
+    bridge = ((1.0 + d * d) * norm + 2.0 * d * cross) / (2.0 * abs(coin.b * coin.c) ** 2)
+    return (island + bridge) / fd.rs.graph.arc_count
+
+
+_TRIMMED_COINS = {
+    "hadamard": Coin.hadamard_type(),
+    **{f"real_symmetric({a})": Coin.real_symmetric(a) for a in (0.0, 0.3, 0.98, 1 - 1e-9)},
+    "from_params(0.6,0.9,-1.7)": Coin.from_params(0.6, 0.9, -1.7),
+    "degenerate": Coin(1.0, 0.0, 0.0, -1.0),
+}
+
+
+def _same_bits(mine, reference) -> bool:
+    mine, reference = np.ascontiguousarray(mine), np.ascontiguousarray(reference)
+    return mine.dtype == reference.dtype and np.array_equal(mine.view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("coin", list(_TRIMMED_COINS.values()), ids=list(_TRIMMED_COINS))
+def test_closed_forms_match_the_untrimmed_arithmetic_bit_for_bit(coin, k4_classes):
+    """S's parts, every Gram column, the unitarity defect, the smallest gap
+    and the enumerated average equal, bit for bit, those formed by the
+    arithmetic of :func:`_untrimmed`."""
+    rng = np.random.default_rng(2029)
+    systems = [c.representative for c in k4_classes]
+    systems += [random_rotation_system(rng, max_vertices=8) for _ in range(8)]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (7, 10)]
+    for rs in systems:
+        bg = hedgehog(rs)
+        s = scattering_matrix(bg, coin)
+        table, closing, gaps, offsets, entry, sign = _untrimmed(bg, coin)
+        assert _same_bits(s.table, table) and _same_bits(s.closing, closing) and _same_bits(s.gaps, gaps)
+        assert _same_bits(s.min_gap, float(gaps.min()))
+        for shift in (0.0, coin.d):
+            assert _same_bits(s._gram(shift), index_oracle.gram(table, offsets, shift))
+        defect = index_oracle.gram(table, offsets, coin.d)
+        defect[offsets[:-1]] -= 1
+        assert _same_bits(s.unitarity_defect(), float(np.abs(defect).max()))
+        if coin.has_closed_form:
+            fd = trace_faces(rs)
+            expected = _untrimmed_average_by_enumeration(fd, coin, table, offsets, entry, sign)
+            assert average_by_enumeration(fd, coin) == expected
+            assert average_by_enumeration(fd, coin, scattering=s) == expected

@@ -35,6 +35,9 @@ def test_front_end_timing_reports_every_stage():
         "orientability_ms",
         "orientability_untwisted_ms",
         "average_by_enumeration_ms",
+        "average_comfortability_ms",
+        "stationary_closed_form_ms",
+        "comfortability_ms",
     ]
     export = ["blocks_ms", "unitarity_defect_ms", "scatter_json_ms", "scatter_csv_ms"]
     assert list(row) == ["graph", "arcs"] + stages + export
@@ -48,6 +51,7 @@ def test_front_end_timing_reports_every_stage():
     small = script["stage_times"]("K4", complete_graph(script["SMALL"]), np.random.default_rng(seed), 1)
     assert list(small) == ["graph", "arcs"] + stages + export
     assert (small["graph"], small["arcs"]) == ("K4", 12)
+    assert all(isinstance(small[k], float) and small[k] > 0 for k in stages[-3:])
     # The grids come last: 30 x 30 has 2 * 30 * 29 edges.
     assert script["GRIDS"] == (30, 60)
     grid = script["stage_times"]("grid30x30", script["grid_graph"](30), np.random.default_rng(seed), 1)
