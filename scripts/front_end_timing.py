@@ -42,7 +42,10 @@ linear along K_n and shows only on the grids.  The stages:
 - ``stationary_closed_form_ms`` and ``comfortability_ms``:
   ``stationary_closed_form`` and ``comfortability`` under the Hadamard
   coin with a unit inflow on tail 0, each building its own S on that
-  hedgehog.
+  hedgehog;
+- ``stationary_closed_form_uniform_ms``: ``stationary_closed_form`` the
+  same way on a unit inflow at every tail, which solves each face's
+  recurrence (``ScatteringMatrix._solve``) instead of reading one column.
 
 Up to 20 vertices it also times the dense export (a K32 export is on the order of
 100 MB):
@@ -144,6 +147,7 @@ def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
     average_comfortability(fd, coin)
     one_tail = np.zeros(bg.size, dtype=complex)
     one_tail[0] = 1.0
+    uniform = np.ones(bg.size, dtype=complex)
     untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
     row = {
         "graph": name,
@@ -163,6 +167,7 @@ def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
         "average_comfortability_ms": best_ms(lambda fd: average_comfortability(fd, coin), repeat, lambda: fd),
         "stationary_closed_form_ms": best_ms(lambda _: stationary_closed_form(bg, coin, one_tail), repeat),
         "comfortability_ms": best_ms(lambda fd: comfortability(fd, coin, one_tail), repeat, lambda: fd),
+        "stationary_closed_form_uniform_ms": best_ms(lambda _: stationary_closed_form(bg, coin, uniform), repeat),
     }
     if g.vertex_count <= EXPORT_MAX_N:
         row.update(export_times(text, bg, coin, repeat))

@@ -54,7 +54,8 @@ class ComfortReport:
     bridge: float
 
     def __post_init__(self):
-        if self.energy < -1e-12 or self.island < -1e-12 or self.bridge < -1e-12:
+        # In this form a nan energy fails the check too.
+        if not (self.energy >= -1e-12 and self.island >= -1e-12 and self.bridge >= -1e-12):
             raise AssumptionError("comfortability must be non-negative")
 
 
@@ -91,8 +92,8 @@ def average_comfortability(fd: FacialDecomposition, coin: Coin) -> float:
     The terms are summed in a canonical order, faces by (length, sorted
     hit distances) and each face's hits sorted, so embeddings with the same
     face data get bit-identical averages and rank ties stay exact.  That
-    order is the decomposition's ``_face_data``, sorted once per embedding,
-    so a coin sweep does only coin arithmetic.
+    order is the decomposition's ``_face_data``, sorted when its faces are
+    traced, so a coin sweep does only coin arithmetic.
 
     With z = a omega = r e^(i theta), r = |a| (|omega| = 1), each 1 - r^x is
     -expm1(x log r) and each |1 - z^L|^2 is (1 - r^L)^2 + 4 r^L

@@ -7,11 +7,11 @@ on which the walk lives.  Blow-up vertices are the cover arcs; island arc
 ``g`` to ``g-bar``, so both families are indexed by cover arc ids and all
 incidence maps are array lookups.  Cover arcs carry the one numbering of
 :mod:`surfwalk.rotation_system`, so the extended facial walks ``faces`` are
-the walks ``trace_faces`` reports as ``cover_faces``, in the same order, and
-its ``cover_base[i]`` names the base face of ``faces[i]``.  The cover is
-held as the read-only index arrays the rotation system's array tracer
-built over that numbering, not copied; only the orientability cross-check
-builds it as a validated graph.
+the walks the system's face tracer found, in its order, and
+``trace_faces(rs).cover_base[i]`` names the base face of ``faces[i]``.  The
+cover is held as the read-only index arrays the rotation system's array
+tracer built over that numbering, not copied; only the orientability
+cross-check builds it as a validated graph.
 
 Every island arc carries a hedgehog tail, cut in at a boundary vertex; a
 tail is identified by the island arc it sits on, so tails and islands share
@@ -116,14 +116,14 @@ class BlowUpGraph:
     from bridges to tails is ``bar`` as well: bridge g feeds the tail on
     island ``bar[g]``, and tail i is fed by bridge ``bar[i]``.
 
-    The coin-free arrays every scattering matrix on the graph reads live
-    here, each derived on first read from the walk arrays the base system
-    traced (``cover.base._walks``, whose tuples are ``faces``), read-only
-    and kept out of ``==``: ``face_layout`` (tails in walk order, face
-    offsets, twist parities), ``face_index`` (face lengths, each slot's
-    face and place), ``gram_index`` (the Gram gathers and scatters per face
-    length) and ``same_face_pairs`` (the tails whose partner is on their own
-    face).  A caller pays only for those it reads; S itself does only coin
+    ``faces`` and the coin-free arrays every scattering matrix on the graph
+    reads live here, each derived on first read from the walk arrays the
+    base system traced (``cover.base._walks``), read-only and kept out of
+    ``==``: ``face_layout`` (tails in walk order, face offsets, twist
+    parities), ``face_index`` (face lengths, each slot's face and place),
+    ``gram_index`` (the Gram gathers and scatters per face length) and
+    ``same_face_pairs`` (the tails whose partner is on their own face).  A
+    caller pays only for those it reads; S itself does only coin
     arithmetic.
     """
 
@@ -134,12 +134,20 @@ class BlowUpGraph:
     bar: np.ndarray = field(compare=False)
     bridge_twist: np.ndarray = field(compare=False)
     bridge_sign: np.ndarray = field(compare=False)
-    faces: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def size(self) -> int:
         """Number of blow-up vertices = islands = bridges = tails."""
         return len(self.rot)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The extended facial walks, as tuples of island arc ids (the island
+        after g is ``bar[rot[g]]``, reached over bridge ``rot[g]``): the walk
+        arrays split at their offsets, as ``face_layout`` reads them."""
+        walks = self.cover.base._walks
+        flat, bounds = walks.arcs.tolist(), walks.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def face_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,11 +226,6 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
     bar = np.arange(n, dtype=np.int64) ^ 1
     twist = np.array(dc.base.twist, dtype=np.int64)[dc.proj >> 1]
     sign = 1.0 - 2.0 * twist
-
-    # Extended facial walks: successor of island g is bar(rot(g)); the
-    # bridge crossed between them is bar(successor).  They are the walks
-    # the base system traced once for trace_faces.
-    faces = dc.base._walks.faces[0]
     # A hedgehog is shared by every caller of hedgehog(rs).
     _read_only(rot_inv, bar, twist, sign)
 
@@ -233,7 +236,6 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
         bar=bar,
         bridge_twist=twist,
         bridge_sign=sign,
-        faces=faces,
     )
 
 

@@ -202,8 +202,8 @@ def mirror(rs: RotationSystem) -> RotationSystem:
 # s * 4|E| + c there, and so are the states.  _cover_arcs builds the covers,
 # _cover_walks finds the walks by pointer doubling, and _decompose reads the
 # faces, self-intersections and orientability off them, with one Python
-# pass per system for the tuples of its FacialDecomposition.  A single
-# system is the batch of one, traced through its memos.
+# pass per system for the tuples and face data of its FacialDecomposition.
+# A single system is the batch of one, traced through its memos.
 # --------------------------------------------------------------------------
 
 # Cover arcs 4k .. 4k+3 lie over base arcs 2k, 2k + 1, 2k, 2k + 1 and carry
@@ -246,7 +246,6 @@ class _Walks(NamedTuple):
     lengths: np.ndarray  # the length of each walk
     arcs: np.ndarray  # every walk's arcs in walk order, walk after walk
     first: list[int]  # system s owns walks first[s] .. first[s + 1] - 1
-    faces: list[tuple[tuple[int, ...], ...]]  # per system, its walks as tuples of its cover arcs
 
 
 def _cover_walks(cover_rot: np.ndarray, n: int) -> _Walks:
@@ -281,55 +280,42 @@ def _cover_walks(cover_rot: np.ndarray, n: int) -> _Walks:
     np.add.accumulate(lengths, out=offsets[1:])
     arcs = np.empty_like(arc)
     arcs[offsets[walk_of] + position] = arc
-
-    flat, bounds = (arcs % n).tolist(), offsets.tolist()
-    walks = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
     first = heads.searchsorted(arc[::n]).tolist() + [len(heads)]
-    faces = [tuple(walks[a:b]) for a, b in zip(first, first[1:])]
-    return _Walks(walk_of, position, offsets, lengths, arcs, first, faces)
+    return _Walks(walk_of, position, offsets, lengths, arcs, first)
 
 
 @dataclass(frozen=True)
 class FacialDecomposition:
     """All facial walks of a rotation system.
 
-    ``cover_faces`` are the extended facial walks: the cycles of the face
-    successor ``rot[c] ^ 1`` on cover arcs, each starting at its smallest
-    cover arc and listed in that order, so they equal the hedgehog's
-    ``faces``.  They come in chiral pairs (``c`` and ``c ^ 3``), and
-    ``cover_base[i]`` is (base face index, is_chiral_copy) of walk ``i``.
-    ``faces`` are the representatives projected to base arcs, each read
-    from its smallest state ``2 * base arc + sheet``: the facial walks of
-    (G, rho, tau), each face reported once and sorted by arc sequence.
-    Self-intersections are the edges a face crosses in both directions,
-    stored with the two distances between the crossings along the walk.
-
-    ``_face_data``, the faces' canonical data that
-    :func:`surfwalk.comfortability.average_comfortability` sums over, is
-    sorted on first read and, like ``RotationSystem._cover``, kept out of
-    ``==``, ``hash``, ``repr`` and pickles.
+    The extended facial walks are the cycles of the face successor
+    ``rot[c] ^ 1`` on cover arcs, each starting at its smallest cover arc
+    and listed in that order: the hedgehog's ``faces``.  They come in
+    chiral pairs (``c`` and ``c ^ 3``), and ``cover_base[i]`` is (base face
+    index, is_chiral_copy) of walk ``i``.  ``faces`` are the
+    representatives projected to base arcs, each read from its smallest
+    state ``2 * base arc + sheet``: the facial walks of (G, rho, tau), each
+    face reported once and sorted by arc sequence.  Self-intersections are
+    the edges a face crosses in both directions, stored with the two
+    distances between the crossings along the walk.  ``_face_data`` holds,
+    per face, its length and its hit distance pairs sorted, the faces in
+    increasing order of those: the canonical order
+    :func:`surfwalk.comfortability.average_comfortability` sums in.  It is
+    read only, never changed.
     """
 
     rs: RotationSystem
-    cover_faces: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[int, ...], ...]
-    self_intersections: tuple[dict[int, tuple[int, int]], ...]
-    orientable: bool
-    genus: int
-    cover_base: tuple[tuple[int, bool], ...] = field(repr=False, compare=False, default=())
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_face_data"}
+    # The rest follows from rs, so equality and hashing read rs alone.
+    faces: tuple[tuple[int, ...], ...] = field(compare=False)
+    self_intersections: tuple[dict[int, tuple[int, int]], ...] = field(compare=False)
+    orientable: bool = field(compare=False)
+    genus: int = field(compare=False)
+    cover_base: tuple[tuple[int, bool], ...] = field(repr=False, compare=False)
+    _face_data: list[tuple[int, list[tuple[int, int]]]] = field(repr=False, compare=False)
 
     @property
     def face_lengths(self) -> tuple[int, ...]:
         return tuple(sorted((len(f) for f in self.faces), reverse=True))
-
-    @cached_property
-    def _face_data(self) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Per face, its length and its hit distance pairs sorted, the faces
-        in increasing order of those; read only, never changed."""
-        return sorted(zip(map(len, self.faces), map(sorted, map(dict.values, self.self_intersections))))
 
 
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
@@ -359,7 +345,7 @@ def _decompose(
     ``lift`` and ``state`` and the walks on them."""
     g = systems[0].graph
     n = 4 * g.edge_count
-    walk_of, position, offsets, lengths, arcs, first, cover_faces = walks
+    walk_of, position, offsets, lengths, arcs, first = walks
     heads = offsets[:-1]
     arc = np.arange(len(arcs))
 
@@ -412,12 +398,14 @@ def _decompose(
         if 2 * len(ranked) != hi - lo:
             raise GraphError("facial walk equals its own chiral reverse")
         cover_base: list[tuple[int, bool]] = [(-1, False)] * (hi - lo)
-        self_int = []
-        for base, (_, _, w) in enumerate(ranked):
+        self_int, face_data = [], []
+        for base, (face, _, w) in enumerate(ranked):
             cover_base[w - lo] = (base, False)
             cover_base[partner[w] - lo] = (base, True)
             a, b = hit_bounds[w], hit_bounds[w + 1]
-            self_int.append(dict(zip(edge[a:b], distances[a:b])) if a < b else {})
+            hits = distances[a:b]
+            self_int.append(dict(zip(edge[a:b], hits)) if hits else {})
+            face_data.append((len(face), sorted(hits)))
 
         chi_euler = g.vertex_count - g.edge_count + len(ranked)
         if orientable[s]:
@@ -429,12 +417,12 @@ def _decompose(
         decompositions.append(
             FacialDecomposition(
                 rs=rs,
-                cover_faces=cover_faces[s],
                 faces=tuple(face for face, _, _ in ranked),
                 self_intersections=tuple(self_int),
                 orientable=orientable[s],
                 genus=genus,
                 cover_base=tuple(cover_base),
+                _face_data=sorted(face_data),
             )
         )
     return decompositions

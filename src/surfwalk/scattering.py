@@ -168,6 +168,8 @@ class ScatteringMatrix:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.bg.size,):
             raise AssumptionError(f"inflow must have one entry per island arc ({self.bg.size})")
+        if not np.isfinite(v).all():
+            raise AssumptionError("inflow must be finite")
         out = np.zeros(self.bg.size, dtype=complex)
         live = np.flatnonzero(v[self.tails])
         faces = np.searchsorted(self.offsets, live, side="right") - 1

@@ -74,15 +74,16 @@ def random_rotation_system(rng, graph=None, max_vertices=6):
 
 def decomposition_fields(fd):
     """Every field of a FacialDecomposition, each self-intersection dict as
-    its item list, so that item order counts."""
+    its item list, so that item order counts.  ``==`` on decompositions
+    reads the system alone."""
     return (
         fd.rs,
-        fd.cover_faces,
         fd.faces,
         [list(hits.items()) for hits in fd.self_intersections],
         fd.orientable,
         fd.genus,
         fd.cover_base,
+        fd._face_data,
     )
 
 

@@ -1,7 +1,9 @@
 import cmath
+import dataclasses
 import importlib
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ import dense_oracle
 import exact_oracle
 from conftest import projective_k4, planar_k4, random_d_real_coin, random_rotation_system
 from surfwalk.comfortability import (
+    ComfortReport,
     average_by_enumeration,
     average_comfortability,
     comfortability,
@@ -180,30 +183,31 @@ def test_average_matches_the_per_call_sort_bit_for_bit(k4_classes, k5_classes):
             assert average_comfortability(fd, coin) == _sorted_per_call_average(fd, coin)
 
 
-def _hash_or_error(x):
-    try:
-        return hash(x)
-    except TypeError as error:
-        return repr(error)
-
-
-def test_face_data_memo_is_not_part_of_the_decomposition(k4_classes):
+def test_face_data_is_traced_with_the_faces_and_kept_out_of_repr_and_equality(k4_classes):
+    coin = Coin.real_symmetric(0.6)
     for cls in k4_classes:
         fd = trace_faces(cls.representative)
-        # A decomposition holds its self-intersections as dicts, so hashing
-        # it raises; it must raise the same way with the memo read.
-        before = (pickle.dumps(fd), repr(fd), _hash_or_error(fd))
-        first = average_comfortability(fd, Coin.real_symmetric(0.6))
-        memo = fd._face_data
-        assert vars(fd)["_face_data"] is memo
-        assert (pickle.dumps(fd), repr(fd), _hash_or_error(fd)) == before
-        assert fd == trace_faces(cls.representative) == fd
+        faces = zip(map(len, fd.faces), map(sorted, map(dict.values, fd.self_intersections)))
+        assert fd._face_data == sorted(faces)
+        # repr, == and hash read no face data: a copy with it reversed
+        # compares, hashes and prints as the original.
+        doctored = dataclasses.replace(fd, _face_data=fd._face_data[::-1])
+        assert (repr(doctored), hash(doctored)) == (repr(fd), hash(fd))
+        assert doctored == fd == trace_faces(cls.representative) == cls.decomposition
+        # The census's batch trace sums to the same average.
+        assert average_comfortability(fd, coin) == average_comfortability(cls.decomposition, coin)
+
+
+def test_a_pickled_decomposition_keeps_its_face_data(k4_classes, k5_classes):
+    rng = np.random.default_rng(2030)
+    decompositions = [c.decomposition for c in k4_classes + k5_classes[::50]]
+    decompositions += [trace_faces(random_rotation_system(rng, max_vertices=8)) for _ in range(10)]
+    for fd in decompositions:
         again = pickle.loads(pickle.dumps(fd))
-        assert "_face_data" not in vars(again) and again == fd
-        assert average_comfortability(again, Coin.real_symmetric(0.6)) == first
-        # Another coin reads the memo; it sorts nothing again.
-        average_comfortability(fd, Coin.hadamard_type())
-        assert fd._face_data is memo
+        # The face data travels in the pickle; nothing rebuilds it.
+        assert again == fd and vars(again)["_face_data"] == fd._face_data
+        for coin in _SWEEP_COINS:
+            assert average_comfortability(again, coin) == average_comfortability(fd, coin)
 
 
 def test_positive_coin_form_matches_general():
@@ -548,3 +552,31 @@ def test_invalid_input_raises(build, error, message):
         build()
     assert err.type is error
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("entry", ["run_to_stationary", "stationary_closed_form", "comfortability"])
+def test_a_non_finite_inflow_is_rejected_at_once(bad, entry):
+    # Unchecked, the simulator runs every allowed step on a nan residual
+    # and the closed forms return a nan energy.
+    fd = trace_faces(projective_k4())
+    bg, coin = hedgehog(fd.rs), Coin.hadamard_type()
+    inflow = unit_inflow(bg.size, 0)
+    inflow[5] = bad
+    call = {
+        "run_to_stationary": lambda: run_to_stationary(bg, coin, inflow),
+        "stationary_closed_form": lambda: stationary_closed_form(bg, coin, inflow),
+        "comfortability": lambda: comfortability(fd, coin, inflow),
+    }[entry]
+    start = time.perf_counter()
+    with pytest.raises(AssumptionError, match="^inflow must be finite$"):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("part", ["energy", "island", "bridge"])
+def test_a_nan_energy_is_no_comfort_report(part):
+    energies = dict(energy=1.0, island=0.5, bridge=0.5)
+    ComfortReport(**energies)
+    with pytest.raises(AssumptionError, match="non-negative"):
+        ComfortReport(**{**energies, part: math.nan})

@@ -74,7 +74,7 @@ def test_face_lengths_partition_arcs(rng):
         rs = random_rotation_system(rng)
         fd = trace_faces(rs)
         assert sum(len(f) for f in fd.faces) == rs.graph.arc_count
-        assert len(fd.cover_faces) == 2 * len(fd.faces)
+        assert len(hedgehog(rs).faces) == 2 * len(fd.faces)
         assert all(len(f) > 2 for f in fd.faces)
 
 
@@ -155,7 +155,7 @@ def test_mirror_faces_are_reversed_walks():
     fd = trace_faces(planar_k4())
     fdm = trace_faces(mirror(planar_k4()))
     proj = double_cover(fdm.rs).proj
-    mirror_walks = {_min_rotation(tuple(proj[c] for c in f)) for f in fdm.cover_faces}
+    mirror_walks = {_min_rotation(tuple(proj[c] for c in f)) for f in hedgehog(fdm.rs).faces}
     for face in fd.faces:
         reversed_walk = tuple((e ^ 1) for e in reversed(face))
         assert _min_rotation(reversed_walk) in mirror_walks
@@ -200,8 +200,9 @@ def test_trace_faces_matches_state_oracle():
         assert (fd.orientable, fd.genus) == (expect["orientable"], expect["genus"])
         lift = double_cover(rs).lift
         at = {lift[s]: (j, p) for j, orbit in enumerate(expect["orbits"]) for p, s in enumerate(orbit)}
-        assert len(fd.cover_faces) == len(fd.cover_base) == len(expect["orbits"])
-        for walk, label in zip(fd.cover_faces, fd.cover_base):
+        walks = hedgehog(rs).faces
+        assert len(walks) == len(fd.cover_base) == len(expect["orbits"])
+        for walk, label in zip(walks, fd.cover_base):
             j, p = at[walk[0]]
             orbit = expect["orbits"][j]
             assert list(walk) == [lift[orbit[(p + k) % len(orbit)]] for k in range(len(orbit))]
@@ -257,7 +258,7 @@ def test_a_self_paired_walk_is_rejected():
     # the guard is driven with a doctored walk set: one walk of planar K4
     # joined to its chiral partner into one cycle.
     rs = planar_k4()
-    walks = list(trace_faces(rs).cover_faces)
+    walks = list(hedgehog(rs).faces)
     first = walks.pop(0)
     partner = next(w for w in walks if first[0] ^ 3 in w)
     walks.remove(partner)
@@ -302,8 +303,27 @@ def test_chiral_tie_goes_to_the_smaller_state():
     rs = random_rotation_system(np.random.default_rng(77), max_vertices=7)
     fd = trace_faces(rs)
     assert fd.faces == ((0, 4, 3), (0, 4, 3))
-    assert hedgehog(rs).faces == fd.cover_faces
     assert list(fd.cover_base) == [(1, False), (0, True), (0, False), (1, True)]
+    # The representative of face 0 is the walk whose smallest state is the
+    # smaller one (state = 2 * base arc + sheet).
+    dc = double_cover(rs)
+    state = 2 * dc.proj + dc.sheet
+    smallest = {label: min(state[list(walk)]) for walk, label in zip(hedgehog(rs).faces, fd.cover_base)}
+    assert smallest[(0, False)] < smallest[(1, False)]
+
+
+def test_decompositions_hash_and_compare_by_their_system(k4_classes):
+    systems = [cls.representative for cls in k4_classes]
+    for cls, rs in zip(k4_classes, systems):
+        fd = trace_faces(rs)
+        assert fd == cls.decomposition and hash(fd) == hash(cls.decomposition)
+        # A vertex flip keeps the surface and changes the system.
+        other = trace_faces(flip_vertex(rs, 0))
+        assert (other.genus, other.orientable, other.face_lengths) == (fd.genus, fd.orientable, fd.face_lengths)
+        assert other != fd
+    traced = {trace_faces(rs) for rs in systems + systems} | {cls.decomposition for cls in k4_classes}
+    assert len(traced) == len(systems) == len(set(k4_classes))
+    assert {fd.rs for fd in traced} == set(systems)
 
 
 def test_detect_orientability_all_zero_twists(rng):

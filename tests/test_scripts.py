@@ -38,6 +38,7 @@ def test_front_end_timing_reports_every_stage():
         "average_comfortability_ms",
         "stationary_closed_form_ms",
         "comfortability_ms",
+        "stationary_closed_form_uniform_ms",
     ]
     export = ["blocks_ms", "unitarity_defect_ms", "scatter_json_ms", "scatter_csv_ms"]
     assert list(row) == ["graph", "arcs"] + stages + export
@@ -51,7 +52,7 @@ def test_front_end_timing_reports_every_stage():
     small = script["stage_times"]("K4", complete_graph(script["SMALL"]), np.random.default_rng(seed), 1)
     assert list(small) == ["graph", "arcs"] + stages + export
     assert (small["graph"], small["arcs"]) == ("K4", 12)
-    assert all(isinstance(small[k], float) and small[k] > 0 for k in stages[-3:])
+    assert all(isinstance(small[k], float) and small[k] > 0 for k in stages[-4:])
     # The grids come last: 30 x 30 has 2 * 30 * 29 edges.
     assert script["GRIDS"] == (30, 60)
     grid = script["stage_times"]("grid30x30", script["grid_graph"](30), np.random.default_rng(seed), 1)
