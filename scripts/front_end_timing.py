@@ -47,6 +47,14 @@ linear along K_n and shows only on the grids.  The stages:
   same way on a unit inflow at every tail, which solves each face's
   recurrence (``ScatteringMatrix._solve``) instead of reading one column.
 
+Up to 8 vertices (the K4 and K8 lines) it also times the simulator, the
+one stage the closed forms leave out:
+
+- ``run_to_stationary_ms`` and ``run_to_stationary_steps``:
+  ``run_to_stationary`` under the Hadamard coin with a unit inflow on
+  tail 0 and the default ``tol``, from the zero state, and the number of
+  steps it takes.
+
 Up to 20 vertices it also times the dense export (a K32 export is on the order of
 100 MB):
 
@@ -85,7 +93,7 @@ from surfwalk.scattering import (  # noqa: E402
     scattering_matrix,
     stationary_closed_form,
 )
-from surfwalk.walk_dynamics import Coin  # noqa: E402
+from surfwalk.walk_dynamics import Coin, run_to_stationary  # noqa: E402
 
 SMALL = 4  # timed first, from its own generator
 SIZES = (8, 16, 32, 64, 128)
@@ -93,6 +101,7 @@ GRIDS = (30, 60)  # n x n grids, timed last, from their own generator
 SEED = 101
 REPEAT = 5  # calls per stage; the fastest is reported
 EXPORT_MAX_N = 20  # the dense export stages run up to 20 vertices
+SIMULATOR_MAX_N = 8  # the simulator runs up to 8 vertices
 
 
 def grid_graph(n: int) -> SymmetricDigraph:
@@ -169,6 +178,9 @@ def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
         "comfortability_ms": best_ms(lambda fd: comfortability(fd, coin, one_tail), repeat, lambda: fd),
         "stationary_closed_form_uniform_ms": best_ms(lambda _: stationary_closed_form(bg, coin, uniform), repeat),
     }
+    if g.vertex_count <= SIMULATOR_MAX_N:
+        row["run_to_stationary_ms"] = best_ms(lambda _: run_to_stationary(bg, coin, one_tail), repeat)
+        row["run_to_stationary_steps"] = run_to_stationary(bg, coin, one_tail).steps
     if g.vertex_count <= EXPORT_MAX_N:
         row.update(export_times(text, bg, coin, repeat))
     return row

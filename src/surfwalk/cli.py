@@ -110,8 +110,8 @@ def _json_legend(bg):
         zip(
             range(bg.size),
             bg.bar.tolist(),
-            np.take(g.origin, dc.proj).tolist(),
-            np.take(g.terminus, dc.proj).tolist(),
+            g.origin_array[dc.proj].tolist(),
+            g.terminus_array[dc.proj].tolist(),
             dc.sheet.tolist(),
         )
     )
@@ -194,7 +194,11 @@ def _with_coin_options(func):
 
 def _load_system(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_rotation_system(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_rotation_system(text)
 
 
 def _load_graph_or_kn(spec: str):

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import SymmetricDigraph, bfs_forest
+from .graph_core import SymmetricDigraph, _read_only
 from .rotation_system import RotationSystem
 
 __all__ = [
@@ -74,7 +74,7 @@ class DoubleCover:
 
     @cached_property
     def graph(self) -> SymmetricDigraph:
-        terminus = 2 * np.array(self.base.graph.terminus, dtype=np.int64)[self.proj] + self.sheet
+        terminus = 2 * self.base.graph.terminus_array[self.proj] + self.sheet
         origin = terminus[np.arange(self.arc_count) ^ 1]
         return SymmetricDigraph(
             2 * self.base.graph.vertex_count, tuple(origin.tolist()), tuple(terminus.tolist())
@@ -84,13 +84,7 @@ class DoubleCover:
     def components(self) -> int:
         # A spanning forest has one tree per component, each with one edge
         # fewer than vertices; 1 component iff the base is non-orientable.
-        return self.graph.vertex_count - len(bfs_forest(self.graph))
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+        return self.graph.vertex_count - len(self.graph.spanning_forest.arcs)
 
 
 def double_cover(rs: RotationSystem) -> DoubleCover:

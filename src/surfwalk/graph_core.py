@@ -5,13 +5,21 @@ Arcs are stored in reverse pairs: arc ``2k`` runs ``u -> v`` and arc
 undirected edge id of an arc is ``e >> 1``.  Vertices and arcs are dense
 non-negative integers, which lets every permutation downstream (rotations,
 face walks, covers) be a plain integer array.
+
+What depends on the graph alone is derived once per graph, on first read,
+and kept on it: ``origin`` and ``terminus`` as int64 arrays
+(``origin_array``, ``terminus_array``) and the spanning forest of the one
+graph search, :func:`bfs_forest` (``spanning_forest``), behind
+connectivity, the orientability tree and the double-cover component count.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import GraphError
 
@@ -37,18 +45,54 @@ def arc_edge(e: int) -> int:
     return e >> 1
 
 
+class _memo:
+    """An attribute computed by ``func`` on first read and then set on the
+    object with ``object.__setattr__``, so that later reads find it first.
+    Unlike :class:`functools.cached_property` it takes no lock and writes
+    nothing into ``obj.__dict__``; on Python 3.11 reaching for the
+    ``__dict__`` turns off CPython's fast path for every later read of the
+    object's fields, which the census makes many of per graph."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+class Forest(NamedTuple):
+    """A spanning forest: ``arcs`` are its tree arcs as :func:`bfs_forest`
+    finds them; ``parent[v]`` and ``edge[v]`` are the parent of vertex
+    ``v`` and the edge to it, a root being its own parent over edge 0."""
+
+    arcs: tuple[int, ...]
+    parent: np.ndarray
+    edge: np.ndarray
+
+
 @dataclass(frozen=True)
 class SymmetricDigraph:
     """A finite simple graph seen as a symmetric digraph.
 
     ``origin[e]`` and ``terminus[e]`` give o(e) and t(e); the involution and
-    edge projection are index arithmetic (see module docstring).
+    edge projection are index arithmetic (see module docstring).  The
+    tuples serve Python loops; ``origin_array``, ``terminus_array`` and
+    ``spanning_forest`` are derived from them on first read, kept out of
+    ``==``, ``hash``, ``repr`` and pickles, and read only.
     """
 
     vertex_count: int
     origin: tuple[int, ...]
     terminus: tuple[int, ...]
-    _incoming: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    _incoming: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, o, t = self.vertex_count, self.origin, self.terminus
@@ -72,6 +116,32 @@ class SymmetricDigraph:
         for e, x in enumerate(t):
             inc[x].append(e)
         object.__setattr__(self, "_incoming", tuple(tuple(a) for a in inc))
+
+    def __getstate__(self):
+        memos = ("origin_array", "terminus_array", "spanning_forest")
+        return {k: v for k, v in self.__dict__.items() if k not in memos}
+
+    @_memo
+    def origin_array(self) -> np.ndarray:
+        """``origin`` as a read-only int64 array."""
+        return _read_only(np.array(self.origin, dtype=np.int64))[0]
+
+    @_memo
+    def terminus_array(self) -> np.ndarray:
+        """``terminus`` as a read-only int64 array."""
+        return _read_only(np.array(self.terminus, dtype=np.int64))[0]
+
+    @_memo
+    def spanning_forest(self) -> Forest:
+        """The forest of :func:`bfs_forest`, with each vertex's parent and
+        tree edge as read-only int64 arrays."""
+        arcs = bfs_forest(self)
+        parent, edge = list(range(self.vertex_count)), [0] * self.vertex_count
+        for e in arcs:
+            c = self.origin[e]
+            parent[c], edge[c] = self.terminus[e], e >> 1
+        parent, edge = np.array(parent, dtype=np.int64), np.array(edge, dtype=np.int64)
+        return Forest(tuple(arcs), *_read_only(parent, edge))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "SymmetricDigraph":
@@ -159,4 +229,10 @@ def bfs_forest(g: SymmetricDigraph) -> list[int]:
 
 
 def is_connected(g: SymmetricDigraph) -> bool:
-    return len(bfs_forest(g)) == g.vertex_count - 1
+    return len(g.spanning_forest.arcs) == g.vertex_count - 1
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import SymmetricDigraph, arc_edge, bfs_forest
+from .graph_core import SymmetricDigraph, arc_edge, is_connected
 
 __all__ = [
     "RotationSystem",
@@ -429,8 +429,11 @@ def _decompose(
 
 
 def _tree_flips(g: SymmetricDigraph, twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Twist normalisation along a BFS spanning tree, for a batch of twist
-    rows (systems x |E|) on one graph.
+    """Twist normalisation along the graph's BFS spanning tree, for a batch
+    of twist rows (systems x |E|) on one graph.  The tree, with each
+    vertex's parent and tree edge, and the origin array are the graph's own
+    (``g.spanning_forest``, ``g.origin_array``, built once per graph), so a
+    call does only the pointer jumping and the final edge check.
 
     Walking the tree in discovery order, a child is flipped iff its tree
     edge, after the flip of its parent, is still twisted, so a vertex is
@@ -440,27 +443,23 @@ def _tree_flips(g: SymmetricDigraph, twist: np.ndarray) -> tuple[np.ndarray, np.
     non-tree edges can).  Returns (orientable, flip bit per vertex), a row
     per system.
     """
-    tree = bfs_forest(g)
-    if len(tree) != g.vertex_count - 1:
+    if not is_connected(g):
         raise GraphError("orientability and genus need a connected graph")
-    # Each vertex's parent and tree edge, read off its tree arc; the root,
-    # vertex 0, is its own parent, over edge 0, whose twist it then drops.
-    parent, edge = [0] * g.vertex_count, [0] * g.vertex_count
-    for e in tree:
-        c = g.origin[e]
-        parent[c], edge[c] = g.terminus[e], arc_edge(e)
-    flip = twist.take(edge, axis=1)
+    # The root, vertex 0, is its own parent, over edge 0, whose twist it
+    # then drops.
+    tree = g.spanning_forest
+    flip = twist.take(tree.edge, axis=1)
     flip[:, 0] = 0
     # Pointer jumping: after the round of span s, flip[v] is the parity of
     # the twists on the s tree edges above v (on all of them if the root is
     # nearer) and above[v] the vertex s edges up (or the root), until every
     # vertex sees the root.
-    above = np.array(parent)
+    above = tree.parent
     while above.any():
         flip ^= flip.take(above, axis=1)
         above = above[above]
     # Arc 2k runs from one end of edge k and arc 2k + 1 from the other.
-    ends = flip.take(g.origin, axis=1)
+    ends = flip.take(g.origin_array, axis=1)
     return ~(twist ^ ends[:, 0::2] ^ ends[:, 1::2]).any(axis=1), flip
 
 

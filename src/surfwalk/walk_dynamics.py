@@ -300,7 +300,7 @@ def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.
     its terminus is ``x``."""
     flipped = flip_vertex(rs, x)
     dc = double_cover(rs)
-    sheet = dc.sheet ^ (np.array(rs.graph.terminus)[dc.proj] == x)
+    sheet = dc.sheet ^ (rs.graph.terminus_array[dc.proj] == x)
     return flipped, double_cover(flipped).lift[2 * dc.proj + sheet]
 
 

@@ -265,6 +265,17 @@ def test_enumerate_missing_file_exits_2(tmp_path, capsys):
     assert "neither K<n> nor a rotation-system file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["faces", "enumerate", "rank"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # A UTF-16 byte-order mark is no UTF-8; it is a parse error, not a crash.
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe" + PROJECTIVE_K4_FILE.encode("utf-16-le"))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: not valid UTF-8: invalid start byte at byte 0\n"
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("EW_BUDGET", "10")
     assert main(["enumerate", "K4"]) == 5

@@ -1,5 +1,14 @@
+import dataclasses
+import inspect
+import pickle
+import tracemalloc
+
 import pytest
 
+from conftest import planar_grid, projective_k4
+from surfwalk import covering_blowup, graph_core, rotation_system
+from surfwalk.covering_blowup import hedgehog
+from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.errors import GraphError
 from surfwalk.graph_core import (
     SymmetricDigraph,
@@ -11,6 +20,9 @@ from surfwalk.graph_core import (
     is_connected,
     path_graph,
 )
+from surfwalk.rotation_system import detect_orientability, trace_faces
+from surfwalk.scattering import orientability_from_scattering, scattering_matrix
+from surfwalk.walk_dynamics import Coin
 
 
 def test_complete_graph_counts():
@@ -98,6 +110,103 @@ def test_bfs_forest_disconnected_roots_each_tree_at_its_smallest_vertex():
     assert g.vertex_count - len(forest) == 4
     assert not is_connected(g)
     assert bfs_forest(SymmetricDigraph(1, (), ())) == []
+
+
+def _count_searches(monkeypatch):
+    """Count the calls of ``bfs_forest`` through each module's name for it,
+    set whether or not the module imports it."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return bfs_forest(g)
+
+    for module in (graph_core, rotation_system, covering_blowup):
+        monkeypatch.setattr(module, "bfs_forest", counted, raising=False)
+    return calls
+
+
+def test_one_search_behind_the_three_orientability_routes(monkeypatch):
+    rs = projective_k4()
+    calls = _count_searches(monkeypatch)
+    assert not trace_faces(rs).orientable
+    assert not detect_orientability(rs)[0]
+    assert not orientability_from_scattering(scattering_matrix(hedgehog(rs), Coin.hadamard_type()))
+    assert calls == [rs.graph]
+
+
+def test_one_search_behind_the_census(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    assert len(enumerate_embeddings(complete_graph(4))) == 11
+    assert len(calls) == 1
+
+
+def test_derived_arrays_are_shared_and_read_only():
+    g = complete_graph(5)
+    forest = g.spanning_forest
+    arrays = (g.origin_array, g.terminus_array, forest.parent, forest.edge)
+    assert g.origin_array is arrays[0] and g.terminus_array is arrays[1] and g.spanning_forest is forest
+    assert g.origin_array.tolist() == list(g.origin) and g.terminus_array.tolist() == list(g.terminus)
+    assert forest.arcs == tuple(bfs_forest(g))
+    # Vertex 0 is the root, its own parent over edge 0; the others hang off it.
+    assert forest.parent.tolist() == [0, 0, 0, 0, 0]
+    assert forest.edge.tolist() == [0, 0, 1, 2, 3]
+    for a in arrays:
+        assert a.dtype == "int64" and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_derived_arrays_stay_out_of_equality_hash_repr_and_pickles():
+    g = cycle_graph(6)
+    before = (hash(g), repr(g), pickle.dumps(g))
+    g.origin_array, g.terminus_array, g.spanning_forest
+    assert (hash(g), repr(g), pickle.dumps(g)) == before
+    assert g == cycle_graph(6)
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g and clone.origin_array is not g.origin_array
+
+
+def test_replaced_graph_derives_its_own_arrays():
+    g = path_graph(4)
+    g.origin_array, g.spanning_forest
+    same = dataclasses.replace(g)
+    assert same.origin_array is not g.origin_array and same.spanning_forest is not g.spanning_forest
+    assert same.origin_array.tolist() == g.origin_array.tolist()
+    # A path 0-1-2-3 renumbered 0-3-2-1: the tree hangs the other way.
+    other = dataclasses.replace(g, origin=(0, 3, 3, 2, 2, 1), terminus=(3, 0, 2, 3, 1, 2))
+    assert other.origin_array.tolist() == [0, 3, 3, 2, 2, 1]
+    assert other.spanning_forest.parent.tolist() == [0, 2, 3, 0]
+    assert other.spanning_forest.edge.tolist() == [0, 2, 1, 0]
+
+
+def _memo_peak(g):
+    """The tracemalloc peak of deriving the memos of a fresh copy of ``g``."""
+    fresh = dataclasses.replace(g)
+    tracemalloc.start()
+    try:
+        fresh.origin_array, fresh.terminus_array, fresh.spanning_forest
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memo_memory_grows_linearly_in_arcs():
+    # On K_n the vertex count grows like the square root of the arcs, on a
+    # grid like the arcs themselves; either way the memo is linear in arcs.
+    for graphs in ([complete_graph(n) for n in (16, 32, 64)], [planar_grid(n).graph for n in (30, 60)]):
+        per_arc = [_memo_peak(g) / g.arc_count for g in graphs]
+        assert all(later <= 2 * per_arc[0] for later in per_arc[1:]), per_arc
+    assert _memo_peak(planar_grid(60).graph) < 1e6
+
+
+def test_incoming_is_no_constructor_parameter():
+    g = complete_graph(3)
+    assert list(inspect.signature(SymmetricDigraph).parameters) == ["vertex_count", "origin", "terminus"]
+    with pytest.raises(TypeError):
+        SymmetricDigraph(3, g.origin, g.terminus, ((9,),))
+    with pytest.raises(TypeError):
+        SymmetricDigraph(3, g.origin, g.terminus, _incoming=((9,),))
 
 
 # Arc pairs (o(2k), t(2k), o(2k+1), t(2k+1)) of one bad edge of each kind,

@@ -40,18 +40,24 @@ def test_front_end_timing_reports_every_stage():
         "comfortability_ms",
         "stationary_closed_form_uniform_ms",
     ]
+    simulator = ["run_to_stationary_ms", "run_to_stationary_steps"]
     export = ["blocks_ms", "unitarity_defect_ms", "scatter_json_ms", "scatter_csv_ms"]
-    assert list(row) == ["graph", "arcs"] + stages + export
+    assert list(row) == ["graph", "arcs"] + stages + simulator + export
     assert (row["graph"], row["arcs"]) == ("K8", 56)
-    assert all(isinstance(row[k], float) and row[k] >= 0 for k in stages + export)
+    assert all(isinstance(row[k], float) and row[k] >= 0 for k in stages + simulator[:1] + export)
+    assert isinstance(row["run_to_stationary_steps"], int) and row["run_to_stationary_steps"] > 0
+    # The simulator is timed up to 8 vertices only.
+    k9 = script["stage_times"]("K9", complete_graph(9), np.random.default_rng(seed), 1)
+    assert list(k9) == ["graph", "arcs"] + stages + export
     # The dense export is timed up to 20 vertices only.
     k21 = script["stage_times"]("K21", complete_graph(21), np.random.default_rng(seed), 1)
     assert list(k21) == ["graph", "arcs"] + stages
     # The small-system row comes first, from a generator of its own.
     assert script["SMALL"] == 4 and script["SIZES"][0] == 8
     small = script["stage_times"]("K4", complete_graph(script["SMALL"]), np.random.default_rng(seed), 1)
-    assert list(small) == ["graph", "arcs"] + stages + export
+    assert list(small) == ["graph", "arcs"] + stages + simulator + export
     assert (small["graph"], small["arcs"]) == ("K4", 12)
+    assert small["run_to_stationary_ms"] > 0 and small["run_to_stationary_steps"] > 0
     assert all(isinstance(small[k], float) and small[k] > 0 for k in stages[-4:])
     # The grids come last: 30 x 30 has 2 * 30 * 29 edges.
     assert script["GRIDS"] == (30, 60)
