@@ -64,6 +64,14 @@ Up to 20 vertices it also times the dense export (a K32 export is on the order o
 - ``scatter_json_ms`` and ``scatter_csv_ms``: the ``scatter`` command, from
   the file to its ``--out`` file.
 
+Two more lines close the output, one per fit: for each stage timed on at
+least two of its rows, the least-squares slope of log time against log
+arcs, over the K8 to K128 rows (``"fit": "K_n"``; the K4 row is left out,
+as it records the constant cost of a stage, which would flatten the fit)
+and over the two grid rows (``"fit": "grid"``).  A slope near 1 is a
+linear stage; one near 2 is quadratic in the arcs, or, on the grids, in the
+vertices.
+
 BLAS runs on one thread, as in ``perfbench/run.py``, so the figures are
 comparable with the benchmark's.  Run it from the root of a checkout:
 
@@ -207,14 +215,34 @@ def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
         }
 
 
+def log_log_slopes(rows: list[dict]) -> dict:
+    """Per ``_ms`` stage timed on at least two of ``rows``, the least-squares
+    slope of log time against log arcs.  A time below the clock's
+    resolution counts as that resolution, so every slope is finite."""
+    floor = 1e3 * time.get_clock_info("perf_counter").resolution
+    slopes = {}
+    for stage in dict.fromkeys(key for row in rows for key in row if key.endswith("_ms")):
+        timed = [row for row in rows if stage in row]
+        if len(timed) >= 2:
+            arcs = np.log([row["arcs"] for row in timed])
+            ms = np.log([max(row[stage], floor) for row in timed])
+            slopes[stage] = float(np.polyfit(arcs, ms, 1)[0])
+    return slopes
+
+
 def main():
     print(json.dumps(stage_times(f"K{SMALL}", complete_graph(SMALL), np.random.default_rng(SEED), REPEAT)), flush=True)
+    fits = {"K_n": [], "grid": []}
     rng = np.random.default_rng(SEED)
     for n in SIZES:
-        print(json.dumps(stage_times(f"K{n}", complete_graph(n), rng, REPEAT)), flush=True)
+        fits["K_n"].append(stage_times(f"K{n}", complete_graph(n), rng, REPEAT))
+        print(json.dumps(fits["K_n"][-1]), flush=True)
     rng = np.random.default_rng(SEED)
     for n in GRIDS:
-        print(json.dumps(stage_times(f"grid{n}x{n}", grid_graph(n), rng, REPEAT)), flush=True)
+        fits["grid"].append(stage_times(f"grid{n}x{n}", grid_graph(n), rng, REPEAT))
+        print(json.dumps(fits["grid"][-1]), flush=True)
+    for fit, rows in fits.items():
+        print(json.dumps({"fit": fit, **log_log_slopes(rows)}), flush=True)
 
 
 if __name__ == "__main__":

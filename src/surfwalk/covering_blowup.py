@@ -24,12 +24,11 @@ and shared, so its arrays are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import SymmetricDigraph, _read_only
+from .graph_core import SymmetricDigraph, _memo, _read_only
 from .rotation_system import RotationSystem
 
 __all__ = [
@@ -72,7 +71,7 @@ class DoubleCover:
     def arc_count(self) -> int:
         return len(self.rot)
 
-    @cached_property
+    @_memo
     def graph(self) -> SymmetricDigraph:
         terminus = 2 * self.base.graph.terminus_array[self.proj] + self.sheet
         origin = terminus[np.arange(self.arc_count) ^ 1]
@@ -80,7 +79,7 @@ class DoubleCover:
             2 * self.base.graph.vertex_count, tuple(origin.tolist()), tuple(terminus.tolist())
         )
 
-    @cached_property
+    @_memo
     def components(self) -> int:
         # A spanning forest has one tree per component, each with one edge
         # fewer than vertices; 1 component iff the base is non-orientable.
@@ -115,8 +114,9 @@ class BlowUpGraph:
     base system traced (``cover.base._walks``), read-only and kept out of
     ``==``: ``face_layout`` (tails in walk order, face offsets, twist
     parities), ``face_index`` (face lengths, each slot's face and place),
-    ``gram_index`` (the Gram gathers and scatters per face length) and
-    ``same_face_pairs`` (the tails whose partner is on their own face).  A
+    ``tail_slot`` (each tail's slot in the layout), ``gram_index`` (the
+    Gram gathers and scatters per face length) and ``same_face_pairs``
+    (the tails whose partner is on their own face).  A
     caller pays only for those it reads; S itself does only coin
     arithmetic.
     """
@@ -134,7 +134,7 @@ class BlowUpGraph:
         """Number of blow-up vertices = islands = bridges = tails."""
         return len(self.rot)
 
-    @cached_property
+    @_memo
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The extended facial walks, as tuples of island arc ids (the island
         after g is ``bar[rot[g]]``, reached over bridge ``rot[g]``): the walk
@@ -143,7 +143,7 @@ class BlowUpGraph:
         flat, bounds = walks.arcs.tolist(), walks.offsets.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    @cached_property
+    @_memo
     def face_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``lengths``, per face its length, and per slot of the layout
         (``tails`` order) ``face``, the number of its face, and ``place``,
@@ -153,7 +153,7 @@ class BlowUpGraph:
         face = np.repeat(np.arange(len(lengths)), lengths)
         return _read_only(lengths, face, np.arange(self.size) - np.repeat(walks.offsets[:-1], lengths))
 
-    @cached_property
+    @_memo
     def face_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The coin-free layout every scattering matrix of this graph shares:
         ``tails``, the islands of every face in walk order, face after face;
@@ -181,7 +181,15 @@ class BlowUpGraph:
             raise GraphError(f"face {odd[0]} crosses an odd number of twisted bridges: it does not close on its sheet")
         return _read_only(tails, offsets, parity)
 
-    @cached_property
+    @_memo
+    def tail_slot(self) -> np.ndarray:
+        """The inverse of ``face_layout``'s ``tails``: per tail, its slot in
+        the layout."""
+        slot = np.empty(self.size, dtype=np.int64)
+        slot[self.face_layout[0]] = np.arange(self.size)
+        return _read_only(slot)[0]
+
+    @_memo
     def gram_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per distinct face length q, a row per face of that length: the
         gather of its first circulant column c_f[q], c_f[1 ... q-1] from the
@@ -194,7 +202,7 @@ class BlowUpGraph:
             index.append(_read_only(np.roll(scatter, 1, axis=1), scatter))
         return tuple(index)
 
-    @cached_property
+    @_memo
     def same_face_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """For each slot u (at j) of the layout whose tail t has its partner
         ``bar[t]`` on the same face (at j'): the slot of the face's Gram
@@ -202,9 +210,7 @@ class BlowUpGraph:
         (``comfortability.average_by_enumeration``)."""
         tails, offsets, parity = self.face_layout
         lengths, face, _ = self.face_index
-        slot = np.empty(self.size, dtype=np.int64)
-        slot[tails] = np.arange(self.size)
-        partner = slot[self.bar[tails]]
+        partner = self.tail_slot[self.bar[tails]]
         u = np.flatnonzero(face[partner] == face)
         v, f = partner[u], face[u]
         sign = self.bridge_sign[tails[u]] * (1 - 2 * (parity[u] ^ parity[v]))

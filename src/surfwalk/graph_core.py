@@ -6,9 +6,10 @@ undirected edge id of an arc is ``e >> 1``.  Vertices and arcs are dense
 non-negative integers, which lets every permutation downstream (rotations,
 face walks, covers) be a plain integer array.
 
-What depends on the graph alone is derived once per graph, on first read,
-and kept on it: ``origin`` and ``terminus`` as int64 arrays
-(``origin_array``, ``terminus_array``) and the spanning forest of the one
+A graph is validated as arrays, and keeps the int64 arrays of ``origin``
+and ``terminus`` that validation forms (``origin_array``,
+``terminus_array``).  What else depends on the graph alone is derived once
+per graph, on first read, and kept on it: the spanning forest of the one
 graph search, :func:`bfs_forest` (``spanning_forest``), behind
 connectivity, the orientability tree and the double-cover component count.
 """
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,9 +86,11 @@ class SymmetricDigraph:
 
     ``origin[e]`` and ``terminus[e]`` give o(e) and t(e); the involution and
     edge projection are index arithmetic (see module docstring).  The
-    tuples serve Python loops; ``origin_array``, ``terminus_array`` and
-    ``spanning_forest`` are derived from them on first read, kept out of
-    ``==``, ``hash``, ``repr`` and pickles, and read only.
+    tuples serve Python loops; ``origin_array`` and ``terminus_array`` are
+    the arrays the constructor validates (derived again on first read in a
+    graph restored from a pickle) and ``spanning_forest`` is derived on first
+    read, all kept out of ``==``, ``hash``, ``repr`` and pickles, and read
+    only.
     """
 
     vertex_count: int
@@ -100,22 +104,30 @@ class SymmetricDigraph:
             raise GraphError("graph needs at least one vertex")
         if len(o) != len(t) or len(o) % 2:
             raise GraphError("arcs must come in reverse pairs")
-        seen = set()
-        for k, (u, v, u_back, v_back) in enumerate(zip(o[0::2], t[0::2], o[1::2], t[1::2])):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {k} references unknown vertex")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if (u_back, v_back) != (v, u):
-                raise GraphError(f"arc pair {k} is not mutually inverse")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for e, x in enumerate(t):
-            inc[x].append(e)
-        object.__setattr__(self, "_incoming", tuple(tuple(a) for a in inc))
+        origin, terminus = _arc_array(o), _arc_array(t)
+        # A sound graph: each arc pair mutually inverse, no vertex unknown (a
+        # negative id read unsigned is past any vertex) and no arc twice,
+        # which a self-loop (its two arcs alike) or an edge given twice
+        # would make.  Once the ids are known, the arc keys n terminus +
+        # origin are exact: n^2 < 2^63 in any graph that can hold its tuple
+        # of arcs per vertex.
+        key = terminus * n + origin
+        key.sort()
+        if (
+            o[1::2] != t[0::2]
+            or o[0::2] != t[1::2]
+            or np.maximum.reduce(origin.view(np.uint64), initial=0) >= n
+            or np.count_nonzero(key[1:] == key[:-1])
+        ):
+            raise GraphError(_first_bad_edge(n, origin, terminus))
+        # A_x in increasing arc order: a stable sort of the arcs by terminus.
+        arcs = terminus.argsort(kind="stable").tolist()
+        bounds = np.bincount(terminus, minlength=n).cumsum().tolist()
+        object.__setattr__(
+            self, "_incoming", tuple(tuple(arcs[a:b]) for a, b in zip([0] + bounds, bounds))
+        )
+        object.__setattr__(self, "origin_array", _read_only(origin)[0])
+        object.__setattr__(self, "terminus_array", _read_only(terminus)[0])
 
     def __getstate__(self):
         memos = ("origin_array", "terminus_array", "spanning_forest")
@@ -144,12 +156,15 @@ class SymmetricDigraph:
         return Forest(tuple(arcs), *_read_only(parent, edge))
 
     @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "SymmetricDigraph":
-        origin: list[int] = []
-        terminus: list[int] = []
-        for u, v in edges:
-            origin += [u, v]
-            terminus += [v, u]
+    def from_edges(cls, vertex_count: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> "SymmetricDigraph":
+        """The graph whose edge ``k`` is ``edges[k]``, a sequence of (u, v)
+        pairs or an (m, 2) integer array: arc ``2k`` runs u -> v and arc
+        ``2k + 1`` back."""
+        if isinstance(edges, np.ndarray):
+            edges = edges.tolist()
+        origin = list(chain.from_iterable(edges))
+        terminus = origin.copy()
+        terminus[0::2], terminus[1::2] = origin[1::2], origin[0::2]
         return cls(vertex_count, tuple(origin), tuple(terminus))
 
     @property
@@ -230,6 +245,39 @@ def bfs_forest(g: SymmetricDigraph) -> list[int]:
 
 def is_connected(g: SymmetricDigraph) -> bool:
     return len(g.spanning_forest.arcs) == g.vertex_count - 1
+
+
+def _first_bad_edge(n: int, origin: np.ndarray, terminus: np.ndarray) -> str:
+    """The fault of the first edge at fault, each edge's faults tried in the
+    order they are named.  Every edge before it is sound, so a duplicate
+    repeats a sound edge, whose key is exact."""
+    u, v = origin[0::2], terminus[0::2]
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    unknown = (low < 0) | (high >= n)
+    loop = low == high
+    inverse = (origin[1::2] == v) & (terminus[1::2] == u)
+    # Equal keys sit side by side in a stable sort, the earliest first.
+    key = low * n + high
+    order = key.argsort(kind="stable")
+    duplicate = np.zeros(len(key), dtype=bool)
+    duplicate[order[1:]] = key[order[1:]] == key[order[:-1]]
+    k = int((unknown | loop | ~inverse | duplicate).argmax())
+    if unknown[k]:
+        return f"edge {k} references unknown vertex"
+    if loop[k]:
+        return f"self-loop at vertex {int(u[k])}"
+    if not inverse[k]:
+        return f"arc pair {k} is not mutually inverse"
+    return f"duplicate edge {(int(low[k]), int(high[k]))}"
+
+
+def _arc_array(ids) -> np.ndarray:
+    """``ids`` as an int64 array; an id beyond int64 becomes -1, which names
+    no vertex either."""
+    try:
+        return np.fromiter(ids, dtype=np.int64, count=len(ids))
+    except OverflowError:
+        return np.array([i if -(2**63) <= i < 2**63 else -1 for i in ids], dtype=np.int64)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -13,13 +13,13 @@ class of a graph); :func:`trace_faces` is the batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import SymmetricDigraph, arc_edge, is_connected
+from .graph_core import SymmetricDigraph, _memo, arc_edge, is_connected
 
 __all__ = [
     "RotationSystem",
@@ -84,7 +84,7 @@ class RotationSystem:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks", "_hedgehog")}
 
-    @cached_property
+    @_memo
     def _cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cover rotation, ``lift`` and ``state`` of :func:`_cover_arcs`,
         as read-only int64 arrays."""
@@ -93,7 +93,7 @@ class RotationSystem:
             a.flags.writeable = False
         return cover
 
-    @cached_property
+    @_memo
     def _walks(self) -> _Walks:
         """The walks of :func:`_cover_walks` on the cover, a batch of one,
         their arrays read-only."""
@@ -102,7 +102,7 @@ class RotationSystem:
             a.flags.writeable = False
         return walks
 
-    @cached_property
+    @_memo
     def _hedgehog(self):
         """The blow-up :func:`surfwalk.covering_blowup.hedgehog` returns."""
         from .covering_blowup import blow_up, double_cover
@@ -123,19 +123,15 @@ class RotationSystem:
         ``orders[x][i + 1]``.  This is the format of the CLI files and of the
         usual ``clockwise at each vertex`` picture.
         """
-        rot = [0] * graph.arc_count
-        for x, order in enumerate(orders):
-            arc_from = {graph.origin[e]: e for e in graph.incoming_arcs(x)}
-            if len(order) != len(arc_from) or arc_from.keys() != set(order):
-                raise GraphError(
-                    f"rotation at vertex {x} must list its neighbors {sorted(arc_from)} exactly once"
-                )
-            arcs = [arc_from[u] for u in order]
-            for i, e in enumerate(arcs):
-                rot[e] = arcs[(i + 1) % len(arcs)]
+        n = graph.vertex_count
+        lengths = np.fromiter(map(len, orders[:n]), dtype=np.int64, count=min(len(orders), n))
+        neighbour = np.fromiter(chain.from_iterable(orders[:n]), dtype=np.int64, count=int(lengths.sum()))
+        rot = _rotation(graph, np.arange(len(lengths)), lengths, neighbour)
+        if len(orders) > n:
+            raise GraphError(f"unknown vertex {n}")
         if twists is None:
             twists = [0] * graph.edge_count
-        return cls(graph, tuple(rot), tuple(twists))
+        return cls(graph, tuple(rot.tolist()), tuple(twists))
 
     def neighbor_orders(self) -> list[list[int]]:
         """Inverse of :meth:`from_neighbor_orders`: rho walked from each
@@ -153,6 +149,52 @@ class RotationSystem:
         for e, f in enumerate(self.rot):
             inv[f] = e
         return tuple(inv)
+
+
+_PAST_EVERY_KEY = np.array([np.iinfo(np.int64).max])
+_PAST_EVERY_KEY.flags.writeable = False
+
+
+def _rotation(graph: SymmetricDigraph, vertex: np.ndarray, lengths: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
+    """The rotation of cyclic neighbour lists, one per distinct vertex
+    ``vertex[i] < n``: its ``lengths[i]`` neighbours, the lists one after
+    another in ``neighbour``.  A vertex without a list keeps arc 0 as the
+    successor of its arcs, which :class:`RotationSystem` rejects.  Raises
+    :class:`GraphError` for the smallest vertex whose list is not its
+    neighbours, each once."""
+    n = graph.vertex_count
+    at = np.repeat(vertex, lengths)
+    # The arc u -> x has key n x + u (exact, as n^2 < 2^63 in any graph), so
+    # one sorted lookup finds the arc of every (x, u) pair.  The last key,
+    # past every pair's, is that of no arc (its index is the arc count): a
+    # lookup that finds no arc lands on a key it does not equal.
+    keys = np.concatenate((graph.terminus_array * n + graph.origin_array, _PAST_EVERY_KEY))
+    by_key = keys.argsort()
+    wanted = at * n + neighbour
+    arc = by_key[keys[by_key].searchsorted(wanted)]
+    # A negative neighbour read unsigned is past every vertex.
+    found = (keys[arc] == wanted) & (neighbour.view(np.uint64) < n)
+    # A found pair names an arc into its own vertex, so if every arc is
+    # named once, every vertex lists its neighbours exactly once.  Else the
+    # vertices at fault are those that list more or fewer than they have,
+    # name a pair that is no arc into them, or name an arc twice; a vertex
+    # without a list is none of them.
+    if not (found.all() and (np.bincount(arc, minlength=len(keys))[:-1] == 1).all()):
+        twice = np.bincount(arc[found], minlength=len(keys)) > 1
+        bad = np.bincount(at, ~found | twice[arc], minlength=n) > 0
+        bad[vertex] |= lengths != np.bincount(graph.terminus_array, minlength=n)[vertex]
+        if bad.any():
+            x = int(bad.argmax())
+            neighbours = sorted(graph.origin[e] for e in graph.incoming_arcs(x))
+            raise GraphError(f"rotation at vertex {x} must list its neighbors {neighbours} exactly once")
+    # Each list's arcs, rolled one place: rho(arc[i]) = arc[i + 1], and a
+    # vertex's last arc turns back to its first.
+    after = np.arange(1, len(arc) + 1)
+    ends = np.cumsum(lengths)[lengths > 0]
+    after[ends - 1] = ends - lengths[lengths > 0]
+    rot = np.zeros(graph.arc_count, dtype=np.int64)
+    rot[arc] = arc[after]
+    return rot
 
 
 def _flipped(rs: RotationSystem, flip_bits: Sequence[int]) -> RotationSystem:

@@ -118,14 +118,14 @@ class ScatteringMatrix:
         t = self.table[self.offsets[i] : self.offsets[i + 1]]
         return np.concatenate((t, -t))
 
-    def _index(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """For the columns ``cols`` of Q on face ``i`` (rows are the face's
-        tails in walk order), the position of each entry in
-        :meth:`_signed`: (j - m - 1) mod q, plus q where the sign is -1."""
+    def _index(self, i: int) -> np.ndarray:
+        """For entry (j, m) of Q on face ``i`` (rows and columns are the
+        face's tails in walk order), its position in :meth:`_signed`:
+        (j - m - 1) mod q, plus q where the sign is -1."""
         o, e = self.offsets[i], self.offsets[i + 1]
         q = e - o
-        p = self.parity[o:e]
-        return (np.arange(q)[:, None] + (q - 1) - cols) % q + q * (p[:, None] ^ p[cols])
+        j, p = np.arange(q), self.parity[o:e]
+        return (j[:, None] + (q - 1) - j) % q + q * (p[:, None] ^ p)
 
     def _phase(self, i: int) -> np.ndarray:
         """phi_j, the product of the weights of face ``i`` up to tail j (the
@@ -171,17 +171,26 @@ class ScatteringMatrix:
         if not np.isfinite(v).all():
             raise AssumptionError("inflow must be finite")
         out = np.zeros(self.bg.size, dtype=complex)
-        live = np.flatnonzero(v[self.tails])
-        faces = np.searchsorted(self.offsets, live, side="right") - 1
+        live = self.bg.tail_slot[np.flatnonzero(v)]
+        faces = self.bg.face_index[1][live]
         for i in dict.fromkeys(faces.tolist()):
             o, e = self.offsets[i], self.offsets[i + 1]
             hit = live[faces == i]
             if len(hit) == 1:
-                column = self._signed(i)[self._index(i, hit - o)[:, 0]]
-                out[self.tails[o:e]] = v[self.tails[hit[0]]] * column
+                out[self.tails[o:e]] = v[self.tails[hit[0]]] * self._column(o, e, hit[0])
             else:
                 out[self.tails[o:e]] = self._solve(i, v[self.tails[o:e]])
         return out
+
+    def _column(self, o: int, e: int, slot: int) -> np.ndarray:
+        """The column of Q_f for the tail at layout slot ``slot``, place m on
+        the face that owns slots ``o:e``, over the face's tails in walk
+        order: entry j is (-1)^(P_j + P_m) c_f[(j - m) mod q], residue 0
+        read as q, a gather of q table entries."""
+        place = self.bg.face_index[2]
+        column = self.table[o + (place[o:e] - (place[slot] + 1)) % (e - o)]
+        np.negative(column, out=column, where=(self.parity[o:e] ^ self.parity[slot]).astype(bool))
+        return column
 
     def face_tables(self):
         """Per face, in walk order: its tail ids, the 2q values an entry of
@@ -189,7 +198,7 @@ class ScatteringMatrix:
         that ``values[index]`` is Q_f.  Residue q, the diagonal's (at
         ``index[0, 0]``), is the one value no other entry uses."""
         for i, tails in enumerate(np.split(self.tails, self.offsets[1:-1])):
-            yield tails, self._signed(i), self._index(i, np.arange(len(tails)))
+            yield tails, self._signed(i), self._index(i)
 
     @property
     def blocks(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:

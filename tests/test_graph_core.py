@@ -3,8 +3,10 @@ import inspect
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import parse_oracle
 from conftest import planar_grid, projective_k4
 from surfwalk import covering_blowup, graph_core, rotation_system
 from surfwalk.covering_blowup import hedgehog
@@ -263,3 +265,55 @@ def test_invalid_input_raises_graph_error(build, message):
         build()
     assert err.type is GraphError
     assert str(err.value) == message
+
+
+def _graph_or_error(build):
+    try:
+        return build()
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_array_validation_matches_the_edge_loop(rng):
+    # Random arc tuples on up to 6 vertices, each arc pair most often sound
+    # and otherwise broken in one of the four ways, against the per-edge
+    # loop of tests/parse_oracle.py: the same first fault, or the same
+    # incoming-arc lists.
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        origin, terminus = [], []
+        for _ in range(int(rng.integers(0, 8))):
+            u, v = (int(x) for x in rng.integers(-1, n + 1, 2))
+            if rng.random() < 0.9:
+                u, v = u % n, v % n
+            pair = [u, v, v, u]
+            if rng.random() < 0.1:
+                pair[int(rng.integers(4))] = int(rng.integers(n))
+            origin += [pair[0], pair[2]]
+            terminus += [pair[1], pair[3]]
+        o, t = tuple(origin), tuple(terminus)
+        got = _graph_or_error(lambda: SymmetricDigraph(n, o, t))
+        want = _graph_or_error(lambda: parse_oracle.validated(n, o, t))
+        if isinstance(want, str):
+            assert got == want, (n, o, t)
+        else:
+            assert (got.origin, got.terminus, got._incoming) == want
+            assert got.origin_array.tolist() == list(o) and got.terminus_array.tolist() == list(t)
+
+
+def test_from_edges_reads_pairs_and_arrays():
+    pairs = [(4, 2), (0, 1), (3, 4), (2, 3)]
+    g = SymmetricDigraph.from_edges(5, pairs)
+    assert SymmetricDigraph.from_edges(5, np.array(pairs)) == g
+    assert (g.origin, g.terminus) == ((4, 2, 0, 1, 3, 4, 2, 3), (2, 4, 1, 0, 4, 3, 3, 2))
+    assert g._incoming == parse_oracle.digraph(5, pairs)[2]
+    assert {type(i) for i in g.origin + g.terminus} == {int}
+
+
+def test_ids_beyond_int64_are_unknown_vertices():
+    with pytest.raises(GraphError, match="^edge 1 references unknown vertex$"):
+        SymmetricDigraph(3, (0, 1, 2**64, 0), (1, 0, 0, 2**64))
+    with pytest.raises(GraphError, match="^self-loop at vertex 2$"):
+        SymmetricDigraph(3, (2, 2, 0, -(2**70)), (2, 2, -(2**70), 0))
+    with pytest.raises(GraphError, match="^edge 1 references unknown vertex$"):
+        SymmetricDigraph.from_edges(3, [(0, 1), (2**64, 0)])

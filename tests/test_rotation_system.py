@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import face_oracle
+import parse_oracle
 from conftest import decomposition_fields, projective_k4, planar_k4, random_rotation_system
 from surfwalk.covering_blowup import double_cover, hedgehog
 from surfwalk.errors import GraphError
@@ -588,3 +589,44 @@ def test_invalid_input_raises_graph_error(build, message):
         build(planar_k4())
     assert err.type is GraphError
     assert str(err.value) == message
+
+
+def _rotation_or_error(build):
+    try:
+        return build()
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_neighbor_lookup_matches_the_vertex_loop(rng):
+    # Cyclic neighbour lists on seeded graphs, most often right and
+    # otherwise with one list broken (a neighbour swapped for a stranger, a
+    # repeat, a drop, an extra) or the list count off by one, against the
+    # per-vertex loop of tests/parse_oracle.py.
+    for _ in range(600):
+        rs = random_rotation_system(rng, max_vertices=7)
+        g = rs.graph
+        orders = rs.neighbor_orders()
+        kind = int(rng.integers(8))
+        x = int(rng.integers(g.vertex_count))
+        stranger = int(rng.integers(-1, g.vertex_count + 2))
+        if kind == 1:
+            orders[x][int(rng.integers(len(orders[x])))] = stranger
+        elif kind == 2:
+            orders[x][0] = orders[x][-1]
+        elif kind == 3:
+            orders[x].pop()
+        elif kind == 4:
+            orders[x].append(stranger)
+        elif kind == 5:
+            orders.append(list(orders[0]))
+        elif kind == 6:
+            orders.pop()
+        got = _rotation_or_error(lambda: RotationSystem.from_neighbor_orders(g, orders, rs.twist))
+        want = _rotation_or_error(lambda: parse_oracle.neighbor_rotation(g.origin, g._incoming, orders))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == _rotation_or_error(lambda: RotationSystem(g, tuple(want), rs.twist))
+            if kind == 0:
+                assert got == rs

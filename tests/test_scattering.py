@@ -797,6 +797,28 @@ def test_columns_face_blocks_and_blocks_share_one_table(k4_classes, rng):
                 assert np.all(np.diag(block) == block[0, 0])
 
 
+def test_every_single_tail_column_is_a_gather_of_the_table(k4_classes, rng):
+    # Q e_t for every tail t: bit for bit the column the face's value table
+    # and index grid give, and the dense oracle's column to rounding.
+    systems = [cls.representative for cls in k4_classes]
+    systems += [random_rotation_system(rng, complete_graph(n)) for n in (5, 6, 8)]
+    for rs in systems:
+        bg = hedgehog(rs)
+        assert sorted(bg.tail_slot[bg.face_layout[0]]) == list(range(bg.size))
+        for coin in (Coin.hadamard_type(), random_d_real_coin(rng)):
+            s = scattering_matrix(bg, coin)
+            dense = dense_oracle.q_matrix(bg, coin)
+            for tails, values, index in s.face_tables():
+                q_block = values[index]
+                for m, t in enumerate(tails):
+                    v = np.zeros(bg.size, dtype=complex)
+                    v[t] = 0.6 - 0.8j
+                    column = s.apply_q(v)
+                    assert np.array_equal(_bits(column[tails]), _bits(v[t] * q_block[:, m]))
+                    assert not np.delete(column, tails).any()
+                    assert np.abs(column - v[t] * dense[:, t]).max() < 1e-12
+
+
 def test_cached_face_indices_match_the_per_call_derivation(k4_classes):
     """S, its unitarity defect and the enumerated average read the
     hedgehog's cached coin-free indices; the per-call derivation they

@@ -65,3 +65,10 @@ def test_front_end_timing_reports_every_stage():
     assert list(grid) == ["graph", "arcs"] + stages
     assert (grid["graph"], grid["arcs"]) == ("grid30x30", 3480)
     assert all(isinstance(grid[k], float) and grid[k] >= 0 for k in stages)
+    # The log-log slope of every stage timed on two rows or more, finite.
+    slopes = script["log_log_slopes"]([row, k9, k21])
+    assert list(slopes) == stages + export
+    smaller = script["stage_times"]("grid8x8", script["grid_graph"](8), np.random.default_rng(seed), 1)
+    grid_slopes = script["log_log_slopes"]([smaller, grid])
+    assert list(grid_slopes) == stages
+    assert all(isinstance(s, float) and np.isfinite(s) for s in [*slopes.values(), *grid_slopes.values()])
