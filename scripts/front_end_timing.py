@@ -5,6 +5,10 @@ and on grids.
 For each n in 8, 16, 32, 64 and 128 the script draws a seeded random
 rotation system on K_n (uniform cyclic orders, fair twists), writes it in
 the file format and prints one JSON line with the best time in milliseconds of each stage.
+The lines are timed round-robin: each of 5 passes makes one call of every
+stage of every line, line after line, and a line keeps each stage's best
+time over the passes, so that a host that slows down or speeds up during
+the run does so for every line alike and not for the later lines' slopes.
 A K4 line comes first, drawn from a generator of its own with the same
 seed, so the larger sizes keep their systems; it records the constant
 cost of each stage on a small system.  The 30 x 30 and 60 x 60 grid
@@ -16,7 +20,7 @@ linear along K_n and shows only on the grids.  The stages:
 - ``parse_ms``: ``parse_rotation_system`` on the file text (validation
   included);
 - ``validation_ms``: building the ``SymmetricDigraph`` and the
-  ``RotationSystem`` from their arrays;
+  ``RotationSystem`` from their int64 arrays, as the parser hands them on;
 - ``trace_faces_ms``: ``trace_faces`` on a fresh system, which traces the
   double cover;
 - ``hedgehog_ms``: ``hedgehog`` on a fresh system that ``trace_faces`` has
@@ -64,13 +68,18 @@ Up to 20 vertices it also times the dense export (a K32 export is on the order o
 - ``scatter_json_ms`` and ``scatter_csv_ms``: the ``scatter`` command, from
   the file to its ``--out`` file.
 
+Each line ends with ``peak_kb``, the largest ``tracemalloc`` peak of one
+call of each stage every line times (not the simulator or the export), in
+kB above what was allocated when the call began; it is read in a pass of
+its own after the timing, as tracing slows every call.
+
 Two more lines close the output, one per fit: for each stage timed on at
-least two of its rows, the least-squares slope of log time against log
-arcs, over the K8 to K128 rows (``"fit": "K_n"``; the K4 row is left out,
-as it records the constant cost of a stage, which would flatten the fit)
-and over the two grid rows (``"fit": "grid"``).  A slope near 1 is a
-linear stage; one near 2 is quadratic in the arcs, or, on the grids, in the
-vertices.
+least two of its rows, and for ``peak_kb``, the least-squares slope of log
+time (or peak) against log arcs, over the K8 to K128 rows (``"fit":
+"K_n"``; the K4 row is left out, as it records the constant cost of a
+stage, which would flatten the fit) and over the two grid rows (``"fit":
+"grid"``).  A slope near 1 is a linear stage; one near 2 is quadratic in
+the arcs, or, on the grids, in the vertices.
 
 BLAS runs on one thread, as in ``perfbench/run.py``, so the figures are
 comparable with the benchmark's.  Run it from the root of a checkout:
@@ -79,9 +88,11 @@ comparable with the benchmark's.  Run it from the root of a checkout:
 """
 
 import json
+import math
 import os
 import tempfile
 import time
+import tracemalloc
 
 if __name__ == "__main__":
     # Before numpy is imported: BLAS reads these once, when it loads.
@@ -107,7 +118,7 @@ SMALL = 4  # timed first, from its own generator
 SIZES = (8, 16, 32, 64, 128)
 GRIDS = (30, 60)  # n x n grids, timed last, from their own generator
 SEED = 101
-REPEAT = 5  # calls per stage; the fastest is reported
+PASSES = 5  # round-robin passes over every row; each stage's fastest call is reported
 EXPORT_MAX_N = 20  # the dense export stages run up to 20 vertices
 SIMULATOR_MAX_N = 8  # the simulator runs up to 8 vertices
 
@@ -128,15 +139,30 @@ def random_system(g: SymmetricDigraph, rng) -> RotationSystem:
     return RotationSystem.from_neighbor_orders(g, orders, twists)
 
 
-def best_ms(run, repeat: int, prepare=lambda: None) -> float:
-    """The fastest of ``repeat`` calls of ``run(prepare())``, in ms."""
-    times = []
-    for _ in range(repeat):
-        arg = prepare()
-        start = time.perf_counter()
-        run(arg)
-        times.append(time.perf_counter() - start)
-    return 1e3 * min(times)
+def one_call_ms(run, prepare) -> float:
+    """The time of one call of ``run(prepare())``, in ms."""
+    arg = prepare()
+    start = time.perf_counter()
+    run(arg)
+    return 1e3 * (time.perf_counter() - start)
+
+
+def peak_kb(stages: dict) -> float:
+    """The largest ``tracemalloc`` peak of one call of each stage, in kB
+    above what was allocated when the call began."""
+    peak = 0
+    tracemalloc.start()
+    try:
+        for run, prepare in stages.values():
+            arg = prepare()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run(arg)
+            peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+            del arg
+    finally:
+        tracemalloc.stop()
+    return peak / 1e3
 
 
 def face_indices(bg):
@@ -144,105 +170,151 @@ def face_indices(bg):
     return bg.face_layout, bg.face_index, bg.gram_index, bg.same_face_pairs
 
 
-def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
-    rs = random_system(g, rng)
-    text = serialize_rotation_system(rs)
-    coin = Coin.hadamard_type()
-
-    def fresh():
-        return RotationSystem(g, rs.rot, rs.twist)
-
-    def traced():
-        system = fresh()
-        trace_faces(system)
-        return system
-
-    fd = trace_faces(rs)
-    bg = hedgehog(rs)
-    face_indices(bg)
-    s = scattering_matrix(bg, coin)
-    average_comfortability(fd, coin)
-    one_tail = np.zeros(bg.size, dtype=complex)
-    one_tail[0] = 1.0
-    uniform = np.ones(bg.size, dtype=complex)
-    untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
-    row = {
-        "graph": name,
-        "arcs": g.arc_count,
-        "parse_ms": best_ms(parse_rotation_system, repeat, lambda: text),
-        "validation_ms": best_ms(
-            lambda _: RotationSystem(SymmetricDigraph(g.vertex_count, g.origin, g.terminus), rs.rot, rs.twist),
-            repeat,
-        ),
-        "trace_faces_ms": best_ms(trace_faces, repeat, fresh),
-        "hedgehog_ms": best_ms(hedgehog, repeat, traced),
-        "face_index_ms": best_ms(face_indices, repeat, lambda: hedgehog(traced())),
-        "scattering_matrix_ms": best_ms(lambda _: scattering_matrix(bg, coin), repeat),
-        "orientability_ms": best_ms(orientability_from_scattering, repeat, lambda: s),
-        "orientability_untwisted_ms": best_ms(orientability_from_scattering, repeat, lambda: untwisted),
-        "average_by_enumeration_ms": best_ms(lambda fd: average_by_enumeration(fd, coin), repeat, lambda: fd),
-        "average_comfortability_ms": best_ms(lambda fd: average_comfortability(fd, coin), repeat, lambda: fd),
-        "stationary_closed_form_ms": best_ms(lambda _: stationary_closed_form(bg, coin, one_tail), repeat),
-        "comfortability_ms": best_ms(lambda fd: comfortability(fd, coin, one_tail), repeat, lambda: fd),
-        "stationary_closed_form_uniform_ms": best_ms(lambda _: stationary_closed_form(bg, coin, uniform), repeat),
-    }
-    if g.vertex_count <= SIMULATOR_MAX_N:
-        row["run_to_stationary_ms"] = best_ms(lambda _: run_to_stationary(bg, coin, one_tail), repeat)
-        row["run_to_stationary_steps"] = run_to_stationary(bg, coin, one_tail).steps
-    if g.vertex_count <= EXPORT_MAX_N:
-        row.update(export_times(text, bg, coin, repeat))
-    return row
+def no_argument():
+    return None
 
 
-def export_times(text: str, bg, coin: Coin, repeat: int) -> dict:
+class Row:
+    """One graph's line: its ``head`` (graph and arcs) and its stages, each
+    ``(run, prepare)``, timed as ``run(prepare())``: ``common``, those every
+    line times, and ``extra``, the simulator (with its step count,
+    ``steps``) and the dense export, which only the smaller graphs time."""
+
+    def __init__(self, name: str, g: SymmetricDigraph, rng, tmp: str):
+        rs = random_system(g, rng)
+        text = serialize_rotation_system(rs)
+        coin = Coin.hadamard_type()
+
+        def fresh():
+            return RotationSystem(g, rs.rot, rs.twist)
+
+        def traced():
+            system = fresh()
+            trace_faces(system)
+            return system
+
+        fd = trace_faces(rs)
+        bg = hedgehog(rs)
+        face_indices(bg)
+        s = scattering_matrix(bg, coin)
+        average_comfortability(fd, coin)
+        one_tail = np.zeros(bg.size, dtype=complex)
+        one_tail[0] = 1.0
+        uniform = np.ones(bg.size, dtype=complex)
+        untwisted = scattering_matrix(hedgehog(RotationSystem(g, rs.rot, (0,) * g.edge_count)), coin)
+        self.head = {"graph": name, "arcs": g.arc_count}
+        self.common = {
+            "parse_ms": (parse_rotation_system, lambda: text),
+            "validation_ms": (
+                lambda _: RotationSystem(
+                    SymmetricDigraph(g.vertex_count, g.origin_array, g.terminus_array), rs.rot_array, rs.twist_array
+                ),
+                no_argument,
+            ),
+            "trace_faces_ms": (trace_faces, fresh),
+            "hedgehog_ms": (hedgehog, traced),
+            "face_index_ms": (face_indices, lambda: hedgehog(traced())),
+            "scattering_matrix_ms": (lambda _: scattering_matrix(bg, coin), no_argument),
+            "orientability_ms": (orientability_from_scattering, lambda: s),
+            "orientability_untwisted_ms": (orientability_from_scattering, lambda: untwisted),
+            "average_by_enumeration_ms": (lambda fd: average_by_enumeration(fd, coin), lambda: fd),
+            "average_comfortability_ms": (lambda fd: average_comfortability(fd, coin), lambda: fd),
+            "stationary_closed_form_ms": (lambda _: stationary_closed_form(bg, coin, one_tail), no_argument),
+            "comfortability_ms": (lambda fd: comfortability(fd, coin, one_tail), lambda: fd),
+            "stationary_closed_form_uniform_ms": (lambda _: stationary_closed_form(bg, coin, uniform), no_argument),
+        }
+        self.extra = {}
+        if g.vertex_count <= SIMULATOR_MAX_N:
+            self.extra["run_to_stationary_ms"] = (lambda _: run_to_stationary(bg, coin, one_tail), no_argument)
+            self.steps = run_to_stationary(bg, coin, one_tail).steps
+        if g.vertex_count <= EXPORT_MAX_N:
+            self.extra.update(export_stages(text, bg, coin, os.path.join(tmp, name)))
+
+    def line(self, best: dict) -> dict:
+        """The JSON line: the stages' ``best`` times in the order of the
+        module docstring, and the memory peak of the common stages."""
+        line = dict(self.head)
+        for stage in self.common | self.extra:
+            line[stage] = best[stage]
+            if stage == "run_to_stationary_ms":
+                line["run_to_stationary_steps"] = self.steps
+        line["peak_kb"] = peak_kb(self.common)
+        return line
+
+
+def export_stages(text: str, bg, coin: Coin, base: str) -> dict:
+    """The dense export stages; the ``scatter`` command reads the system
+    from ``base + ".txt"`` and writes ``base + ".out"``."""
+    with open(base + ".txt", "w", encoding="utf-8") as fh:
+        fh.write(text)
+
     def fresh():
         return scattering_matrix(bg, coin)
 
+    def scatter(fmt):
+        argv = ["scatter", base + ".txt", "--format", fmt, "--out", base + ".out"]
+        return (lambda _: cli.main(argv), no_argument)
+
+    return {
+        "blocks_ms": (lambda s: s.blocks, fresh),
+        "unitarity_defect_ms": (lambda s: s.unitarity_defect(), fresh),
+        "scatter_json_ms": scatter("json"),
+        "scatter_csv_ms": scatter("csv"),
+    }
+
+
+def time_rows(rows: list[Row], passes: int) -> list[dict]:
+    """The lines of ``rows``, timed round-robin: each pass makes one call of
+    every stage of every row, row after row, and a row keeps each stage's
+    best time over the passes, so that a host that slows down or speeds up
+    during the run does so for every row alike."""
+    best = [{} for _ in rows]
+    for _ in range(passes):
+        for row, times in zip(rows, best):
+            for stage, (run, prepare) in (row.common | row.extra).items():
+                times[stage] = min(times.get(stage, math.inf), one_call_ms(run, prepare))
+    return [row.line(times) for row, times in zip(rows, best)]
+
+
+def stage_times(name: str, g: SymmetricDigraph, rng, repeat: int) -> dict:
+    """The line of one graph alone, its stages timed over ``repeat``
+    passes."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "system.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-        def scatter(fmt):
-            argv = ["scatter", path, "--format", fmt, "--out", os.path.join(tmp, "out")]
-            return best_ms(lambda _: cli.main(argv), repeat)
-
-        return {
-            "blocks_ms": best_ms(lambda s: s.blocks, repeat, fresh),
-            "unitarity_defect_ms": best_ms(lambda s: s.unitarity_defect(), repeat, fresh),
-            "scatter_json_ms": scatter("json"),
-            "scatter_csv_ms": scatter("csv"),
-        }
+        return time_rows([Row(name, g, rng, tmp)], repeat)[0]
 
 
 def log_log_slopes(rows: list[dict]) -> dict:
-    """Per ``_ms`` stage timed on at least two of ``rows``, the least-squares
-    slope of log time against log arcs.  A time below the clock's
-    resolution counts as that resolution, so every slope is finite."""
-    floor = 1e3 * time.get_clock_info("perf_counter").resolution
+    """Per ``_ms`` stage timed on at least two of ``rows``, and for
+    ``peak_kb``, the least-squares slope of log time (or peak) against log
+    arcs.  A time below the clock's resolution counts as that resolution,
+    and a peak below 1 byte as 1 byte, so every slope is finite."""
+    floor = {"peak_kb": 1e-3}
+    resolution = 1e3 * time.get_clock_info("perf_counter").resolution
     slopes = {}
-    for stage in dict.fromkeys(key for row in rows for key in row if key.endswith("_ms")):
-        timed = [row for row in rows if stage in row]
+    for key in dict.fromkeys(key for row in rows for key in row if key.endswith("_ms") or key == "peak_kb"):
+        timed = [row for row in rows if key in row]
         if len(timed) >= 2:
             arcs = np.log([row["arcs"] for row in timed])
-            ms = np.log([max(row[stage], floor) for row in timed])
-            slopes[stage] = float(np.polyfit(arcs, ms, 1)[0])
+            values = np.log([max(row[key], floor.get(key, resolution)) for row in timed])
+            slopes[key] = float(np.polyfit(arcs, values, 1)[0])
     return slopes
 
 
 def main():
-    print(json.dumps(stage_times(f"K{SMALL}", complete_graph(SMALL), np.random.default_rng(SEED), REPEAT)), flush=True)
-    fits = {"K_n": [], "grid": []}
-    rng = np.random.default_rng(SEED)
-    for n in SIZES:
-        fits["K_n"].append(stage_times(f"K{n}", complete_graph(n), rng, REPEAT))
-        print(json.dumps(fits["K_n"][-1]), flush=True)
-    rng = np.random.default_rng(SEED)
-    for n in GRIDS:
-        fits["grid"].append(stage_times(f"grid{n}x{n}", grid_graph(n), rng, REPEAT))
-        print(json.dumps(fits["grid"][-1]), flush=True)
-    for fit, rows in fits.items():
-        print(json.dumps({"fit": fit, **log_log_slopes(rows)}), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # K4 from a generator of its own, so the larger sizes keep their
+        # systems, and the grids from a third.
+        rows = [Row(f"K{SMALL}", complete_graph(SMALL), np.random.default_rng(SEED), tmp)]
+        rng = np.random.default_rng(SEED)
+        rows += [Row(f"K{n}", complete_graph(n), rng, tmp) for n in SIZES]
+        rng = np.random.default_rng(SEED)
+        rows += [Row(f"grid{n}x{n}", grid_graph(n), rng, tmp) for n in GRIDS]
+        lines = time_rows(rows, PASSES)
+    for line in lines:
+        print(json.dumps(line), flush=True)
+    kn, grids = lines[1 : 1 + len(SIZES)], lines[1 + len(SIZES) :]
+    for fit, fitted in (("K_n", kn), ("grid", grids)):
+        print(json.dumps({"fit": fit, **log_log_slopes(fitted)}), flush=True)
 
 
 if __name__ == "__main__":

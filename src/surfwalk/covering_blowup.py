@@ -75,9 +75,7 @@ class DoubleCover:
     def graph(self) -> SymmetricDigraph:
         terminus = 2 * self.base.graph.terminus_array[self.proj] + self.sheet
         origin = terminus[np.arange(self.arc_count) ^ 1]
-        return SymmetricDigraph(
-            2 * self.base.graph.vertex_count, tuple(origin.tolist()), tuple(terminus.tolist())
-        )
+        return SymmetricDigraph(2 * self.base.graph.vertex_count, origin, terminus)
 
     @_memo
     def components(self) -> int:
@@ -224,7 +222,7 @@ def blow_up(dc: DoubleCover) -> BlowUpGraph:
     rot_inv = np.empty_like(rot)
     rot_inv[rot] = np.arange(n)
     bar = np.arange(n, dtype=np.int64) ^ 1
-    twist = np.array(dc.base.twist, dtype=np.int64)[dc.proj >> 1]
+    twist = dc.base.twist_array[dc.proj >> 1]
     sign = 1.0 - 2.0 * twist
     # A hedgehog is shared by every caller of hedgehog(rs).
     _read_only(rot_inv, bar, twist, sign)

@@ -18,10 +18,12 @@ are found by min-label propagation over integer arrays, which leaves on
 every raw index the smallest raw index of its orbit, the orbit root.  Each
 class is represented by its root, so deduplication is exact and the raw
 index is the only order.  The roots are decoded into rotation and twist
-arrays together, one RotationSystem is built and validated per class and
-none per raw system, and every class of the graph is traced in one
-:func:`~surfwalk.rotation_system.trace_batch` call, which keeps no trace on
-the systems; time and memory are linear in the raw count, which the budget
+arrays together; one RotationSystem is built per class and none per raw
+system, every class of the graph is validated in one array check
+(:meth:`~surfwalk.rotation_system.RotationSystem.from_rows`), and the same
+arrays are traced in one batch, as by
+:func:`~surfwalk.rotation_system.trace_batch`, which keeps no trace on the
+systems; time and memory are linear in the raw count, which the budget
 bounds.
 """
 
@@ -38,7 +40,7 @@ import numpy as np
 from .comfortability import average_comfortability, limit_comfortability
 from .errors import AssumptionError, BudgetError, GraphError
 from .graph_core import SymmetricDigraph, arc_edge, is_connected
-from .rotation_system import FacialDecomposition, RotationSystem, trace_batch
+from .rotation_system import FacialDecomposition, RotationSystem, _trace_rows
 from .walk_dynamics import Coin
 
 __all__ = [
@@ -316,8 +318,10 @@ def enumerate_embeddings(
 
     rot = index.rotation_rows(roots // index.words)
     twist = (roots % index.words)[:, None] >> np.arange(g.edge_count) & 1
-    systems = [RotationSystem(g, tuple(r), tuple(t)) for r, t in zip(rot.tolist(), twist.tolist())]
-    classes = [EmbeddingClass(fd, size) for fd, size in zip(trace_batch(systems), sizes.tolist())]
+    # One check and one trace for every class, on the same rows.
+    systems = RotationSystem.from_rows(g, rot, twist)
+    traced = _trace_rows(systems, rot, twist)
+    classes = [EmbeddingClass(fd, size) for fd, size in zip(traced, sizes.tolist())]
 
     classes.sort(key=lambda c: (not c.orientable, c.genus, c.face_lengths, c.self_intersection_profile))
     return classes

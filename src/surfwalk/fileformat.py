@@ -128,7 +128,7 @@ def parse_rotation_system(text: str) -> RotationSystem:
     try:
         graph = SymmetricDigraph.from_edges(n, edges)
         rot = _rotation(graph, x, np.array(degrees, dtype=np.int64), values[3 * m + n : -1])
-        return RotationSystem(graph, tuple(rot.tolist()), tuple(twist.tolist()))
+        return RotationSystem(graph, rot, twist)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

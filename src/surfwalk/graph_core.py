@@ -7,9 +7,10 @@ non-negative integers, which lets every permutation downstream (rotations,
 face walks, covers) be a plain integer array.
 
 A graph is validated as arrays, and keeps the int64 arrays of ``origin``
-and ``terminus`` that validation forms (``origin_array``,
-``terminus_array``).  What else depends on the graph alone is derived once
-per graph, on first read, and kept on it: the spanning forest of the one
+and ``terminus`` that validation reads (``origin_array``,
+``terminus_array``): those it was given, or those it formed from tuples.
+What else depends on the graph alone is derived once per graph, on first
+read, and kept on it: the spanning forest of the one
 graph search, :func:`bfs_forest` (``spanning_forest``), behind
 connectivity, the orientability tree and the double-cover component count.
 """
@@ -85,12 +86,14 @@ class SymmetricDigraph:
     """A finite simple graph seen as a symmetric digraph.
 
     ``origin[e]`` and ``terminus[e]`` give o(e) and t(e); the involution and
-    edge projection are index arithmetic (see module docstring).  The
-    tuples serve Python loops; ``origin_array`` and ``terminus_array`` are
-    the arrays the constructor validates (derived again on first read in a
-    graph restored from a pickle) and ``spanning_forest`` is derived on first
-    read, all kept out of ``==``, ``hash``, ``repr`` and pickles, and read
-    only.
+    edge projection are index arithmetic (see module docstring).  Either is
+    given as a sequence of integers or as a flat integer array; the tuples
+    serve Python loops, and ``origin_array`` and ``terminus_array`` are the
+    int64 arrays the constructor validates: an int64 array given is kept,
+    not copied, and made read-only, so the caller must not write to it
+    afterwards.  A graph restored from a pickle derives them again on first
+    read, and ``spanning_forest`` is derived on first read; all are kept
+    out of ``==``, ``hash``, ``repr`` and pickles, and read only.
     """
 
     vertex_count: int
@@ -104,30 +107,36 @@ class SymmetricDigraph:
             raise GraphError("graph needs at least one vertex")
         if len(o) != len(t) or len(o) % 2:
             raise GraphError("arcs must come in reverse pairs")
-        origin, terminus = _arc_array(o), _arc_array(t)
-        # A sound graph: each arc pair mutually inverse, no vertex unknown (a
-        # negative id read unsigned is past any vertex) and no arc twice,
-        # which a self-loop (its two arcs alike) or an edge given twice
-        # would make.  Once the ids are known, the arc keys n terminus +
-        # origin are exact: n^2 < 2^63 in any graph that can hold its tuple
-        # of arcs per vertex.
+        origin = _int64(o, lambda e, i: f"vertex id {i!r} at the origin of arc {e} is not an integer")
+        terminus = _int64(t, lambda e, i: f"vertex id {i!r} at the terminus of arc {e} is not an integer")
+        # A sound graph: each arc pair mutually inverse (the origins, each
+        # pair swapped, are the termini), no vertex unknown (a negative id
+        # read unsigned is past any vertex) and no arc twice, which a
+        # self-loop (its two arcs alike) or an edge given twice would make.
+        # Once the ids are known, the arc keys n terminus + origin are
+        # exact: n^2 < 2^63 in any graph that can hold its tuple of arcs per
+        # vertex.
         key = terminus * n + origin
         key.sort()
         if (
-            o[1::2] != t[0::2]
-            or o[0::2] != t[1::2]
-            or np.maximum.reduce(origin.view(np.uint64), initial=0) >= n
+            origin.reshape(-1, 2)[:, ::-1].tobytes() != terminus.tobytes()
+            or origin.view(np.uint64).max(initial=0) >= n
             or np.count_nonzero(key[1:] == key[:-1])
         ):
             raise GraphError(_first_bad_edge(n, origin, terminus))
         # A_x in increasing arc order: a stable sort of the arcs by terminus.
         arcs = terminus.argsort(kind="stable").tolist()
-        bounds = np.bincount(terminus, minlength=n).cumsum().tolist()
+        bounds = np.add.accumulate(np.bincount(terminus, minlength=n)).tolist()
         object.__setattr__(
-            self, "_incoming", tuple(tuple(arcs[a:b]) for a, b in zip([0] + bounds, bounds))
+            self, "_incoming", tuple([tuple(arcs[a:b]) for a, b in zip([0] + bounds, bounds)])
         )
-        object.__setattr__(self, "origin_array", _read_only(origin)[0])
-        object.__setattr__(self, "terminus_array", _read_only(terminus)[0])
+        if not isinstance(o, tuple):
+            object.__setattr__(self, "origin", tuple(origin.tolist()))
+        if not isinstance(t, tuple):
+            object.__setattr__(self, "terminus", tuple(terminus.tolist()))
+        origin.flags.writeable = terminus.flags.writeable = False
+        object.__setattr__(self, "origin_array", origin)
+        object.__setattr__(self, "terminus_array", terminus)
 
     def __getstate__(self):
         memos = ("origin_array", "terminus_array", "spanning_forest")
@@ -159,13 +168,22 @@ class SymmetricDigraph:
     def from_edges(cls, vertex_count: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> "SymmetricDigraph":
         """The graph whose edge ``k`` is ``edges[k]``, a sequence of (u, v)
         pairs or an (m, 2) integer array: arc ``2k`` runs u -> v and arc
-        ``2k + 1`` back."""
+        ``2k + 1`` back.  The arc arrays are built from the pairs in numpy
+        (an array given is copied), and the tuples from them."""
         if isinstance(edges, np.ndarray):
-            edges = edges.tolist()
-        origin = list(chain.from_iterable(edges))
-        terminus = origin.copy()
-        terminus[0::2], terminus[1::2] = origin[1::2], origin[0::2]
-        return cls(vertex_count, tuple(origin), tuple(terminus))
+            if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+                raise GraphError("edges must be (u, v) pairs")
+            origin = edges.flatten()
+        else:
+            flat = list(chain.from_iterable(edges))
+            if len(flat) != 2 * len(edges):
+                raise GraphError("edges must be (u, v) pairs")
+            origin = np.array(flat)
+            if origin.dtype.kind not in "iub":
+                # An id beyond int64 or no integer at all: each is read as
+                # given, so that the constructor names the arc at fault.
+                origin = np.array(flat, dtype=object)
+        return cls(vertex_count, origin, origin.reshape(-1, 2)[:, ::-1].flatten())
 
     @property
     def arc_count(self) -> int:
@@ -271,13 +289,29 @@ def _first_bad_edge(n: int, origin: np.ndarray, terminus: np.ndarray) -> str:
     return f"duplicate edge {(int(low[k]), int(high[k]))}"
 
 
-def _arc_array(ids) -> np.ndarray:
-    """``ids`` as an int64 array; an id beyond int64 becomes -1, which names
-    no vertex either."""
-    try:
-        return np.fromiter(ids, dtype=np.int64, count=len(ids))
-    except OverflowError:
-        return np.array([i if -(2**63) <= i < 2**63 else -1 for i in ids], dtype=np.int64)
+def _int64(values, fault) -> np.ndarray:
+    """``values``, a flat sequence or array of integers, as an int64 array:
+    an int64 array as it is, another integer array or a sequence converted.
+    An integer beyond int64 becomes negative (-1 from a sequence, wrapped
+    from a uint64 array), which names no vertex or arc either.
+    Raises :class:`GraphError` with ``fault(i, value)`` for the first entry
+    that is no integer (a float, even a whole one, or a string): nothing is
+    truncated or parsed."""
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype.kind in "iub":
+            return values if values.dtype == np.int64 else values.astype(np.int64)
+        values = values.tolist()
+    else:
+        try:
+            ints = np.array(values)
+        except ValueError:  # ragged nesting
+            ints = None
+        if ints is not None and ints.ndim == 1 and ints.dtype.kind in "iub":
+            return ints.astype(np.int64, copy=False)
+    for i, value in enumerate(values):
+        if not isinstance(value, (int, np.integer, np.bool_)):
+            raise GraphError(fault(i, value.item() if isinstance(value, np.generic) else value))
+    return np.array([i if -(2**63) <= i < 2**63 else -1 for i in values], dtype=np.int64)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

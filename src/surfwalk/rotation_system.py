@@ -7,7 +7,10 @@ the tau-double-cover, whose numbering is fixed here once (see
 :func:`_cover_arcs`); traced walks come in chiral pairs and each pair is
 one face of the embedding.  One array routine traces a batch of systems
 on one graph together (:func:`trace_batch`, as the census does with every
-class of a graph); :func:`trace_faces` is the batch of one.
+class of a graph); :func:`trace_faces` is the batch of one.  Likewise one
+array routine checks a batch of rotation and twist rows on one graph
+(:func:`_check_rows`): a system built alone is the batch of one, and
+:meth:`RotationSystem.from_rows` checks the census's classes together.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import SymmetricDigraph, _memo, arc_edge, is_connected
+from .graph_core import SymmetricDigraph, _int64, _memo, is_connected
 
 __all__ = [
     "RotationSystem",
@@ -37,12 +40,22 @@ class RotationSystem:
     """(G, rho, tau): rotation ``rot[e]`` is the cyclic successor of arc
     ``e`` among the arcs into t(e); ``twist[k]`` is tau of edge ``k``.
 
+    Either is given as a sequence of integers or as a flat integer array.
+    ``rot_array`` and ``twist_array`` are the read-only int64 arrays the
+    system is validated from (:func:`_check_rows`, the system being a batch
+    of one), beside the tuples, which serve Python loops: an int64 array
+    given is kept, not copied, and made read-only, so the caller must not
+    write to it afterwards; tuples given are converted once.  A system
+    restored from a pickle derives the arrays again on first read.
+    :meth:`from_rows` builds and checks a whole batch of systems on one
+    graph at once.
+
     The double cover is traced at most once per system: ``_cover`` and
     ``_walks`` hold the cover arcs and the walks on them, and ``_hedgehog``
-    the tailed blow-up built from them, each computed on first read, kept
-    out of ``==``, ``hash``, ``repr`` and pickles, and read only: their
-    arrays are not writeable and their tuples and lists are never changed.
-    :func:`trace_batch` fills none of them.
+    the tailed blow-up built from them, each computed on first read.  All
+    of these are kept out of ``==``, ``hash``, ``repr`` and pickles, and are
+    read only: their arrays are not writeable and their tuples and lists
+    are never changed.  :func:`trace_batch` fills none of the trace memos.
     """
 
     graph: SymmetricDigraph
@@ -55,40 +68,74 @@ class RotationSystem:
             raise GraphError("rotation must cover every arc")
         if len(self.twist) != g.edge_count:
             raise GraphError("twist must cover every edge")
-        if any(t not in (0, 1) for t in self.twist):
-            raise GraphError("twists must be 0 or 1")
-        if self.rot and not (0 <= min(self.rot) and max(self.rot) < len(self.rot)):
-            raise GraphError(f"rotation names an arc outside 0..{len(self.rot) - 1}")
-        rot, terminus = self.rot, g.terminus
-        if len(set(rot)) != len(rot):
-            raise GraphError("successor map is not a permutation")
-        for x, ax in enumerate(g._incoming):
-            if len(ax) < 2:
-                raise GraphError(
-                    f"vertex {x} has degree {len(ax)}; a fixed-point-free "
-                    "cyclic rotation needs degree >= 2"
-                )
-            # rho_x must be one cycle through all of A_x (so no fixed point).
-            for e in ax:
-                if terminus[rot[e]] != x:
-                    raise GraphError(f"rotation leaves A_{x} at arc {e}")
-            # rho is a permutation that keeps A_x, so the cycle through the
-            # first arc of A_x stays in A_x.
-            first = ax[0]
-            e, length = rot[first], 1
-            while e != first:
-                e, length = rot[e], length + 1
-            if length != len(ax):
-                raise GraphError(f"rotation at vertex {x} is not a single cycle")
+        # An entry that is no integer is named before any fault of value.
+        twist = _int64(self.twist, lambda k, t: "twists must be 0 or 1")
+        rot = _int64(self.rot, lambda e, r: f"rotation entry {r!r} at arc {e} is not an integer")
+        _check_rows(g, rot[None], twist[None])
+        if not isinstance(self.rot, tuple):
+            object.__setattr__(self, "rot", tuple(rot.tolist()))
+        if not isinstance(self.twist, tuple):
+            object.__setattr__(self, "twist", tuple(twist.tolist()))
+        rot.flags.writeable = twist.flags.writeable = False
+        object.__setattr__(self, "rot_array", rot)
+        object.__setattr__(self, "twist_array", twist)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("_cover", "_walks", "_hedgehog")}
+        memos = ("rot_array", "twist_array", "_cover", "_walks", "_hedgehog")
+        return {k: v for k, v in self.__dict__.items() if k not in memos}
+
+    @classmethod
+    def from_rows(
+        cls, graph: SymmetricDigraph, rot: np.ndarray, twist: np.ndarray
+    ) -> list["RotationSystem"]:
+        """The systems on ``graph`` of the rows of the integer arrays
+        ``rot`` (systems x arcs) and ``twist`` (systems x edges), validated
+        together by one call of :func:`_check_rows`, which raises the fault
+        of the first row at fault as that row's system alone would.  Each
+        system keeps its rows, views of the arrays, as ``rot_array`` and
+        ``twist_array``; int64 arrays are kept, not copied, and made
+        read-only."""
+        rot, twist = np.asarray(rot), np.asarray(twist)
+        if rot.ndim != 2 or rot.shape[1] != graph.arc_count:
+            raise GraphError("rotation must cover every arc")
+        if twist.ndim != 2 or twist.shape[1] != graph.edge_count or len(twist) != len(rot):
+            raise GraphError("twist must cover every edge")
+        if rot.dtype.kind not in "iub" or twist.dtype.kind not in "iub":
+            raise GraphError("from_rows takes integer arrays")
+        rot, twist = rot.astype(np.int64, copy=False), twist.astype(np.int64, copy=False)
+        _check_rows(graph, rot, twist)
+        rot.flags.writeable = twist.flags.writeable = False
+        systems = []
+        for r, t, rot_row, twist_row in zip(rot.tolist(), twist.tolist(), rot, twist):
+            # Checked already: the fields are set as __post_init__ sets them.
+            rs = object.__new__(cls)
+            object.__setattr__(rs, "graph", graph)
+            object.__setattr__(rs, "rot", tuple(r))
+            object.__setattr__(rs, "twist", tuple(t))
+            object.__setattr__(rs, "rot_array", rot_row)
+            object.__setattr__(rs, "twist_array", twist_row)
+            systems.append(rs)
+        return systems
+
+    @_memo
+    def rot_array(self) -> np.ndarray:
+        """``rot`` as a read-only int64 array."""
+        rot = np.array(self.rot, dtype=np.int64)
+        rot.flags.writeable = False
+        return rot
+
+    @_memo
+    def twist_array(self) -> np.ndarray:
+        """``twist`` as a read-only int64 array."""
+        twist = np.array(self.twist, dtype=np.int64)
+        twist.flags.writeable = False
+        return twist
 
     @_memo
     def _cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cover rotation, ``lift`` and ``state`` of :func:`_cover_arcs`,
         as read-only int64 arrays."""
-        cover = _cover_arcs(np.array([self.rot]), np.array([self.twist]))
+        cover = _cover_arcs(self.rot_array[None], self.twist_array[None])
         for a in cover:
             a.flags.writeable = False
         return cover
@@ -130,8 +177,8 @@ class RotationSystem:
         if len(orders) > n:
             raise GraphError(f"unknown vertex {n}")
         if twists is None:
-            twists = [0] * graph.edge_count
-        return cls(graph, tuple(rot.tolist()), tuple(twists))
+            twists = np.zeros(graph.edge_count, dtype=np.int64)
+        return cls(graph, rot, twists)
 
     def neighbor_orders(self) -> list[list[int]]:
         """Inverse of :meth:`from_neighbor_orders`: rho walked from each
@@ -143,12 +190,6 @@ class RotationSystem:
             while (e := self.rot[e]) != first:
                 orders[-1].append(g.origin[e])
         return orders
-
-    def rot_inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.rot)
-        for e, f in enumerate(self.rot):
-            inv[f] = e
-        return tuple(inv)
 
 
 _PAST_EVERY_KEY = np.array([np.iinfo(np.int64).max])
@@ -197,18 +238,102 @@ def _rotation(graph: SymmetricDigraph, vertex: np.ndarray, lengths: np.ndarray, 
     return rot
 
 
+def _check_rows(graph: SymmetricDigraph, rot: np.ndarray, twist: np.ndarray) -> None:
+    """Check the rows of the int64 arrays ``rot`` (systems x arcs) and
+    ``twist`` (systems x edges) as rotation systems on ``graph``, and raise
+    the :class:`GraphError` of the first row at fault, the one its system
+    alone would raise.  A row's faults are tried in this order: a twist
+    other than 0 or 1; a successor outside the arcs; a successor map that
+    is no permutation; then vertex by vertex, a degree below 2, an arc of
+    the vertex whose successor leaves it (the first such arc is named), and
+    more than one cycle through its arcs."""
+    if not len(rot):
+        return
+    degrees = [len(ax) for ax in graph._incoming]
+    # A negative entry read unsigned is past every arc and every twist.
+    if (
+        twist.view(np.uint64).max(initial=0) <= 1
+        and rot.view(np.uint64).max(initial=0) < graph.arc_count
+        and min(degrees) >= 2
+    ):
+        seen, leaves, heads = _cycles(graph, rot, max(degrees))
+        # A permutation that keeps every A_x has a cycle or more per vertex:
+        # one each iff there are as many cycles as vertices in every row.
+        if seen.all() and not leaves.any() and np.count_nonzero(heads) == len(rot) * len(degrees):
+            return
+    raise GraphError(_first_fault(graph, rot, twist, degrees))
+
+
+def _cycles(
+    graph: SymmetricDigraph, rot: np.ndarray, longest: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For rows of successors, each an arc: ``seen``, whether each arc
+    (row after row) is some arc's successor, so that a row is a permutation
+    iff all its arcs are seen; ``leaves`` (rows x arcs), whether the
+    successor of each arc leaves its vertex; and ``heads`` (rows x arcs),
+    whether each arc is the smallest of its cycle.  ``heads`` holds for
+    each cycle of ``longest`` arcs or fewer, which in a permutation takes in
+    every cycle through the arcs of a vertex none of which leaves it."""
+    rows, n_arcs = rot.shape
+    terminus = graph.terminus_array
+    succ = (rot + np.arange(rows)[:, None] * n_arcs).ravel()
+    seen = np.zeros(succ.size, dtype=bool)
+    seen[succ] = True
+    # Min-label pointer doubling: after the round of span s, label[c] is the
+    # smallest of the s arcs from c on along its cycle.
+    arc = np.arange(succ.size)
+    label, jump, span = arc, succ, 1
+    while span < longest:
+        label = np.minimum(label, label[jump])
+        span *= 2
+        if span < longest:
+            jump = jump[jump]
+    return seen, terminus[rot] != terminus, (label == arc).reshape(rows, n_arcs)
+
+
+def _first_fault(
+    graph: SymmetricDigraph, rot: np.ndarray, twist: np.ndarray, degrees: list[int]
+) -> str:
+    """The message :func:`_check_rows` raises: the first fault of the first
+    row at fault, a vertex's faults read from counts per row and vertex."""
+    rows, n_arcs = rot.shape
+    n, terminus = graph.vertex_count, graph.terminus_array
+    twisted = (twist.view(np.uint64) > 1).any(axis=1)
+    inside = rot.view(np.uint64) < n_arcs
+    # A row with a successor outside is at fault before its cycles count.
+    seen, leaves, heads = _cycles(graph, np.where(inside, rot, 0), max(degrees))
+    at = (np.arange(rows)[:, None] * n + terminus).ravel()
+    leaving = np.bincount(at, leaves.ravel(), minlength=rows * n).reshape(rows, n) > 0
+    cycles = np.bincount(at, heads.ravel(), minlength=rows * n).reshape(rows, n)
+    vertex = (np.array(degrees) < 2) | leaving | (cycles > 1)
+    outside = ~inside.all(axis=1)
+    permutation = seen.reshape(rows, n_arcs).all(axis=1)
+    row = int((twisted | outside | ~permutation | vertex.any(axis=1)).argmax())
+    if twisted[row]:
+        return "twists must be 0 or 1"
+    if outside[row]:
+        return f"rotation names an arc outside 0..{n_arcs - 1}"
+    if not permutation[row]:
+        return "successor map is not a permutation"
+    x = int(vertex[row].argmax())
+    if degrees[x] < 2:
+        return f"vertex {x} has degree {degrees[x]}; a fixed-point-free cyclic rotation needs degree >= 2"
+    if leaving[row, x]:
+        return f"rotation leaves A_{x} at arc {int((leaves[row] & (terminus == x)).argmax())}"
+    return f"rotation at vertex {x} is not a single cycle"
+
+
 def _flipped(rs: RotationSystem, flip_bits: Sequence[int]) -> RotationSystem:
     """The system after the vertex move at every x with ``flip_bits[x]`` set:
     rho is inverted at each flipped vertex and the twist of each edge is
     toggled once per flipped end."""
     g = rs.graph
-    rot, twist = list(rs.rot), list(rs.twist)
-    for x in range(g.vertex_count):
-        if flip_bits[x]:
-            for e in g.incoming_arcs(x):
-                rot[rs.rot[e]] = e
-                twist[arc_edge(e)] ^= 1
-    return RotationSystem(g, tuple(rot), tuple(twist))
+    # The arcs into a flipped vertex; arcs 2k and 2k + 1 run into the two
+    # ends of edge k.
+    at = np.asarray(flip_bits, dtype=bool)[g.terminus_array]
+    rot = rs.rot_array.copy()
+    rot[rs.rot_array[at]] = at.nonzero()[0]
+    return RotationSystem(g, rot, rs.twist_array ^ at[0::2] ^ at[1::2])
 
 
 def flip_vertex(rs: RotationSystem, x: int) -> RotationSystem:
@@ -224,7 +349,9 @@ def flip_vertex(rs: RotationSystem, x: int) -> RotationSystem:
 
 def mirror(rs: RotationSystem) -> RotationSystem:
     """The chiral system (G, rho^-1, tau)."""
-    return RotationSystem(rs.graph, rs.rot_inverse(), rs.twist)
+    inverse = np.empty_like(rs.rot_array)
+    inverse[rs.rot_array] = np.arange(len(inverse))
+    return RotationSystem(rs.graph, inverse, rs.twist_array)
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +491,7 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     """Trace every facial walk and derive genus and orientability: the batch
     of one, read from the cover and walks ``rs`` traces once."""
     _, lift, state = rs._cover
-    return _decompose([rs], np.array([rs.twist]), lift, state, rs._walks)[0]
+    return _decompose([rs], rs.twist_array[None], lift, state, rs._walks)[0]
 
 
 def trace_batch(systems: Sequence[RotationSystem]) -> list[FacialDecomposition]:
@@ -375,9 +502,18 @@ def trace_batch(systems: Sequence[RotationSystem]) -> list[FacialDecomposition]:
     g = systems[0].graph
     if any(rs.graph != g for rs in systems):
         raise GraphError("a batch traces systems of one graph")
-    twist = np.array([rs.twist for rs in systems])
-    cover_rot, lift, state = _cover_arcs(np.array([rs.rot for rs in systems]), twist)
-    return _decompose(systems, twist, lift, state, _cover_walks(cover_rot, 4 * g.edge_count))
+    rot = np.stack([rs.rot_array for rs in systems])
+    return _trace_rows(systems, rot, np.stack([rs.twist_array for rs in systems]))
+
+
+def _trace_rows(
+    systems: Sequence[RotationSystem], rot: np.ndarray, twist: np.ndarray
+) -> list[FacialDecomposition]:
+    """:func:`trace_batch` of ``systems``, one graph's, whose rows of
+    ``rot`` and ``twist`` are given, as :meth:`RotationSystem.from_rows`
+    took them."""
+    cover_rot, lift, state = _cover_arcs(rot, twist)
+    return _decompose(systems, twist, lift, state, _cover_walks(cover_rot, 4 * systems[0].graph.edge_count))
 
 
 def _decompose(
@@ -509,5 +645,5 @@ def detect_orientability(rs: RotationSystem) -> tuple[bool, RotationSystem]:
     """Normalize twists along a spanning tree by vertex flips; the surface is
     non-orientable iff a twisted edge survives outside the tree.  The
     normalized system is built once, with every tree flip applied together."""
-    orientable, flip = _tree_flips(rs.graph, np.array([rs.twist]))
-    return bool(orientable[0]), _flipped(rs, flip[0].tolist())
+    orientable, flip = _tree_flips(rs.graph, rs.twist_array[None])
+    return bool(orientable[0]), _flipped(rs, flip[0])

@@ -7,10 +7,13 @@ compares the library's parser with.
 the rotation are then built by the per-edge and per-vertex loops that
 :meth:`SymmetricDigraph.__post_init__`, :meth:`SymmetricDigraph.from_edges`
 and :meth:`RotationSystem.from_neighbor_orders` ran before they worked on
-arrays (:func:`digraph`, :func:`neighbor_rotation`).  It returns the
-library's :class:`RotationSystem` built from those fields, and the
-incoming-arc lists the loop found.  Nothing here calls the library's
-parser, graph validation or neighbour lookup.
+arrays (:func:`digraph`, :func:`neighbor_rotation`), and the rotation
+is checked by the per-vertex loop that :class:`RotationSystem` ran before
+its array check (:func:`check_rotation`).  It returns the library's
+:class:`RotationSystem` built from those fields, and the incoming-arc
+lists the loop found.  Nothing here calls the library's parser, graph
+validation, neighbour lookup or rotation check, save to build the
+returned system once every check has passed.
 """
 
 from surfwalk.errors import GraphError, ParseError
@@ -69,6 +72,40 @@ def neighbor_rotation(origin, incoming, orders):
         for i, e in enumerate(arcs):
             rot[e] = arcs[(i + 1) % len(arcs)]
     return rot
+
+
+def check_rotation(graph, rot, twist):
+    """Raise the GraphError of the first fault of ``rot`` and ``twist``,
+    sequences of ints, as a rotation system on ``graph``, vertex by vertex;
+    return if there is none."""
+    if len(rot) != graph.arc_count:
+        raise GraphError("rotation must cover every arc")
+    if len(twist) != graph.edge_count:
+        raise GraphError("twist must cover every edge")
+    if any(t not in (0, 1) for t in twist):
+        raise GraphError("twists must be 0 or 1")
+    if rot and not (0 <= min(rot) and max(rot) < len(rot)):
+        raise GraphError(f"rotation names an arc outside 0..{len(rot) - 1}")
+    if len(set(rot)) != len(rot):
+        raise GraphError("successor map is not a permutation")
+    for x, ax in enumerate(graph.incoming_arcs(x) for x in range(graph.vertex_count)):
+        if len(ax) < 2:
+            raise GraphError(
+                f"vertex {x} has degree {len(ax)}; a fixed-point-free "
+                "cyclic rotation needs degree >= 2"
+            )
+        # rho_x must be one cycle through all of A_x (so no fixed point).
+        for e in ax:
+            if graph.terminus[rot[e]] != x:
+                raise GraphError(f"rotation leaves A_{x} at arc {e}")
+        # rho is a permutation that keeps A_x, so the cycle through the
+        # first arc of A_x stays in A_x.
+        first = ax[0]
+        e, length = rot[first], 1
+        while e != first:
+            e, length = rot[e], length + 1
+        if length != len(ax):
+            raise GraphError(f"rotation at vertex {x} is not a single cycle")
 
 
 def parse_rotation_system(text: str):
@@ -135,6 +172,7 @@ def parse_rotation_system(text: str):
         orders = [rotations[x] for x in range(vertices)]
         rot = neighbor_rotation(origin, incoming, orders)
         graph = SymmetricDigraph(vertices, origin, terminus)
+        check_rotation(graph, rot, twists)
         return RotationSystem(graph, tuple(rot), tuple(twists)), incoming
     except GraphError as exc:
         raise ParseError(str(exc)) from exc

@@ -17,7 +17,7 @@ from surfwalk.covering_blowup import (
 )
 from surfwalk.errors import GraphError
 from surfwalk.graph_core import SymmetricDigraph, arc_edge, complete_graph
-from surfwalk.rotation_system import detect_orientability, trace_faces
+from surfwalk.rotation_system import detect_orientability, mirror, trace_faces
 from surfwalk.scattering import scattering_matrix
 from surfwalk.walk_dynamics import Coin
 
@@ -55,7 +55,7 @@ def test_cover_adjacency_follows_twists(rng):
 def test_cover_rotation_per_sheet():
     rs = planar_k4()
     dc = double_cover(rs)
-    rot_inv = rs.rot_inverse()
+    rot_inv = mirror(rs).rot
     for c in range(dc.arc_count):
         e, s = dc.proj[c], dc.sheet[c]
         expect = rs.rot[e] if s == 0 else rot_inv[e]

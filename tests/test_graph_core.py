@@ -317,3 +317,88 @@ def test_ids_beyond_int64_are_unknown_vertices():
         SymmetricDigraph(3, (2, 2, 0, -(2**70)), (2, 2, -(2**70), 0))
     with pytest.raises(GraphError, match="^edge 1 references unknown vertex$"):
         SymmetricDigraph.from_edges(3, [(0, 1), (2**64, 0)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: SymmetricDigraph(3, (0.5, 1, 1, 2, 2, 0), (1, 0.5, 2, 1, 0, 2)),
+            "vertex id 0.5 at the origin of arc 0 is not an integer",
+        ),
+        (
+            lambda: SymmetricDigraph(3, (0, 1, "1", 2, 2, 0), (1, 0, 2, "1", 0, 2)),
+            "vertex id '1' at the origin of arc 2 is not an integer",
+        ),
+        (
+            lambda: SymmetricDigraph(3, (0, 1, 1, 2, 2, 0), (1, 0, 2, 1.0, 0, 2)),
+            "vertex id 1.0 at the terminus of arc 3 is not an integer",
+        ),
+        (
+            lambda: SymmetricDigraph(3, np.array([0.0, 1, 1, 2, 2, 0]), np.array([1, 0, 2, 1, 0, 2])),
+            "vertex id 0.0 at the origin of arc 0 is not an integer",
+        ),
+        (
+            lambda: SymmetricDigraph.from_edges(3, np.array([[0, 1], [1, 2], [2, 0]], dtype=float)),
+            "vertex id 0.0 at the origin of arc 0 is not an integer",
+        ),
+        (
+            lambda: SymmetricDigraph.from_edges(3, [(0, 1), (1, 2.0), (2, 0)]),
+            "vertex id 2.0 at the origin of arc 3 is not an integer",
+        ),
+        (
+            lambda: SymmetricDigraph.from_edges(3, [(0, 1), ("0", 2)]),
+            "vertex id '0' at the origin of arc 2 is not an integer",
+        ),
+        (lambda: SymmetricDigraph.from_edges(3, [(0, 1, 2)]), "edges must be (u, v) pairs"),
+        (lambda: SymmetricDigraph.from_edges(3, [(0, 1), (1, 2, 0)]), "edges must be (u, v) pairs"),
+        (lambda: SymmetricDigraph.from_edges(3, np.array([0, 1, 1, 2])), "edges must be (u, v) pairs"),
+    ],
+    ids=[
+        "float-tuple",
+        "string-tuple",
+        "float-terminus",
+        "float-array",
+        "float-edge-array",
+        "float-edge-list",
+        "string-edge-list",
+        "triple",
+        "ragged",
+        "flat-array",
+    ],
+)
+def test_ids_that_are_no_integers_name_their_arc(build, message):
+    # Nothing is truncated or parsed: a float, even a whole one, or a
+    # string is no vertex id, on the tuple path and on the array path.
+    with pytest.raises(GraphError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_array_input_is_kept_and_its_tuples_are_ints():
+    g = complete_graph(5)
+    origin, terminus = np.array(g.origin), np.array(g.terminus)
+    built = SymmetricDigraph(5, origin, terminus)
+    # The int64 arrays given are the ones validated, kept and made read-only.
+    assert built.origin_array is origin and built.terminus_array is terminus
+    assert not origin.flags.writeable and not terminus.flags.writeable
+    assert built == g and hash(built) == hash(g) and built._incoming == g._incoming
+    assert {type(i) for i in built.origin + built.terminus} == {int}
+    # Another integer dtype is converted once.
+    narrow = SymmetricDigraph(5, np.array(g.origin, dtype=np.int32), np.array(g.terminus, dtype=np.uint8))
+    assert narrow == g and narrow.origin_array.dtype == np.int64
+    # An unsigned id past int64 names no vertex; it is not wrapped into one.
+    with pytest.raises(GraphError, match="^edge 0 references unknown vertex$"):
+        SymmetricDigraph(3, np.array([2**63, 1], dtype=np.uint64), np.array([1, 2**63], dtype=np.uint64))
+
+
+def test_from_edges_builds_the_arrays_once():
+    pairs = [(4, 2), (0, 1), (3, 4), (2, 3)]
+    edges = np.array(pairs)
+    g = SymmetricDigraph.from_edges(5, edges)
+    # The edge array is copied, not kept: the caller may still write to it.
+    assert not np.shares_memory(g.origin_array, edges) and edges.flags.writeable
+    assert g.origin_array.tolist() == [4, 2, 0, 1, 3, 4, 2, 3]
+    assert g.terminus_array.tolist() == [2, 4, 1, 0, 4, 3, 3, 2]
+    assert SymmetricDigraph.from_edges(5, []) == SymmetricDigraph(5, (), ())
+    assert SymmetricDigraph.from_edges(3, [(True, 2), (0, 2)]).origin == (1, 2, 0, 2)

@@ -1,4 +1,8 @@
+import inspect
+import pickle
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,12 @@ from hypothesis import strategies as st
 import face_oracle
 import parse_oracle
 from conftest import decomposition_fields, projective_k4, planar_k4, random_rotation_system
+import surfwalk
+from surfwalk import fileformat
 from surfwalk.covering_blowup import double_cover, hedgehog
+from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.errors import GraphError
+from surfwalk.fileformat import parse_rotation_system, serialize_rotation_system
 from surfwalk.graph_core import SymmetricDigraph, complete_graph, cycle_graph, path_graph
 from surfwalk.rotation_system import (
     RotationSystem,
@@ -630,3 +638,214 @@ def test_neighbor_lookup_matches_the_vertex_loop(rng):
             assert got == _rotation_or_error(lambda: RotationSystem(g, tuple(want), rs.twist))
             if kind == 0:
                 assert got == rs
+
+
+def _fault(build):
+    """The message of the GraphError ``build()`` raises, or None."""
+    try:
+        build()
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def _any_graph(rng):
+    """A graph on up to 6 vertices whose edges are drawn at random, so that
+    some vertices may have degree 0 or 1, with at least one edge."""
+    while True:
+        n = int(rng.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        if pairs:
+            return SymmetricDigraph.from_edges(n, pairs)
+
+
+def _perturbed(rng, g):
+    """A rotation of ``g`` (one random cycle per vertex) and its twists,
+    most often broken in one to three of the ways the check names."""
+    rot = list(range(g.arc_count))
+    for x in range(g.vertex_count):
+        ax = [int(e) for e in rng.permutation(g.incoming_arcs(x))]
+        for i, e in enumerate(ax):
+            rot[e] = ax[(i + 1) % len(ax)]
+    twist = [int(t) for t in rng.integers(0, 2, g.edge_count)]
+    for _ in range(int(rng.integers(0, 4))):
+        e, f = (int(a) for a in rng.integers(g.arc_count, size=2))
+        kind = int(rng.integers(5))
+        if kind == 0:  # may leave a vertex, or split a cycle
+            rot[e], rot[f] = rot[f], rot[e]
+        elif kind == 1:  # no permutation
+            rot[e] = rot[f]
+        elif kind == 2:  # outside the arcs, now and then
+            rot[e] = int(rng.integers(-2, g.arc_count + 2))
+        elif kind == 3:  # a fixed point, or a cycle cut short
+            rot[e] = e if rng.random() < 0.5 else rot[rot[e] % g.arc_count]
+        else:
+            twist[int(rng.integers(g.edge_count))] = int(rng.integers(-1, 3))
+    return rot, twist
+
+
+def test_row_check_matches_the_vertex_loop(rng):
+    # The array check names the fault the per-vertex loop of
+    # tests/parse_oracle.py named first, on random and broken rotations.
+    faults = set()
+    for _ in range(1500):
+        g = _any_graph(rng) if rng.random() < 0.3 else random_rotation_system(rng, max_vertices=7).graph
+        rot, twist = _perturbed(rng, g)
+        want = _fault(lambda: parse_oracle.check_rotation(g, rot, twist))
+        assert _fault(lambda: RotationSystem(g, tuple(rot), tuple(twist))) == want, (g, rot, twist)
+        assert _fault(lambda: RotationSystem(g, np.array(rot), np.array(twist))) == want
+        faults.add(want and re.sub(r"\d+", "#", want.split(";")[0]))
+    # Every kind of fault, and sound systems, came up.
+    assert faults == {
+        None,
+        "twists must be # or #",
+        "rotation names an arc outside #..#",
+        "successor map is not a permutation",
+        "vertex # has degree #",
+        "rotation leaves A_# at arc #",
+        "rotation at vertex # is not a single cycle",
+    }
+
+
+def test_a_batch_names_the_fault_of_its_first_faulty_row(rng):
+    for _ in range(300):
+        g = random_rotation_system(rng, max_vertices=6).graph
+        rows = [_perturbed(rng, g) if rng.random() < 0.3 else _sound(rng, g) for _ in range(int(rng.integers(1, 6)))]
+        rot, twist = np.array([r for r, _ in rows]), np.array([t for _, t in rows])
+        alone = [_fault(lambda: RotationSystem(g, tuple(r), tuple(t))) for r, t in rows]
+        first = next((fault for fault in alone if fault is not None), None)
+        assert _fault(lambda: RotationSystem.from_rows(g, rot, twist)) == first
+        if first is None:
+            systems = RotationSystem.from_rows(g, rot, twist)
+            assert systems == [RotationSystem(g, tuple(r), tuple(t)) for r, t in rows]
+
+
+def _sound(rng, g):
+    rs = random_rotation_system(rng, g)
+    return list(rs.rot), [int(t) for t in rng.integers(0, 2, g.edge_count)]
+
+
+def test_batch_rows_are_kept_as_read_only_views():
+    rs = projective_k4()
+    rot, twist = np.array([rs.rot, mirror(rs).rot]), np.array([rs.twist, rs.twist])
+    systems = RotationSystem.from_rows(rs.graph, rot, twist)
+    assert systems == [rs, mirror(rs)]
+    for i, system in enumerate(systems):
+        assert np.shares_memory(system.rot_array, rot) and system.rot_array.tolist() == list(system.rot)
+        assert np.shares_memory(system.twist_array, twist) and not system.rot_array.flags.writeable
+        assert {type(i) for i in system.rot + system.twist} == {int}
+    assert not rot.flags.writeable and not twist.flags.writeable
+    with pytest.raises(GraphError, match="^rotation must cover every arc$"):
+        RotationSystem.from_rows(rs.graph, rot[:, 1:], twist)
+    with pytest.raises(GraphError, match="^twist must cover every edge$"):
+        RotationSystem.from_rows(rs.graph, rot, twist[:1])
+    with pytest.raises(GraphError, match="^from_rows takes integer arrays$"):
+        RotationSystem.from_rows(rs.graph, rot.astype(float), twist)
+    assert RotationSystem.from_rows(rs.graph, rot[:0], twist[:0]) == []
+
+
+def test_census_checks_every_class_in_one_batch(monkeypatch):
+    # The classes are validated by the batch check, not one by one, and
+    # each keeps its rows of the census's arrays.
+    built = []
+    post_init = RotationSystem.__post_init__
+    monkeypatch.setattr(RotationSystem, "__post_init__", lambda rs: built.append(rs) or post_init(rs))
+    classes = enumerate_embeddings(complete_graph(4))
+    assert len(classes) == 11 and built == []
+    monkeypatch.undo()
+    systems = [c.decomposition.rs for c in classes]
+    assert all(np.shares_memory(rs.rot_array, systems[0].rot_array.base) for rs in systems)
+    assert systems == [RotationSystem(rs.graph, rs.rot, rs.twist) for rs in systems]
+
+
+def test_kept_arrays_are_read_only_and_out_of_equality_hash_and_pickles():
+    rs = projective_k4()
+    assert rs.rot_array.dtype == np.int64 and rs.rot_array.tolist() == list(rs.rot)
+    assert rs.twist_array.dtype == np.int64 and rs.twist_array.tolist() == list(rs.twist)
+    for a in (rs.rot_array, rs.twist_array):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # A system built from the tuples is validated from the arrays it forms
+    # once; one built from those arrays keeps them.
+    from_tuples = RotationSystem(rs.graph, rs.rot, rs.twist)
+    from_arrays = RotationSystem(rs.graph, rs.rot_array, rs.twist_array)
+    assert from_arrays.rot_array is rs.rot_array and from_arrays.twist_array is rs.twist_array
+    assert from_tuples == from_arrays == rs and hash(from_tuples) == hash(from_arrays) == hash(rs)
+    assert repr(from_tuples) == repr(from_arrays)
+    before = pickle.dumps(from_tuples)
+    trace_faces(from_tuples), hedgehog(from_tuples)
+    assert pickle.dumps(from_tuples) == before == pickle.dumps(from_arrays)
+    clone = pickle.loads(before)
+    # A restored system derives its arrays again, on first read.
+    assert clone == rs and hash(clone) == hash(rs) and "rot_array" not in vars(clone)
+    assert clone.rot_array is not rs.rot_array and clone.rot_array.tolist() == list(rs.rot)
+    assert clone.twist_array.tolist() == list(rs.twist) and not clone.twist_array.flags.writeable
+    assert decomposition_fields(trace_faces(clone)) == decomposition_fields(trace_faces(rs))
+
+
+def test_parsed_system_keeps_the_parsers_rotation_array(monkeypatch):
+    made = []
+    rotation = fileformat._rotation
+    monkeypatch.setattr(fileformat, "_rotation", lambda *args: made.append(rotation(*args)) or made[-1])
+    rs = parse_rotation_system(serialize_rotation_system(projective_k4()))
+    assert rs == projective_k4()
+    assert rs.rot_array is made[0] and np.shares_memory(rs.rot_array, made[0])
+    assert not made[0].flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda rs: RotationSystem(rs.graph, rs.rot, (1.0,) + rs.twist[1:]), "twists must be 0 or 1"),
+        (lambda rs: RotationSystem(rs.graph, rs.rot, np.array(rs.twist, dtype=float)), "twists must be 0 or 1"),
+        (lambda rs: RotationSystem(rs.graph, rs.rot, ("1",) + rs.twist[1:]), "twists must be 0 or 1"),
+        (
+            lambda rs: RotationSystem(rs.graph, rs.rot[:3] + (float(rs.rot[3]),) + rs.rot[4:], rs.twist),
+            "rotation entry {r3:.1f} at arc 3 is not an integer",
+        ),
+        (
+            lambda rs: RotationSystem(rs.graph, np.array(rs.rot, dtype=float), rs.twist),
+            "rotation entry {r0:.1f} at arc 0 is not an integer",
+        ),
+        (lambda rs: RotationSystem(rs.graph, rs.rot[:-1] + (2**64,), rs.twist), "rotation names an arc outside 0..11"),
+    ],
+    ids=["float-twist", "float-twist-array", "string-twist", "float-rot", "float-rot-array", "rot-beyond-int64"],
+)
+def test_entries_that_are_no_integers_are_rejected_at_construction(build, message):
+    rs = projective_k4()
+    with pytest.raises(GraphError) as err:
+        build(rs)
+    assert str(err.value) == message.format(r0=rs.rot[0], r3=rs.rot[3])
+
+
+def test_bool_twists_work_as_ints():
+    rs = projective_k4()
+    flags = RotationSystem(rs.graph, rs.rot, tuple(bool(t) for t in rs.twist))
+    assert flags.twist == (True, False, False, False, False, False)
+    assert flags == rs and flags.twist_array.tolist() == list(rs.twist)
+    assert decomposition_fields(trace_faces(flags)) == decomposition_fields(trace_faces(rs))
+    assert detect_orientability(flags) == detect_orientability(rs)
+
+
+SRC = Path(surfwalk.__file__).parent
+# np.<any function>([x.]...rot or twist, or a comprehension over systems'
+# rot or twist: a conversion of a system's tuples to an array.
+_CONVERSION = re.compile(r"np\.\w+\(\[?[A-Za-z_.]*\.(rot|twist)\b|\.(rot|twist) for \w+ in")
+
+
+def test_src_converts_rot_and_twist_only_in_their_memos():
+    memos = {
+        line.strip()
+        for name in ("rot_array", "twist_array")
+        for line in inspect.getsource(RotationSystem.__dict__[name].func).splitlines()
+    }
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if _CONVERSION.search(line) and not (path.name == "rotation_system.py" and line.strip() in memos)
+    ]
+    assert found == []
+    # The pattern finds the conversions the arrays replace.
+    assert all(_CONVERSION.search(line) for line in ("np.array([rs.twist])", "np.array(dc.base.twist, dtype=np.int64)"))
+    assert _CONVERSION.search("np.array([rs.rot for rs in systems])")
