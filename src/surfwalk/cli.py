@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 file parse error or bad option (an ``--out`` that
-cannot be opened among them), 3 invariant or coin-assumption violation, 4
+cannot be opened or written among them), 3 invariant or coin-assumption violation, 4
 non-convergence, 5 enumeration budget exceeded.
 
 Complex numbers cross the boundary as ``re,im`` pairs: coin flags accept
@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import re
+import stat
 import sys
 from typing import Iterable, Iterator
 
@@ -218,7 +219,17 @@ def _emit(text: str | Iterable[str], out: str | None):
     """Write ``text``, a string or strings taken in turn, ended by one
     newline, to ``out`` or else to stdout: the same bytes either way.  The
     parts are written as they come and the newline on its own, so a large
-    document is never joined or copied whole."""
+    document is never joined or copied whole.
+
+    An existing ``out`` is written over in place, not truncated when it is
+    opened: truncating first frees all of a file's blocks before the first
+    byte goes in, which costs more than the write on some file systems.
+    Once the writing ends, by return or by raise, a regular file is cut at
+    the last byte written, so it holds exactly those bytes; a device or a
+    FIFO is never cut.  A process killed during the write (SIGKILL) leaves
+    the old file's tail after the new prefix.  An ``out`` that cannot be
+    opened or written is a bad ``--out``.
+    """
 
     def write_all(write):
         ended = False
@@ -230,11 +241,23 @@ def _emit(text: str | Iterable[str], out: str | None):
 
     if out:
         try:
-            fh = open(out, "w", encoding="utf-8")
+            # O_BINARY (Windows only) as open() sets it: the text writer
+            # translates newlines itself.
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         except OSError as exc:
             raise click.BadParameter(f"cannot open {out!r}: {exc.strerror}", param_hint="'--out'") from exc
-        with fh:
-            write_all(fh.write)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                try:
+                    write_all(fh.write)
+                finally:
+                    try:
+                        fh.flush()
+                    finally:
+                        if stat.S_ISREG(os.fstat(fd).st_mode):
+                            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        except OSError as exc:
+            raise click.BadParameter(f"cannot write {out!r}: {exc.strerror}", param_hint="'--out'") from exc
     else:
         write_all(functools.partial(click.echo, nl=False))
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from surfwalk import cli
 from surfwalk.cli import main
 from surfwalk.enumeration import enumerate_embeddings, rank_by_comfortability
 from surfwalk.graph_core import complete_graph
@@ -356,6 +357,44 @@ def test_unwritable_out_exits_2_without_a_traceback(projective_file, tmp_path, c
     assert "No such file or directory" in captured.err
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_failed_write_to_out_exits_2_without_a_traceback(projective_file, capsys):
+    assert main(["genus", projective_file, "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Invalid value for '--out': cannot write '/dev/full': No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+def test_out_to_dev_null(capsys):
+    assert main(["rank", "K4", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_shorter_document_over_a_longer_out_file(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["enumerate", "K4", "--a", "0.5", "--a", "0.98", "--out", str(out)]) == 0
+    longer = out.stat().st_size
+    assert main(["rank", "K4", "--out", str(out)]) == 0
+    assert main(["rank", "K4"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert len(stdout) < longer
+    assert out.read_bytes() == stdout and out.stat().st_size == len(stdout)
+
+
+def test_failing_renderer_leaves_the_bytes_written_before_it(tmp_path):
+    out = tmp_path / "out.json"
+    out.write_text("x" * 1000)
+
+    def parts():
+        yield "first part\n"
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        cli._emit(parts(), str(out))
+    assert out.read_bytes() == b"first part\n"
 
 
 @pytest.fixture

@@ -357,6 +357,41 @@ def test_convergence_error_reports_the_reference_residual(max_steps):
     assert (err.value.steps, err.value.residual) == (reference.steps, reference.residual)
 
 
+def _tol_the_modulus_decides(bg, coin, inflow, below=1e-6):
+    """A tolerance and a step s of the reference loop such that no step
+    before s gets below the tolerance by either measure, and at s the
+    largest real or imaginary part of the change does while the largest
+    modulus does not.  A stopping test on the parts alone would stop at s;
+    s is taken once the residual is below ``below``."""
+    state, floor = WaveState.zero(bg, inflow), math.inf
+    for s in range(1, 10**5):
+        new = _reference_step(state, bg, coin)
+        delta = np.stack([new.island_in - state.island_in, new.island_plus - state.island_plus,
+                          new.bridge - state.bridge])
+        bound = max(np.abs(delta.real).max(), np.abs(delta.imag).max())
+        modulus = np.abs(delta).max()
+        state = new
+        if modulus < below and bound < min(modulus, floor):
+            return (bound + min(modulus, floor)) / 2, s
+        floor = min(floor, bound)
+    raise AssertionError("no step where the parts and the modulus part")
+
+
+# Two cases with complex coins.  In the projective case coin and inflow are
+# real, and the parts bound the modulus exactly.
+@pytest.mark.parametrize(
+    "case",
+    [case for case in _bit_identity_cases() if case[0] in ("K4 class 0 eye", "K8 complex")],
+    ids=lambda case: case[0],
+)
+def test_the_exact_modulus_decides_the_stop(case):
+    _, bg, coin, inflow = case
+    tol, s = _tol_the_modulus_decides(bg, coin, inflow)
+    reference = _reference_run(bg, coin, inflow, tol=tol)
+    assert reference.steps > s
+    _assert_same_bytes(run_to_stationary(bg, coin, inflow, tol=tol), reference)
+
+
 def _two_tail_check():
     rs = projective_k4()
     inflow = np.zeros(hedgehog(rs).size, dtype=complex)
