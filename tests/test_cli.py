@@ -1,11 +1,17 @@
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfwalk
 from surfwalk import cli
 from surfwalk.cli import main
 from surfwalk.enumeration import enumerate_embeddings, rank_by_comfortability
@@ -365,6 +371,32 @@ def test_failed_write_to_out_exits_2_without_a_traceback(projective_file, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: Invalid value for '--out': cannot write '/dev/full': No space left on device\n"
+
+
+@pytest.mark.parametrize("command", ["genus", "scatter"])
+def test_failed_write_to_stdout_exits_2_without_a_traceback(command, projective_file, monkeypatch, capsys):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("sys.stdout", FullStdout())
+    assert main([command, projective_file]) == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_console_script_on_full_stdout_exits_2_with_one_error_line():
+    # Buffered stdout, as a shell gives it: the unsent text must not fail
+    # the interpreter's last flush and turn the exit status into 120.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(surfwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = "import sys; from surfwalk.cli import main; sys.exit(main())"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-c", script, "rank", "K4"], stdout=full, stderr=subprocess.PIPE, env=env, text=True
+        )
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")

@@ -1,4 +1,3 @@
-import inspect
 import pickle
 import re
 import tracemalloc
@@ -776,11 +775,21 @@ def test_kept_arrays_are_read_only_and_out_of_equality_hash_and_pickles():
     trace_faces(from_tuples), hedgehog(from_tuples)
     assert pickle.dumps(from_tuples) == before == pickle.dumps(from_arrays)
     clone = pickle.loads(before)
-    # A restored system derives its arrays again, on first read.
-    assert clone == rs and hash(clone) == hash(rs) and "rot_array" not in vars(clone)
-    assert clone.rot_array is not rs.rot_array and clone.rot_array.tolist() == list(rs.rot)
-    assert clone.twist_array.tolist() == list(rs.twist) and not clone.twist_array.flags.writeable
+    # A restored system is built by the constructor, which forms fresh arrays.
+    assert clone == rs and hash(clone) == hash(rs)
+    for a, original in ((clone.rot_array, rs.rot_array), (clone.twist_array, rs.twist_array)):
+        assert a is not original and not np.shares_memory(a, original)
+        assert a.dtype == np.int64 and not a.flags.writeable and np.array_equal(a, original)
     assert decomposition_fields(trace_faces(clone)) == decomposition_fields(trace_faces(rs))
+
+
+def test_a_pickle_is_validated_again_when_loaded():
+    rs = projective_k4()
+    broken = RotationSystem(rs.graph, rs.rot, rs.twist)
+    object.__setattr__(broken, "rot", (rs.rot[1],) + rs.rot[1:])
+    data = pickle.dumps(broken)
+    with pytest.raises(GraphError, match="^successor map is not a permutation$"):
+        pickle.loads(data)
 
 
 def test_parsed_system_keeps_the_parsers_rotation_array(monkeypatch):
@@ -833,17 +842,13 @@ SRC = Path(surfwalk.__file__).parent
 _CONVERSION = re.compile(r"np\.\w+\(\[?[A-Za-z_.]*\.(rot|twist)\b|\.(rot|twist) for \w+ in")
 
 
-def test_src_converts_rot_and_twist_only_in_their_memos():
-    memos = {
-        line.strip()
-        for name in ("rot_array", "twist_array")
-        for line in inspect.getsource(RotationSystem.__dict__[name].func).splitlines()
-    }
+def test_src_never_converts_rot_or_twist_tuples():
+    # No line is exempt: a system's arrays come from its constructor alone.
     found = [
         f"{path.name}:{number}: {line.strip()}"
         for path in sorted(SRC.glob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
-        if _CONVERSION.search(line) and not (path.name == "rotation_system.py" and line.strip() in memos)
+        if _CONVERSION.search(line)
     ]
     assert found == []
     # The pattern finds the conversions the arrays replace.
