@@ -52,7 +52,6 @@ from .rotation_system import (
     detect_orientability,
     flip_vertex,
     mirror,
-    trace_batch,
     trace_faces,
 )
 from .scattering import (

@@ -34,7 +34,7 @@ from .errors import (
     GraphError,
     ParseError,
 )
-from .fileformat import parse_rotation_system
+from .fileformat import _DECIMAL, parse_rotation_system
 from .graph_core import complete_graph
 from .rotation_system import detect_orientability, trace_faces
 from .scattering import scattering_matrix, stationary_closed_form
@@ -328,7 +328,7 @@ def cmd_genus(file, out):
     payload = {
         "orientable": fd.orientable,
         "genus": fd.genus,
-        "surface": f"{'g' if fd.orientable else 'k'}={fd.genus}",
+        "surface": fd.surface_label,
         "face_count": len(fd.faces),
     }
     _emit(json.dumps(payload, indent=2), out)
@@ -458,12 +458,13 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
 
 
 def _parse_inflow(bg, spec: str) -> np.ndarray:
+    """The inflow ``--inflow`` names: ``uniform``, or one tail, its id read
+    as the file format reads an integer (ASCII digits, an optional sign)."""
     if spec == "uniform":
         return np.ones(bg.size, dtype=complex)
-    try:
-        tail = int(spec)
-    except ValueError:
+    if not _DECIMAL.fullmatch(spec):
         raise AssumptionError(f"--inflow takes a tail id or 'uniform', got {spec!r}")
+    tail = int(spec)
     if not 0 <= tail < bg.size:
         raise AssumptionError(f"tail {tail} does not exist")
     inflow = np.zeros(bg.size, dtype=complex)
@@ -490,7 +491,7 @@ def cmd_comfort(file, a_, b_, c_, d_, inflow, want_limit, out):
     else:
         bg = hedgehog(rs)
         vec = _parse_inflow(bg, inflow)
-        report = comfortability(fd, coin, vec, scattering=scattering_matrix(bg, coin))
+        report = comfortability(fd, coin, vec)
         payload.update(
             {"energy": report.energy, "island": report.island, "bridge": report.bridge}
         )

@@ -157,9 +157,7 @@ def positive_coin_average(fd: FacialDecomposition, a: float) -> float:
     return ((2.0 + b2) / b2 * first - 2.0 * a / b2 * second) / n_arcs
 
 
-def average_by_enumeration(
-    fd: FacialDecomposition, coin: Coin, scattering: ScatteringMatrix | None = None
-) -> float:
+def average_by_enumeration(fd: FacialDecomposition, coin: Coin) -> float:
     """Sum of single-tail energies over every tail, divided by |A|, from
     the Gram columns of S's face blocks.
 
@@ -175,11 +173,7 @@ def average_by_enumeration(
     read off g_f: O(q log q) per face and no block.
     """
     coin.require_closed_form()
-    if scattering is None:
-        s = scattering_matrix(hedgehog(fd.rs), coin)
-    else:
-        s = scattering
-        _require_built_for(s, coin, fd.rs)
+    s = scattering_matrix(hedgehog(fd.rs), coin)
     gram = s._gram(0.0)
     norm = float(s.bg.face_index[0] @ gram[s.offsets[:-1]].real)
     entry, sign = s.bg.same_face_pairs

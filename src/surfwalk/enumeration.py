@@ -21,10 +21,10 @@ index is the only order.  The roots are decoded into rotation and twist
 arrays together; one RotationSystem is built per class and none per raw
 system, every class of the graph is validated in one array check
 (:meth:`~surfwalk.rotation_system.RotationSystem.from_rows`), and the same
-arrays are traced in one batch, as by
-:func:`~surfwalk.rotation_system.trace_batch`, which keeps no trace on the
-systems; time and memory are linear in the raw count, which the budget
-bounds.
+arrays are traced in one batch
+(:func:`~surfwalk.rotation_system._trace_rows`), which keeps no trace on
+the systems; time and memory are linear in the raw count, which the
+budget bounds.  The EW_BUDGET environment variable alone sets the budget.
 """
 
 from __future__ import annotations
@@ -70,16 +70,17 @@ def default_budget() -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(edge_count: int, degrees: Iterable[int], budget: int | None = None) -> int:
+def check_budget(edge_count: int, degrees: Iterable[int]) -> int:
     """The raw count Prod (deg-1)! * 2^|E|, or :class:`BudgetError` if it
-    exceeds the budget (default: the EW_BUDGET environment variable).
+    exceeds the budget, :func:`default_budget`: the EW_BUDGET environment
+    variable is its one setter.
 
     The factors (a 2 per edge, then 2 .. deg-1 per vertex) are multiplied one
     by one and the product is given up as soon as it passes
     max(budget, 10^20), so a huge graph costs a few dozen multiplications,
     not its exact count.
     """
-    budget = default_budget() if budget is None else budget
+    budget = default_budget()
     cap = max(budget, SHOWN_COUNT_LIMIT)
     factors = itertools.chain(
         itertools.repeat(2, min(edge_count, cap.bit_length())),
@@ -272,24 +273,19 @@ class EmbeddingClass:
         return tuple(sorted(pairs, reverse=True))
 
     @property
-    def surface_label(self) -> str:
-        return f"{'g' if self.orientable else 'k'}={self.genus}"
-
-    @property
     def label(self) -> str:
         faces = ",".join(str(x) for x in self.face_lengths)
-        return f"{self.surface_label} [{faces}]"
+        return f"{self.decomposition.surface_label} [{faces}]"
 
 
-def enumerate_embeddings(
-    g: SymmetricDigraph, budget: int | None = None
-) -> list[EmbeddingClass]:
+def enumerate_embeddings(g: SymmetricDigraph) -> list[EmbeddingClass]:
     """All embedding classes of ``g``: orientable first, then by genus, face
     lengths and self-intersection profile (each ascending), ties in the
     raw-index order of their representatives.
 
     Raises :class:`BudgetError` when the raw count Prod (deg-1)! * 2^|E|
-    exceeds the budget (override with the EW_BUDGET environment variable).
+    exceeds the budget of :func:`check_budget`, which the EW_BUDGET
+    environment variable alone sets.
     """
     degrees = [g.degree(x) for x in range(g.vertex_count)]
     for x, d in enumerate(degrees):
@@ -300,7 +296,7 @@ def enumerate_embeddings(
             )
     if not is_connected(g):
         raise GraphError("enumeration needs a connected graph")
-    check_budget(g.edge_count, degrees, budget)
+    check_budget(g.edge_count, degrees)
     index = _RawIndex(g)
     moves = [index.flip(x) for x in range(g.vertex_count)]
     moves += [index.automorphism(p) for p in _generating_set(graph_automorphisms(g))]

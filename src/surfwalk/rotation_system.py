@@ -6,7 +6,7 @@ surface: ``rho`` is the cyclic order of incoming arcs at each vertex and
 the tau-double-cover, whose numbering is fixed here once (see
 :func:`_cover_arcs`); traced walks come in chiral pairs and each pair is
 one face of the embedding.  One array routine traces a batch of systems
-on one graph together (:func:`trace_batch`, as the census does with every
+on one graph together (:func:`_trace_rows`, as the census does with every
 class of a graph); :func:`trace_faces` is the batch of one.  Likewise one
 array routine checks a batch of rotation and twist rows on one graph
 (:func:`_check_rows`): a system built alone is the batch of one, and
@@ -28,7 +28,6 @@ __all__ = [
     "RotationSystem",
     "FacialDecomposition",
     "trace_faces",
-    "trace_batch",
     "detect_orientability",
     "flip_vertex",
     "mirror",
@@ -56,7 +55,7 @@ class RotationSystem:
     the tailed blow-up built from them, each computed on first read.  All
     of these are kept out of ``==``, ``hash``, ``repr`` and pickles, and are
     read only: their arrays are not writeable and their tuples and lists
-    are never changed.  :func:`trace_batch` fills none of the trace memos.
+    are never changed.  :func:`_trace_rows` fills none of the trace memos.
     """
 
     graph: SymmetricDigraph
@@ -73,13 +72,24 @@ class RotationSystem:
         twist = _int64(self.twist, lambda k, t: "twists must be 0 or 1")
         rot = _int64(self.rot, lambda e, r: f"rotation entry {r!r} at arc {e} is not an integer")
         _check_rows(g, rot[None], twist[None])
-        if not isinstance(self.rot, tuple):
-            object.__setattr__(self, "rot", tuple(rot.tolist()))
-        if not isinstance(self.twist, tuple):
-            object.__setattr__(self, "twist", tuple(twist.tolist()))
         rot.flags.writeable = twist.flags.writeable = False
-        object.__setattr__(self, "rot_array", rot)
-        object.__setattr__(self, "twist_array", twist)
+        self._set_fields(
+            g,
+            self.rot if isinstance(self.rot, tuple) else tuple(rot.tolist()),
+            self.twist if isinstance(self.twist, tuple) else tuple(twist.tolist()),
+            rot,
+            twist,
+        )
+
+    def _set_fields(self, graph, rot, twist, rot_array, twist_array):
+        """Set the fields of a checked system, the one place they are set:
+        five plain statements, as a loop over the names made
+        :meth:`from_rows` 15-25 % slower."""
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "rot", rot)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "rot_array", rot_array)
+        object.__setattr__(self, "twist_array", twist_array)
 
     def __reduce__(self):
         return type(self), (self.graph, self.rot, self.twist)
@@ -109,11 +119,7 @@ class RotationSystem:
         for r, t, rot_row, twist_row in zip(rot.tolist(), twist.tolist(), rot, twist):
             # Checked already: the fields are set as __post_init__ sets them.
             rs = object.__new__(cls)
-            object.__setattr__(rs, "graph", graph)
-            object.__setattr__(rs, "rot", tuple(r))
-            object.__setattr__(rs, "twist", tuple(t))
-            object.__setattr__(rs, "rot_array", rot_row)
-            object.__setattr__(rs, "twist_array", twist_row)
+            rs._set_fields(graph, tuple(r), tuple(t), rot_row, twist_row)
             systems.append(rs)
         return systems
 
@@ -470,6 +476,11 @@ class FacialDecomposition:
     def face_lengths(self) -> tuple[int, ...]:
         return tuple(sorted((len(f) for f in self.faces), reverse=True))
 
+    @property
+    def surface_label(self) -> str:
+        """``g=<genus>`` on an orientable surface, ``k=<genus>`` otherwise."""
+        return f"{'g' if self.orientable else 'k'}={self.genus}"
+
 
 def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     """Trace every facial walk and derive genus and orientability: the batch
@@ -478,25 +489,15 @@ def trace_faces(rs: RotationSystem) -> FacialDecomposition:
     return _decompose([rs], rs.twist_array[None], lift, state, rs._walks)[0]
 
 
-def trace_batch(systems: Sequence[RotationSystem]) -> list[FacialDecomposition]:
-    """:func:`trace_faces` of every system of a batch on one graph, traced
-    together; the systems keep no trace of their own."""
-    if not systems:
-        return []
-    g = systems[0].graph
-    if any(rs.graph != g for rs in systems):
-        raise GraphError("a batch traces systems of one graph")
-    rot = np.stack([rs.rot_array for rs in systems])
-    return _trace_rows(systems, rot, np.stack([rs.twist_array for rs in systems]))
-
-
 def _trace_rows(
     systems: Sequence[RotationSystem], rot: np.ndarray, twist: np.ndarray
 ) -> list[FacialDecomposition]:
-    """:func:`trace_batch` of ``systems``, one graph's, whose rows of
-    ``rot`` and ``twist`` are given, as :meth:`RotationSystem.from_rows`
-    took them.  The census calls this rather than :func:`trace_batch`,
-    which would restack the rows: 34 us more on K4 (timeit minima)."""
+    """:func:`trace_faces` of every system of a non-empty batch on one
+    graph, traced together from the rows of ``rot`` and ``twist`` that
+    :meth:`RotationSystem.from_rows` built ``systems`` from; the systems
+    keep no trace of their own.  The census calls it on the rows it has,
+    as restacking them from the systems costs 34 us more on K4 (timeit
+    minima)."""
     cover_rot, lift, state = _cover_arcs(rot, twist)
     return _decompose(systems, twist, lift, state, _cover_walks(cover_rot, 4 * systems[0].graph.edge_count))
 

@@ -296,10 +296,11 @@ def run_to_stationary(
     )
 
 
-def outflow_map(bg: BlowUpGraph, coin: Coin, tol: float = 1e-10) -> np.ndarray:
+def outflow_map(bg: BlowUpGraph, coin: Coin) -> np.ndarray:
     """The simulated scattering matrix: column j is the stationary outflow
-    for a unit inflow at tail j (all tails in one run)."""
-    return run_to_stationary(bg, coin, np.eye(bg.size), tol).outflow
+    for a unit inflow at tail j (all tails in one run, at
+    :func:`run_to_stationary`'s default tolerance)."""
+    return run_to_stationary(bg, coin, np.eye(bg.size)).outflow
 
 
 def flip_correspondence(rs: RotationSystem, x: int) -> tuple[RotationSystem, np.ndarray]:
@@ -330,11 +331,11 @@ def check_unitary_equivalence(
     x: int,
     coin: Coin,
     inflow: np.ndarray,
-    tol: float = 1e-10,
 ) -> UnitaryEquivalenceReport:
     """Run (G, rho, tau) and its vertex flip at ``x`` with the corresponding
-    single inflow; raise unless the stored energies agree and the outflow
-    moduli match entrywise within ``FLIP_CHECK_TOL``."""
+    single inflow, each at :func:`run_to_stationary`'s default tolerance;
+    raise unless the stored energies agree and the outflow moduli match
+    entrywise within ``FLIP_CHECK_TOL``."""
     bg1 = hedgehog(rs)
     inflow = _checked_inflow(bg1, inflow)
     if inflow.ndim != 1:
@@ -346,8 +347,8 @@ def check_unitary_equivalence(
 
     inflow2 = np.zeros_like(inflow)
     inflow2[phi] = inflow
-    s1 = run_to_stationary(bg1, coin, inflow, tol)
-    s2 = run_to_stationary(bg2, coin, inflow2, tol)
+    s1 = run_to_stationary(bg1, coin, inflow)
+    s2 = run_to_stationary(bg2, coin, inflow2)
 
     dev = np.abs(np.abs(s2.outflow[phi]) - np.abs(s1.outflow)).max()
     report = UnitaryEquivalenceReport(

@@ -155,6 +155,16 @@ def test_inflow_outside_the_tails_exits_3(projective_file, command, tail, capsys
     assert f"tail {tail} does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["comfort", "simulate"])
+def test_inflow_reads_a_tail_id_as_the_file_format_reads_an_integer(projective_file, command, capsys):
+    # Python's int() also takes digit separators, other scripts' digits and
+    # surrounding spaces; a tail id is ASCII digits with an optional sign.
+    for spec in ("1_0", "\u0663", " 3 "):
+        assert main([command, projective_file, "--inflow", spec]) == 3
+        assert f"--inflow takes a tail id or 'uniform', got {spec!r}" in capsys.readouterr().err
+    assert main([command, projective_file, "--inflow", "3"]) == 0
+
+
 def test_comfort_single_inflow(projective_file, capsys):
     code, payload = run_json(capsys, "comfort", projective_file, "--inflow", "5")
     assert code == 0
@@ -210,6 +220,13 @@ def test_simulate_near_unit_a_skips_the_comparison(projective_file, capsys):
     assert code == 0
     assert "comparison" not in payload
     assert payload["steps"] == 1
+
+
+@pytest.mark.parametrize("inflow", ["uniform", "0"])
+def test_comfort_near_unit_a_exits_3_with_or_without_one_inflow(projective_file, inflow, capsys):
+    coin = ["--a", "0.999999999999995", "--b", "9.996e-08", "--c", "9.996e-08", "--d", "-0.999999999999995"]
+    assert main(["comfort", projective_file, *coin, "--inflow", inflow]) == 3
+    assert capsys.readouterr().err == "error: closed forms need |a| < 1\n"
 
 
 def test_enumerate_k4(capsys):

@@ -312,7 +312,7 @@ def test_face_indices_are_shared_and_derived_per_graph():
     for coin in (Coin.hadamard_type(), Coin.real_symmetric(0.3)):
         s = scattering_matrix(bg, coin)
         s.unitarity_defect()
-        average_by_enumeration(fd, coin, scattering=s)
+        average_by_enumeration(fd, coin)
         seen.append(_arrays([getattr(bg, name) for name in names]))
     # Both scattering matrices read the very same arrays.
     assert len(seen[0]) == len(seen[1]) > 8

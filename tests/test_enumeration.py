@@ -51,12 +51,13 @@ def test_k4_automorphism_count():
     assert len(graph_automorphisms(complete_graph(4))) == 24
 
 
-def test_raw_count_and_budget():
+def test_raw_count_and_budget(monkeypatch):
     assert check_budget(6, [3] * 4) == 1024
     with pytest.raises(BudgetError):
         enumerate_embeddings(complete_graph(6))
+    monkeypatch.setenv("EW_BUDGET", "100")
     with pytest.raises(BudgetError):
-        enumerate_embeddings(complete_graph(4), budget=100)
+        enumerate_embeddings(complete_graph(4))
 
 
 def test_rejects_disconnected_and_degree_one_graphs():
@@ -271,10 +272,11 @@ def test_k4_genus_distribution(k4_classes):
     assert _orientable_genus_distribution(k4_classes, 4) == {0: 2, 1: 14}
 
 
-def test_k5_genus_distribution(k5_classes):
+def test_k5_genus_distribution(k5_classes, monkeypatch):
     # Gross-Furst: K5 has 462 / 4974 / 2340 orientable embeddings of genus 1 / 2 / 3.
     assert _orientable_genus_distribution(k5_classes, 5) == {1: 462, 2: 4974, 3: 2340}
-    assert sum(c.orbit_size for c in k5_classes) == check_budget(10, [4] * 5, budget=10**7) == 7_962_624
+    monkeypatch.setenv("EW_BUDGET", str(10**7))
+    assert sum(c.orbit_size for c in k5_classes) == check_budget(10, [4] * 5) == 7_962_624
 
 
 def test_equal_face_data_ties_exactly_and_keeps_enumeration_order():

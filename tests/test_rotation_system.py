@@ -23,10 +23,10 @@ from surfwalk.rotation_system import (
     _cover_walks,
     _decompose,
     _flipped,
+    _trace_rows,
     detect_orientability,
     flip_vertex,
     mirror,
-    trace_batch,
     trace_faces,
 )
 
@@ -219,15 +219,25 @@ def test_trace_faces_matches_state_oracle():
     assert count == 500
 
 
+def trace_rows(systems):
+    """The batch trace of ``systems``, one graph's, as the census runs it:
+    the systems rebuilt from their stacked rows by
+    :meth:`RotationSystem.from_rows`, and those rows traced together."""
+    rot = np.array([rs.rot for rs in systems])
+    twist = np.array([rs.twist for rs in systems])
+    rows = RotationSystem.from_rows(systems[0].graph, rot, twist)
+    return rows, _trace_rows(rows, rot, twist)
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_batch_trace_is_the_per_system_trace(n):
     rng = np.random.default_rng(4000 + n)
     systems = [random_rotation_system(rng, complete_graph(n)) for _ in range(12)]
     # Some untwisted copies, so orientable and non-orientable rows mix.
     systems += [RotationSystem(rs.graph, rs.rot, (0,) * rs.graph.edge_count) for rs in systems[:4]]
-    batch = trace_batch(systems)
+    rows, batch = trace_rows(systems)
     # The batch fills no trace memo of its systems.
-    assert not any("_cover" in vars(rs) or "_walks" in vars(rs) for rs in systems)
+    assert not any("_cover" in vars(rs) or "_walks" in vars(rs) for rs in rows)
     assert [fd.rs for fd in batch] == systems
     fields = [decomposition_fields(fd) for fd in batch]
     assert fields == [decomposition_fields(trace_faces(rs)) for rs in systems]
@@ -235,17 +245,8 @@ def test_batch_trace_is_the_per_system_trace(n):
         expect = face_oracle.trace(fd.rs)
         assert (list(fd.faces), fd.orientable, fd.genus) == (expect["faces"], expect["orientable"], expect["genus"])
     # A system's trace does not depend on the rest of its batch.
-    assert [decomposition_fields(fd) for fd in trace_batch(systems[::-1])] == fields[::-1]
-    assert [decomposition_fields(fd) for fd in trace_batch(systems[3:4])] == fields[3:4]
-
-
-def test_empty_batch_traces_nothing():
-    assert trace_batch([]) == []
-
-
-def test_batch_rejects_systems_of_two_graphs():
-    with pytest.raises(GraphError, match="^a batch traces systems of one graph$"):
-        trace_batch([planar_k4(), random_rotation_system(np.random.default_rng(5), complete_graph(5))])
+    assert [decomposition_fields(fd) for fd in trace_rows(systems[::-1])[1]] == fields[::-1]
+    assert [decomposition_fields(fd) for fd in trace_rows(systems[3:4])[1]] == fields[3:4]
 
 
 def test_batch_rejects_a_disconnected_graph_as_the_single_trace_does():
@@ -256,7 +257,7 @@ def test_batch_rejects_a_disconnected_graph_as_the_single_trace_does():
     with pytest.raises(GraphError, match=message):
         trace_faces(systems[1])
     with pytest.raises(GraphError, match=message):
-        trace_batch(systems)
+        trace_rows(systems)
 
 
 def test_a_self_paired_walk_is_rejected():
