@@ -5,6 +5,14 @@ cannot be opened or written among them) or a stdout that cannot be
 written, 3 invariant or coin-assumption violation, 4 non-convergence, 5
 enumeration budget exceeded.
 
+Each command is a function registered with :func:`_command` at import,
+with its table: its one argument (FILE or GRAPH) and its options, each
+with the function that reads its value, its default and its help.  One
+loop over argv reads a command line against its table.  An option's value
+is the token after it, whatever that token starts with (``--d -0.3,0.4``),
+or follows ``=`` (``--d=-0.3,0.4``); ``--`` ends the options.  A usage
+fault exits 2 with one ``error:`` line, and ``--help`` prints the usage.
+
 Complex numbers cross the boundary as ``re,im`` pairs: coin flags accept
 ``0.7`` or ``0.5,-0.5``; JSON matrices are row-major arrays of such
 strings and CSV uses two columns per complex entry.
@@ -19,9 +27,8 @@ import os
 import re
 import stat
 import sys
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-import click
 import numpy as np
 
 from .comfortability import average_comfortability, comfortability, limit_comfortability
@@ -98,6 +105,18 @@ def _json_array(items: list[str], indent: str, quote: str = '"') -> str:
     return f"{start}{quote}{(quote + sep + quote).join(items)}{quote}{end}"
 
 
+def _json_records(template: str, records: list[tuple]):
+    """A renderer for :func:`_iterdumps` of a list of records, each written
+    as ``template % record``: ``template`` is one record as
+    json.dumps(indent=2) writes it at indent 0, its fields ``%d``."""
+
+    def render(indent):
+        record = template.replace("\n", "\n" + indent + "  ")
+        return _json_array(list(map(record.__mod__, records)), indent, quote="")
+
+    return render
+
+
 # One legend record as json.dumps(indent=2) writes it at indent 0.
 _LEGEND_RECORD = '{\n  "tail": %d,\n  "bridge": %d,\n  "base_arc": [\n    %d,\n    %d\n  ],\n  "sheet": %d\n}'
 
@@ -108,21 +127,14 @@ def _json_legend(bg):
     (origin, terminus) and sheet underneath."""
     dc = bg.cover
     g = dc.base.graph
-    records = list(
-        zip(
-            range(bg.size),
-            bg.bar.tolist(),
-            g.origin_array[dc.proj].tolist(),
-            g.terminus_array[dc.proj].tolist(),
-            dc.sheet.tolist(),
-        )
+    records = zip(
+        range(bg.size),
+        bg.bar.tolist(),
+        g.origin_array[dc.proj].tolist(),
+        g.terminus_array[dc.proj].tolist(),
+        dc.sheet.tolist(),
     )
-
-    def render(indent):
-        record = _LEGEND_RECORD.replace("\n", "\n" + indent + "  ")
-        return _json_array(list(map(record.__mod__, records)), indent, quote="")
-
-    return render
+    return _json_records(_LEGEND_RECORD, list(records))
 
 
 # json.dumps writes the slot string "\x00" as "\u0000"; no other string a
@@ -178,20 +190,186 @@ def _coin_from_options(a, b, c, d) -> Coin:
     return Coin(_parse_complex(a), _parse_complex(b), _parse_complex(c), _parse_complex(d))
 
 
+class UsageError(Exception):
+    """A command line, an ``--out`` or a stdout that a command cannot use:
+    exit 2 with one ``error:`` line."""
+
+
+class _Option(NamedTuple):
+    """One entry of a command's table: an option, or the command's one
+    argument.  ``read`` turns its text into the value passed as keyword
+    ``dest``, or raises ValueError with the reason; a flag has no ``read``
+    and takes no text.  The values of a ``multiple`` option, which may be
+    given again and again, are passed as a tuple."""
+
+    name: str
+    dest: str
+    read: Callable[[str], object] | None
+    default: object = None
+    metavar: str = ""
+    help: str = ""
+    multiple: bool = False
+
+
+class _Command(NamedTuple):
+    run: Callable
+    argument: _Option
+    options: dict[str, _Option]
+    defaults: dict[str, object]
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, argument: _Option, *options: _Option):
+    """Register the decorated function as command ``name``, with its table;
+    every command also takes ``--help``."""
+    options += (_Option("--help", "help", None, False, help="Show this message and exit."),)
+    table = {option.name: option for option in options}
+    defaults = {option.dest: option.default for option in options}
+
+    def register(run):
+        _COMMANDS[name] = _Command(run, argument, table, defaults)
+        return run
+
+    return register
+
+
+def _number(kind: type, word: str) -> Callable[[str], object]:
+    def read(text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid {word}.") from None
+
+    return read
+
+
+def _choice(*choices: str) -> Callable[[str], str]:
+    def read(text):
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+        return text
+
+    return read
+
+
+def _input_file(text: str) -> str:
+    """FILE: a file that exists, is no directory and can be read."""
+    try:
+        mode = os.stat(text).st_mode
+    except OSError:
+        raise ValueError(f"File {text!r} does not exist.") from None
+    if stat.S_ISDIR(mode):
+        raise ValueError(f"File {text!r} is a directory.")
+    if not os.access(text, os.R_OK):
+        raise ValueError(f"File {text!r} is not readable.")
+    return text
+
+
+def _out_file(text: str) -> str:
+    """``--out``: checked before the work is done, and refused if it is a
+    directory; one that cannot be opened or written fails when written."""
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    return text
+
+
+_FLOAT = _number(float, "float")
+_FILE = _Option("FILE", "file", _input_file)
+_GRAPH = _Option("GRAPH", "graph", str)
+_OUT = _Option("--out", "out", _out_file, None, "FILE", "write the document here instead of stdout")
 _COIN_DEFAULT = f"{1 / np.sqrt(2):.17g}"
-
-_coin_options = [
-    click.option("--a", "a_", default=_COIN_DEFAULT, show_default="1/sqrt(2)", help="coin entry a (re[,im])"),
-    click.option("--b", "b_", default=_COIN_DEFAULT, show_default="1/sqrt(2)", help="coin entry b (re[,im])"),
-    click.option("--c", "c_", default=_COIN_DEFAULT, show_default="1/sqrt(2)", help="coin entry c (re[,im])"),
-    click.option("--d", "d_", default=f"-{_COIN_DEFAULT}", show_default="-1/sqrt(2)", help="coin entry d (re[,im])"),
-]
+_COIN = tuple(
+    _Option(f"--{entry}", f"{entry}_", str, default, "TEXT", f"coin entry {entry} (re[,im])")
+    for entry, default in zip("abcd", [_COIN_DEFAULT] * 3 + [f"-{_COIN_DEFAULT}"])
+)
 
 
-def _with_coin_options(func):
-    for opt in reversed(_coin_options):
-        func = opt(func)
-    return func
+def _columns(rows: Iterable[tuple[str, str]]) -> str:
+    """Help rows, their second column aligned."""
+    rows = list(rows)
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(f"  {left:<{width}}{right}".rstrip() for left, right in rows)
+
+
+def _help(name: str | None) -> str:
+    """The usage of command ``name``, or with None of the program, ended
+    by its newline so that it is written in one piece."""
+    if name is None:
+        commands = _columns((key, command.run.__doc__) for key, command in _COMMANDS.items())
+        return (
+            "Usage: surfwalk [OPTIONS] COMMAND [ARGS]...\n\n"
+            "  Quantum walks on graph embeddings given by rotation systems.\n\n"
+            f"Options:\n  --help  Show this message and exit.\n\nCommands:\n{commands}\n"
+        )
+    command = _COMMANDS[name]
+    options = _columns(
+        (
+            f"{option.name} {option.metavar}".rstrip(),
+            option.help + (f"  [default: {option.default}]" if option.read and option.default not in (None, ()) else ""),
+        )
+        for option in command.options.values()
+    )
+    usage = f"Usage: surfwalk {name} [OPTIONS] {command.argument.name}"
+    return f"{usage}\n\n  {command.run.__doc__}\n\nOptions:\n{options}\n"
+
+
+def _read(option: _Option, text: str):
+    try:
+        return option.read(text)
+    except ValueError as exc:
+        raise UsageError(f"Invalid value for {option.name!r}: {exc}") from None
+
+
+def _parse(args: list[str]) -> tuple[Callable, dict]:
+    """The function a command line runs and its keyword arguments: a
+    command and its values, or :func:`_emit` and the usage asked for with
+    ``--help``.  A fault of the line is a :class:`UsageError`."""
+    if not args:
+        raise UsageError("Missing command.")
+    name = args[0]
+    if name == "--help":
+        return _emit, {"text": _help(None), "out": None}
+    if name.startswith("-"):
+        raise UsageError(f"No such option {name.partition('=')[0]!r}.")
+    command = _COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"No such command {name!r}.")
+    values = dict(command.defaults)
+    positional = []
+    tokens = iter(args[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            positional.append(token)
+            continue
+        if token == "--":
+            positional += tokens
+            break
+        key, eq, text = token.partition("=")
+        option = command.options.get(key)
+        if option is None:
+            raise UsageError(f"No such option {key!r}.")
+        if option.read is None:
+            if eq:
+                raise UsageError(f"Option {key!r} does not take a value.")
+            values[option.dest] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"Option {key!r} requires an argument.")
+        value = _read(option, text)
+        values[option.dest] = (*values[option.dest], value) if option.multiple else value
+    if values.pop("help"):
+        return _emit, {"text": _help(name), "out": None}
+    if not positional:
+        raise UsageError(f"Missing argument {command.argument.name!r}.")
+    if len(positional) > 1:
+        extra = positional[1:]
+        raise UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} ({' '.join(extra)})")
+    values[command.argument.dest] = _read(command.argument, positional[0])
+    return command.run, values
 
 
 def _load_system(path: str):
@@ -212,7 +390,7 @@ def _load_graph_or_kn(spec: str):
         check_budget(n * (n - 1) // 2, itertools.repeat(n - 1, n))
         return complete_graph(n)
     if not os.path.isfile(spec):
-        raise click.BadParameter(f"{spec!r} is neither K<n> nor a rotation-system file", param_hint="GRAPH")
+        raise UsageError(f"Invalid value for GRAPH: {spec!r} is neither K<n> nor a rotation-system file")
     return _load_system(spec).graph
 
 
@@ -247,7 +425,7 @@ def _emit(text: str | Iterable[str], out: str | None):
             # translates newlines itself.
             fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         except OSError as exc:
-            raise click.BadParameter(f"cannot open {out!r}: {exc.strerror}", param_hint="'--out'") from exc
+            raise UsageError(f"Invalid value for '--out': cannot open {out!r}: {exc.strerror}") from exc
         try:
             with open(fd, "w", encoding="utf-8") as fh:
                 try:
@@ -259,44 +437,56 @@ def _emit(text: str | Iterable[str], out: str | None):
                         if stat.S_ISREG(os.fstat(fd).st_mode):
                             os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         except OSError as exc:
-            raise click.BadParameter(f"cannot write {out!r}: {exc.strerror}", param_hint="'--out'") from exc
+            raise UsageError(f"Invalid value for '--out': cannot write {out!r}: {exc.strerror}") from exc
     else:
+        stdout = sys.stdout
+
+        def write(part):
+            stdout.write(part)
+            stdout.flush()
+
         try:
-            write_all(functools.partial(click.echo, nl=False))
+            write_all(write)
         except OSError as exc:
             # What did not reach stdout stays in its buffer, and the flush at
             # interpreter exit would fail on it again and exit 120: point the
             # descriptor at the null device so that flush succeeds.
             try:
-                fd = sys.stdout.fileno()
+                fd = stdout.fileno()
             except (AttributeError, OSError, ValueError):
                 pass
             else:
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, fd)
                 os.close(null)
-            raise click.UsageError(f"cannot write stdout: {exc.strerror}") from exc
+            raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
+
+
+# A faces edge [u, v, twist], face arc [origin, terminus] and
+# self-intersection record as json.dumps(indent=2) writes each at indent 0.
+_EDGE_RECORD = "[\n  %d,\n  %d,\n  %d\n]"
+_ARC_RECORD = "[\n  %d,\n  %d\n]"
+_HIT_RECORD = '{\n  "edge": [\n    %d,\n    %d\n  ],\n  "distances": [\n    %d,\n    %d\n  ]\n}'
 
 
 def _faces_payload(rs) -> dict:
+    """The faces document; its arrays are renderers for :func:`_iterdumps`."""
     fd = trace_faces(rs)
     g = rs.graph
     edges = g.edges()
-    faces = []
-    for i, face in enumerate(fd.faces):
-        faces.append(
-            {
-                "length": len(face),
-                "arcs": [[g.origin[e], g.terminus[e]] for e in face],
-                "self_intersections": [
-                    {"edge": list(edges[k]), "distances": list(d)}
-                    for k, d in sorted(fd.self_intersections[i].items())
-                ],
-            }
-        )
+    faces = [
+        {
+            "length": len(face),
+            "arcs": _json_records(_ARC_RECORD, [(g.origin[e], g.terminus[e]) for e in face]),
+            "self_intersections": _json_records(
+                _HIT_RECORD, [(*edges[k], *d) for k, d in sorted(hits.items())]
+            ),
+        }
+        for face, hits in zip(fd.faces, fd.self_intersections)
+    ]
     return {
         "vertices": g.vertex_count,
-        "edges": [[u, v, rs.twist[k]] for k, (u, v) in enumerate(edges)],
+        "edges": _json_records(_EDGE_RECORD, [(u, v, t) for (u, v), t in zip(edges, rs.twist)]),
         "orientable": fd.orientable,
         "genus": fd.genus,
         "face_lengths": list(fd.face_lengths),
@@ -304,23 +494,14 @@ def _faces_payload(rs) -> dict:
     }
 
 
-@click.group()
-def cli():
-    """Quantum walks on graph embeddings given by rotation systems."""
-
-
-@cli.command("faces")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), help="write JSON here instead of stdout")
+@_command("faces", _FILE, _OUT)
 def cmd_faces(file, out):
     """Facial walks, self-intersections, orientability and genus."""
     rs = _load_system(file)
-    _emit(json.dumps(_faces_payload(rs), indent=2), out)
+    _emit(_iterdumps(_faces_payload(rs)), out)
 
 
-@cli.command("genus")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command("genus", _FILE, _OUT)
 def cmd_genus(file, out):
     """Genus and orientability of the embedded surface."""
     rs = _load_system(file)
@@ -334,12 +515,9 @@ def cmd_genus(file, out):
     _emit(json.dumps(payload, indent=2), out)
 
 
-@cli.command("orientable")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command("orientable", _FILE, _OUT)
 def cmd_orientable(file, out):
-    """Orientability by the spanning-tree normalization, cross-checked
-    against the double-cover component count."""
+    """Orientability by the spanning tree, checked by the double cover."""
     rs = _load_system(file)
     orientable, _ = detect_orientability(rs)
     components = double_cover(rs).components
@@ -422,11 +600,7 @@ def _csv_blocks(texts: np.ndarray, grids: list[np.ndarray], leads: list[list[str
         yield "".join(cells.ravel().tolist())
 
 
-@cli.command("scatter")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@_with_coin_options
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command("scatter", _FILE, *_COIN, _Option("--format", "fmt", _choice("json", "csv"), "json", "[json|csv]", "document format"), _OUT)
 def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
     """Per-face scattering blocks of the hedgehog system."""
     rs = _load_system(file)
@@ -472,12 +646,14 @@ def _parse_inflow(bg, spec: str) -> np.ndarray:
     return inflow
 
 
-@cli.command("comfort")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@_with_coin_options
-@click.option("--inflow", default="uniform", show_default=True, help="tail id, or 'uniform' for the averaged energy")
-@click.option("--limit", "want_limit", is_flag=True, help="include the a->1 limit coefficient")
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command(
+    "comfort",
+    _FILE,
+    *_COIN,
+    _Option("--inflow", "inflow", str, "uniform", "TEXT", "tail id, or 'uniform' for the averaged energy"),
+    _Option("--limit", "want_limit", None, False, help="include the a->1 limit coefficient"),
+    _OUT,
+)
 def cmd_comfort(file, a_, b_, c_, d_, inflow, want_limit, out):
     """Comfortability of one inflow, or its single-tail average."""
     rs = _load_system(file)
@@ -500,13 +676,15 @@ def cmd_comfort(file, a_, b_, c_, d_, inflow, want_limit, out):
     _emit(json.dumps(payload, indent=2), out)
 
 
-@cli.command("simulate")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@_with_coin_options
-@click.option("--inflow", default="0", show_default=True, help="tail id, or 'uniform'")
-@click.option("--tol", default=1e-10, show_default=True)
-@click.option("--max-steps", default=10**6, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command(
+    "simulate",
+    _FILE,
+    *_COIN,
+    _Option("--inflow", "inflow", str, "0", "TEXT", "tail id, or 'uniform'"),
+    _Option("--tol", "tol", _FLOAT, 1e-10, "FLOAT", "stop once no entry changes by this much"),
+    _Option("--max-steps", "max_steps", _number(int, "integer"), 10**6, "INTEGER", "give up after this many steps"),
+    _OUT,
+)
 def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
     """Run the walk to its stationary state and compare with closed forms."""
     rs = _load_system(file)
@@ -577,10 +755,12 @@ def _format_class_rows(rows, a_values):
     return "\n".join(lines) + "\n"
 
 
-@cli.command("enumerate")
-@click.argument("graph")
-@click.option("--a", "a_values", multiple=True, type=float, help="evaluate the average at these coin parameters")
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command(
+    "enumerate",
+    _GRAPH,
+    _Option("--a", "a_values", _FLOAT, (), "FLOAT", "add the average at this coin parameter (repeatable)", multiple=True),
+    _OUT,
+)
 def cmd_enumerate(graph, a_values, out):
     """All embedding classes of a graph ('K4' or a rotation-system file)."""
     _require_unit_interval(a_values)
@@ -593,10 +773,7 @@ def cmd_enumerate(graph, a_values, out):
     _emit(_format_class_rows(rows, a_values), out)
 
 
-@cli.command("rank")
-@click.argument("graph")
-@click.option("--a", "a_value", type=float, default=0.98, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False))
+@_command("rank", _GRAPH, _Option("--a", "a_value", _FLOAT, 0.98, "FLOAT", "rank by the average at this coin parameter"), _OUT)
 def cmd_rank(graph, a_value, out):
     """Embedding classes sorted by average comfortability (best first)."""
     _require_unit_interval([a_value])
@@ -608,28 +785,24 @@ def cmd_rank(graph, a_value, out):
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        run, values = _parse(sys.argv[1:] if argv is None else argv)
+        run(**values)
         return 0
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_PARSE
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
-        return 1
+    except UsageError as exc:
+        message, code = f"error: {exc}", EXIT_PARSE
     except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        return EXIT_PARSE
+        message, code = f"parse error: {exc}", EXIT_PARSE
     except (AssumptionError, GraphError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ASSUMPTION
+        message, code = f"error: {exc}", EXIT_ASSUMPTION
     except ConvergenceError as exc:
-        click.echo(f"did not converge: {exc}", err=True)
-        return EXIT_CONVERGENCE
+        message, code = f"did not converge: {exc}", EXIT_CONVERGENCE
     except BudgetError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        return EXIT_BUDGET
+        message, code = f"budget exceeded: {exc}", EXIT_BUDGET
+    except KeyboardInterrupt:
+        # Interrupted: end the line the terminal echoed ^C on, no traceback.
+        message, code = "", 1
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

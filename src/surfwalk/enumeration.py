@@ -39,6 +39,7 @@ import numpy as np
 
 from .comfortability import average_comfortability, limit_comfortability
 from .errors import AssumptionError, BudgetError, GraphError
+from .fileformat import _DECIMAL, _INT64
 from .graph_core import SymmetricDigraph, arc_edge, is_connected
 from .rotation_system import FacialDecomposition, RotationSystem, _trace_rows
 from .walk_dynamics import Coin
@@ -61,13 +62,23 @@ SHOWN_COUNT_LIMIT = 10**20
 
 
 def default_budget() -> int:
+    """EW_BUDGET read as the file format reads an integer (an optional sign
+    and ASCII digits, within 64 bits), or DEFAULT_BUDGET if it is unset or
+    empty.  A value that is no such integer, or is below 1, is a
+    :class:`BudgetError` that names it."""
     raw = os.environ.get(BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise BudgetError(f"{BUDGET_ENV}={raw!r} is not an integer")
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    if not _DECIMAL.fullmatch(raw):
+        raise BudgetError(f"{BUDGET_ENV}={raw!r} is not an integer")
+    # More than 19 significant digits are past int64, and int() refuses
+    # more than 4300.
+    if len(raw.lstrip("+-").lstrip("0")) > 19 or int(raw) not in _INT64:
+        raise BudgetError(f"{BUDGET_ENV}={raw!r} does not fit in 64 bits")
+    budget = int(raw)
+    if budget < 1:
+        raise BudgetError(f"{BUDGET_ENV}={raw!r} is below 1")
+    return budget
 
 
 def check_budget(edge_count: int, degrees: Iterable[int]) -> int:

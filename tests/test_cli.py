@@ -502,3 +502,59 @@ def test_enumerate_takes_the_graph_from_a_file(projective_file, capsys):
     assert main(["enumerate", "K4", "--a", "0.98"]) == 0
     assert from_file == capsys.readouterr().out
     assert len(from_file.splitlines()) == 12
+
+
+def test_help_exits_0_with_the_usage_on_stdout(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("Usage: surfwalk [OPTIONS] COMMAND") and err == ""
+    for command in ("faces", "genus", "orientable", "scatter", "comfort", "simulate", "enumerate", "rank"):
+        assert f"\n  {command} " in out
+    assert main(["simulate", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("Usage: surfwalk simulate [OPTIONS] FILE") and err == ""
+    assert "--max-steps INTEGER" in out and "[default: 1000000]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["genus", "{file}", "--bogus"],
+        ["genus"],
+        ["genus", "{absent}"],
+        ["genus", "{directory}"],
+        ["simulate", "{file}", "--tol", "x"],
+        ["simulate", "{file}", "--max-steps", "x"],
+        ["enumerate", "K4", "--a", "x"],
+    ],
+    ids=["no-command", "unknown-command", "unknown-option", "missing-file", "absent-file", "directory-file",
+         "tol-x", "max-steps-x", "enumerate-a-x"],
+)
+def test_usage_faults_exit_2_with_one_error_line(argv, projective_file, tmp_path, capsys):
+    paths = {"file": projective_file, "absent": str(tmp_path / "absent.txt"), "directory": str(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("d", ["-0.3,0.4", f"-{ROOT2!r}"], ids=["complex-d", "hadamard-d"])
+def test_an_option_value_after_equals_is_the_next_token(projective_file, d, capsys):
+    # The token after an option is its value whatever it starts with, as
+    # after "=".
+    runs = []
+    for flag in ([f"--d={d}"], ["--d", d]):
+        code = main(["scatter", projective_file, "--a", repr(ROOT2), *flag])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (3 if "," in d else 0)
+    assert main(["genus", "--", projective_file]) == 0
+
+
+def test_importing_the_cli_leaves_click_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(surfwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = "import sys, surfwalk.cli; sys.exit('click' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0

@@ -308,3 +308,29 @@ def test_non_integer_budget_raises_budget_error(raw, monkeypatch):
         default_budget()
     assert err.type is BudgetError
     assert str(err.value) == f"EW_BUDGET={raw!r} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "raw, fault",
+    [
+        ("1_0", "is not an integer"),
+        ("\u0663", "is not an integer"),
+        (" 100 ", "is not an integer"),
+        ("-1", "is below 1"),
+        ("0", "is below 1"),
+        ("9223372036854775808", "does not fit in 64 bits"),
+        ("9" * 5000, "does not fit in 64 bits"),
+    ],
+    ids=["separator", "arabic-indic", "spaces", "negative", "zero", "past-int64", "5000-digits"],
+)
+def test_budget_is_read_as_the_file_format_reads_an_integer(raw, fault, monkeypatch):
+    # int() also takes digit separators, other scripts' digits and
+    # surrounding spaces; a budget is ASCII digits with an optional sign,
+    # within int64, and at least 1.
+    monkeypatch.setenv("EW_BUDGET", raw)
+    with pytest.raises(BudgetError) as err:
+        default_budget()
+    assert str(err.value) == f"EW_BUDGET={raw!r} {fault}"
+    for raw, budget in (("+5", 5), ("007", 7), ("9223372036854775807", 2**63 - 1)):
+        monkeypatch.setenv("EW_BUDGET", raw)
+        assert default_budget() == budget
