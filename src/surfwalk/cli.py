@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 file parse error or bad option (an ``--out`` that
-cannot be opened or written among them) or a stdout that cannot be
-written, 3 invariant or coin-assumption violation, 4 non-convergence, 5
-enumeration budget exceeded.
+Exit codes: 0 success, 2 file parse error or bad option (a FILE or GRAPH
+that cannot be read, and an ``--out`` that is empty or cannot be opened or
+written, among them) or a stdout that cannot be written, 3 invariant or
+coin-assumption violation, 4 non-convergence, 5 enumeration budget
+exceeded.
 
 Each command is a function registered with :func:`_command` at import,
 with its table: its one argument (FILE or GRAPH) and its options, each
@@ -12,6 +13,9 @@ loop over argv reads a command line against its table.  An option's value
 is the token after it, whatever that token starts with (``--d -0.3,0.4``),
 or follows ``=`` (``--d=-0.3,0.4``); ``--`` ends the options.  A usage
 fault exits 2 with one ``error:`` line, and ``--help`` prints the usage.
+Integers (``--max-steps``, an ``--inflow`` tail id, the n of ``K<n>``)
+are read as the file format reads one, by
+:func:`~surfwalk.fileformat.read_int`.
 
 Complex numbers cross the boundary as ``re,im`` pairs: coin flags accept
 ``0.7`` or ``0.5,-0.5``; JSON matrices are row-major arrays of such
@@ -24,7 +28,6 @@ import functools
 import itertools
 import json
 import os
-import re
 import stat
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -41,7 +44,7 @@ from .errors import (
     GraphError,
     ParseError,
 )
-from .fileformat import _DECIMAL, parse_rotation_system
+from .fileformat import _INT64, parse_rotation_system, read_int
 from .graph_core import complete_graph
 from .rotation_system import detect_orientability, trace_faces
 from .scattering import scattering_matrix, stationary_closed_form
@@ -235,14 +238,21 @@ def _command(name: str, argument: _Option, *options: _Option):
     return register
 
 
-def _number(kind: type, word: str) -> Callable[[str], object]:
-    def read(text):
-        try:
-            return kind(text)
-        except ValueError:
-            raise ValueError(f"{text!r} is not a valid {word}.") from None
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
 
-    return read
+
+def _integer(text: str) -> int:
+    """An integer option, read as the file format reads an integer."""
+    value = read_int(text)
+    if value is None:
+        raise ValueError(f"{text!r} is not a valid integer.")
+    if value not in _INT64:
+        raise ValueError(f"{text!r} does not fit in 64 bits.")
+    return value
 
 
 def _choice(*choices: str) -> Callable[[str], str]:
@@ -267,17 +277,31 @@ def _input_file(text: str) -> str:
     return text
 
 
+def _graph(text: str) -> int | str:
+    """GRAPH: the n of K<n> (or k<n>), n a non-negative integer as the file
+    format reads one, or else a FILE."""
+    n = read_int(text[1:]) if text[:1] in ("K", "k") else None
+    if n is not None and n >= 0:
+        return n
+    try:
+        return _input_file(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is neither K<n> nor a rotation-system file") from None
+
+
 def _out_file(text: str) -> str:
-    """``--out``: checked before the work is done, and refused if it is a
-    directory; one that cannot be opened or written fails when written."""
+    """``--out``: checked before the work is done, and refused if it is
+    empty or a directory; one that cannot be opened or written fails when
+    written."""
+    if not text:
+        raise ValueError("an empty path names no file.")
     if os.path.isdir(text):
         raise ValueError(f"File {text!r} is a directory.")
     return text
 
 
-_FLOAT = _number(float, "float")
 _FILE = _Option("FILE", "file", _input_file)
-_GRAPH = _Option("GRAPH", "graph", str)
+_GRAPH = _Option("GRAPH", "graph", _graph)
 _OUT = _Option("--out", "out", _out_file, None, "FILE", "write the document here instead of stdout")
 _COIN_DEFAULT = f"{1 / np.sqrt(2):.17g}"
 _COIN = tuple(
@@ -373,25 +397,27 @@ def _parse(args: list[str]) -> tuple[Callable, dict]:
 
 
 def _load_system(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The rotation system in the file ``path``; a file that cannot be
+    opened or read is a usage fault."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
     return parse_rotation_system(text)
 
 
-def _load_graph_or_kn(spec: str):
-    m = re.fullmatch(r"[Kk](\d+)", spec)
-    if m:
-        # The budget is checked from n alone, before any edge is built; an n
-        # of more than 18 digits is past every budget.
-        n = int(m.group(1)) if len(m.group(1)) <= 18 else 10**18
-        check_budget(n * (n - 1) // 2, itertools.repeat(n - 1, n))
-        return complete_graph(n)
-    if not os.path.isfile(spec):
-        raise UsageError(f"Invalid value for GRAPH: {spec!r} is neither K<n> nor a rotation-system file")
-    return _load_system(spec).graph
+def _load_graph(graph: int | str):
+    """The graph GRAPH names: K_n for an int n, else the graph of a file."""
+    if isinstance(graph, str):
+        return _load_system(graph).graph
+    # The budget is checked from n alone, before any edge is built; an n
+    # past 10**18 is past every budget, and itertools.repeat takes no more.
+    n = min(graph, 10**18)
+    check_budget(n * (n - 1) // 2, itertools.repeat(n - 1, n))
+    return complete_graph(n)
 
 
 def _emit(text: str | Iterable[str], out: str | None):
@@ -633,14 +659,14 @@ def cmd_scatter(file, a_, b_, c_, d_, fmt, out):
 
 def _parse_inflow(bg, spec: str) -> np.ndarray:
     """The inflow ``--inflow`` names: ``uniform``, or one tail, its id read
-    as the file format reads an integer (ASCII digits, an optional sign)."""
+    as the file format reads an integer."""
     if spec == "uniform":
         return np.ones(bg.size, dtype=complex)
-    if not _DECIMAL.fullmatch(spec):
+    tail = read_int(spec)
+    if tail is None:
         raise AssumptionError(f"--inflow takes a tail id or 'uniform', got {spec!r}")
-    tail = int(spec)
     if not 0 <= tail < bg.size:
-        raise AssumptionError(f"tail {tail} does not exist")
+        raise AssumptionError(f"tail {spec} does not exist")
     inflow = np.zeros(bg.size, dtype=complex)
     inflow[tail] = 1.0
     return inflow
@@ -681,8 +707,8 @@ def cmd_comfort(file, a_, b_, c_, d_, inflow, want_limit, out):
     _FILE,
     *_COIN,
     _Option("--inflow", "inflow", str, "0", "TEXT", "tail id, or 'uniform'"),
-    _Option("--tol", "tol", _FLOAT, 1e-10, "FLOAT", "stop once no entry changes by this much"),
-    _Option("--max-steps", "max_steps", _number(int, "integer"), 10**6, "INTEGER", "give up after this many steps"),
+    _Option("--tol", "tol", _float, 1e-10, "FLOAT", "stop once no entry changes by this much"),
+    _Option("--max-steps", "max_steps", _integer, 10**6, "INTEGER", "give up after this many steps"),
     _OUT,
 )
 def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
@@ -696,10 +722,11 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
         functools.partial(_json_array, texts.tolist())
         for texts in _complex_texts(np.stack([state.outflow, state.island_in, state.island_plus, state.bridge]))
     )
+    energy = internal_energy(state)
     payload = {
         "steps": state.steps,
         "residual": state.residual,
-        "energy": internal_energy(state),
+        "energy": energy,
         "tails": _json_legend(bg),
         "outflow": outflow,
         "state": {
@@ -723,7 +750,7 @@ def cmd_simulate(file, a_, b_, c_, d_, inflow, tol, max_steps, out):
                     np.abs(state.bridge - closed.bridge).max(),
                 )
             ),
-            "energy_vs_formula": abs(internal_energy(state) - report.energy),
+            "energy_vs_formula": abs(energy - report.energy),
         }
     _emit(_iterdumps(payload), out)
 
@@ -758,14 +785,14 @@ def _format_class_rows(rows, a_values):
 @_command(
     "enumerate",
     _GRAPH,
-    _Option("--a", "a_values", _FLOAT, (), "FLOAT", "add the average at this coin parameter (repeatable)", multiple=True),
+    _Option("--a", "a_values", _float, (), "FLOAT", "add the average at this coin parameter (repeatable)", multiple=True),
     _OUT,
 )
 def cmd_enumerate(graph, a_values, out):
     """All embedding classes of a graph ('K4' or a rotation-system file)."""
     _require_unit_interval(a_values)
     coins = [Coin.real_symmetric(a) for a in a_values]
-    g = _load_graph_or_kn(graph)
+    g = _load_graph(graph)
     rows = []
     for cls in enumerate_embeddings(g):
         avgs = [average_comfortability(cls.decomposition, coin) for coin in coins]
@@ -773,11 +800,11 @@ def cmd_enumerate(graph, a_values, out):
     _emit(_format_class_rows(rows, a_values), out)
 
 
-@_command("rank", _GRAPH, _Option("--a", "a_value", _FLOAT, 0.98, "FLOAT", "rank by the average at this coin parameter"), _OUT)
+@_command("rank", _GRAPH, _Option("--a", "a_value", _float, 0.98, "FLOAT", "rank by the average at this coin parameter"), _OUT)
 def cmd_rank(graph, a_value, out):
     """Embedding classes sorted by average comfortability (best first)."""
     _require_unit_interval([a_value])
-    g = _load_graph_or_kn(graph)
+    g = _load_graph(graph)
     ranked = rank_by_comfortability(enumerate_embeddings(g), a_value)
     rows = [(r.embedding, r.limit, [r.average]) for r in ranked]
     _emit(_format_class_rows(rows, [a_value]), out)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .comfortability import average_comfortability, limit_comfortability
 from .errors import AssumptionError, BudgetError, GraphError
-from .fileformat import _DECIMAL, _INT64
+from .fileformat import _INT64, read_int
 from .graph_core import SymmetricDigraph, arc_edge, is_connected
 from .rotation_system import FacialDecomposition, RotationSystem, _trace_rows
 from .walk_dynamics import Coin
@@ -62,20 +62,18 @@ SHOWN_COUNT_LIMIT = 10**20
 
 
 def default_budget() -> int:
-    """EW_BUDGET read as the file format reads an integer (an optional sign
-    and ASCII digits, within 64 bits), or DEFAULT_BUDGET if it is unset or
-    empty.  A value that is no such integer, or is below 1, is a
-    :class:`BudgetError` that names it."""
+    """EW_BUDGET read as the file format reads an integer
+    (:func:`~surfwalk.fileformat.read_int`, within 64 bits), or
+    DEFAULT_BUDGET if it is unset or empty.  A value that is no such
+    integer, or is below 1, is a :class:`BudgetError` that names it."""
     raw = os.environ.get(BUDGET_ENV)
     if not raw:
         return DEFAULT_BUDGET
-    if not _DECIMAL.fullmatch(raw):
+    budget = read_int(raw)
+    if budget is None:
         raise BudgetError(f"{BUDGET_ENV}={raw!r} is not an integer")
-    # More than 19 significant digits are past int64, and int() refuses
-    # more than 4300.
-    if len(raw.lstrip("+-").lstrip("0")) > 19 or int(raw) not in _INT64:
+    if budget not in _INT64:
         raise BudgetError(f"{BUDGET_ENV}={raw!r} does not fit in 64 bits")
-    budget = int(raw)
     if budget < 1:
         raise BudgetError(f"{BUDGET_ENV}={raw!r} is below 1")
     return budget

@@ -8,7 +8,10 @@ arc).  Edge ids follow the order of the edge lines.
 Lines end at ``\n`` only; a trailing ``\r`` is whitespace, so CRLF files
 read the same.  A ``#`` starts a comment that runs to the end of its line,
 and blank lines are ignored.  Integers are decimal, an optional sign and
-ASCII digits, and must fit in a signed 64-bit integer.
+ASCII digits, and must fit in a signed 64-bit integer.  :func:`read_int`
+holds that rule, and is the one reader of integers from outside: the
+budget (EW_BUDGET) and the CLI's ``--inflow``, ``--max-steps`` and the n
+of ``K<n>`` are read by it too.
 
 The parser reads the text once, line by line, keeping every integer field
 as text.  The fields are converted in one call, and the graph and the
@@ -165,13 +168,26 @@ def _integers(fields: list[str]) -> tuple[np.ndarray | None, bool]:
     return values, doubtful
 
 
+def read_int(text: str) -> int | None:
+    """The integer ``text`` spells, an optional sign and ASCII digits, or
+    None if it spells none.  More than 19 significant digits are past int64
+    and read as ±10**19, so ``value in _INT64`` still checks the range, and
+    int() never sees the more than 4300 digits it refuses.  Test for None
+    first: ``None in _INT64`` scans the whole range."""
+    if not _DECIMAL.fullmatch(text):
+        return None
+    if len(text.lstrip("+-").lstrip("0")) > 19:
+        return -(10**19) if text[0] == "-" else 10**19
+    return int(text)
+
+
 def _int(field: str, i: int, lineno: int, message: str | None = None) -> int:
     """The integer in ``field``, field ``i`` of its line, or the ParseError
-    that names it: ``message`` if it is no decimal integer (an optional sign
-    and ASCII digits), and a range fault if it does not fit in 64 bits."""
-    if not _DECIMAL.fullmatch(field):
+    that names it: ``message`` if it is no decimal integer, and a range fault
+    if it does not fit in 64 bits."""
+    value = read_int(field)
+    if value is None:
         raise ParseError(message or f"expected an integer in field {i}", line=lineno)
-    value = int(field)
     if value not in _INT64:
         raise ParseError(f"field {i} does not fit in 64 bits", line=lineno)
     return value

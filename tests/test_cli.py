@@ -148,7 +148,7 @@ def test_comfort_zero_inflow_is_impossible_tail(projective_file):
 
 
 @pytest.mark.parametrize("command", ["comfort", "simulate"])
-@pytest.mark.parametrize("tail", ["-1", "24"])
+@pytest.mark.parametrize("tail", ["-1", "24", pytest.param("9" * 5000, id="5000-digits")])
 def test_inflow_outside_the_tails_exits_3(projective_file, command, tail, capsys):
     # Projective K4 has one tail per island arc: ids 0 .. 23.
     assert main([command, projective_file, "--inflow", tail]) == 3
@@ -184,6 +184,22 @@ def test_simulate_matches_closed_forms(projective_file, capsys):
 
 def test_simulate_nonconvergence_exit(projective_file):
     assert main(["simulate", projective_file, "--max-steps", "1"]) == 4
+
+
+@pytest.mark.parametrize(
+    "steps, code",
+    [("1_0", 2), ("\u0663", 2), (" 10 ", 2), ("9223372036854775808", 2), ("+5", 4)],
+    ids=["separator", "arabic-indic", "spaces", "past-int64", "plus-sign"],
+)
+def test_max_steps_is_read_as_the_file_format_reads_an_integer(projective_file, steps, code, capsys):
+    # int() reads the first three as 10, 3 and 10.
+    assert main(["simulate", projective_file, "--max-steps", steps]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    if code == 2:
+        assert err.startswith("error: Invalid value for '--max-steps': ")
+    else:
+        assert err.startswith("did not converge: no stationary state after 5 steps")
 
 
 @pytest.mark.parametrize(
@@ -390,6 +406,34 @@ def test_failed_write_to_out_exits_2_without_a_traceback(projective_file, capsys
     assert captured.err == "error: Invalid value for '--out': cannot write '/dev/full': No space left on device\n"
 
 
+@pytest.mark.parametrize("command", ["genus", "enumerate"])
+def test_failed_read_exits_2_with_one_error_line(command, projective_file, monkeypatch, capsys):
+    class UnreadableFile(io.StringIO):
+        def read(self, *args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: UnreadableFile(), raising=False)
+    assert main([command, projective_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot read {projective_file!r}: {os.strerror(errno.EIO)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_enumerate_reads_a_pipe_as_it_reads_the_file(projective_file, capsys):
+    # A pipe path, as the shell's <(cat FILE) passes one.
+    assert main(["enumerate", projective_file]) == 0
+    from_file = capsys.readouterr()
+    read, write = os.pipe()
+    os.write(write, PROJECTIVE_K4_FILE.encode())
+    os.close(write)
+    try:
+        assert main(["enumerate", f"/dev/fd/{read}"]) == 0
+    finally:
+        os.close(read)
+    assert capsys.readouterr() == from_file
+
+
 @pytest.mark.parametrize("command", ["genus", "scatter"])
 def test_failed_write_to_stdout_exits_2_without_a_traceback(command, projective_file, monkeypatch, capsys):
     class FullStdout(io.StringIO):
@@ -528,9 +572,14 @@ def test_help_exits_0_with_the_usage_on_stdout(capsys):
         ["simulate", "{file}", "--tol", "x"],
         ["simulate", "{file}", "--max-steps", "x"],
         ["enumerate", "K4", "--a", "x"],
+        ["enumerate", "K\u0664"],
+        ["rank", "K\u0661\u0660"],
+        ["genus", "{file}", "--out", ""],
+        ["genus", "{file}", "--out="],
     ],
     ids=["no-command", "unknown-command", "unknown-option", "missing-file", "absent-file", "directory-file",
-         "tol-x", "max-steps-x", "enumerate-a-x"],
+         "tol-x", "max-steps-x", "enumerate-a-x", "arabic-indic-kn", "arabic-indic-rank-kn", "empty-out",
+         "empty-out-after-equals"],
 )
 def test_usage_faults_exit_2_with_one_error_line(argv, projective_file, tmp_path, capsys):
     paths = {"file": projective_file, "absent": str(tmp_path / "absent.txt"), "directory": str(tmp_path)}

@@ -279,7 +279,15 @@ def test_crlf_file_parses():
     assert parse_failure(parse_rotation_system, lined) == (5, "line 5: expected an integer in field 3")
 
 
-BEYOND_INT64 = ["9223372036854775808", "-9223372036854775809", "99999999999999999999999", "-99999999999999999999999"]
+BEYOND_INT64 = [
+    "9223372036854775808",
+    "-9223372036854775809",
+    "99999999999999999999999",
+    "-99999999999999999999999",
+    # int() refuses more than 4300 digits.
+    pytest.param("9" * 5000, id="5000-digits"),
+    pytest.param("-" + "9" * 5000, id="minus-5000-digits"),
+]
 
 
 @pytest.mark.parametrize("huge", BEYOND_INT64)
