@@ -54,10 +54,9 @@ linear along K_n and shows only on the grids.  The stages:
 Up to 8 vertices (the K4 and K8 lines) it also times the simulator, the
 one stage the closed forms leave out:
 
-- ``run_to_stationary_ms`` and ``run_to_stationary_steps``:
-  ``run_to_stationary`` under the Hadamard coin with a unit inflow on
-  tail 0 and the default ``tol``, from the zero state, and the number of
-  steps it takes.
+- ``run_to_stationary_ms``, ``_steps`` and ``_rate``: ``run_to_stationary``
+  under the Hadamard coin with a unit inflow on tail 0 and the default
+  ``tol``, from the zero state, its step count and observed ``rate``.
 
 Up to 20 vertices it also times the dense export (a K32 export is on the order of
 100 MB):
@@ -177,8 +176,8 @@ def no_argument():
 class Row:
     """One graph's line: its ``head`` (graph and arcs) and its stages, each
     ``(run, prepare)``, timed as ``run(prepare())``: ``common``, those every
-    line times, and ``extra``, the simulator (with its step count,
-    ``steps``) and the dense export, which only the smaller graphs time."""
+    line times, and ``extra``, the simulator (with its step count and rate,
+    ``simulated``) and the dense export, which only the smaller graphs time."""
 
     def __init__(self, name: str, g: SymmetricDigraph, rng, tmp: str):
         rs = random_system(g, rng)
@@ -226,7 +225,7 @@ class Row:
         self.extra = {}
         if g.vertex_count <= SIMULATOR_MAX_N:
             self.extra["run_to_stationary_ms"] = (lambda _: run_to_stationary(bg, coin, one_tail), no_argument)
-            self.steps = run_to_stationary(bg, coin, one_tail).steps
+            self.simulated = run_to_stationary(bg, coin, one_tail)
         if g.vertex_count <= EXPORT_MAX_N:
             self.extra.update(export_stages(text, bg, coin, os.path.join(tmp, name)))
 
@@ -237,7 +236,8 @@ class Row:
         for stage in self.common | self.extra:
             line[stage] = best[stage]
             if stage == "run_to_stationary_ms":
-                line["run_to_stationary_steps"] = self.steps
+                line["run_to_stationary_steps"] = self.simulated.steps
+                line["run_to_stationary_rate"] = self.simulated.rate
         line["peak_kb"] = peak_kb(self.common)
         return line
 

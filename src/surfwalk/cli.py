@@ -15,7 +15,8 @@ or follows ``=`` (``--d=-0.3,0.4``); ``--`` ends the options.  A usage
 fault exits 2 with one ``error:`` line, and ``--help`` prints the usage.
 Integers (``--max-steps``, an ``--inflow`` tail id, the n of ``K<n>``)
 are read as the file format reads one, by
-:func:`~surfwalk.fileformat.read_int`.
+:func:`~surfwalk.fileformat.read_int`, and floats (``--tol``, ``--a`` and
+each part of a coin entry) by :func:`~surfwalk.fileformat.read_float`.
 
 Complex numbers cross the boundary as ``re,im`` pairs: coin flags accept
 ``0.7`` or ``0.5,-0.5``; JSON matrices are row-major arrays of such
@@ -44,7 +45,7 @@ from .errors import (
     GraphError,
     ParseError,
 )
-from .fileformat import _INT64, parse_rotation_system, read_int
+from .fileformat import _INT64, parse_rotation_system, read_float, read_int
 from .graph_core import complete_graph
 from .rotation_system import detect_orientability, trace_faces
 from .scattering import scattering_matrix, stationary_closed_form
@@ -178,14 +179,9 @@ def _iterdumps(payload) -> Iterator[str]:
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
+    parts = [read_float(part) for part in text.split(",")]
+    if len(parts) <= 2 and None not in parts:
+        return complex(*parts)
     raise AssumptionError(f"complex values read 're' or 're,im', got {text!r}")
 
 
@@ -239,10 +235,10 @@ def _command(name: str, argument: _Option, *options: _Option):
 
 
 def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not a valid float.") from None
+    value = read_float(text)
+    if value is None:
+        raise ValueError(f"{text!r} is not a valid float.")
+    return value
 
 
 def _integer(text: str) -> int:

@@ -17,10 +17,11 @@ class AssumptionError(ValueError):
 class ConvergenceError(RuntimeError):
     """The walk iteration did not reach the requested tolerance."""
 
-    def __init__(self, message, residual=None, steps=None):
+    def __init__(self, message, residual=None, steps=None, rate=None):
         super().__init__(message)
         self.residual = residual
         self.steps = steps
+        self.rate = rate
 
 
 class BudgetError(RuntimeError):

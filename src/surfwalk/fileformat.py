@@ -11,7 +11,7 @@ and blank lines are ignored.  Integers are decimal, an optional sign and
 ASCII digits, and must fit in a signed 64-bit integer.  :func:`read_int`
 holds that rule, and is the one reader of integers from outside: the
 budget (EW_BUDGET) and the CLI's ``--inflow``, ``--max-steps`` and the n
-of ``K<n>`` are read by it too.
+of ``K<n>`` are read by it too, and :func:`read_float` reads floats alike.
 
 The parser reads the text once, line by line, keeping every integer field
 as text.  The fields are converted in one call, and the graph and the
@@ -145,6 +145,8 @@ def _id_list(ids: list[int]) -> str:
 
 _INT64 = range(-(2**63), 2**63)
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+# A decimal float with an optional exponent, or a word float() reads.
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))")
 
 
 def _integers(fields: list[str]) -> tuple[np.ndarray | None, bool]:
@@ -179,6 +181,15 @@ def read_int(text: str) -> int | None:
     if len(text.lstrip("+-").lstrip("0")) > 19:
         return -(10**19) if text[0] == "-" else 10**19
     return int(text)
+
+
+def read_float(text: str) -> float | None:
+    """The float ``text`` spells, or None: ASCII digits with an optional
+    sign, point and exponent, or float()'s words ``inf``, ``infinity`` and
+    ``nan``; no ``_``, surrounding whitespace or other scripts' digits."""
+    if not _FLOAT.fullmatch(text):
+        return None
+    return float(text)
 
 
 def _int(field: str, i: int, lineno: int, message: str | None = None) -> int:

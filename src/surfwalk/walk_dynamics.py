@@ -154,7 +154,8 @@ class WaveState:
     """Internal amplitudes plus the constant inflow and the latest outflow.
 
     ``inflow`` and ``outflow`` are indexed by tail (= island arc id)
-    along their first axis.
+    along their first axis.  ``rate`` is :func:`run_to_stationary`'s
+    observed decay per step, nan on any other state.
     """
 
     island_in: np.ndarray
@@ -164,6 +165,7 @@ class WaveState:
     outflow: np.ndarray
     steps: int = 0
     residual: float = math.inf
+    rate: float = math.nan
 
     @classmethod
     def zero(cls, bg: BlowUpGraph, inflow: np.ndarray) -> "WaveState":
@@ -260,7 +262,15 @@ def run_to_stationary(
 ) -> WaveState:
     """Iterate from the zero internal state until the sup-norm change of one
     step falls below ``tol``.  An ``(n, k)`` inflow runs k inflows at once
-    and stops when every column is stationary."""
+    and stops when every column is stationary.
+
+    ``rate``, on the state or a :class:`ConvergenceError`, is the observed
+    decay per step: the geometric mean ratio of the largest real or
+    imaginary part of the change from step p, the largest power of two at
+    or below half the steps, to the last step; nan if there is no such p or
+    its change was 0.  It tends to the spectral radius of :func:`step_matrix`;
+    on a short run the window still holds the transient, and the rate can
+    read below the radius."""
     if not (math.isfinite(tol) and tol > 0):
         raise AssumptionError(f"tolerance must be finite and positive, got {tol}")
     if max_steps < 0:
@@ -275,24 +285,34 @@ def run_to_stationary(
     # modulus as it is.
     delta = np.empty_like(z)
     parts = delta.view(np.float64)
-    steps = 0
+    # The largest part at the last two powers of two, and the next power.
+    mark, early, late = 1, math.nan, math.nan
+    steps, res, bound = 0, math.inf, math.nan
     for steps in range(1, max_steps + 1):
         advance(z, new)
         np.subtract(new, z, out=delta)
         z, new = new, z
         # |x| >= max(|Re x|, |Im x|): while a part reaches tol, so does the
         # sup-norm, and it is taken only below that bound.
-        if np.abs(parts, out=parts).max(initial=0.0) < tol:
+        bound = np.abs(parts, out=parts).max(initial=0.0)
+        if steps == mark:
+            early, late, mark = late, bound, 2 * mark
+        if bound < tol:
             res = np.abs(delta).max(initial=0.0)
             if res < tol:
-                # The outflow of the last step leaves from the state before it.
-                outflow = coin.c * new[0] + coin.d * inflow
-                return WaveState(*z, inflow=inflow, outflow=outflow, steps=steps, residual=res)
+                break
+    # mark // 4 is the largest power of two at or below half the steps.
+    rate = float((bound / early) ** (1.0 / (steps - mark // 4))) if early > 0 else math.nan
+    if res < tol:
+        # The outflow of the last step leaves from the state before it.
+        outflow = coin.c * new[0] + coin.d * inflow
+        return WaveState(*z, inflow=inflow, outflow=outflow, steps=steps, residual=res, rate=rate)
     res = np.abs(delta).max(initial=0.0) if steps else math.inf
     raise ConvergenceError(
-        f"no stationary state after {max_steps} steps (residual {res:.3e})",
+        f"no stationary state after {max_steps} steps (residual {res:.3e}, rate {rate:.6f})",
         residual=res,
         steps=steps,
+        rate=rate,
     )
 
 

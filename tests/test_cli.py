@@ -531,8 +531,11 @@ def test_simulate_uniform_inflow(projective_file, capsys):
     [
         (["comfort", "--inflow", "1e3"], "--inflow takes a tail id or 'uniform', got '1e3'"),
         (["scatter", "--a", "0.5,x"], "complex values read 're' or 're,im', got '0.5,x'"),
+        # A part is read as --tol is: float() reads these as 0.5 and 10.
+        (["scatter", "--a", "\u0660.\u0665"], "complex values read 're' or 're,im', got '\u0660.\u0665'"),
+        (["scatter", "--b", "0.5, 1_0"], "complex values read 're' or 're,im', got '0.5, 1_0'"),
     ],
-    ids=["comfort-inflow-1e3", "scatter-a-0.5,x"],
+    ids=["comfort-inflow-1e3", "scatter-a-0.5,x", "scatter-a-arabic-indic", "scatter-b-separator"],
 )
 def test_malformed_option_values_exit_3(projective_file, argv, message, capsys):
     assert main([argv[0], projective_file, *argv[1:]]) == 3
@@ -570,6 +573,10 @@ def test_help_exits_0_with_the_usage_on_stdout(capsys):
         ["genus", "{absent}"],
         ["genus", "{directory}"],
         ["simulate", "{file}", "--tol", "x"],
+        ["simulate", "{file}", "--tol", " 1_0e-3 "],
+        ["simulate", "{file}", "--tol", "1_0e-3"],
+        ["enumerate", "K4", "--a", "\u0660.\u0665"],
+        ["rank", "K4", "--a", "0.98 "],
         ["simulate", "{file}", "--max-steps", "x"],
         ["enumerate", "K4", "--a", "x"],
         ["enumerate", "K\u0664"],
@@ -578,7 +585,8 @@ def test_help_exits_0_with_the_usage_on_stdout(capsys):
         ["genus", "{file}", "--out="],
     ],
     ids=["no-command", "unknown-command", "unknown-option", "missing-file", "absent-file", "directory-file",
-         "tol-x", "max-steps-x", "enumerate-a-x", "arabic-indic-kn", "arabic-indic-rank-kn", "empty-out",
+         "tol-x", "tol-spaces-separator", "tol-separator", "enumerate-a-arabic-indic", "rank-a-space",
+         "max-steps-x", "enumerate-a-x", "arabic-indic-kn", "arabic-indic-rank-kn", "empty-out",
          "empty-out-after-equals"],
 )
 def test_usage_faults_exit_2_with_one_error_line(argv, projective_file, tmp_path, capsys):

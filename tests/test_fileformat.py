@@ -10,7 +10,7 @@ import parse_oracle
 from conftest import planar_grid, projective_k4, random_rotation_system
 from surfwalk.cli import main
 from surfwalk.errors import ParseError
-from surfwalk.fileformat import _DECIMAL, _integers, parse_rotation_system, serialize_rotation_system
+from surfwalk.fileformat import _DECIMAL, _integers, parse_rotation_system, read_float, serialize_rotation_system
 from surfwalk.graph_core import complete_graph
 
 PROJECTIVE_K4_FILE = """\
@@ -322,6 +322,17 @@ def test_integers_are_ascii_decimal(field):
     # int() reads the first three (10, 3 and 1); the file format does not.
     text = PROJECTIVE_K4_FILE.replace("edge 0 2 0", f"edge 0 2 {field}")
     assert parse_failure(parse_rotation_system, text) == (4, "line 4: expected an integer in field 3")
+
+
+@pytest.mark.parametrize("text", ["1", "-1.", ".5", "+2.5E-3", "1e400", "inf", "-Infinity", "NaN"])
+def test_read_float_reads_what_float_reads_in_ascii(text):
+    assert np.array_equal(read_float(text), float(text), equal_nan=True)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "1\n", "\u0660.\u0665", "\uff11", "0x1", ".", "e5", "1e", "infinit", ""])
+def test_read_float_refuses_separators_spaces_and_other_digits(text):
+    # float() reads the first five (10, 1, 1, 0.5 and 1).
+    assert read_float(text) is None
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,6 +15,7 @@ from surfwalk.covering_blowup import hedgehog
 from surfwalk.enumeration import enumerate_embeddings
 from surfwalk.errors import AssumptionError, ConvergenceError
 from surfwalk.graph_core import complete_graph
+from surfwalk.scattering import stationary_closed_form
 from surfwalk.walk_dynamics import (
     Coin,
     WaveState,
@@ -260,6 +261,16 @@ def test_step_matrix_spectral_radius_sets_the_rate():
     assert abs(coin.a) < radius < 1.0
 
 
+@pytest.mark.parametrize("index", range(11))
+def test_observed_rate_is_the_dense_radius_on_every_k4_class(index):
+    bg = hedgehog(enumerate_embeddings(complete_graph(4))[index].representative)
+    coin = Coin.hadamard_type()
+    radius = np.abs(np.linalg.eigvals(step_matrix(bg, coin))).max()
+    for tail in (0, 1, 5):
+        state = run_to_stationary(bg, coin, unit_inflow(bg, tail))
+        assert state.steps > 0 and abs(state.rate - radius) < 0.005, (tail, state.rate, radius)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-10])
 def test_tolerance_must_be_finite_and_positive(tol):
     bg = hedgehog(projective_k4())
@@ -289,18 +300,19 @@ def _reference_step(state, bg, coin):
     )
 
 
-def _reference_run(bg, coin, inflow, tol=1e-10, max_steps=10**6):
+def _reference_run(bg, coin, inflow, tol=1e-10, max_steps=10**6, changes=None):
     """The simulator loop as first written, one WaveState per step; the
-    last state carries the last residual whether or not it fell below tol."""
+    last state carries the last residual whether or not it fell below tol.
+    A ``changes`` list gets each step's largest real or imaginary part of
+    the change."""
     state = WaveState.zero(bg, inflow)
     res = math.inf
     for _ in range(max_steps):
         new = _reference_step(state, bg, coin)
-        res = max(
-            np.abs(new.island_in - state.island_in).max(initial=0.0),
-            np.abs(new.island_plus - state.island_plus).max(initial=0.0),
-            np.abs(new.bridge - state.bridge).max(initial=0.0),
-        )
+        deltas = [new.island_in - state.island_in, new.island_plus - state.island_plus, new.bridge - state.bridge]
+        res = max(np.abs(d).max(initial=0.0) for d in deltas)
+        if changes is not None:
+            changes.append(max(np.abs(part).max(initial=0.0) for d in deltas for part in (d.real, d.imag)))
         state = new
         if res < tol:
             break
@@ -390,6 +402,45 @@ def test_the_exact_modulus_decides_the_stop(case):
     reference = _reference_run(bg, coin, inflow, tol=tol)
     assert reference.steps > s
     _assert_same_bytes(run_to_stationary(bg, coin, inflow, tol=tol), reference)
+
+
+def _reference_rate(changes):
+    """The geometric mean of the ratios of successive ``changes`` (step 1
+    first), from the largest power of two at or below half the steps on."""
+    start = 2 ** int(math.log2(len(changes) / 2))
+    logs = [math.log(changes[t] / changes[t - 1]) for t in range(start, len(changes))]
+    return math.exp(sum(logs) / len(logs))
+
+
+@pytest.mark.parametrize("case", list(_bit_identity_cases()), ids=lambda case: case[0])
+def test_rate_is_the_reference_loops_decay(case):
+    _, bg, coin, inflow = case
+    changes = []
+    _reference_run(bg, coin, inflow, changes=changes)
+    state = run_to_stationary(bg, coin, inflow)
+    assert state.steps == len(changes) and math.isclose(state.rate, _reference_rate(changes), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("max_steps", [2, 3, 4, 50])
+def test_convergence_error_carries_the_rate_of_its_run(max_steps):
+    bg, coin = hedgehog(projective_k4()), Coin.hadamard_type()
+    changes = []
+    _reference_run(bg, coin, unit_inflow(bg, 0), max_steps=max_steps, changes=changes)
+    with pytest.raises(ConvergenceError, match=r", rate 0\.\d{6}\)$") as err:
+        run_to_stationary(bg, coin, unit_inflow(bg, 0), max_steps=max_steps)
+    assert math.isclose(err.value.rate, _reference_rate(changes), rel_tol=1e-12)
+
+
+def test_rate_is_nan_without_a_window_or_on_closed_forms():
+    bg, coin = hedgehog(projective_k4()), Coin.hadamard_type()
+    # No change at all: the run stops at step 1, before any window.
+    state = run_to_stationary(bg, coin, np.zeros(bg.size, dtype=complex))
+    assert state.steps == 1 and math.isnan(state.rate)
+    for max_steps in (0, 1):
+        with pytest.raises(ConvergenceError, match=r", rate nan\)$") as err:
+            run_to_stationary(bg, coin, unit_inflow(bg, 0), max_steps=max_steps)
+        assert math.isnan(err.value.rate)
+    assert math.isnan(stationary_closed_form(bg, coin, unit_inflow(bg, 0)).rate)
 
 
 def _two_tail_check():
